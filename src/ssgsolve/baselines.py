@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import best_exits, mec_decompose
-from .model import MAX, MIN, StatePartition, StochasticGame, partition_states
+from .graph import exit_layers, mec_decompose
+from .model import MAX, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
 from .svi import FloatRows, float_rows
 
@@ -110,33 +110,22 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
 def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float]) -> list[float]:
     """Cap an upper vector inside every end component to its best exit.
 
-    For each maximal end component of the unknown states: find the best
-    Maximizer exit under the current U, cap all member states to its
-    value, remove the exiting states and recurse into the remaining
-    sub-components. A component without Maximizer exits is a trap and is
-    capped to 0. Returns a new vector; the partition is not modified.
-    Requires U >= V pointwise, which the capping preserves.
+    For each maximal end component of the unknown states, walks the layers
+    of `exit_layers` on a copy of U: caps every member of a layer to the
+    value of its best Maximizer exit, or to 0 for a trap (no Maximizer
+    exit). The layers are ranked lazily on that same copy, so each
+    sub-component is ranked on the vector its parent has already capped;
+    ranking them all on the uncapped U would pick different exits.
+    Returns the new vector; the partition is not modified. Requires U >= V
+    pointwise, which the capping preserves.
     """
     new = list(U)
-
-    def visit(component: frozenset[int] | set[int]) -> None:
-        exits = best_exits(game, component, new)
-        if not exits:
-            for s in component:
-                new[s] = 0.0
-            return
-        val = max(
-            sum(float(p) * new[t] for t, p in game.action(s, a).transitions)
-            for s, a in exits
-        )
-        for s in component:
-            new[s] = min(new[s], val)
-        remainder = set(component) - {s for s, _ in exits}
-        for mec in mec_decompose(game, remainder):
-            visit(mec.states)
-
     for mec in mec_decompose(game, partition.unknown):
-        visit(mec.states)
+        for component, exits in exit_layers(game, mec.states, new):
+            val = max((sum(float(p) * new[t] for t, p in game.action(s, a).transitions)
+                       for s, a in exits), default=0.0)
+            for s in component:
+                new[s] = min(new[s], val)
     return new
 
 

@@ -4,14 +4,17 @@ Subcommands: solve (one model, one algorithm, optional JSON report),
 oracle (exact rational values), compare (CSV of several algorithms over
 several models), fuzz (randomized cross-checking), gen (write a random
 model). Exit codes: 0 success, 1 fuzz found a counterexample, 2 unreadable
-or unparseable model, 3 a model that parses but fails validation, 4 solver
-hit the iteration cap, 5 model too large for the exact oracle.
+or unparseable model (a missing file or one that is not UTF-8 text
+included), 3 a model that parses but fails validation, 4 solver hit the
+iteration cap, 5 model too large for the exact oracle, 141 stdout closed
+early (a broken pipe, as in `ssgsolve solve model.ssg | head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,25 +43,30 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_TOO_LARGE = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 CSV_HEADER = "model,algorithm,iterations,converged,wall_ms,max_gap"
 
+# every solver takes (game, eps, max_iters=...); topo runs svi inside by default
+SOLVERS = {"vi": solve_vi, "bvi": solve_bvi, "svi": solve_svi, "topo": solve_topological}
+
 
 def _read_model(path: str) -> StochasticGame:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return normalize(parse_model(text))
 
 
 def _run_algorithm(game: StochasticGame, args: argparse.Namespace) -> SolveResult:
     if args.topo:
-        return solve_topological(game, args.eps, inner=args.algo, max_iters=args.max_iters)
-    if args.algo == "vi":
-        return solve_vi(game, args.eps, max_iters=args.max_iters)
-    if args.algo == "bvi":
-        return solve_bvi(game, args.eps, max_iters=args.max_iters)
-    mode = "relative" if args.relative else "absolute"
-    return solve_svi(game, args.eps, ec_handling=not args.no_ec_handling,
-                     mode=mode, max_iters=args.max_iters)
+        return SOLVERS["topo"](game, args.eps, inner=args.algo, max_iters=args.max_iters)
+    options = {}
+    if args.algo == "svi":
+        options = {"ec_handling": not args.no_ec_handling,
+                   "mode": "relative" if args.relative else "absolute"}
+    return SOLVERS[args.algo](game, args.eps, max_iters=args.max_iters, **options)
 
 
 def _result_payload(model: str, res: SolveResult, eps: float, mode: str,
@@ -153,19 +161,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 print(f"{path},{algo},0,false,0.000,")
             continue
         for algo in algos:
+            solver = SOLVERS.get(algo)
+            if solver is None:
+                print(f"note: {path}: unknown algorithm {algo!r}", file=sys.stderr)
+                print(f"{path},{algo},0,false,0.000,")
+                continue
             try:
-                if algo == "vi":
-                    res = solve_vi(game, args.eps, max_iters=args.max_iters)
-                elif algo == "bvi":
-                    res = solve_bvi(game, args.eps, max_iters=args.max_iters)
-                elif algo == "svi":
-                    res = solve_svi(game, args.eps, max_iters=args.max_iters)
-                elif algo == "topo":
-                    res = solve_topological(game, args.eps, max_iters=args.max_iters)
-                else:
-                    print(f"note: {path}: unknown algorithm {algo!r}", file=sys.stderr)
-                    print(f"{path},{algo},0,false,0.000,")
-                    continue
+                res = solver(game, args.eps, max_iters=args.max_iters)
             except Exception as exc:
                 print(f"note: {path}: {algo} failed: {exc}", file=sys.stderr)
                 print(f"{path},{algo},0,false,0.000,")
@@ -285,7 +287,15 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "topo", False) and args.algo == "vi":
         parser.error("--topo needs a sound inner solver (bvi or svi)")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # whatever is still buffered goes to devnull, so the exit-time flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -10,7 +10,7 @@ components and the Maximizer actions that leave them best.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import MAX, StatePartition, StochasticGame
 
@@ -46,21 +46,24 @@ def scc_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
 
     Returns components in reverse topological order: every component comes
     after all components it can reach, so processing the list front to back
-    sees successors first. Iterative Tarjan; deterministic for a given game.
+    sees successors first. Deterministic for a given game.
     """
     nodes = sorted(restrict) if restrict is not None else list(range(game.n_states))
     node_set = set(nodes)
-    adj: dict[int, list[int]] = {}
-    for s in nodes:
-        seen: set[int] = set()
-        order: list[int] = []
-        for act in game.actions[s]:
-            for succ, _ in act.transitions:
-                if succ in node_set and succ not in seen and succ != s:
-                    seen.add(succ)
-                    order.append(succ)
-        adj[s] = order
+    # successors without duplicates, in order of first appearance
+    adj = {s: list(dict.fromkeys(succ for act in game.actions[s] for succ, _ in act.transitions
+                                 if succ in node_set and succ != s))
+           for s in nodes}
+    return _tarjan(nodes, adj)
 
+
+def _tarjan(nodes: Iterable[int], adj: dict[int, list[int]]) -> list[list[int]]:
+    """Iterative Tarjan over adj, rooted in the given node order.
+
+    Each component comes out sorted, and the components in reverse
+    topological order. The successor order in adj decides the order of
+    components that are not ordered by reachability.
+    """
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -152,67 +155,12 @@ def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
 
 def _sccs_via(game: StochasticGame, cand: set[int], staying: dict[int, tuple[str, ...]]) -> list[list[int]]:
     """SCCs of cand using only the staying actions; singletons need a self-loop."""
-    adj: dict[int, list[int]] = {}
-    for s in cand:
-        succs: set[int] = set()
-        keep = set(staying.get(s, ()))
-        for act in game.actions[s]:
-            if act.label in keep:
-                succs.update(t for t, _ in act.transitions)
-        adj[s] = sorted(succs)
-    comps: list[list[int]] = []
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    for root in sorted(cand):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+    adj = {s: sorted({t for act in game.actions[s] if act.label in staying.get(s, ())
+                      for t, _ in act.transitions})
+           for s in cand}
     # a singleton only counts as strongly connected if it loops onto itself
-    out = []
-    for comp in comps:
-        if len(comp) == 1:
-            s = comp[0]
-            if s not in adj[s] and len(cand) > 1:
-                continue
-        out.append(comp)
-    return out
+    return [comp for comp in _tarjan(sorted(cand), adj)
+            if len(comp) > 1 or comp[0] in adj[comp[0]] or len(cand) == 1]
 
 
 def trap_states(game: StochasticGame, region: Iterable[int]) -> set[int]:
@@ -268,29 +216,51 @@ def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
     return {(s, a) for val, s, a in scored if val >= best_val - TIE_TOL}
 
 
+def exit_layers(game: StochasticGame, component: frozenset[int] | set[int],
+                f: Sequence[float]) -> Iterator[tuple[frozenset[int] | set[int], set[tuple[int, str]]]]:
+    """Peel best exits off a component, layer by layer, depth first.
+
+    Yields (component, best_exits(game, component, f)), then the same for
+    every maximal end component of the component minus its exit states,
+    and so on down. An empty exit set marks a trap (no Maximizer exit) and
+    ends that branch. Each component is ranked only when it is about to be
+    yielded, after the consumer has handled everything yielded before it,
+    so a consumer that writes into f (as `deflate` caps its upper vector)
+    has each sub-component ranked on the values its parent already set.
+    The peeling visits at most |component| sets.
+    """
+    work = [component]
+    while work:
+        comp = work.pop()
+        exits = best_exits(game, comp, f)
+        yield comp, exits
+        if exits:
+            remainder = set(comp) - {s for s, _ in exits}
+            work.extend(mec.states for mec in reversed(mec_decompose(game, remainder)))
+
+
+def _move_to_sinks(states: Iterable[int], partition: StatePartition, acc: BestExitSet) -> None:
+    """Record states of value 0 as trapped and move them to the sinks."""
+    trapped = set(states)
+    acc.removed_trap_states |= trapped
+    partition.sinks |= trapped
+    partition.unknown -= trapped
+
+
 def best_exit_set(game: StochasticGame, f: Sequence[float], component: frozenset[int] | set[int],
                   partition: StatePartition, acc: BestExitSet) -> None:
-    """Recursively collect best exits of a component and its sub-components.
+    """Collect the best exits of a component and of its peeled sub-components.
 
-    Picks the best Maximizer exits of the component, removes the exiting
-    states, and recurses into the maximal end components of the remainder.
-    A component without any Maximizer exit is a trap: the Minimizer can
-    keep play inside forever, so its states are moved to the sinks side of
-    the partition and recorded in acc.removed_trap_states. The recursion
-    visits at most |component| sets.
+    Adds the exit pairs of every layer of `exit_layers` to acc.pairs. A
+    layer without any Maximizer exit is a trap: the Minimizer can keep
+    play inside forever, so its states are moved to the sinks side of the
+    partition and recorded in acc.removed_trap_states.
     """
-    exits = best_exits(game, component, f)
-    if not exits:
-        trapped = set(component)
-        acc.removed_trap_states |= trapped
-        partition.sinks |= trapped
-        partition.unknown -= trapped
-        return
-    acc.pairs |= exits
-    exit_states = {s for s, _ in exits}
-    remainder = set(component) - exit_states
-    for mec in mec_decompose(game, remainder):
-        best_exit_set(game, f, mec.states, partition, acc)
+    for comp, exits in exit_layers(game, component, f):
+        if exits:
+            acc.pairs |= exits
+        else:
+            _move_to_sinks(comp, partition, acc)
 
 
 def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: float,
@@ -298,22 +268,16 @@ def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: f
     """Per-iteration end-component pass over the unknown states.
 
     Trap detection runs first: states the Minimizer can confine play around
-    move to the sinks and their reach/stay entries are zeroed for good
-    (value 0) before any exit is ranked, so a ranking never credits an exit
-    leading into a trap. Then exits are evaluated against f = reach +
-    stay*u and the layered best exits of every maximal end component among
-    the remaining unknowns are collected.
+    move to the sinks and count as value 0 before any exit is ranked, so a
+    ranking never credits an exit leading into a trap. Then exits are
+    evaluated against f = reach + stay*u and the layered best exits of
+    every maximal end component among the remaining unknowns are collected.
+    The reach/stay entries of every trapped state are zeroed for good.
     """
     acc = BestExitSet()
-    trapped = trap_states(game, partition.unknown)
-    if trapped:
-        acc.removed_trap_states |= trapped
-        partition.sinks |= trapped
-        partition.unknown -= trapped
-        for s in trapped:
-            reach[s] = 0.0
-            stay[s] = 0.0
-    f = [reach[s] + stay[s] * u for s in range(game.n_states)]
+    _move_to_sinks(trap_states(game, partition.unknown), partition, acc)
+    f = [0.0 if s in acc.removed_trap_states else reach[s] + stay[s] * u
+         for s in range(game.n_states)]
     for mec in mec_decompose(game, partition.unknown):
         best_exit_set(game, f, mec.states, partition, acc)
     for s in acc.removed_trap_states:

@@ -14,7 +14,7 @@ floats internally, the exact oracle keeps the rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 MAX = "max"

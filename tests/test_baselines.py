@@ -108,6 +108,47 @@ def test_deflate_never_cuts_below_the_value():
             assert got[s] >= want[s] - 1e-9, (build.__name__, s)
 
 
+# End component {0,1,2,3}; its best exit is state 0's cash (0.7). Peeling state 0
+# leaves the sub-component {1,2,3} (3 is a Minimizer state), whose Maximizer exits
+# are 1's back into state 0 and 2's leave at 0.45.
+PEEL_ON_CAPPED = """\
+ssg 1
+states 6
+minplayer 3
+target 4
+action 0 go
+  1 1
+action 0 cash
+  4 7/10
+  5 3/10
+action 1 on
+  2 1
+action 1 back
+  0 3/5
+  5 2/5
+action 2 on
+  3 1
+action 2 leave
+  4 9/20
+  5 11/20
+action 3 on
+  1 1
+action 3 ret
+  0 1
+"""
+
+
+def test_deflate_ranks_sub_component_on_capped_vector():
+    g = normalize(parse_model(PEEL_ON_CAPPED))
+    part = partition_states(g)
+    U = [0.8, 1.0, 1.0, 1.0, 1.0, 0.0]
+    # on U as given, back is worth 0.6 * 0.8 = 0.48 and beats leave; once the outer
+    # component is capped to 0.7 it is worth 0.42, so leave (0.45) is the best exit
+    got = deflate(g, part, U)
+    assert got == pytest.approx([0.7, 0.45, 0.45, 0.45, 1.0, 0.0])
+    assert exact_floats(g)[:4] == pytest.approx([0.7, 0.45, 0.45, 0.45])
+
+
 def test_bvi_iteration_counts_frozen():
     counts = {
         slow_loop: 684,

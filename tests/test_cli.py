@@ -13,6 +13,7 @@ import pytest
 import ssgsolve
 from ssgsolve.cli import (
     CSV_HEADER,
+    EXIT_BROKEN_PIPE,
     EXIT_COUNTEREXAMPLE,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -48,6 +49,20 @@ def route_file(tmp_path):
     p = tmp_path / "route.ssg"
     p.write_text(serialize_model(two_route_choice()))
     return p
+
+
+@pytest.fixture
+def latin1_file(tmp_path):
+    p = tmp_path / "latin1.ssg"
+    p.write_bytes(serialize_model(slow_loop()).encode() + "# caf\xe9\n".encode("latin-1"))
+    return p
+
+
+def _cli_env() -> dict:
+    """Environment whose PYTHONPATH puts the package this process imported first."""
+    package_root = str(Path(ssgsolve.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH", "")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
 
 
 def test_solve_human_output(loop_file, capsys):
@@ -128,6 +143,50 @@ def test_solve_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_non_utf8_model_is_a_parse_error(latin1_file, capsys):
+    assert main(["solve", str(latin1_file)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
+def test_oracle_non_utf8_model_is_a_parse_error(latin1_file, capsys):
+    assert main(["oracle", str(latin1_file)]) == EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_compare_non_utf8_model_gets_placeholder_rows(latin1_file, capsys):
+    assert main(["compare", str(latin1_file), "--algos", "vi,bvi"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [f"{latin1_file},vi,0,false,0.000,",
+                                             f"{latin1_file},bvi,0,false,0.000,"]
+    assert f"note: {latin1_file}:" in captured.err
+
+
+def test_solve_into_closed_pipe_exits_quietly(tmp_path):
+    # like `ssgsolve solve --algo vi big.ssg | head -1`: the reader quits after one
+    # line while the writer still has far more than a pipe buffer to print
+    big = tmp_path / "big.ssg"
+    big.write_text(serialize_model(generate_random(GenParams(n_states=4000, seed=1))))
+    err_path = tmp_path / "stderr.txt"
+    with err_path.open("w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ssgsolve.cli", "solve", "--algo", "vi", "--max-iters", "1",
+             str(big)],
+            stdout=subprocess.PIPE, stderr=err, env=_cli_env(),
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert first.startswith(f"{big}: vi ".encode())
+    assert code == EXIT_BROKEN_PIPE
+    stderr = err_path.read_text()
+    assert "error" not in stderr
+    assert "Exception ignored" not in stderr
+
+
 def test_solve_validation_error(tmp_path, capsys):
     bad = tmp_path / "short.ssg"
     bad.write_text(SHORT_MASS)
@@ -167,16 +226,24 @@ def test_oracle_too_large(tmp_path, capsys):
 
 def test_compare_csv(loop_file, tmp_path, capsys):
     missing = tmp_path / "gone.ssg"
-    code = main(["compare", str(loop_file), str(missing), "--algos", "vi,svi,nope"])
+    code = main(["compare", str(loop_file), str(missing), "--algos", "vi,svi,nope,bvi,topo"])
     assert code == EXIT_OK
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 7
+    assert len(lines) == 11
     assert lines[1].startswith(f"{loop_file},vi,")
+    # the same solvers `solve` runs, with every column but wall_ms fixed
+    rows = [line.split(",") for line in lines[1:6]]
+    assert [r[:4] + r[5:] for r in rows[:2] + rows[3:]] == [
+        [str(loop_file), "vi", "457", "true", "0.500048897"],
+        [str(loop_file), "svi", "1", "true", "0.000000000"],
+        [str(loop_file), "bvi", "684", "true", "0.000000997"],
+        [str(loop_file), "topo", "1", "true", "0.000000000"],
+    ]
     # unknown algorithm and unreadable model both yield placeholder rows
     assert lines[3] == f"{loop_file},nope,0,false,0.000,"
-    assert lines[4] == f"{missing},vi,0,false,0.000,"
+    assert lines[6] == f"{missing},vi,0,false,0.000,"
     assert "unknown algorithm" in captured.err
     assert str(missing) in captured.err
 
@@ -217,9 +284,7 @@ def test_installed_script(loop_file, tmp_path):
         f"import sys\nfrom {entry.module} import {entry.attr}\nsys.exit({entry.attr}())\n"
     )
     # the package this process imported comes first, whatever else is installed
-    package_root = str(Path(ssgsolve.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH", "")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+    env = _cli_env()
 
     def run(*args):
         return subprocess.run([sys.executable, str(launcher), *args], capture_output=True,

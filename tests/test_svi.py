@@ -8,6 +8,8 @@ from ssgsolve.graph import TIE_TOL, handle_ecs
 from ssgsolve.model import (
     MAX,
     MIN,
+    GenParams,
+    generate_random,
     normalize,
     parse_model,
     partition_states,
@@ -414,3 +416,17 @@ def test_fuzzed_regressions_stay_fixed():
             for s in range(g.n_states):
                 assert r.lower[s] <= want[s] + 1e-9
                 assert r.upper[s] >= want[s] - 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="svi delay livelock, ROADMAP open item 1: stops at "
+                                        "2000 iterations with bounds [0.5, 1]")
+def test_known_livelock_converges():
+    # ssgsolve gen --states 8 --seed 145 --max-actions 3 --branching 3 --target-fraction 0.1
+    g = generate_random(GenParams(n_states=8, seed=145, max_actions_per_state=3,
+                                  max_branching=3, target_fraction=0.1))
+    ref = solve_bvi(g)
+    assert ref.converged
+    r = solve_svi(g, max_iters=2000)
+    assert r.converged
+    for s in range(g.n_states):
+        assert ref.lower[s] - 1e-9 <= r.value[s] <= ref.upper[s] + 1e-9
