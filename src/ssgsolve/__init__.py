@@ -9,7 +9,7 @@ entry point; `solve_vi` and `solve_bvi` are the classic baselines;
 a time; `exact_value` is a brute-force rational oracle for small models.
 """
 
-from .baselines import BoundsVector, deflate, solve_bvi, solve_vi
+from .baselines import deflate, solve_bvi, solve_vi
 from .fuzz import Counterexample, FuzzReport, run_fuzz
 from .graph import BestExitSet, Mec, best_exits, mec_decompose, scc_decompose
 from .model import (
@@ -40,7 +40,6 @@ __all__ = [
     "MIN",
     "Action",
     "BestExitSet",
-    "BoundsVector",
     "Counterexample",
     "DELAY",
     "ExactResult",

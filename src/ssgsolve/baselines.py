@@ -15,27 +15,19 @@ recursively, traps to 0.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .graph import exit_layers, mec_decompose
 from .model import MAX, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
-from .svi import FloatRows, float_rows
+from .svi import float_rows, start_vector
 
 UNSOUND_NOTE = "unsound stopping"
 
 
-@dataclass
-class BoundsVector:
-    """Per-state lower and upper value sequences of the bounded iteration."""
-
-    L: list[float]
-    U: list[float]
-
-
-def _sweep(game: StochasticGame, rows: FloatRows, unknown: set[int], vec: list[float]) -> list[float]:
+def _sweep(game: StochasticGame, unknown: set[int], vec: list[float]) -> list[float]:
     """One Jacobi sweep of the optimality operator over the unknown states."""
+    rows = game.rows
     new = list(vec)
     for s in unknown:
         vals = [sum(p * vec[t] for t, p in row) for row in rows[s]]
@@ -43,9 +35,10 @@ def _sweep(game: StochasticGame, rows: FloatRows, unknown: set[int], vec: list[f
     return new
 
 
-def _greedy_strategy(game: StochasticGame, rows: FloatRows, unknown: set[int],
+def _greedy_strategy(game: StochasticGame, unknown: set[int],
                      low: list[float], high: list[float]) -> dict[int, str]:
     """Final action snapshot: Maximizer argmax under high, Minimizer argmin under low."""
+    rows = game.rows
     out: dict[int, str] = {}
     for s in sorted(unknown):
         acts = game.actions[s]
@@ -68,20 +61,16 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     0-on-sinks split. The result is flagged sound=False: the stopping rule
     says nothing about how far the vector still is from the value.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not game.is_normalized():
-        raise ValueError("game must be normalized first (see normalize())")
     t0 = time.perf_counter()
     part = partition_states(game)
     n = game.n_states
-    rows = float_rows(game)
-    L = [1.0 if s in part.targets else 0.0 for s in range(n)]
+    L = start_vector(game, eps, part, None)
+    float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
     it = 0
     converged = not part.unknown
     while not converged and it < max_iters:
-        new = _sweep(game, rows, part.unknown, L)
+        new = _sweep(game, part.unknown, L)
         delta = max(abs(new[s] - L[s]) for s in part.unknown)
         L = new
         it += 1
@@ -100,7 +89,7 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
         lower=list(L),
         upper=upper,
         value=list(L),
-        strategy=_greedy_strategy(game, rows, part.unknown, L, L),
+        strategy=_greedy_strategy(game, part.unknown, L, L),
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=False,
         trace=trace,
@@ -119,11 +108,12 @@ def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float])
     Returns the new vector; the partition is not modified. Requires U >= V
     pointwise, which the capping preserves.
     """
+    rows, index = game.rows, game.index
     new = list(U)
     for mec in mec_decompose(game, partition.unknown):
         for component, exits in exit_layers(game, mec.states, new):
-            val = max((sum(float(p) * new[t] for t, p in game.action(s, a).transitions)
-                       for s, a in exits), default=0.0)
+            val = max((sum(p * new[t] for t, p in rows[s][index[s][a]]) for s, a in exits),
+                      default=0.0)
             for s in component:
                 new[s] = min(new[s], val)
     return new
@@ -138,27 +128,19 @@ def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_0
     value is the midpoint. `frozen` pins states to exact values and drops
     them from the sweeps (used by the topological driver).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not game.is_normalized():
-        raise ValueError("game must be normalized first (see normalize())")
     t0 = time.perf_counter()
     part = partition_states(game)
     n = game.n_states
-    rows = float_rows(game)
-    L = [1.0 if s in part.targets else 0.0 for s in range(n)]
-    U = [0.0 if s in part.sinks else 1.0 for s in range(n)]
-    if frozen:
-        for s, v in frozen.items():
-            part.unknown.discard(s)
-            L[s] = U[s] = v
+    L = start_vector(game, eps, part, frozen)
+    U = [1.0 if s in part.unknown else L[s] for s in range(n)]
+    float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
     vectors: list[tuple[list[float], list[float]]] = []
     it = 0
     gap = max((U[s] - L[s] for s in part.unknown), default=0.0)
     while gap >= eps and it < max_iters:
-        L = _sweep(game, rows, part.unknown, L)
-        U = deflate(game, part, _sweep(game, rows, part.unknown, U))
+        L = _sweep(game, part.unknown, L)
+        U = deflate(game, part, _sweep(game, part.unknown, U))
         it += 1
         gap = max(U[s] - L[s] for s in part.unknown)
         trace.append(TraceEntry(
@@ -168,8 +150,7 @@ def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_0
         ))
         if record_vectors:
             vectors.append((list(L), list(U)))
-    bounds = BoundsVector(L, U)
-    value = [(lo + hi) / 2.0 for lo, hi in zip(bounds.L, bounds.U)]
+    value = [(lo + hi) / 2.0 for lo, hi in zip(L, U)]
     return SolveResult(
         algorithm="bvi",
         iterations=it,
@@ -179,7 +160,7 @@ def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_0
         lower=list(L),
         upper=list(U),
         value=value,
-        strategy=_greedy_strategy(game, rows, part.unknown, L, U),
+        strategy=_greedy_strategy(game, part.unknown, L, U),
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=True,
         trace=trace,

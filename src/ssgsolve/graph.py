@@ -37,9 +37,6 @@ class BestExitSet:
     pairs: set[tuple[int, str]] = field(default_factory=set)
     removed_trap_states: set[int] = field(default_factory=set)
 
-    def actions_of(self, s: int) -> list[str]:
-        return [a for (t, a) in self.pairs if t == s]
-
 
 def scc_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -> list[list[int]]:
     """Strongly connected components of the action-successor graph.
@@ -199,15 +196,16 @@ def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
     f-weighted successor sum. Returns the complete set of exits within
     TIE_TOL of the best; empty when no Maximizer exit exists.
     """
+    rows = game.rows
     best_val = None
     scored: list[tuple[float, int, str]] = []
     for s in sorted(component):
         if game.owner[s] != MAX:
             continue
-        for act in game.actions[s]:
-            if all(succ in component for succ, _ in act.transitions):
+        for act, row in zip(game.actions[s], rows[s]):
+            if all(succ in component for succ, _ in row):
                 continue
-            val = sum(float(p) * f[succ] for succ, p in act.transitions)
+            val = sum(p * f[succ] for succ, p in row)
             scored.append((val, s, act.label))
             if best_val is None or val > best_val:
                 best_val = val

@@ -7,8 +7,9 @@ distribution. The objective is reachability: the Maximizer tries to reach a
 target state, the Minimizer tries to avoid that. A game with a single owner
 is an MDP, a game with one action everywhere is a Markov chain.
 
-Probabilities are kept as exact `Fraction`s on the model; solvers convert to
-floats internally, the exact oracle keeps the rationals.
+Probabilities are kept as exact `Fraction`s on the model. The solvers read
+a float copy of them, `StochasticGame.rows`, which each game builds on
+first use; the exact oracle keeps the rationals.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 MAX = "max"
 MIN = "min"
@@ -27,6 +30,9 @@ FORMAT_HEADER = "ssg 1"
 LOOP_LABEL = "loop"
 
 PROB_SUM_TOL = 1e-9
+
+#: Float transitions indexed [state][action position], in transition order.
+FloatRows = Sequence[Sequence[Sequence[tuple[int, float]]]]
 
 
 class ModelError(ValueError):
@@ -109,6 +115,11 @@ class StochasticGame:
     ordered action tuple of state s (order is meaningful: it breaks ties),
     and `targets` is the set of goal states. Instances are safe to share
     across threads; solvers never mutate them.
+
+    `rows` and `index`, the solvers' float transitions and per-state label
+    positions, are built on first use and kept on the instance. They are
+    not fields: eq, hash and repr ignore them, and `dataclasses.replace`
+    gives a new game with its own.
     """
 
     n_states: int
@@ -148,11 +159,22 @@ class StochasticGame:
     def action_labels(self, s: int) -> tuple[str, ...]:
         return tuple(a.label for a in self.actions[s])
 
+    @cached_property
+    def rows(self) -> FloatRows:
+        """Transitions with float probabilities, indexed [state][action position]."""
+        return tuple(tuple(tuple((t, float(p)) for t, p in a.transitions) for a in acts)
+                     for acts in self.actions)
+
+    @cached_property
+    def index(self) -> tuple[dict[str, int], ...]:
+        """Per state, the position of each action label in `actions[s]`."""
+        return tuple({a.label: i for i, a in enumerate(acts)} for acts in self.actions)
+
     def action(self, s: int, label: str) -> Action:
-        for a in self.actions[s]:
-            if a.label == label:
-                return a
-        raise KeyError(f"state {s} has no action {label!r}")
+        try:
+            return self.actions[s][self.index[s][label]]
+        except KeyError:
+            raise KeyError(f"state {s} has no action {label!r}") from None
 
     def is_normalized(self) -> bool:
         for s in range(self.n_states):

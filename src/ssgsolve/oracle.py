@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .model import MAX, MIN, StochasticGame, partition_states
 
 
@@ -222,39 +220,3 @@ def k_step_oracle(game: StochasticGame, part, k: int) -> tuple[list[Fraction], l
         ]
     return reach, stay
 
-
-def monte_carlo_reachability(game: StochasticGame, start: int, n_samples: int,
-                             seed: int = 0, max_steps: int = 20_000) -> tuple[float, int]:
-    """Estimate target reachability of a one-action game by simulation.
-
-    Returns (fraction of runs that hit a target, number of runs cut off by
-    the step cap and counted as misses). Vectorized with numpy; a sanity
-    companion for mc_reachability, not a precision tool.
-    """
-    _single_actions(game)
-    part = partition_states(game)
-    rng = np.random.default_rng(seed)
-    succ_arr = []
-    prob_arr = []
-    for s in range(game.n_states):
-        act = game.actions[s][0]
-        succ_arr.append(np.array([t for t, _ in act.transitions], dtype=np.int64))
-        probs = np.array([float(p) for _, p in act.transitions], dtype=np.float64)
-        prob_arr.append(probs / probs.sum())
-    current = np.full(n_samples, start, dtype=np.int64)
-    hit = 0
-    for _ in range(max_steps):
-        if current.size == 0:
-            break
-        done_t = np.isin(current, list(part.targets)) if part.targets else np.zeros(current.shape, bool)
-        done_z = np.isin(current, list(part.sinks)) if part.sinks else np.zeros(current.shape, bool)
-        hit += int(done_t.sum())
-        current = current[~(done_t | done_z)]
-        if current.size == 0:
-            break
-        nxt = np.empty_like(current)
-        for s in np.unique(current):
-            mask = current == s
-            nxt[mask] = rng.choice(succ_arr[s], size=int(mask.sum()), p=prob_arr[s])
-        current = nxt
-    return hit / n_samples, int(current.size)

@@ -39,13 +39,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graph import TIE_TOL, BestExitSet, handle_ecs
-from .model import MAX, MIN, StatePartition, StochasticGame, partition_states
+from .model import MAX, MIN, FloatRows, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
 
 #: Strategy marker for a Maximizer state that kept its old vector this round.
 DELAY = "DELAY"
-
-FloatRows = Sequence[Sequence[Sequence[tuple[int, float]]]]
 
 
 @dataclass
@@ -87,11 +85,27 @@ class StrategySnapshot:
 
 
 def float_rows(game: StochasticGame) -> FloatRows:
-    """Transition table with float probabilities, indexed [state][action]."""
-    return tuple(
-        tuple(tuple((t, float(p)) for t, p in act.transitions) for act in game.actions[s])
-        for s in range(game.n_states)
-    )
+    """The game's float transition table `game.rows`, indexed [state][action]."""
+    return game.rows
+
+
+def start_vector(game: StochasticGame, eps: float, part: StatePartition,
+                 frozen: Mapping[int, float] | None) -> list[float]:
+    """Check a solver's arguments and return its starting lower vector.
+
+    Rejects a non-positive eps and a game that is not normalized. Frozen
+    states leave `part.unknown`. The vector is 1 on targets, the pinned
+    value on frozen states and 0 everywhere else.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if not game.is_normalized():
+        raise ValueError("game must be normalized first (see normalize())")
+    vec = [1.0 if s in part.targets else 0.0 for s in range(game.n_states)]
+    for s, v in (frozen or {}).items():
+        part.unknown.discard(s)
+        vec[s] = v
+    return vec
 
 
 def delta_tables(game: StochasticGame, s: int) -> dict[tuple[int, int], tuple[tuple[int, float], ...]]:
@@ -126,8 +140,8 @@ def _estimate(row: Sequence[tuple[int, float]], reach: list[float], stay: list[f
 
 
 def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
-                   bounds: GlobalBounds, B: BestExitSet | None, prev: StrategySnapshot | None,
-                   rows: FloatRows | None = None) -> StrategySnapshot:
+                   bounds: GlobalBounds, B: BestExitSet | None,
+                   prev: StrategySnapshot | None) -> StrategySnapshot:
     """Pick each undecided state's action for the next sweep.
 
     Minimizer states take the argmin of the one-step estimate under l,
@@ -136,34 +150,31 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
     it is still in the argopt band, otherwise the lowest action index
     wins, so runs are reproducible.
     """
-    if rows is None:
-        rows = float_rows(game)
+    rows, index = game.rows, game.index
+    forced_at: dict[int, list[int]] = {}
+    if B is not None:
+        for s, a in B.pairs:
+            forced_at.setdefault(s, []).append(index[s][a])
     choices: dict[int, str] = {}
     bexit_states: set[int] = set()
     prev_choices = prev.choices if prev is not None else {}
     for s in sorted(partition.unknown):
         acts = game.actions[s]
-        if B is not None:
-            forced = B.actions_of(s)
-            if forced:
-                keep = prev_choices.get(s)
-                if keep in forced:
-                    choices[s] = keep
-                else:
-                    choices[s] = next(a.label for a in acts if a.label in forced)
-                bexit_states.add(s)
-                continue
+        keep = index[s].get(prev_choices.get(s))
+        forced = forced_at.get(s)
+        if forced:
+            choices[s] = acts[keep if keep in forced else min(forced)].label
+            bexit_states.add(s)
+            continue
         if len(acts) == 1:
             choices[s] = acts[0].label
             continue
         minimize = game.owner[s] == MIN
         bound = bounds.l if minimize else bounds.u
-        ests = [_estimate(rows[s][i], rs.reach, rs.stay, bound) for i in range(len(acts))]
+        ests = [_estimate(row, rs.reach, rs.stay, bound) for row in rows[s]]
         opt = min(ests) if minimize else max(ests)
         band = [i for i, e in enumerate(ests) if abs(e - opt) <= TIE_TOL]
-        keep = prev_choices.get(s)
-        in_band = next((i for i in band if acts[i].label == keep), None)
-        choices[s] = acts[in_band if in_band is not None else band[0]].label
+        choices[s] = acts[keep if keep in band else band[0]].label
     return StrategySnapshot(choices, frozenset(bexit_states) if B is not None else None)
 
 
@@ -183,7 +194,7 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: st
         return None
     if deltas is None:
         deltas = delta_tables(game, s)
-    ci = next(i for i, a in enumerate(acts) if a.label == chosen)
+    ci = game.index[s][chosen]
     maximize = game.owner[s] == MAX
     best: float | None = None
     for j in range(len(acts)):
@@ -204,7 +215,6 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: st
 
 def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
                    strategy: StrategySnapshot, bounds: GlobalBounds,
-                   rows: FloatRows | None = None,
                    ) -> tuple[ReachStayVector, StrategySnapshot, bool]:
     """One whole-vector sweep under the chosen actions, with delay detection.
 
@@ -214,12 +224,10 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
     delayed: it keeps its old entries and its snapshot entry becomes
     DELAY. Rows of decided states never change.
     """
-    if rows is None:
-        rows = float_rows(game)
-    labels = {s: {a.label: i for i, a in enumerate(game.actions[s])} for s in partition.unknown}
+    rows, index = game.rows, game.index
     cand: dict[int, tuple[float, float]] = {}
     for s in partition.unknown:
-        row = rows[s][labels[s][strategy.choices[s]]]
+        row = rows[s][index[s][strategy.choices[s]]]
         r = sum(p * rs.reach[t] for t, p in row)
         st = sum(p * rs.stay[t] for t, p in row)
         cand[s] = (r, st)
@@ -325,28 +333,18 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     this to feed already-solved downstream states into an upstream
     component. mode is "absolute" or "relative" (termination test only).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if mode not in ("absolute", "relative"):
         raise ValueError("mode must be 'absolute' or 'relative'")
-    if not game.is_normalized():
-        raise ValueError("game must be normalized first (see normalize())")
     t0 = time.perf_counter()
 
     part = partition_states(game)
     n = game.n_states
-    reach = [1.0 if s in part.targets else 0.0 for s in range(n)]
+    reach = start_vector(game, eps, part, frozen)
     stay = [1.0 if s in part.unknown else 0.0 for s in range(n)]
-    if frozen:
-        for s, v in frozen.items():
-            part.unknown.discard(s)
-            reach[s] = v
-            stay[s] = 0.0
     rs = ReachStayVector(reach, stay, 0)
     bounds = GlobalBounds(0.0, 1.0)
-    rows = float_rows(game)
+    rows, index = float_rows(game), game.index
     deltas = {s: delta_tables(game, s) for s in part.unknown if len(game.actions[s]) > 1}
-    succs = {s: {a.label: a.successors() for a in game.actions[s]} for s in part.unknown}
 
     # supp[s]: states that s's stay mass may currently rest on. Seeded with
     # s itself (k=0 mass sits at home); resweeps follow the chosen action.
@@ -367,7 +365,7 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
             for t in B.removed_trap_states:
                 retired_vals[t] = 0.0
                 supp.pop(t, None)
-        snapshot = choose_actions(game, part, rs, bounds, B, prev, rows)
+        snapshot = choose_actions(game, part, rs, bounds, B, prev)
         max_dv: list[float] = []
         min_dv: list[float] = []
         for s in part.unknown:
@@ -375,7 +373,7 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
                 dv = decision_value(game, rs, s, snapshot.choices[s], deltas[s])
                 if dv is not None:
                     (max_dv if game.owner[s] == MAX else min_dv).append(dv)
-        rs, snapshot, any_delay = bellman_update(game, part, rs, snapshot, bounds, rows)
+        rs, snapshot, any_delay = bellman_update(game, part, rs, snapshot, bounds)
         last_choice.update(snapshot.choices)
         n_delayed = sum(1 for v in snapshot.choices.values() if v == DELAY)
         updates = len(part.unknown) - n_delayed
@@ -388,7 +386,7 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
                 new_supp[s] = supp[s]
             else:
                 acc: set[int] = set()
-                for t in succs[s][label]:
+                for t, _ in rows[s][index[s][label]]:
                     if t in part.unknown:
                         acc |= supp[t]
                 new_supp[s] = acc

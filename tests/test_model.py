@@ -1,5 +1,6 @@
 """Model layer: text format, validation, normalization, partition, generator."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from ssgsolve.model import (
     partition_states,
     serialize_model,
 )
-from ssgsolve.presets import ALL_PRESETS, cycle_with_sink_exit, slow_loop
+from ssgsolve.presets import ALL_PRESETS, cycle_with_sink_exit, exit_seesaw, slow_loop
 
 MINIMAL = """\
 ssg 1
@@ -201,6 +202,45 @@ def test_game_action_lookup():
     assert g.action(0, "go").label == "go"
     with pytest.raises(KeyError):
         g.action(0, "nope")
+
+
+def _expected_tables(g):
+    rows = tuple(tuple(tuple((t, float(p)) for t, p in a.transitions) for a in acts)
+                 for acts in g.actions)
+    index = tuple({a.label: i for i, a in enumerate(acts)} for acts in g.actions)
+    return rows, index
+
+
+def test_game_rows_and_index_match_actions():
+    g = exit_seesaw()
+    rows, index = _expected_tables(g)
+    assert g.rows == rows
+    assert g.index == index
+    assert g.rows is g.rows  # built once, then kept
+    for s in range(g.n_states):
+        for label, i in g.index[s].items():
+            assert g.action(s, label) is g.actions[s][i]
+
+
+def test_game_tables_stay_out_of_equality_and_repr():
+    g, h = exit_seesaw(), exit_seesaw()
+    before = repr(g)
+    assert g.rows and g.index
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == before == repr(h)
+
+
+def test_replaced_game_builds_its_own_tables():
+    g = exit_seesaw()
+    assert g.rows and g.index  # the parent's tables exist before the copy is made
+    s = next(s for s in range(g.n_states) if len(g.actions[s]) > 1)
+    acts = list(g.actions)
+    acts[s] = acts[s][1:]  # drop the first action, as fuzz shrinking does
+    h = dataclasses.replace(g, actions=tuple(acts))
+    rows, index = _expected_tables(h)
+    assert h.rows == rows and h.index == index
+    assert h.rows[s] != g.rows[s] and h.index[s] != g.index[s]
+    assert g.rows == _expected_tables(g)[0]
 
 
 def test_game_validate_rejects_bad_owner():

@@ -1,4 +1,4 @@
-"""Exact oracle: brute-forced rational values, k-step vectors, sampling."""
+"""Exact oracle: brute-forced rational values, chain values, k-step vectors."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from ssgsolve.oracle import (
     exact_value,
     k_step_oracle,
     mc_reachability,
-    monte_carlo_reachability,
 )
 from ssgsolve.presets import (
     ALL_PRESETS,
@@ -151,15 +150,3 @@ def test_k_step_mass_and_monotonicity():
             assert stay[s] <= prev_stay[s]
         prev_reach, prev_stay = reach, stay
 
-
-def test_monte_carlo_close_to_exact():
-    frac, cut = monte_carlo_reachability(slow_loop(), 0, 1_000_000, seed=7)
-    # three sigma for a fair coin at this sample size
-    assert abs(frac - 0.5) <= 1.5e-3
-    assert cut == 0
-
-
-def test_monte_carlo_deterministic_per_seed():
-    a = monte_carlo_reachability(slow_loop(), 0, 20_000, seed=3)
-    b = monte_carlo_reachability(slow_loop(), 0, 20_000, seed=3)
-    assert a == b
