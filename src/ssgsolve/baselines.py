@@ -17,7 +17,8 @@ from __future__ import annotations
 import time
 from typing import Mapping, Sequence
 
-from .graph import exit_layers, mec_decompose
+# mec_decompose is not called here, but perfbench/layers.py wraps it under this name
+from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
 from .model import MAX, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
 from .svi import float_rows, start_vector
@@ -105,13 +106,18 @@ def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float])
     exit). The layers are ranked lazily on that same copy, so each
     sub-component is ranked on the vector its parent has already capped;
     ranking them all on the uncapped U would pick different exits.
-    Returns the new vector; the partition is not modified. Requires U >= V
-    pointwise, which the capping preserves.
+    Returns the new vector; the partition's sets are not modified.
+    Requires U >= V pointwise, which the capping preserves.
+
+    The MEC decompositions, of the unknown set and of the peeled
+    remainders, come from `partition.ec_memo`: across the sweeps of one
+    solve only the exits ranked on U change.
     """
     rows, index = game.rows, game.index
     new = list(U)
-    for mec in mec_decompose(game, partition.unknown):
-        for component, exits in exit_layers(game, mec.states, new):
+    memo = partition.ec_memo
+    for mec in cached_mecs(game, partition.unknown, memo):
+        for component, exits in exit_layers(game, mec.states, new, memo):
             val = max((sum(p * new[t] for t, p in rows[s][index[s][a]]) for s, a in exits),
                       default=0.0)
             for s in component:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .model import MAX, StatePartition, StochasticGame
+from .model import MAX, EcMemo, StatePartition, StochasticGame
 
 TIE_TOL = 1e-12
 
@@ -150,6 +150,18 @@ def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
     return result
 
 
+def cached_mecs(game: StochasticGame, states: set[int] | frozenset[int], memo: EcMemo) -> list[Mec]:
+    """`mec_decompose(game, states)`, computed once per distinct set in the memo.
+
+    The result is shared with later callers, who must not mutate it.
+    """
+    key = frozenset(states)
+    mecs = memo.mecs.get(key)
+    if mecs is None:
+        mecs = memo.mecs[key] = mec_decompose(game, states)
+    return mecs
+
+
 def _sccs_via(game: StochasticGame, cand: set[int], staying: dict[int, tuple[str, ...]]) -> list[list[int]]:
     """SCCs of cand using only the staying actions; singletons need a self-loop."""
     adj = {s: sorted({t for act in game.actions[s] if act.label in staying.get(s, ())
@@ -214,8 +226,8 @@ def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
     return {(s, a) for val, s, a in scored if val >= best_val - TIE_TOL}
 
 
-def exit_layers(game: StochasticGame, component: frozenset[int] | set[int],
-                f: Sequence[float]) -> Iterator[tuple[frozenset[int] | set[int], set[tuple[int, str]]]]:
+def exit_layers(game: StochasticGame, component: frozenset[int] | set[int], f: Sequence[float],
+                memo: EcMemo) -> Iterator[tuple[frozenset[int] | set[int], set[tuple[int, str]]]]:
     """Peel best exits off a component, layer by layer, depth first.
 
     Yields (component, best_exits(game, component, f)), then the same for
@@ -225,7 +237,8 @@ def exit_layers(game: StochasticGame, component: frozenset[int] | set[int],
     yielded, after the consumer has handled everything yielded before it,
     so a consumer that writes into f (as `deflate` caps its upper vector)
     has each sub-component ranked on the values its parent already set.
-    The peeling visits at most |component| sets.
+    The peeling visits at most |component| sets; their MEC decompositions
+    come from the memo, since the same remainders recur from pass to pass.
     """
     work = [component]
     while work:
@@ -234,7 +247,7 @@ def exit_layers(game: StochasticGame, component: frozenset[int] | set[int],
         yield comp, exits
         if exits:
             remainder = set(comp) - {s for s, _ in exits}
-            work.extend(mec.states for mec in reversed(mec_decompose(game, remainder)))
+            work.extend(mec.states for mec in reversed(cached_mecs(game, remainder, memo)))
 
 
 def _move_to_sinks(states: Iterable[int], partition: StatePartition, acc: BestExitSet) -> None:
@@ -254,7 +267,7 @@ def best_exit_set(game: StochasticGame, f: Sequence[float], component: frozenset
     play inside forever, so its states are moved to the sinks side of the
     partition and recorded in acc.removed_trap_states.
     """
-    for comp, exits in exit_layers(game, component, f):
+    for comp, exits in exit_layers(game, component, f, partition.ec_memo):
         if exits:
             acc.pairs |= exits
         else:
@@ -271,14 +284,25 @@ def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: f
     evaluated against f = reach + stay*u and the layered best exits of
     every maximal end component among the remaining unknowns are collected.
     The reach/stay entries of every trapped state are zeroed for good.
+
+    Only the ranking depends on f. The MEC decompositions, of the unknown
+    set and of every peeled remainder, are kept in `partition.ec_memo`
+    across calls. Trap detection reruns, and the memo is emptied, only when
+    partition.unknown differs from the set the previous call left behind;
+    an unchanged set has no traps left, since the previous call removed
+    the largest trap inside it.
     """
     acc = BestExitSet()
-    _move_to_sinks(trap_states(game, partition.unknown), partition, acc)
+    memo = partition.ec_memo
+    if partition.unknown != memo.unknown:
+        memo.mecs.clear()
+        _move_to_sinks(trap_states(game, partition.unknown), partition, acc)
     f = [0.0 if s in acc.removed_trap_states else reach[s] + stay[s] * u
          for s in range(game.n_states)]
-    for mec in mec_decompose(game, partition.unknown):
+    for mec in cached_mecs(game, partition.unknown, memo):
         best_exit_set(game, f, mec.states, partition, acc)
     for s in acc.removed_trap_states:
         reach[s] = 0.0
         stay[s] = 0.0
+    memo.unknown = frozenset(partition.unknown)
     return acc

@@ -15,10 +15,13 @@ first use; the exact oracle keeps the rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from .graph import Mec
 
 MAX = "max"
 MIN = "min"
@@ -117,9 +120,10 @@ class StochasticGame:
     across threads; solvers never mutate them.
 
     `rows` and `index`, the solvers' float transitions and per-state label
-    positions, are built on first use and kept on the instance. They are
-    not fields: eq, hash and repr ignore them, and `dataclasses.replace`
-    gives a new game with its own.
+    positions, and `split`, the targets / sinks / unknown partition, are
+    built on first use and kept on the instance. They are not fields: eq,
+    hash and repr ignore them, and `dataclasses.replace` gives a new game
+    with its own.
     """
 
     n_states: int
@@ -170,6 +174,34 @@ class StochasticGame:
         """Per state, the position of each action label in `actions[s]`."""
         return tuple({a.label: i for i, a in enumerate(acts)} for acts in self.actions)
 
+    @cached_property
+    def split(self) -> StatePartition:
+        """The targets / sinks / unknown partition, by graph reachability.
+
+        A state is a sink when no sequence of choices can reach a target
+        from it, regardless of who owns the states along the way. Found by
+        a backward search from the targets over the edge relation of all
+        actions. Shared by every solve of the game, so never mutate it:
+        `partition_states` hands out copies.
+        """
+        preds: list[set[int]] = [set() for _ in range(self.n_states)]
+        for s in range(self.n_states):
+            for act in self.actions[s]:
+                for succ, _ in act.transitions:
+                    preds[succ].add(s)
+        can_reach = set(self.targets)
+        frontier = list(self.targets)
+        while frontier:
+            t = frontier.pop()
+            for p in preds[t]:
+                if p not in can_reach:
+                    can_reach.add(p)
+                    frontier.append(p)
+        targets = set(self.targets)
+        sinks = {s for s in range(self.n_states) if s not in can_reach}
+        unknown = {s for s in range(self.n_states) if s not in targets and s not in sinks}
+        return StatePartition(targets, sinks, unknown)
+
     def action(self, s: int, label: str) -> Action:
         try:
             return self.actions[s][self.index[s][label]]
@@ -188,17 +220,35 @@ class StochasticGame:
 
 
 @dataclass
+class EcMemo:
+    """End-component analysis kept across the passes of one solve.
+
+    mecs maps a state set to its `graph.mec_decompose` result, a pure
+    function of the game and the set. unknown is the unknown set as the
+    last `graph.handle_ecs` pass left it (None before the first pass);
+    that pass clears mecs and reruns trap detection only when the unknown
+    set has changed since.
+    """
+
+    unknown: frozenset[int] | None = None
+    mecs: dict[frozenset[int], list[Mec]] = field(default_factory=dict)
+
+
+@dataclass
 class StatePartition:
     """The classic three-way split used by every solver.
 
     targets: the goal states (value 1); sinks: states with no path to a
     target under any resolution of choices (value 0); unknown: the rest.
     Solvers own their copy; EC analysis may move unknown states to sinks.
+    ec_memo belongs to the copy's solve: eq and repr ignore it, and
+    `copy` starts an empty one.
     """
 
     targets: set[int]
     sinks: set[int]
     unknown: set[int]
+    ec_memo: EcMemo = field(default_factory=EcMemo, compare=False, repr=False)
 
     def copy(self) -> "StatePartition":
         return StatePartition(set(self.targets), set(self.sinks), set(self.unknown))
@@ -413,27 +463,10 @@ def normalize(game: StochasticGame) -> StochasticGame:
 def partition_states(game: StochasticGame) -> StatePartition:
     """Split states into targets / sinks / unknown by graph reachability.
 
-    A state is a sink when no sequence of choices can reach a target from
-    it, regardless of who owns the states along the way. Found by a
-    backward search from the targets over the edge relation of all actions.
+    Returns a fresh copy of `game.split`, computed once per game, for the
+    caller to own and mutate.
     """
-    preds: list[set[int]] = [set() for _ in range(game.n_states)]
-    for s in range(game.n_states):
-        for act in game.actions[s]:
-            for succ, _ in act.transitions:
-                preds[succ].add(s)
-    can_reach = set(game.targets)
-    frontier = list(game.targets)
-    while frontier:
-        t = frontier.pop()
-        for p in preds[t]:
-            if p not in can_reach:
-                can_reach.add(p)
-                frontier.append(p)
-    targets = set(game.targets)
-    sinks = {s for s in range(game.n_states) if s not in can_reach}
-    unknown = {s for s in range(game.n_states) if s not in targets and s not in sinks}
-    return StatePartition(targets, sinks, unknown)
+    return game.split.copy()
 
 
 def generate_random(params: GenParams) -> StochasticGame:

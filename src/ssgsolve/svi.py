@@ -25,10 +25,11 @@ Retirement alone would be unsound, though: other states' stay mass,
 accumulated while the retired state was still undecided, may still rest on
 it, and the global bounds must cover every state carrying such mass. The
 solver therefore tracks, per undecided state, the set of states its stay
-mass can sit on (the support); whenever a retired state still appears in
-some live support, its exact value joins the bound fold as a candidate,
-exactly as live extrapolations do. Supports shrink as old mass washes out,
-so a retired state stops constraining the bounds once nothing rests on it.
+mass can sit on (the support), as an int bitset with bit t for state t;
+whenever a retired state still appears in some live support, its exact
+value joins the bound fold as a candidate, exactly as live extrapolations
+do. Supports shrink as old mass washes out, so a retired state stops
+constraining the bounds once nothing rests on it.
 """
 
 from __future__ import annotations
@@ -346,9 +347,14 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     rows, index = float_rows(game), game.index
     deltas = {s: delta_tables(game, s) for s in part.unknown if len(game.actions[s]) > 1}
 
-    # supp[s]: states that s's stay mass may currently rest on. Seeded with
-    # s itself (k=0 mass sits at home); resweeps follow the chosen action.
-    supp: dict[int, set[int]] = {s: {s} for s in part.unknown}
+    # supp[s]: bitset of the states that s's stay mass may currently rest
+    # on. Seeded with s itself (k=0 mass sits at home); resweeps follow the
+    # chosen action. Every state outside the undecided pool has supp 0, so
+    # the sweep can OR over all successors.
+    supp = [0] * n
+    for s in part.unknown:
+        supp[s] = 1 << s
+    retired_mask = 0   # retired or trapped states
     retired_vals: dict[int, float] = {}
 
     prev: StrategySnapshot | None = None
@@ -364,7 +370,8 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
         if B is not None:
             for t in B.removed_trap_states:
                 retired_vals[t] = 0.0
-                supp.pop(t, None)
+                retired_mask |= 1 << t
+                supp[t] = 0
         snapshot = choose_actions(game, part, rs, bounds, B, prev)
         max_dv: list[float] = []
         min_dv: list[float] = []
@@ -378,17 +385,15 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
         n_delayed = sum(1 for v in snapshot.choices.values() if v == DELAY)
         updates = len(part.unknown) - n_delayed
         # batch support sweep: mass moves to where the chosen action sends
-        # it, restricted to states still undecided at sweep time
-        new_supp: dict[int, set[int]] = {}
+        # it, restricted to states still undecided at sweep time; a delayed
+        # state keeps its support
+        new_supp = list(supp)
         for s in part.unknown:
             label = snapshot.choices[s]
-            if label == DELAY:
-                new_supp[s] = supp[s]
-            else:
-                acc: set[int] = set()
+            if label != DELAY:
+                acc = 0
                 for t, _ in rows[s][index[s][label]]:
-                    if t in part.unknown:
-                        acc |= supp[t]
+                    acc |= supp[t]
                 new_supp[s] = acc
         supp = new_supp
         # states with stay exactly 0 are decided; drop them from the pool
@@ -397,12 +402,17 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
         for s in just_retired:
             part.unknown.discard(s)
             retired_vals[s] = rs.reach[s]
-            supp.pop(s, None)
+            retired_mask |= 1 << s
+            supp[s] = 0
         pinned = {retired_vals[s] for s in just_retired}
+        live = 0
         for s in part.unknown:
-            for r in supp[s]:
-                if r in retired_vals:
-                    pinned.add(retired_vals[r])
+            live |= supp[s]
+        resting = live & retired_mask
+        while resting:
+            low = resting & -resting
+            pinned.add(retired_vals[low.bit_length() - 1])
+            resting ^= low
         new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, any_delay,
                                           ec_mode=ec_mode,
                                           use_decision_values=use_decision_values,

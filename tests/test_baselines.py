@@ -1,9 +1,19 @@
 """Classic value iteration and the bounded, deflating variant."""
 
+import random
+
 import pytest
 
 from ssgsolve.baselines import UNSOUND_NOTE, deflate, solve_bvi, solve_vi
-from ssgsolve.model import StatePartition, normalize, parse_model, partition_states
+from ssgsolve.graph import mec_decompose
+from ssgsolve.model import (
+    GenParams,
+    StatePartition,
+    generate_random,
+    normalize,
+    parse_model,
+    partition_states,
+)
 from ssgsolve.presets import (
     ALL_PRESETS,
     asymmetric_ring,
@@ -214,3 +224,46 @@ def test_bvi_iteration_cap():
     assert not r.converged
     assert r.iterations == 10
     assert r.global_lower <= 0.5 <= r.global_upper
+
+
+@pytest.mark.parametrize("ec_bias", [0.5, 1.0])
+def test_deflate_warm_memo_matches_cold(ec_bias):
+    # deflate on one partition, whose memo carries over from call to call,
+    # equals deflate on a fresh copy, also after states leave the pool
+    remainders = 0
+    for seed in range(12):
+        g = normalize(generate_random(GenParams(
+            n_states=24, max_actions_per_state=3, max_branching=2, target_fraction=0.1,
+            ec_bias=ec_bias, seed=seed)))
+        rng = random.Random(seed)
+        part = partition_states(g)
+        for step in range(8):
+            U = [0.0 if s in part.sinks else rng.random() for s in range(g.n_states)]
+            assert deflate(g, part, U) == deflate(g, part.copy(), U)
+            remainders += sum(len(k) < len(part.unknown) for k in part.ec_memo.mecs)
+            if step % 3 == 2:
+                for s in rng.sample(sorted(part.unknown), min(2, len(part.unknown))):
+                    part.unknown.discard(s)
+    assert remainders > 0
+
+
+def test_bvi_decomposes_the_unknown_set_once(monkeypatch):
+    import ssgsolve.graph as graph
+
+    g = normalize(generate_random(GenParams(
+        n_states=40, max_actions_per_state=3, max_branching=2, target_fraction=0.1,
+        ec_bias=0.5, seed=3)))
+    unknown = partition_states(g).unknown
+    assert mec_decompose(g, unknown)
+    calls = []
+
+    def counted(game, restrict=None):
+        calls.append(frozenset(restrict))
+        return mec_decompose(game, restrict)
+
+    monkeypatch.setattr(graph, "mec_decompose", counted)
+    r = solve_bvi(g)
+    assert r.converged and r.iterations > 10
+    assert calls.count(frozenset(unknown)) == 1
+    # each remainder is decomposed once as well
+    assert len(calls) == len(set(calls))

@@ -1,6 +1,9 @@
 """Graph analyses: SCCs, end components, traps, best-exit collection."""
 
 import itertools
+import random
+
+import pytest
 
 from ssgsolve.graph import (
     BestExitSet,
@@ -300,3 +303,42 @@ def test_mec_decomposition_matches_exhaustive_enumeration():
         p = GenParams(n_states=6, max_actions_per_state=3, max_branching=2,
                       ec_bias=(0.0, 0.5, 1.0)[seed % 3], seed=seed)
         check_mecs_are_maximal_ecs(generate_random(p))
+
+
+@pytest.mark.parametrize("ec_bias", [0.5, 1.0])
+def test_handle_ecs_warm_memo_matches_cold_copies(ec_bias):
+    # Passes over one partition, whose memo carries over, against the same
+    # passes on fresh copies. Two passes see each unknown set, with different
+    # vectors; then a few states leave the pool. The last round puts the
+    # starting sets back: a memo still keyed to the shrunken set would skip
+    # trap detection there.
+    trapped = remainders = 0
+    for seed in range(12):
+        g = normalize(generate_random(GenParams(
+            n_states=24, max_actions_per_state=3, max_branching=2, target_fraction=0.1,
+            ec_bias=ec_bias, seed=seed)))
+        rng = random.Random(seed)
+        n = g.n_states
+        warm = partition_states(g)
+        start = warm.copy()
+        for step in range(6):
+            for _ in range(2):
+                reach = [rng.random() / 2 for _ in range(n)]
+                stay = [rng.random() / 2 for _ in range(n)]
+                cold = warm.copy()
+                cold_reach, cold_stay = list(reach), list(stay)
+                B = handle_ecs(g, reach, stay, 0.9, warm)
+                want = handle_ecs(g, cold_reach, cold_stay, 0.9, cold)
+                assert (B.pairs, B.removed_trap_states) == (want.pairs, want.removed_trap_states)
+                assert warm == cold
+                assert (reach, stay) == (cold_reach, cold_stay)
+                trapped += len(B.removed_trap_states)
+                remainders += len(warm.ec_memo.mecs) - 1
+            if step == 4:
+                warm.targets, warm.sinks, warm.unknown = (
+                    set(start.targets), set(start.sinks), set(start.unknown))
+            else:
+                for s in rng.sample(sorted(warm.unknown), min(2, len(warm.unknown))):
+                    warm.unknown.discard(s)
+    # the games do exercise traps and peeled remainders
+    assert trapped > 0 and remainders > 0

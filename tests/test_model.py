@@ -11,6 +11,7 @@ from ssgsolve.model import (
     Action,
     BadProbability,
     DuplicateActionLabel,
+    EcMemo,
     GenParams,
     MalformedLine,
     MissingHeader,
@@ -169,6 +170,31 @@ def test_partition_copy_is_independent():
     other = part.copy()
     other.unknown.clear()
     assert part.unknown == {0}
+
+
+def test_partition_states_hands_out_fresh_copies():
+    g = slow_loop()
+    first, second = partition_states(g), partition_states(g)
+    assert first == second
+    assert first is not second
+    assert first.unknown is not second.unknown
+    first.unknown.clear()
+    first.sinks.add(0)
+    assert second == StatePartition({1}, {2}, {0})
+    assert partition_states(g) == StatePartition({1}, {2}, {0})
+
+
+def test_partition_memo_is_private_to_its_copy():
+    part = partition_states(slow_loop())
+    part.ec_memo.unknown = frozenset(part.unknown)
+    part.ec_memo.mecs[frozenset({0})] = []
+    other = part.copy()
+    assert other.ec_memo == EcMemo()
+    assert other.ec_memo is not part.ec_memo
+    # eq and repr ignore the memo
+    assert part == other
+    assert repr(part) == repr(other)
+    assert "ec_memo" not in repr(part)
 
 
 def test_generate_random_is_deterministic():

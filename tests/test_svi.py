@@ -198,6 +198,51 @@ def test_update_global_bounds_folds_pinned_values():
     assert bounds.l == pytest.approx(0.5)
 
 
+# State 2 reaches the target in one step and retires after the first sweep.
+# Stay mass of 4, 5 and 6 rests on it one, two and three steps down the
+# chain 6 -> 5 -> 4 -> 2; their other half goes to the leaky loop 3 (value
+# 1/2), which keeps them undecided.
+WASHING_CHAIN = """\
+ssg 1
+states 7
+target 0
+action 2 a
+  0 1
+action 3 a
+  3 1/2
+  1 1/4
+  0 1/4
+action 4 a
+  2 1/2
+  3 1/2
+action 5 a
+  4 1/2
+  3 1/2
+action 6 a
+  5 1/2
+  3 1/2
+"""
+
+
+def test_retired_value_pinned_until_its_support_washes_out(monkeypatch):
+    import ssgsolve.svi as svi
+
+    pinned = []
+    fold = svi.update_global_bounds
+
+    def capture(*args, **kwargs):
+        pinned.append(list(kwargs["pinned"]))
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(svi, "update_global_bounds", capture)
+    r = solve_svi(normalize(parse_model(WASHING_CHAIN)))
+    assert r.converged and r.iterations > 4
+    # retired at sweep 1, then held by the supports of 5 (sweep 2) and 6 (sweep 3)
+    assert pinned[:3] == [[1.0]] * 3
+    assert not any(pinned[3:])
+    assert r.global_upper < 1.0
+
+
 def test_check_termination_vacuous_and_strict():
     part, rs = k0_state(slow_loop())
     part.unknown.clear()
@@ -430,3 +475,22 @@ def test_known_livelock_converges():
     assert r.converged
     for s in range(g.n_states):
         assert ref.lower[s] - 1e-9 <= r.value[s] <= ref.upper[s] + 1e-9
+
+
+def test_svi_detects_traps_once_per_unknown_set(monkeypatch):
+    import ssgsolve.graph as graph
+
+    calls = []
+    traps = graph.trap_states
+
+    def counted(game, region):
+        calls.append(frozenset(region))
+        return traps(game, region)
+
+    monkeypatch.setattr(graph, "trap_states", counted)
+    # the livelock model above: nothing retires, so the unknown set never changes
+    g = generate_random(GenParams(n_states=8, seed=145, max_actions_per_state=3,
+                                  max_branching=3, target_fraction=0.1))
+    r = solve_svi(g, max_iters=200)
+    assert r.iterations == 200 and not r.converged
+    assert len(calls) == 1
