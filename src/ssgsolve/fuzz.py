@@ -72,24 +72,23 @@ def check_model(game: StochasticGame, algo: str, eps: float,
                 overrides: Mapping[str, dict] | None = None) -> str | None:
     """Run one algorithm on one game; return a failure reason or None.
 
-    Checks: convergence, |value - exact| within eps (2 eps for the
-    topological driver, whose per-component budgets stack), the final
-    bounds sandwich the exact values, the same at sampled recorded
-    iterations, and the reported strategy uses real action labels.
+    Checks: the final bounds sandwich the exact values, the same at
+    sampled recorded iterations, convergence, |value - exact| within eps
+    (2 eps for the topological driver, whose per-component budgets stack),
+    and the reported strategy uses real action labels. A capped solve
+    gets its brackets checked before it counts as a stall.
     """
     try:
         res = _solve(game, algo, eps, overrides or {})
     except Exception as exc:  # a crash is a finding, not a test error
         return f"exception: {exc!r}"
-    if not res.converged:
-        return "did not converge"
     tol = 2 * eps if algo == "topo" else eps
     for s, v in enumerate(values):
         if res.lower[s] > v + SLACK:
             return f"final lower {res.lower[s]!r} above exact {v!r} at state {s}"
         if res.upper[s] < v - SLACK:
             return f"final upper {res.upper[s]!r} below exact {v!r} at state {s}"
-        if abs(res.value[s] - v) > tol + SLACK:
+        if res.converged and abs(res.value[s] - v) > tol + SLACK:
             return f"value off by {abs(res.value[s] - v):.3e} at state {s}"
     if res.vectors:
         for k in _sample_indices(len(res.vectors), sample_iters):
@@ -99,6 +98,8 @@ def check_model(game: StochasticGame, algo: str, eps: float,
                     return f"iteration {k + 1}: lower {low[s]!r} above exact {v!r} at state {s}"
                 if high[s] < v - SLACK:
                     return f"iteration {k + 1}: upper {high[s]!r} below exact {v!r} at state {s}"
+    if not res.converged:
+        return "did not converge"
     for s, label in res.strategy.items():
         if label != DELAY and label not in game.action_labels(s):
             return f"strategy names unknown action {label!r} at state {s}"

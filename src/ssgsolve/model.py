@@ -36,6 +36,8 @@ PROB_SUM_TOL = 1e-9
 
 #: Float transitions indexed [state][action position], in transition order.
 FloatRows = Sequence[Sequence[Sequence[tuple[int, float]]]]
+#: One state's {(i, j): ((successor, float(delta_i - delta_j)), ...)}.
+DeltaTable = dict[tuple[int, int], tuple[tuple[int, float], ...]]
 
 
 class ModelError(ValueError):
@@ -120,10 +122,11 @@ class StochasticGame:
     across threads; solvers never mutate them.
 
     `rows` and `index`, the solvers' float transitions and per-state label
-    positions, and `split`, the targets / sinks / unknown partition, are
-    built on first use and kept on the instance. They are not fields: eq,
-    hash and repr ignore them, and `dataclasses.replace` gives a new game
-    with its own.
+    positions, `deltas`, the pairwise action differences behind svi's
+    decision values, and `split`, the targets / sinks / unknown partition,
+    are built on first use and kept on the instance. They are not fields:
+    eq, hash and repr ignore them, and `dataclasses.replace` gives a new
+    game with its own.
     """
 
     n_states: int
@@ -173,6 +176,22 @@ class StochasticGame:
     def index(self) -> tuple[dict[str, int], ...]:
         """Per state, the position of each action label in `actions[s]`."""
         return tuple({a.label: i for i, a in enumerate(acts)} for acts in self.actions)
+
+    @cached_property
+    def deltas(self) -> tuple[DeltaTable, ...]:
+        """Per state, the pairwise differences of its actions' distributions.
+
+        Entry (i, j) lists (successor, float(delta_i - delta_j)) in successor
+        order, skipping exact zeros; the subtraction is exact, so 0.5 and 0.4
+        differ by exactly one tenth. One-action states share one empty table.
+        """
+        zero, empty = Fraction(0), {}
+        dists = [[dict(a.transitions) for a in acts] for acts in self.actions]
+        return tuple(empty if len(ds) < 2 else {
+            (i, j): tuple((t, float(w)) for t in sorted(di.keys() | dj.keys())
+                          if (w := di.get(t, zero) - dj.get(t, zero)) != 0)
+            for i, di in enumerate(ds) for j, dj in enumerate(ds) if i != j
+        } for ds in dists)
 
     @cached_property
     def split(self) -> StatePartition:

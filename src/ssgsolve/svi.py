@@ -13,8 +13,9 @@ which some state would switch its preferred action.
 End components need two extra devices. Their members are herded toward the
 current best exits of each component (recomputed every iteration), traps
 without any Maximizer exit are moved to the sinks, and a Maximizer state
-whose fresh estimate would overshoot its previous upper estimate is
-delayed: it keeps its old vector entries for one round. Iterations with a
+inside an end component whose fresh estimate would overshoot its previous
+upper estimate is delayed: it keeps its old vector entries for one round.
+States outside every end component are never delayed. Iterations with a
 delay skip the global bound update.
 
 A state whose stay hits exactly 0.0 is retired: its interval has collapsed
@@ -28,19 +29,19 @@ solver therefore tracks, per undecided state, the set of states its stay
 mass can sit on (the support), as an int bitset with bit t for state t;
 whenever a retired state still appears in some live support, its exact
 value joins the bound fold as a candidate, exactly as live extrapolations
-do. Supports shrink as old mass washes out, so a retired state stops
-constraining the bounds once nothing rests on it.
+do; that value is its reach entry, which no later sweep writes. Supports
+shrink as old mass washes out, so a retired state stops constraining the
+bounds once nothing rests on it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .graph import TIE_TOL, BestExitSet, handle_ecs
-from .model import MAX, MIN, FloatRows, StatePartition, StochasticGame, partition_states
+from .graph import TIE_TOL, BestExitSet, cached_mecs, handle_ecs
+from .model import MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
 
 #: Strategy marker for a Maximizer state that kept its old vector this round.
@@ -109,30 +110,9 @@ def start_vector(game: StochasticGame, eps: float, part: StatePartition,
     return vec
 
 
-def delta_tables(game: StochasticGame, s: int) -> dict[tuple[int, int], tuple[tuple[int, float], ...]]:
-    """Pairwise distribution differences of state s's actions.
-
-    Entry (i, j) lists (successor, float(delta_i - delta_j)) over the
-    union of both supports, skipping exact-zero differences. The
-    subtraction happens on the exact rationals, so e.g. two decimal
-    probabilities 0.5 and 0.4 differ by exactly one tenth.
-    """
-    acts = game.actions[s]
-    dists = [dict(a.transitions) for a in acts]
-    out: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-    for i in range(len(acts)):
-        for j in range(len(acts)):
-            if i == j:
-                continue
-            keys = sorted(set(dists[i]) | set(dists[j]))
-            zero = Fraction(0)
-            row = tuple(
-                (t, float(w))
-                for t in keys
-                if (w := dists[i].get(t, zero) - dists[j].get(t, zero)) != 0
-            )
-            out[(i, j)] = row
-    return out
+def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
+    """State s's pairwise action differences, `game.deltas[s]`."""
+    return game.deltas[s]
 
 
 def _estimate(row: Sequence[tuple[int, float]], reach: list[float], stay: list[float],
@@ -179,9 +159,7 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
     return StrategySnapshot(choices, frozenset(bexit_states) if B is not None else None)
 
 
-def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: str,
-                   deltas: Mapping[tuple[int, int], Sequence[tuple[int, float]]] | None = None,
-                   ) -> float | None:
+def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: str) -> float | None:
     """Bound level at which state s would switch away from the chosen action.
 
     For every alternative beta whose stay-weighted distribution delta
@@ -193,8 +171,7 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: st
     acts = game.actions[s]
     if len(acts) < 2:
         return None
-    if deltas is None:
-        deltas = delta_tables(game, s)
+    deltas = game.deltas[s]
     ci = game.index[s][chosen]
     maximize = game.owner[s] == MAX
     best: float | None = None
@@ -220,10 +197,11 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
     """One whole-vector sweep under the chosen actions, with delay detection.
 
     All candidates read the old vector (batch update). When EC handling is
-    active (strategy.bexit is not None), a Maximizer state outside the
-    best-exit set whose candidate upper estimate exceeds its old one is
-    delayed: it keeps its old entries and its snapshot entry becomes
-    DELAY. Rows of decided states never change.
+    active (strategy.bexit is not None), a Maximizer state that lies in an
+    end component of the undecided pool but outside the best-exit set, and
+    whose candidate upper estimate exceeds its old one, is delayed: it
+    keeps its old entries and its snapshot entry becomes DELAY. Rows of
+    decided states never change.
     """
     rows, index = game.rows, game.index
     cand: dict[int, tuple[float, float]] = {}
@@ -236,8 +214,10 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
     delayed: set[int] = set()
     if strategy.bexit is not None:
         u = bounds.u
-        for s in partition.unknown:
-            if game.owner[s] != MAX or s in strategy.bexit:
+        # the EC pass of this iteration decomposed the same set
+        mecs = cached_mecs(game, partition.unknown, partition.ec_memo)
+        for s in set().union(*(mec.states for mec in mecs)) - strategy.bexit:
+            if game.owner[s] != MAX:
                 continue
             r, st = cand[s]
             if r + st * u > rs.reach[s] + rs.stay[s] * u + TIE_TOL:
@@ -261,20 +241,20 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
 
 def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds: GlobalBounds,
                          max_decvals: Sequence[float], min_decvals: Sequence[float],
-                         any_delay: bool, ec_mode: bool = True,
-                         use_decision_values: bool = True,
+                         any_delay: bool, use_decision_values: bool = True,
                          pinned: Sequence[float] = ()) -> GlobalBounds:
     """Fold this iteration's decision values, then tighten l and u if allowed.
 
-    The tightening runs only when every undecided state has stay < 1, (in
-    EC mode) nothing was delayed this iteration, and there is at least one
-    candidate value. Candidates are the loop extrapolations reach/(1-stay)
-    of the undecided states plus the `pinned` values - exact values of
-    retired states that some undecided state's stay mass may still rest
-    on. l rises to the smallest candidate, capped by d_l; u falls to the
-    largest, floored by d_u. The use_decision_values=False variant drops
-    the caps - it exists to demonstrate why they are needed and must never
-    be used for real runs.
+    The tightening runs only when every undecided state has stay < 1,
+    nothing was delayed this iteration (delays happen only with EC
+    handling on), and there is at least one candidate value. Candidates
+    are the loop extrapolations reach/(1-stay) of the undecided states
+    plus the `pinned` values - exact values of retired states that some
+    undecided state's stay mass may still rest on. l rises to the
+    smallest candidate, capped by d_l; u falls to the largest, floored by
+    d_u. The use_decision_values=False variant drops the caps - it exists
+    to demonstrate why they are needed and must never be used for real
+    runs.
     """
     d_l, d_u = bounds.d_l, bounds.d_u
     for v in max_decvals:
@@ -283,7 +263,7 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
         d_l = min(d_l, v)
     l, u = bounds.l, bounds.u
     pool = partition.unknown
-    gate = all(rs.stay[s] < 1.0 for s in pool) and not (ec_mode and any_delay)
+    gate = not any_delay and all(rs.stay[s] < 1.0 for s in pool)
     if gate:
         cands = [rs.reach[s] / (1.0 - rs.stay[s]) for s in pool]
         cands.extend(pinned)
@@ -345,7 +325,6 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     rs = ReachStayVector(reach, stay, 0)
     bounds = GlobalBounds(0.0, 1.0)
     rows, index = float_rows(game), game.index
-    deltas = {s: delta_tables(game, s) for s in part.unknown if len(game.actions[s]) > 1}
 
     # supp[s]: bitset of the states that s's stay mass may currently rest
     # on. Seeded with s itself (k=0 mass sits at home); resweeps follow the
@@ -354,22 +333,19 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     supp = [0] * n
     for s in part.unknown:
         supp[s] = 1 << s
-    retired_mask = 0   # retired or trapped states
-    retired_vals: dict[int, float] = {}
+    retired_mask = 0   # retired or trapped states (the EC pass zeroes a trap's reach)
 
     prev: StrategySnapshot | None = None
     last_choice: dict[int, str] = {}
     trace: list[TraceEntry] = []
     vectors: list[tuple[list[float], list[float]]] = []
-    ec_mode = ec_handling
 
     it = 0
     converged = check_termination(part, rs, bounds, eps, mode)
     while not converged and it < max_iters:
-        B = handle_ecs(game, rs.reach, rs.stay, bounds.u, part) if ec_mode else None
+        B = handle_ecs(game, rs.reach, rs.stay, bounds.u, part) if ec_handling else None
         if B is not None:
             for t in B.removed_trap_states:
-                retired_vals[t] = 0.0
                 retired_mask |= 1 << t
                 supp[t] = 0
         snapshot = choose_actions(game, part, rs, bounds, B, prev)
@@ -377,7 +353,7 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
         min_dv: list[float] = []
         for s in part.unknown:
             if len(game.actions[s]) > 1:
-                dv = decision_value(game, rs, s, snapshot.choices[s], deltas[s])
+                dv = decision_value(game, rs, s, snapshot.choices[s])
                 if dv is not None:
                     (max_dv if game.owner[s] == MAX else min_dv).append(dv)
         rs, snapshot, any_delay = bellman_update(game, part, rs, snapshot, bounds)
@@ -397,24 +373,21 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
                 new_supp[s] = acc
         supp = new_supp
         # states with stay exactly 0 are decided; drop them from the pool
-        # but keep their exact value around for the bound fold
         just_retired = [s for s in part.unknown if rs.stay[s] == 0.0]
         for s in just_retired:
             part.unknown.discard(s)
-            retired_vals[s] = rs.reach[s]
             retired_mask |= 1 << s
             supp[s] = 0
-        pinned = {retired_vals[s] for s in just_retired}
+        pinned = {rs.reach[s] for s in just_retired}
         live = 0
         for s in part.unknown:
             live |= supp[s]
         resting = live & retired_mask
         while resting:
             low = resting & -resting
-            pinned.add(retired_vals[low.bit_length() - 1])
+            pinned.add(rs.reach[low.bit_length() - 1])
             resting ^= low
         new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, any_delay,
-                                          ec_mode=ec_mode,
                                           use_decision_values=use_decision_values,
                                           pinned=sorted(pinned))
         it += 1
@@ -441,7 +414,7 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     value = [rs.reach[s] + rs.stay[s] * mid for s in range(n)]
     strategy = {s: a for s, a in last_choice.items() if s not in part.sinks}
     return SolveResult(
-        algorithm="svi" if ec_mode else "svi-noec",
+        algorithm="svi" if ec_handling else "svi-noec",
         iterations=it,
         converged=converged,
         global_lower=bounds.l,

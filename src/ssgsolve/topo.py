@@ -4,12 +4,14 @@ Value dependencies follow the edge relation, so the strongly connected
 components can be solved in reverse topological order with everything
 downstream already decided. Each component is solved twice on frozen
 frontiers, once with all downstream states pinned to their certified
-lower values and once to their uppers; by monotonicity of the value in
-the frontier the first run's lowers and the second run's uppers bound the
-true values. When the frontier is already tight (lower == upper for every
-pinned state, the common case) a single run suffices. Local precision is
-eps / (1 + depth), depth counted from the source components, so upstream
-components absorb the error their frontiers carry.
+lower values and once with its frontier (the downstream states one step
+away, the only ones its values depend on) pinned to their uppers; by
+monotonicity of the value in the frontier the first run's lowers and the
+second run's uppers bound the true values. When the frontier is already
+tight (lower == upper for every frontier state, the common case) a single
+run suffices. Local precision is eps / (1 + depth), depth counted from the
+source components, so upstream components absorb the error their frontiers
+carry.
 """
 
 from __future__ import annotations
@@ -128,21 +130,18 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
             entry.bounds = (lo[entry.states[0]], hi[entry.states[0]])
             continue
         inside = set(entry.states)
-        # states not yet decided are unreachable from this component
-        lo_frozen = {s: lo.get(s, 0.0) for s in range(game.n_states) if s not in inside}
-        hi_frozen = {s: hi.get(s, 0.0) for s in range(game.n_states) if s not in inside}
         entry.frontier = {
-            s: (lo_frozen[s], hi_frozen[s])
+            s: (lo[s], hi[s])
             for s in sorted({t for u in inside for a in game.actions[u]
                              for t in a.successors()} - inside)
         }
-        run_lo = solver(game, entry.eps_local, max_iters=max_iters, frozen=lo_frozen)
-        if lo_frozen == hi_frozen:
-            run_hi = run_lo
-            runs = [run_lo]
-        else:
-            run_hi = solver(game, entry.eps_local, max_iters=max_iters, frozen=hi_frozen)
-            runs = [run_lo, run_hi]
+        # states not yet decided are unreachable from this component
+        lo_frozen = {s: lo.get(s, 0.0) for s in range(game.n_states) if s not in inside}
+        runs = [solver(game, entry.eps_local, max_iters=max_iters, frozen=lo_frozen)]
+        if any(a != b for a, b in entry.frontier.values()):
+            hi_frozen = lo_frozen | {s: b for s, (_, b) in entry.frontier.items()}
+            runs.append(solver(game, entry.eps_local, max_iters=max_iters, frozen=hi_frozen))
+        run_lo, run_hi = runs[0], runs[-1]
         for s in inside:
             lo[s] = run_lo.lower[s]
             hi[s] = run_hi.upper[s]

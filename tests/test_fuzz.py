@@ -56,6 +56,21 @@ def test_check_model_flags_wrong_expectation():
     assert "final upper" in reason
 
 
+def test_capped_solve_gets_its_bracket_checked():
+    # ssgsolve gen --states 8 --seed 130 --max-actions 3 --branching 3
+    #   --target-fraction 0.1 --ec-bias 0.5: after three sweeps svi's upper
+    # bound at state 4 is below the exact 15/56
+    g = generate_random(GenParams(n_states=8, seed=130, max_actions_per_state=3,
+                                  max_branching=3, target_fraction=0.1, ec_bias=0.5))
+    want = exact_floats(g)
+    reason = check_model(g, "svi", 1e-6, want, overrides={"svi": {"max_iters": 3}})
+    assert reason is not None and reason.startswith("final upper")
+    assert reason.endswith("at state 4")
+    # a sound capped solve is still only a stall
+    assert check_model(g, "bvi", 1e-6, want, overrides={"bvi": {"max_iters": 3}}) \
+        == "did not converge"
+
+
 def test_weakened_solver_is_caught_and_shrunk():
     g = parse_model(PADDED_ROUTE)
     rep = run_fuzz(0, 0, extra_models=(g,), algorithms=("svi",), overrides=MUTANT)

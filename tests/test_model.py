@@ -230,43 +230,63 @@ def test_game_action_lookup():
         g.action(0, "nope")
 
 
+def _delta(a, b):
+    pa, pb = dict(a.transitions), dict(b.transitions)
+    diff = {t: pa.get(t, 0) - pb.get(t, 0) for t in sorted(pa.keys() | pb.keys())}
+    return tuple((t, float(w)) for t, w in diff.items() if w != 0)
+
+
 def _expected_tables(g):
     rows = tuple(tuple(tuple((t, float(p)) for t, p in a.transitions) for a in acts)
                  for acts in g.actions)
     index = tuple({a.label: i for i, a in enumerate(acts)} for acts in g.actions)
-    return rows, index
+    deltas = tuple({(i, j): _delta(a, b) for i, a in enumerate(acts)
+                    for j, b in enumerate(acts) if i != j} for acts in g.actions)
+    return rows, index, deltas
 
 
 def test_game_rows_and_index_match_actions():
     g = exit_seesaw()
-    rows, index = _expected_tables(g)
+    rows, index, deltas = _expected_tables(g)
     assert g.rows == rows
     assert g.index == index
-    assert g.rows is g.rows  # built once, then kept
+    assert g.deltas == deltas
+    assert g.rows is g.rows and g.deltas is g.deltas  # built once, then kept
     for s in range(g.n_states):
         for label, i in g.index[s].items():
             assert g.action(s, label) is g.actions[s][i]
+    single = [g.deltas[s] for s in range(g.n_states) if len(g.actions[s]) == 1]
+    assert len(single) > 1 and all(t is single[0] for t in single)
+
+
+def test_game_deltas_subtract_exact_probabilities():
+    g = parse_model("ssg 1\nstates 3\ntarget 1\n"
+                    "action 0 x\n  1 0.5\n  2 0.5\n"
+                    "action 0 y\n  1 0.4\n  2 0.6\n")
+    tenth = float(Fraction(1, 10))
+    assert 0.5 - 0.4 != tenth
+    assert g.deltas[0] == {(0, 1): ((1, tenth), (2, -tenth)),
+                           (1, 0): ((1, -tenth), (2, tenth))}
 
 
 def test_game_tables_stay_out_of_equality_and_repr():
     g, h = exit_seesaw(), exit_seesaw()
     before = repr(g)
-    assert g.rows and g.index
+    assert g.rows and g.index and g.deltas
     assert g == h and hash(g) == hash(h)
     assert repr(g) == before == repr(h)
 
 
 def test_replaced_game_builds_its_own_tables():
     g = exit_seesaw()
-    assert g.rows and g.index  # the parent's tables exist before the copy is made
+    assert g.rows and g.index and g.deltas  # the parent's tables exist before the copy is made
     s = next(s for s in range(g.n_states) if len(g.actions[s]) > 1)
     acts = list(g.actions)
     acts[s] = acts[s][1:]  # drop the first action, as fuzz shrinking does
     h = dataclasses.replace(g, actions=tuple(acts))
-    rows, index = _expected_tables(h)
-    assert h.rows == rows and h.index == index
-    assert h.rows[s] != g.rows[s] and h.index[s] != g.index[s]
-    assert g.rows == _expected_tables(g)[0]
+    assert (h.rows, h.index, h.deltas) == _expected_tables(h)
+    assert h.rows[s] != g.rows[s] and h.index[s] != g.index[s] and h.deltas[s] != g.deltas[s]
+    assert (g.rows, g.index, g.deltas) == _expected_tables(g)
 
 
 def test_game_validate_rejects_bad_owner():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ssgsolve.model import normalize, parse_model
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import INNER_SOLVERS, build_plan, solve_topological
 from ssgsolve.presets import (
@@ -49,6 +50,52 @@ def test_slow_component_resolves_locally_in_one_iteration():
     assert slow.frontier == {3: (1.0, 1.0), 4: (0.0, 0.0)}
     assert slow.bounds[1] - slow.bounds[0] <= 1e-6
     assert res.strategy == {0: "a", 1: "a", 2: "c"}
+
+
+# State 0 chooses between two components that do not see each other: the
+# loop {1, 2} (values 2/3 and 1/3, bracketed only to eps) and the loop
+# {3}, whose one successor outside itself is the target 4.
+TIGHT_NEXT_TO_LOOSE = """\
+ssg 1
+states 6
+target 4
+action 0 a
+  1 1
+action 0 b
+  3 1
+action 1 a
+  2 1/2
+  4 1/2
+action 2 a
+  1 1/2
+  5 1/2
+action 3 a
+  3 1/2
+  4 1/2
+"""
+
+
+def test_second_run_only_for_a_loose_frontier(monkeypatch):
+    g = normalize(parse_model(TIGHT_NEXT_TO_LOOSE))
+    solved = []
+    inner = INNER_SOLVERS["svi"]
+
+    def counted(game, eps, **kwargs):
+        solved.append(tuple(s for s in range(game.n_states) if s not in kwargs["frozen"]))
+        return inner(game, eps, **kwargs)
+
+    monkeypatch.setitem(INNER_SOLVERS, "svi", counted)
+    plan = build_plan(g, 1e-6)
+    res = solve_topological(g, plan=plan)
+    assert res.converged
+    # the loose loop is decided before the tight one is solved
+    assert [e.states for e in plan.unknown_entries()] == [(1, 2), (3,), (0,)]
+    loose, tight, source = plan.unknown_entries()
+    assert res.lower[1] < res.upper[1]
+    assert tight.frontier == {4: (1.0, 1.0)}
+    assert source.frontier[1] == (res.lower[1], res.upper[1])
+    assert solved == [(1, 2), (3,), (0,), (0,)]
+    assert max_err(res.value, exact_floats(g)) <= 2e-6
 
 
 def test_decided_components_cost_nothing():
