@@ -28,7 +28,7 @@ from .model import (
     partition_states,
     serialize_model,
 )
-from .oracle import ExactResult, TooLarge, exact_value, k_step_oracle, mc_reachability
+from .oracle import ExactResult, TooLarge, chain_reachability, exact_value, k_step_oracle
 from .results import SolveResult, TraceEntry
 from .svi import DELAY, GlobalBounds, ReachStayVector, solve_svi
 from .topo import SccPlan, build_plan, solve_topological
@@ -59,11 +59,11 @@ __all__ = [
     "ValidationError",
     "best_exits",
     "build_plan",
+    "chain_reachability",
     "deflate",
     "exact_value",
     "generate_random",
     "k_step_oracle",
-    "mc_reachability",
     "mec_decompose",
     "normalize",
     "parse_model",

@@ -1,7 +1,9 @@
 """Exact reference results via rational arithmetic and brute-force strategies.
 
-Everything here works with `Fraction`s end to end, so the numbers are exact
-and independent of the float iteration schemes they are used to check.
+Everything here is exact: probabilities are `Fraction`s, and each Markov
+chain is solved in integers before its answers become `Fraction`s, so the
+numbers are independent of the float iteration schemes they are used to
+check.
 Intended for desk-sized models; `exact_value` enumerates memoryless
 deterministic strategies for both players, which is exponential by design.
 """
@@ -9,6 +11,8 @@ deterministic strategies for both players, which is exponential by design.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,74 +46,119 @@ def _single_actions(game: StochasticGame) -> None:
         raise ValueError(f"expected one action per state, got several at {bad}")
 
 
-def _chain_step(game: StochasticGame, choice: dict[int, int]) -> list[list[tuple[int, Fraction]]]:
-    """Transition rows of the chain induced by an action index per state."""
+#: One chain row in integers: (d, ((successor, num), ...)), probabilities num/d.
+IntRow = tuple[int, tuple[tuple[int, int], ...]]
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _int_rows(game: StochasticGame) -> list[list[IntRow]]:
+    """Every action's transitions scaled by the lcm of its denominators."""
     rows = []
-    for s in range(game.n_states):
-        act = game.actions[s][choice.get(s, 0)]
-        rows.append(list(act.transitions))
+    for acts in game.actions:
+        per_state = []
+        for act in acts:
+            d = math.lcm(*(p.denominator for _, p in act.transitions))
+            per_state.append((d, tuple((t, p.numerator * (d // p.denominator))
+                                       for t, p in act.transitions)))
+        rows.append(per_state)
     return rows
 
 
-def _chain_reach(rows: list[list[tuple[int, Fraction]]], targets: set[int]) -> list[Fraction]:
+def _chain_step(rows: list[list[IntRow]], choice: dict[int, int]) -> list[IntRow]:
+    """Integer rows of the chain induced by an action index per state."""
+    return [acts[choice.get(s, 0)] for s, acts in enumerate(rows)]
+
+
+def _chain_reach(rows: list[IntRow], targets: set[int]) -> list[Fraction]:
     """Exact absorption probabilities of a Markov chain into the target set.
 
-    States with no path to a target get probability 0; the remaining
-    non-target states form a linear system that is always uniquely
-    solvable, handled by Gaussian elimination over the rationals.
+    States with no path to a target get probability 0. The other non-target
+    states ("free") give the system d_s x_s - sum(num x_t over free t) =
+    sum(num over target t), uniquely solvable when rows sum to 1. Bareiss's
+    fraction-free elimination solves it in integers: every division is
+    exact, and the only Fractions built are the answers, numerator over the
+    last pivot. A row with a zero in the pivot column would only be scaled
+    by the ratio of two pivots, so it is left alone and the scale is paid
+    on its next use (the ratios telescope). The free states are taken in
+    reverse order of discovery by the backward search, which puts most
+    states before their successors and leaves little to eliminate.
     """
     n = len(rows)
-    preds: list[set[int]] = [set() for _ in range(n)]
-    for s, row in enumerate(rows):
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for s, (_, row) in enumerate(rows):
         for succ, _ in row:
-            preds[succ].add(s)
+            preds[succ].append(s)
     can = set(targets)
+    found = []
     frontier = list(targets)
     while frontier:
-        t = frontier.pop()
-        for p in preds[t]:
+        for p in preds[frontier.pop()]:
             if p not in can:
                 can.add(p)
+                found.append(p)
                 frontier.append(p)
 
-    values: list[Fraction] = [Fraction(0)] * n
+    values = [_ZERO] * n
     for t in targets:
-        values[t] = Fraction(1)
-    free = sorted(s for s in can if s not in targets)
+        values[t] = _ONE
+    free = found[::-1]
     if not free:
         return values
-    pos = {s: i for i, s in enumerate(free)}
     m = len(free)
-    zero = Fraction(0)
-    mat = [[zero] * (m + 1) for _ in range(m)]
+    pos = {s: i for i, s in enumerate(free)}
+    mat = [[0] * (m + 1) for _ in range(m)]
     for i, s in enumerate(free):
-        mat[i][i] += 1
-        for succ, p in rows[s]:
+        d, row = rows[s]
+        r = mat[i]
+        r[i] = d
+        for succ, num in row:
             if succ in targets:
-                mat[i][m] += p
+                r[m] += num
             elif succ in pos:
-                mat[i][pos[succ]] -= p
-    # elimination with exact pivots; the system is non-singular
-    for col in range(m):
-        piv = next(r for r in range(col, m) if mat[r][col] != 0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col]
-        if inv != 1:
-            mat[col] = [x / inv for x in mat[col]]
-        for r in range(m):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+                r[pos[succ]] -= num
+    # pivots[k] divides step k; row i holds the Bareiss row after done[i] steps
+    pivots = [1]
+    done = [0] * m
+    for k in range(m):
+        if not mat[k][k]:
+            piv = next(r for r in range(k + 1, m) if mat[r][k])
+            mat[k], mat[piv] = mat[piv], mat[k]
+            done[k], done[piv] = done[piv], done[k]
+        top = mat[k]
+        if done[k] != k:
+            up, down = pivots[k], pivots[done[k]]
+            top = mat[k] = [a * up // down for a in top]
+        akk = top[k]
+        pivots.append(akk)
+        tail = top[k + 1:]
+        for i in range(k + 1, m):
+            r = mat[i]
+            aik = r[k]
+            if aik:
+                down = pivots[done[i]]
+                r[k + 1:] = [(akk * a - aik * b) // down for a, b in zip(r[k + 1:], tail)]
+                done[i] = k + 1
+    det = pivots[m]
+    # x[i] is det times the value of free[i], an integer by Cramer's rule,
+    # so every division of the back-substitution is exact
+    x = [0] * m
+    for i in range(m - 1, -1, -1):
+        r = mat[i]
+        acc = det * r[m]
+        for j in range(i + 1, m):
+            if r[j]:
+                acc -= r[j] * x[j]
+        x[i] = acc // r[i]
     for i, s in enumerate(free):
-        values[s] = mat[i][m]
+        values[s] = Fraction(x[i], det)
     return values
 
 
-def mc_reachability(game: StochasticGame) -> list[Fraction]:
+def chain_reachability(game: StochasticGame) -> list[Fraction]:
     """Exact target-reachability probabilities of a one-action-per-state game."""
     _single_actions(game)
-    return _chain_reach(_chain_step(game, {}), set(game.targets))
+    return _chain_reach(_chain_step(_int_rows(game), {}), set(game.targets))
 
 
 def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 10_000_000,
@@ -118,7 +167,10 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
 
     The outer player's strategies are enumerated; for each, the inner
     player's strategies are enumerated and the induced Markov chains are
-    solved exactly, taking the pointwise inner optimum. The outer optimum
+    solved exactly, taking the pointwise inner optimum. Each action's row
+    is scaled once per call to integers over the lcm of its denominators,
+    and each chain is solved by fraction-free integer elimination
+    (`_chain_reach`); nothing is kept on the game. The outer optimum
     over those vectors is the value (memoryless deterministic strategies
     suffice for both players, and one strategy is optimal at every state
     simultaneously). order="maxmin" puts the Maximizer outside,
@@ -127,7 +179,8 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     meant for cross-checking values (its inner witness is only a best
     response to the outer one).
 
-    Raises TooLarge beyond max_states states or max_pairs strategy pairs.
+    Raises TooLarge beyond max_states states or max_pairs strategy pairs,
+    before any row is scaled or chain solved.
     """
     if order not in ("maxmin", "minmax"):
         raise ValueError("order must be 'maxmin' or 'minmax'")
@@ -147,9 +200,10 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
         raise TooLarge(n, pairs)
 
     targets = set(game.targets)
+    rows = _int_rows(game)
     outer_sites, inner_sites = (max_sites, min_sites) if order == "maxmin" else (min_sites, max_sites)
-    outer_better = (lambda a, b: a > b) if order == "maxmin" else (lambda a, b: a < b)
-    inner_better = (lambda a, b: a < b) if order == "maxmin" else (lambda a, b: a > b)
+    outer_better, inner_better = ((operator.gt, operator.lt) if order == "maxmin"
+                                  else (operator.lt, operator.gt))
 
     def profiles(sites: list[int]):
         ranges = [range(len(game.actions[s])) for s in sites]
@@ -160,7 +214,8 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
         opt = list(vectors[0])
         for vec in vectors[1:]:
             for i, v in enumerate(vec):
-                if better(v, opt[i]):
+                # the shared 0 and 1 entries need no Fraction comparison
+                if v is not opt[i] and better(v, opt[i]):
                     opt[i] = v
         return opt
 
@@ -170,7 +225,7 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
         inner_runs: list[tuple[dict[int, int], list[Fraction]]] = []
         for inner in profiles(inner_sites):
             choice = {**outer, **inner}
-            inner_runs.append((inner, _chain_reach(_chain_step(game, choice), targets)))
+            inner_runs.append((inner, _chain_reach(_chain_step(rows, choice), targets)))
             evaluated += 1
         inner_opt = pointwise_opt([vec for _, vec in inner_runs], inner_better)
         witness_inner = next(ip for ip, vec in inner_runs if vec == inner_opt)
@@ -208,7 +263,7 @@ def k_step_oracle(game: StochasticGame, part, k: int) -> tuple[list[Fraction], l
     one, zero = Fraction(1), Fraction(0)
     reach = [one if s in part.targets else zero for s in range(game.n_states)]
     stay = [one if s in part.unknown else zero for s in range(game.n_states)]
-    rows = _chain_step(game, {})
+    rows = [acts[0].transitions for acts in game.actions]
     for _ in range(k):
         reach = [
             reach[s] if s not in part.unknown else sum((p * reach[t] for t, p in rows[s]), zero)

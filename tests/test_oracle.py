@@ -1,15 +1,17 @@
 """Exact oracle: brute-forced rational values, chain values, k-step vectors."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from ssgsolve.model import GenParams, StochasticGame, generate_random, partition_states
+import ssgsolve.oracle as oracle
+from ssgsolve.model import MAX, Action, GenParams, StochasticGame, generate_random, partition_states
 from ssgsolve.oracle import (
     TooLarge,
+    chain_reachability,
     exact_value,
     k_step_oracle,
-    mc_reachability,
 )
 from ssgsolve.presets import (
     ALL_PRESETS,
@@ -71,8 +73,19 @@ def test_exact_value_orders_agree():
 
 def test_exact_value_orders_agree_on_random_games():
     for seed in range(15):
-        g = generate_random(GenParams(n_states=5, max_actions_per_state=2, seed=seed))
-        assert exact_value(g).values == exact_value(g, order="minmax").values
+        for actions, n in ((2, 5), (3, 6)):
+            g = generate_random(GenParams(n_states=n, max_actions_per_state=actions,
+                                          max_branching=actions, seed=seed))
+            assert exact_value(g).values == exact_value(g, order="minmax").values, (actions, seed)
+
+
+def _witness_chain(g, res):
+    chosen = {**res.max_strategy, **res.min_strategy}
+    acts = tuple(
+        (g.action(s, chosen[s]),) if s in chosen else g.actions[s][:1]
+        for s in range(g.n_states)
+    )
+    return StochasticGame(g.n_states, g.owner, acts, g.targets)
 
 
 def test_witness_strategies_reproduce_the_values():
@@ -80,13 +93,13 @@ def test_witness_strategies_reproduce_the_values():
     for build in ALL_PRESETS.values():
         g = build()
         res = exact_value(g)
-        chosen = {**res.max_strategy, **res.min_strategy}
-        acts = tuple(
-            (g.action(s, chosen[s]),) if s in chosen else g.actions[s][:1]
-            for s in range(g.n_states)
-        )
-        chain = StochasticGame(g.n_states, g.owner, acts, g.targets)
-        assert mc_reachability(chain) == list(res.values), build.__name__
+        assert chain_reachability(_witness_chain(g, res)) == list(res.values), build.__name__
+    for ec_bias in (0.5, 1.0):
+        for seed in range(10):
+            g = generate_random(GenParams(n_states=9, max_actions_per_state=3, max_branching=3,
+                                          target_fraction=0.2, ec_bias=ec_bias, seed=seed))
+            res = exact_value(g)
+            assert chain_reachability(_witness_chain(g, res)) == list(res.values), (ec_bias, seed)
 
 
 def test_witness_strategies_only_name_real_actions():
@@ -101,13 +114,134 @@ def test_pair_counts():
     assert exact_value(nested_rings()).pairs_evaluated == 24
 
 
-def test_mc_reachability_loop():
-    assert mc_reachability(slow_loop()) == [F(1, 2), F(1), F(0)]
+def _reference_reach(rows, targets):
+    """Reachability values by Fraction Gauss-Jordan over the states that can reach a target."""
+    n = len(rows)
+    can = set(targets)
+    grew = True
+    while grew:
+        grew = False
+        for s in range(n):
+            if s not in can and any(t in can for t, _ in rows[s]):
+                can.add(s)
+                grew = True
+    free = [s for s in range(n) if s in can and s not in targets]
+    col = {s: i for i, s in enumerate(free)}
+    m = len(free)
+    mat = [[F(0)] * (m + 1) for _ in range(m)]
+    for i, s in enumerate(free):
+        mat[i][i] += 1
+        for t, p in rows[s]:
+            if t in targets:
+                mat[i][m] += p
+            elif t in col:
+                mat[i][col[t]] -= p
+    for c in range(m):
+        piv = next(r for r in range(c, m) if mat[r][c] != 0)
+        mat[c], mat[piv] = mat[piv], mat[c]
+        mat[c] = [x / mat[c][c] for x in mat[c]]
+        for r in range(m):
+            if r != c and mat[r][c] != 0:
+                mat[r] = [a - mat[r][c] * b for a, b in zip(mat[r], mat[c])]
+    values = [F(1) if s in targets else F(0) for s in range(n)]
+    for i, s in enumerate(free):
+        values[s] = mat[i][m]
+    return values, can
 
 
-def test_mc_reachability_rejects_choice():
+def _random_chain(rng, sticky=0.0):
+    """A one-action chain whose rows mix denominators 7, 11 and 13.
+
+    With probability `sticky` a row is instead a certain self-loop plus
+    1e-10 towards another state: a sum of 1 + 1e-10, inside the parser's
+    tolerance, that leaves a zero on the diagonal of the chain's system.
+    """
+    n = rng.randint(2 if sticky else 1, 9)
+    targets = frozenset(rng.sample(range(n), rng.randint(1 if sticky else 0, min(2, n))))
+    acts = []
+    for s in range(n):
+        if rng.random() < sticky:
+            other = rng.choice([t for t in range(n) if t != s])
+            acts.append((Action("a", ((s, F(1)), (other, F(1, 10**10)))),))
+            continue
+        succs = rng.sample(range(n), rng.randint(1, min(3, n)))
+        k = len(succs)
+        probs = [F(rng.randint(1, q - 1), q * k) for q in rng.sample((7, 11, 13), k - 1)]
+        probs.append(1 - sum(probs))
+        acts.append((Action("a", tuple(zip(succs, probs))),))
+    return StochasticGame(n, (MAX,) * n, tuple(acts), targets)
+
+
+def test_chain_solve_is_an_exact_fixed_point():
+    seen = {"no path": 0, "self-loop": 0, "target in a cycle": 0, "mixed primes": 0}
+    for seed in range(200):
+        g = _random_chain(random.Random(seed))
+        rows = [acts[0].transitions for acts in g.actions]
+        got = chain_reachability(g)
+        want, can = _reference_reach(rows, g.targets)
+        assert got == want, seed
+        for s in range(g.n_states):
+            if s in g.targets:
+                assert got[s] == 1
+            elif s not in can:
+                assert got[s] == 0
+                seen["no path"] += 1
+            else:
+                assert got[s] == sum(p * got[t] for t, p in rows[s]), (seed, s)
+            seen["self-loop"] += any(t == s and p < 1 for t, p in rows[s])
+            seen["target in a cycle"] += s in g.targets and any(t in can for t, _ in rows[s])
+            seen["mixed primes"] += len({p.denominator for _, p in rows[s]}) == 3
+    assert min(seen.values()) >= 20, seen
+
+
+def test_chain_solve_pivots_past_zero_diagonals():
+    g = StochasticGame(3, (MAX,) * 3, (
+        (Action("a", ((0, F(1)), (1, F(1, 10**10)))),),
+        (Action("a", ((0, F(1, 2)), (2, F(1, 2)))),),
+        (Action("a", ((2, F(1)),)),),
+    ), frozenset({2}))
+    g.validate()
+    assert chain_reachability(g) == [F(-1), F(0), F(1)]
+    solved = 0
+    for seed in range(150):
+        g = _random_chain(random.Random(seed), sticky=0.4)
+        rows = [acts[0].transitions for acts in g.actions]
+        try:
+            want, _ = _reference_reach(rows, g.targets)
+        except StopIteration:   # singular: a certain loop among the free states
+            continue
+        assert chain_reachability(g) == want, seed
+        solved += 1
+    assert solved >= 50
+
+
+def test_too_large_runs_no_chain_solve(monkeypatch):
+    calls = {"rows": 0, "solve": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_int_rows", counting("rows", oracle._int_rows))
+    monkeypatch.setattr(oracle, "_chain_reach", counting("solve", oracle._chain_reach))
+    with pytest.raises(TooLarge):
+        exact_value(generate_random(GenParams(n_states=13, seed=0)))
+    with pytest.raises(TooLarge):
+        exact_value(two_route_choice(), max_pairs=1)
+    assert calls == {"rows": 0, "solve": 0}
+    exact_value(two_route_choice())
+    assert calls == {"rows": 1, "solve": 2}
+
+
+def test_chain_reachability_loop():
+    assert chain_reachability(slow_loop()) == [F(1, 2), F(1), F(0)]
+
+
+def test_chain_reachability_rejects_choice():
     with pytest.raises(ValueError):
-        mc_reachability(two_route_choice())
+        chain_reachability(two_route_choice())
 
 
 def test_too_large_state_cap():
