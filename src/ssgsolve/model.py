@@ -335,7 +335,9 @@ def parse_model(text: str) -> StochasticGame:
     Layout: the header, a `states N` line, then any number of `minplayer`,
     `target` and `action` sections. An `action <state> <label>` line is
     followed by one `<succ> <prob>` line per transition. `#` starts a
-    comment. Probabilities are decimals or `n/d` fractions.
+    comment. Probabilities are decimals or `n/d` fractions. An action whose
+    probabilities sum to within PROB_SUM_TOL of 1 but not to 1 exactly is
+    divided by its sum, so every parsed distribution sums to exactly 1.
     """
     lines = text.splitlines()
     content: list[tuple[int, str]] = []
@@ -361,8 +363,10 @@ def parse_model(text: str) -> StochasticGame:
         if current_key is not None:
             state, label = current_key
             total = sum((p for _, p in current), Fraction(0))
-            if total != 1 and abs(float(total) - 1.0) > PROB_SUM_TOL:
-                raise ProbabilitySum(state, label, total)
+            if total != 1:
+                if abs(float(total) - 1.0) > PROB_SUM_TOL:
+                    raise ProbabilitySum(state, label, total)
+                current[:] = [(succ, p / total) for succ, p in current]
         current = None
         current_key = None
 

@@ -260,10 +260,10 @@ def shifting_preference() -> StochasticGame:
     target, 95% sink), 4 = slow drain (70% self, 1% target, 29% sink),
     5 = target, 6 = sink. Value of states 0 and 1 is 50/99, of state 2
     it is 21/40. Crafted so that the Minimizer switches onto a route
-    whose one-step upper estimate is larger than its previous one: the
-    per-state upper estimate is not monotone at Minimizer states, while
-    the certified interval stays sound throughout. A regression model
-    for exactly that distinction.
+    whose one-step upper estimate is larger than its previous one. svi
+    settles state 3 before its first sweep, and on this game its
+    Minimizer upper estimates no longer rise; the model stays a
+    regression game for the sandwich and Maximizer-monotonicity checks.
     """
     return _game(
         7,

@@ -18,20 +18,14 @@ upper estimate is delayed: it keeps its old vector entries for one round.
 States outside every end component are never delayed. Iterations with a
 delay skip the global bound update.
 
-A state whose stay hits exactly 0.0 is retired: its interval has collapsed
-(value = reach, no dependence on l or u), so it is taken out of the
-undecided pool and acts as a weighted terminal from then on. That keeps
-long-solved states from pinning the global bounds at their frozen ratio.
-Retirement alone would be unsound, though: other states' stay mass,
-accumulated while the retired state was still undecided, may still rest on
-it, and the global bounds must cover every state carrying such mass. The
-solver therefore tracks, per undecided state, the set of states its stay
-mass can sit on (the support), as an int bitset with bit t for state t;
-whenever a retired state still appears in some live support, its exact
-value joins the bound fold as a candidate, exactly as live extrapolations
-do; that value is its reach entry, which no later sweep writes. Supports
-shrink as old mass washes out, so a retired state stops constraining the
-bounds once nothing rests on it.
+Before the first sweep the acyclic tail of the undecided pool is settled:
+a state that lies on no cycle and whose successors are all decided gets
+its exact one-step value, and from then on counts as decided, like a
+frozen state (Azeem et al., "Optimistic and topological value iteration
+for simple stochastic games", ATVA 2022, freeze states decided in
+topological order the same way). Left in the pool, such a state would
+keep its value among the bound candidates for good, so l and u could never
+close past it.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import TIE_TOL, BestExitSet, cached_mecs, handle_ecs
+from .graph import TIE_TOL, BestExitSet, cached_mecs, handle_ecs, scc_decompose
 from .model import MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
 
@@ -108,6 +102,31 @@ def start_vector(game: StochasticGame, eps: float, part: StatePartition,
         part.unknown.discard(s)
         vec[s] = v
     return vec
+
+
+def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) -> dict[int, str]:
+    """Settle the undecided states on no cycle whose successors are all decided.
+
+    Walks the SCCs of `part.unknown` successors first, so a state settled
+    here counts as decided for the states upstream of it. Each settled
+    state gets its exact one-step max (Maximizer) or min (Minimizer) value
+    in `vec` and leaves `part.unknown`; the returned map gives its action:
+    the lowest index within TIE_TOL of the optimum, as in `choose_actions`.
+    A self-loop keeps a state undecided.
+    """
+    settled: dict[int, str] = {}
+    for comp in scc_decompose(game, part.unknown):
+        s = comp[0]
+        rows = game.rows[s]
+        if len(comp) > 1 or any(t in part.unknown for row in rows for t, _ in row):
+            continue
+        vals = [sum(p * vec[t] for t, p in row) for row in rows]
+        opt = min(vals) if game.owner[s] == MIN else max(vals)
+        i = next(i for i, v in enumerate(vals) if abs(v - opt) <= TIE_TOL)
+        vec[s] = opt
+        settled[s] = game.actions[s][i].label
+        part.unknown.discard(s)
+    return settled
 
 
 def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
@@ -241,20 +260,17 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
 
 def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds: GlobalBounds,
                          max_decvals: Sequence[float], min_decvals: Sequence[float],
-                         any_delay: bool, use_decision_values: bool = True,
-                         pinned: Sequence[float] = ()) -> GlobalBounds:
+                         any_delay: bool, use_decision_values: bool = True) -> GlobalBounds:
     """Fold this iteration's decision values, then tighten l and u if allowed.
 
     The tightening runs only when every undecided state has stay < 1,
     nothing was delayed this iteration (delays happen only with EC
-    handling on), and there is at least one candidate value. Candidates
-    are the loop extrapolations reach/(1-stay) of the undecided states
-    plus the `pinned` values - exact values of retired states that some
-    undecided state's stay mass may still rest on. l rises to the
-    smallest candidate, capped by d_l; u falls to the largest, floored by
-    d_u. The use_decision_values=False variant drops the caps - it exists
-    to demonstrate why they are needed and must never be used for real
-    runs.
+    handling on), and there is at least one undecided state. Candidates
+    are the loop extrapolations reach/(1-stay) of the undecided states.
+    l rises to the smallest candidate, capped by d_l; u falls to the
+    largest, floored by d_u. The use_decision_values=False variant drops
+    the caps - it exists to demonstrate why they are needed and must never
+    be used for real runs.
     """
     d_l, d_u = bounds.d_l, bounds.d_u
     for v in max_decvals:
@@ -266,7 +282,6 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
     gate = not any_delay and all(rs.stay[s] < 1.0 for s in pool)
     if gate:
         cands = [rs.reach[s] / (1.0 - rs.stay[s]) for s in pool]
-        cands.extend(pinned)
         if cands:
             if use_decision_values:
                 l = max(l, min(d_l, min(cands)))
@@ -303,11 +318,11 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
               record_vectors: bool = False) -> SolveResult:
     """Solve a normalized game to certified per-state precision eps.
 
-    Runs the full loop: EC pass (unless ec_handling is off), action
-    choice, decision values, batch sweep with delays, retirement of
-    states whose stay reached exactly 0, global bound update, termination
-    test. On the iteration cap the result comes back with
-    converged=False; its bounds are still valid, just wider than 2*eps.
+    Settles the acyclic tail first (`settle_tail`), then runs the full
+    loop: EC pass (unless ec_handling is off), action choice, decision
+    values, batch sweep with delays, global bound update, termination
+    test. On the iteration cap the result comes back with converged=False;
+    its bounds are still valid, just wider than 2*eps.
 
     `frozen` pins the given states to fixed values (their reach entry),
     excluding them from the undecided pool; the topological driver uses
@@ -321,22 +336,11 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     part = partition_states(game)
     n = game.n_states
     reach = start_vector(game, eps, part, frozen)
+    last_choice = settle_tail(game, part, reach)
     stay = [1.0 if s in part.unknown else 0.0 for s in range(n)]
     rs = ReachStayVector(reach, stay, 0)
     bounds = GlobalBounds(0.0, 1.0)
-    rows, index = float_rows(game), game.index
-
-    # supp[s]: bitset of the states that s's stay mass may currently rest
-    # on. Seeded with s itself (k=0 mass sits at home); resweeps follow the
-    # chosen action. Every state outside the undecided pool has supp 0, so
-    # the sweep can OR over all successors.
-    supp = [0] * n
-    for s in part.unknown:
-        supp[s] = 1 << s
-    retired_mask = 0   # retired or trapped states (the EC pass zeroes a trap's reach)
-
     prev: StrategySnapshot | None = None
-    last_choice: dict[int, str] = {}
     trace: list[TraceEntry] = []
     vectors: list[tuple[list[float], list[float]]] = []
 
@@ -344,10 +348,6 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     converged = check_termination(part, rs, bounds, eps, mode)
     while not converged and it < max_iters:
         B = handle_ecs(game, rs.reach, rs.stay, bounds.u, part) if ec_handling else None
-        if B is not None:
-            for t in B.removed_trap_states:
-                retired_mask |= 1 << t
-                supp[t] = 0
         snapshot = choose_actions(game, part, rs, bounds, B, prev)
         max_dv: list[float] = []
         min_dv: list[float] = []
@@ -360,36 +360,8 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
         last_choice.update(snapshot.choices)
         n_delayed = sum(1 for v in snapshot.choices.values() if v == DELAY)
         updates = len(part.unknown) - n_delayed
-        # batch support sweep: mass moves to where the chosen action sends
-        # it, restricted to states still undecided at sweep time; a delayed
-        # state keeps its support
-        new_supp = list(supp)
-        for s in part.unknown:
-            label = snapshot.choices[s]
-            if label != DELAY:
-                acc = 0
-                for t, _ in rows[s][index[s][label]]:
-                    acc |= supp[t]
-                new_supp[s] = acc
-        supp = new_supp
-        # states with stay exactly 0 are decided; drop them from the pool
-        just_retired = [s for s in part.unknown if rs.stay[s] == 0.0]
-        for s in just_retired:
-            part.unknown.discard(s)
-            retired_mask |= 1 << s
-            supp[s] = 0
-        pinned = {rs.reach[s] for s in just_retired}
-        live = 0
-        for s in part.unknown:
-            live |= supp[s]
-        resting = live & retired_mask
-        while resting:
-            low = resting & -resting
-            pinned.add(rs.reach[low.bit_length() - 1])
-            resting ^= low
         new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, any_delay,
-                                          use_decision_values=use_decision_values,
-                                          pinned=sorted(pinned))
+                                          use_decision_values=use_decision_values)
         it += 1
         max_gap = max((rs.stay[s] * (new_bounds.u - new_bounds.l) for s in part.unknown),
                       default=0.0)

@@ -36,6 +36,18 @@ action 1 loop
 1 1
 """
 
+# probabilities summing to 1 + 1e-10, which the parser divides out
+NEAR_ONE = """\
+ssg 1
+states 2
+target 1
+action 0 a
+0 1
+1 0.0000000001
+action 1 loop
+1 1
+"""
+
 
 @pytest.fixture
 def loop_file(tmp_path):
@@ -222,6 +234,22 @@ def test_oracle_too_large(tmp_path, capsys):
     big.write_text(serialize_model(generate_random(GenParams(n_states=13, seed=1))))
     assert main(["oracle", str(big)]) == EXIT_TOO_LARGE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("oracle", "state 0: 1/1 (1)"),
+    ("solve", "state 0: value=1.000000 in [1.000000, 1.000000]"),
+], ids=["oracle", "solve"])
+def test_near_one_sum_model_solves(tmp_path, command, expected):
+    # unnormalised, the oracle died on a singular system and svi never stopped
+    model = tmp_path / "near_one.ssg"
+    model.write_text(NEAR_ONE)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ssgsolve.cli import main; sys.exit(main())",
+         command, str(model)],
+        capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert expected in proc.stdout
 
 
 def test_compare_csv(loop_file, tmp_path, capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 from ssgsolve.fuzz import check_model, run_fuzz, shrink
 from ssgsolve.model import GenParams, generate_random, parse_model
 from ssgsolve.presets import slow_loop, two_route_choice
+from ssgsolve.svi import solve_svi
 
 from _util import exact_floats
 
@@ -33,6 +34,29 @@ action 4 loop
 4 1
 """
 
+# two_route_choice's Minimizer state beside a slow loop of value 1/2
+ROUTE_BESIDE_LOOP = """\
+ssg 1
+states 4
+minplayer 0
+target 1
+action 0 alpha
+0 2/5
+1 2/5
+2 1/5
+action 0 beta
+1 1/2
+2 1/2
+action 1 loop
+1 1
+action 2 loop
+2 1
+action 3 go
+3 49/50
+1 1/100
+2 1/100
+"""
+
 
 def test_clean_stream_has_no_failures():
     rep = run_fuzz(30, 7)
@@ -57,15 +81,15 @@ def test_check_model_flags_wrong_expectation():
 
 
 def test_capped_solve_gets_its_bracket_checked():
-    # ssgsolve gen --states 8 --seed 130 --max-actions 3 --branching 3
-    #   --target-fraction 0.1 --ec-bias 0.5: after three sweeps svi's upper
-    # bound at state 4 is below the exact 15/56
-    g = generate_random(GenParams(n_states=8, seed=130, max_actions_per_state=3,
-                                  max_branching=3, target_fraction=0.1, ec_bias=0.5))
+    # one sweep of the weakened solver lifts state 0's lower bound to 0.6,
+    # above its value 1/2, and stops far short of closing the slow loop 3
+    g = parse_model(ROUTE_BESIDE_LOOP)
     want = exact_floats(g)
-    reason = check_model(g, "svi", 1e-6, want, overrides={"svi": {"max_iters": 3}})
-    assert reason is not None and reason.startswith("final upper")
-    assert reason.endswith("at state 4")
+    capped = {"svi": {**MUTANT["svi"], "max_iters": 1}}
+    assert not solve_svi(g, **capped["svi"]).converged
+    reason = check_model(g, "svi", 1e-6, want, overrides=capped)
+    assert reason is not None and reason.startswith("final lower")
+    assert reason.endswith("at state 0")
     # a sound capped solve is still only a stall
     assert check_model(g, "bvi", 1e-6, want, overrides={"bvi": {"max_iters": 3}}) \
         == "did not converge"

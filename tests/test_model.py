@@ -99,6 +99,14 @@ def test_parse_probability_sum_mismatch():
     assert exc.value.total == Fraction(9, 10)
 
 
+def test_parse_divides_a_near_one_sum_out():
+    text = "ssg 1\nstates 2\ntarget 1\naction 0 a\n  0 1\n  1 0.0000000001\n"
+    (act,) = parse_model(text).actions[0]
+    total = 1 + Fraction(1, 10**10)
+    assert act.transitions == ((0, 1 / total), (1, Fraction(1, 10**10) / total))
+    assert sum(p for _, p in act.transitions) == 1
+
+
 def test_parse_probability_out_of_range():
     with pytest.raises(BadProbability):
         parse_model("ssg 1\nstates 2\ntarget 1\naction 0 a\n  0 -0.5\n  1 1.5\n")

@@ -153,8 +153,9 @@ def _random_chain(rng, sticky=0.0):
     """A one-action chain whose rows mix denominators 7, 11 and 13.
 
     With probability `sticky` a row is instead a certain self-loop plus
-    1e-10 towards another state: a sum of 1 + 1e-10, inside the parser's
-    tolerance, that leaves a zero on the diagonal of the chain's system.
+    1e-10 towards another state: a sum of 1 + 1e-10, inside the tolerance
+    of `StochasticGame.validate`, that leaves a zero on the diagonal of the
+    chain's system.
     """
     n = rng.randint(2 if sticky else 1, 9)
     targets = frozenset(rng.sample(range(n), rng.randint(1 if sticky else 0, min(2, n))))

@@ -35,11 +35,15 @@ from ssgsolve.svi import (
     check_termination,
     choose_actions,
     decision_value,
+    settle_tail,
     solve_svi,
+    start_vector,
     update_global_bounds,
 )
 from ssgsolve.topo import solve_topological
 from ssgsolve.baselines import solve_bvi
+from ssgsolve.fuzz import SLACK
+from ssgsolve.oracle import exact_value
 
 from _util import REGRESSION_MODELS, exact_floats, max_err
 
@@ -66,6 +70,59 @@ def k0_state(game):
 
 
 # ---------------------------------------------------------------- operations
+
+
+# 0: Maximizer, x -> 1 (value 1/2) ties with y (1/2) and beats z (0).
+# 1: Minimizer, a (3/4) against b (1/2). 2: Maximizer over the frozen
+# state 5 and the sink. 3 loops on itself, 4 leads into 3. 6 is the sink.
+TAIL = """\
+ssg 1
+states 8
+minplayer 1
+target 7
+action 0 x
+  1 1
+action 0 y
+  7 1/2
+  6 1/2
+action 0 z
+  6 1
+action 1 a
+  7 3/4
+  6 1/4
+action 1 b
+  7 1/2
+  6 1/2
+action 2 a
+  5 1
+action 2 b
+  6 1
+action 3 a
+  3 1/2
+  7 1/2
+action 4 a
+  3 1
+action 5 a
+  7 1
+"""
+
+
+def test_settle_tail_decides_the_acyclic_tail_successors_first():
+    g = normalize(parse_model(TAIL))
+    part = partition_states(g)
+    vec = start_vector(g, 1e-6, part, {5: 0.3})
+    settled = settle_tail(g, part, vec)
+    # the lowest index wins the tie at 0; the Minimizer takes its minimum
+    assert settled == {0: "x", 1: "b", 2: "a"}
+    assert vec[:3] == [0.5, 0.5, 0.3]
+    # a self-loop and a successor on it keep 3 and 4 undecided
+    assert part.unknown == {3, 4}
+    assert vec[3] == vec[4] == 0.0
+
+    r = solve_svi(g, frozen={5: 0.3})
+    assert r.converged
+    assert r.lower[:3] == r.upper[:3] == [0.5, 0.5, 0.3]
+    assert all(r.strategy[s] == settled[s] for s in settled)
 
 
 def test_choose_actions_minimizer_picks_cheaper_route():
@@ -184,60 +241,6 @@ def test_update_global_bounds_gate_on_delay():
     assert (held.l, held.u) == (0.0, 1.0)
 
 
-def test_update_global_bounds_folds_pinned_values():
-    part, rs = k0_state(slow_loop())
-    rs = ReachStayVector([0.01, 1.0, 0.0], [0.98, 0.0, 0.0], 1)
-    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [], False,
-                                  pinned=[0.9])
-    assert bounds.u == 0.9
-    assert bounds.l == pytest.approx(0.5)
-
-
-# State 2 reaches the target in one step and retires after the first sweep.
-# Stay mass of 4, 5 and 6 rests on it one, two and three steps down the
-# chain 6 -> 5 -> 4 -> 2; their other half goes to the leaky loop 3 (value
-# 1/2), which keeps them undecided.
-WASHING_CHAIN = """\
-ssg 1
-states 7
-target 0
-action 2 a
-  0 1
-action 3 a
-  3 1/2
-  1 1/4
-  0 1/4
-action 4 a
-  2 1/2
-  3 1/2
-action 5 a
-  4 1/2
-  3 1/2
-action 6 a
-  5 1/2
-  3 1/2
-"""
-
-
-def test_retired_value_pinned_until_its_support_washes_out(monkeypatch):
-    import ssgsolve.svi as svi
-
-    pinned = []
-    fold = svi.update_global_bounds
-
-    def capture(*args, **kwargs):
-        pinned.append(list(kwargs["pinned"]))
-        return fold(*args, **kwargs)
-
-    monkeypatch.setattr(svi, "update_global_bounds", capture)
-    r = solve_svi(normalize(parse_model(WASHING_CHAIN)))
-    assert r.converged and r.iterations > 4
-    # retired at sweep 1, then held by the supports of 5 (sweep 2) and 6 (sweep 3)
-    assert pinned[:3] == [[1.0]] * 3
-    assert not any(pinned[3:])
-    assert r.global_upper < 1.0
-
-
 def test_check_termination_vacuous_and_strict():
     part, rs = k0_state(slow_loop())
     part.unknown.clear()
@@ -286,7 +289,7 @@ def test_route_choice_trace():
     assert t1.d_l == 0.25
     assert t2.d_l == 0.25
     assert (t2.l, t2.u) == (0.25, 0.5)
-    # the state retires with its exact value
+    # the interval closes on the exact value
     assert r.value == [0.5, 1.0, 0.0]
     assert r.lower[0] == r.upper[0] == 0.5
     assert r.strategy[0] == "beta"
@@ -370,9 +373,12 @@ def test_upper_vectors_monotone_for_maximizer_states():
 
 def test_upper_vectors_can_rise_at_minimizer_states():
     # a Minimizer switching to a slower action may lift its upper estimate;
-    # this is why the monotonicity guarantee is Maximizer-only
-    g = shifting_preference()
+    # this is why the monotonicity guarantee is Maximizer-only. Here the
+    # Minimizer state 4 rises at sweeps 4, 6, 8, 10 and 12.
+    g = generate_random(GenParams(n_states=6, max_actions_per_state=2, max_branching=2,
+                                  ec_bias=0.3, seed=13))
     r = solve_svi(g, record_vectors=True)
+    assert r.converged
     uppers = [hi for _, hi in r.vectors]
     rises = [
         (k, s)
@@ -413,9 +419,12 @@ def test_relative_mode():
 
 
 def test_frozen_pins_downstream_values():
+    # every successor of state 0 is frozen, so the tail pass settles it at
+    # min(0.5, 1.0) before the first sweep and no sweep is left to run
     r = solve_svi(loop_with_bypass(), frozen={1: 0.5, 2: 1.0})
-    assert r.converged and r.iterations == 1
+    assert r.converged and r.iterations == 0
     assert r.value[0] == 0.5
+    assert r.strategy == {0: "a"}
     assert r.lower[1] == r.upper[1] == 0.5
 
 
@@ -492,17 +501,28 @@ def test_svi_detects_traps_once_per_unknown_set(monkeypatch):
     assert len(calls) == len(set(calls)) < r.iterations
 
 
-@pytest.mark.xfail(strict=True, reason="svi retirement is unsound, ROADMAP open item 2: "
-                                        "upper bound 0.26785696 at state 4, below 15/56")
 def test_retirement_keeps_value_inside_bracket():
     # ssgsolve gen --states 8 --seed 130 --max-actions 3 --branching 3
     #   --target-fraction 0.1 --ec-bias 0.5
-    # State 3 (value 5/7) retires after sweep 1. The pinned fold covers it
-    # only while it is in the support of a chosen action, not while state
-    # 4's decision value still compares against the alternative leading to it.
+    # When states whose stay hit 0 were retired from the pool, state 3
+    # (value 5/7) retired after sweep 1 and state 4's upper bound ended at
+    # 0.26785696, 1.8e-7 below the exact 15/56.
     g = generate_random(GenParams(n_states=8, seed=130, max_actions_per_state=3,
                                   max_branching=3, target_fraction=0.1, ec_bias=0.5))
     exact = Fraction(15, 56)
     r = solve_svi(g, max_iters=2000)
     assert r.converged
     assert r.lower[4] <= exact <= r.upper[4]
+
+
+def test_census_slice_brackets_contain_the_value():
+    # a slice of the census: 120 oracle-sized games, capped solves included
+    for n in (8, 10):
+        for seed in range(120, 140):
+            for tf, eb in ((0.1, 0.0), (0.1, 0.5), (0.05, 1.0)):
+                g = generate_random(GenParams(n_states=n, seed=seed, max_actions_per_state=3,
+                                              max_branching=3, target_fraction=tf, ec_bias=eb))
+                want = [float(v) for v in exact_value(g).values]
+                r = solve_svi(g, max_iters=500)
+                for s, v in enumerate(want):
+                    assert r.lower[s] <= v + SLACK and r.upper[s] >= v - SLACK, (n, seed, eb, s)
