@@ -11,7 +11,7 @@ a time; `exact_value` is a brute-force rational oracle for small models.
 
 from .baselines import deflate, solve_bvi, solve_vi
 from .fuzz import Counterexample, FuzzReport, run_fuzz
-from .graph import BestExitSet, Mec, best_exits, mec_decompose, scc_decompose
+from .graph import Mec, best_exits, mec_decompose, scc_decompose
 from .model import (
     MAX,
     MIN,
@@ -39,7 +39,6 @@ __all__ = [
     "MAX",
     "MIN",
     "Action",
-    "BestExitSet",
     "Counterexample",
     "DELAY",
     "ExactResult",

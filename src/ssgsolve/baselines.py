@@ -9,7 +9,9 @@ runs an upper sequence as well and stops on the actual interval width,
 which is sound only because the upper vector is deflated every sweep:
 inside an end component the operator alone admits spurious fixed points
 above the value, so each component is capped to its best Maximizer exit,
-recursively, traps to 0.
+recursively. Traps, the components without any Maximizer exit, have value
+0; they move to the sinks once, before the first sweep, so deflation
+never meets one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 from typing import Mapping, Sequence
 
 # mec_decompose is not called here, but perfbench/layers.py wraps it under this name
-from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
+from .graph import cached_mecs, exit_layers, mec_decompose, remove_traps  # noqa: F401
 from .model import MAX, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
 from .svi import float_rows, start_vector
@@ -102,12 +104,13 @@ def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float])
 
     For each maximal end component of the unknown states, walks the layers
     of `exit_layers` on a copy of U: caps every member of a layer to the
-    value of its best Maximizer exit, or to 0 for a trap (no Maximizer
-    exit). The layers are ranked lazily on that same copy, so each
-    sub-component is ranked on the vector its parent has already capped;
-    ranking them all on the uncapped U would pick different exits.
-    Returns the new vector; the partition's sets are not modified.
-    Requires U >= V pointwise, which the capping preserves.
+    value of its best Maximizer exit. The pool has no trap (`solve_bvi`
+    removes them first); a layer without exit, which only a trap left in
+    the pool yields, is capped to 0. The layers are ranked lazily on that
+    same copy, so each sub-component is ranked on the vector its parent
+    has already capped; ranking them all on the uncapped U would pick
+    different exits. Returns the new vector; the partition's sets are not
+    modified. Requires U >= V pointwise, which the capping preserves.
 
     The MEC decompositions, of the unknown set and of the peeled
     remainders, come from `partition.ec_memo`: across the sweeps of one
@@ -130,14 +133,16 @@ def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_0
               record_vectors: bool = False) -> SolveResult:
     """Bounded value iteration: L from below, deflated U from above.
 
-    Stops when the largest per-state interval U-L drops below eps; the
-    value is the midpoint. `frozen` pins states to exact values and drops
-    them from the sweeps (used by the topological driver).
+    Moves the traps to the sinks first (`graph.remove_traps`). Stops when
+    the largest per-state interval U-L drops below eps; the value is the
+    midpoint. `frozen` pins states to exact values and drops them from
+    the sweeps (used by the topological driver).
     """
     t0 = time.perf_counter()
     part = partition_states(game)
     n = game.n_states
     L = start_vector(game, eps, part, frozen)
+    remove_traps(game, part)
     U = [1.0 if s in part.unknown else L[s] for s in range(n)]
     float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []

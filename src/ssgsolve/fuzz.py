@@ -20,7 +20,7 @@ from .baselines import solve_bvi
 from .model import Action, GenParams, StochasticGame, generate_random, serialize_model
 from .oracle import TooLarge, exact_value
 from .results import SolveResult
-from .svi import DELAY, solve_svi
+from .svi import solve_svi
 from .topo import solve_topological
 
 SLACK = 1e-9
@@ -101,7 +101,7 @@ def check_model(game: StochasticGame, algo: str, eps: float,
     if not res.converged:
         return "did not converge"
     for s, label in res.strategy.items():
-        if label != DELAY and label not in game.action_labels(s):
+        if label not in game.action_labels(s):
             return f"strategy names unknown action {label!r} at state {s}"
     return None
 

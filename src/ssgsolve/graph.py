@@ -1,10 +1,13 @@
-"""Graph analysis: SCCs, maximal end components, and best-exit sets.
+"""Graph analysis: SCCs, maximal end components, traps and best-exit sets.
 
 An end component is a set of states T plus a set of retained actions such
 that every retained action stays inside T and T is strongly connected
 through them. Play can remain inside an end component forever, which is
-what breaks naive upper-bound iteration; the routines here find the
-components and the Maximizer actions that leave them best.
+what breaks naive upper-bound iteration. The sound solvers treat end
+components in two steps: `remove_traps` moves the states the Minimizer can
+confine play to (value 0) to the sinks once, before the first sweep; every
+end component left in the pool then has a Maximizer exit, and the routines
+here find the components and the Maximizer actions that leave them best.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .model import MAX, EcMemo, StatePartition, StochasticGame
+from .model import MAX, StatePartition, StochasticGame
 
 TIE_TOL = 1e-12
 
@@ -23,19 +26,6 @@ class Mec:
 
     states: frozenset[int]
     stay_actions: dict[int, tuple[str, ...]] = field(hash=False, compare=False, default_factory=dict)
-
-
-@dataclass
-class BestExitSet:
-    """Exit pairs collected over all end components, plus detected traps.
-
-    pairs holds (state, action label) Maximizer exits; removed_trap_states
-    are states of components without any Maximizer exit, out of which play
-    can never be forced and which therefore have value 0.
-    """
-
-    pairs: set[tuple[int, str]] = field(default_factory=set)
-    removed_trap_states: set[int] = field(default_factory=set)
 
 
 def scc_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -> list[list[int]]:
@@ -150,15 +140,16 @@ def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
     return result
 
 
-def cached_mecs(game: StochasticGame, states: set[int] | frozenset[int], memo: EcMemo) -> list[Mec]:
+def cached_mecs(game: StochasticGame, states: set[int] | frozenset[int],
+                memo: dict[frozenset[int], list[Mec]]) -> list[Mec]:
     """`mec_decompose(game, states)`, computed once per distinct set in the memo.
 
     The result is shared with later callers, who must not mutate it.
     """
     key = frozenset(states)
-    mecs = memo.mecs.get(key)
+    mecs = memo.get(key)
     if mecs is None:
-        mecs = memo.mecs[key] = mec_decompose(game, states)
+        mecs = memo[key] = mec_decompose(game, states)
     return mecs
 
 
@@ -199,6 +190,20 @@ def trap_states(game: StochasticGame, region: Iterable[int]) -> set[int]:
     return W
 
 
+def remove_traps(game: StochasticGame, partition: StatePartition) -> set[int]:
+    """Move the greatest trap of the unknown states to the sinks; return it.
+
+    The sound solvers call this once, before their first sweep. Their pool
+    never changes afterwards, so it stays free of traps: every end
+    component of it, and of every set peeled from one, has a Maximizer
+    exit (one without would be a trap, and the greatest trap is gone).
+    """
+    trapped = trap_states(game, partition.unknown)
+    partition.sinks |= trapped
+    partition.unknown -= trapped
+    return trapped
+
+
 def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
                f: Sequence[float]) -> set[tuple[int, str]]:
     """Maximizer exits of the component with the best one-step value.
@@ -227,13 +232,15 @@ def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
 
 
 def exit_layers(game: StochasticGame, component: frozenset[int] | set[int], f: Sequence[float],
-                memo: EcMemo) -> Iterator[tuple[frozenset[int] | set[int], set[tuple[int, str]]]]:
+                memo: dict[frozenset[int], list[Mec]],
+                ) -> Iterator[tuple[frozenset[int] | set[int], set[tuple[int, str]]]]:
     """Peel best exits off a component, layer by layer, depth first.
 
     Yields (component, best_exits(game, component, f)), then the same for
     every maximal end component of the component minus its exit states,
     and so on down. An empty exit set marks a trap (no Maximizer exit) and
-    ends that branch. Each component is ranked only when it is about to be
+    ends that branch; on a pool that `remove_traps` has cleared no layer
+    is empty. Each component is ranked only when it is about to be
     yielded, after the consumer has handled everything yielded before it,
     so a consumer that writes into f (as `deflate` caps its upper vector)
     has each sub-component ranked on the values its parent already set.
@@ -250,59 +257,29 @@ def exit_layers(game: StochasticGame, component: frozenset[int] | set[int], f: S
             work.extend(mec.states for mec in reversed(cached_mecs(game, remainder, memo)))
 
 
-def _move_to_sinks(states: Iterable[int], partition: StatePartition, acc: BestExitSet) -> None:
-    """Record states of value 0 as trapped and move them to the sinks."""
-    trapped = set(states)
-    acc.removed_trap_states |= trapped
-    partition.sinks |= trapped
-    partition.unknown -= trapped
-
-
 def best_exit_set(game: StochasticGame, f: Sequence[float], component: frozenset[int] | set[int],
-                  partition: StatePartition, acc: BestExitSet) -> None:
-    """Collect the best exits of a component and of its peeled sub-components.
-
-    Adds the exit pairs of every layer of `exit_layers` to acc.pairs. A
-    layer without any Maximizer exit is a trap: the Minimizer can keep
-    play inside forever, so its states are moved to the sinks side of the
-    partition and recorded in acc.removed_trap_states.
-    """
-    for comp, exits in exit_layers(game, component, f, partition.ec_memo):
-        if exits:
-            acc.pairs |= exits
-        else:
-            _move_to_sinks(comp, partition, acc)
+                  memo: dict[frozenset[int], list[Mec]], acc: set[tuple[int, str]]) -> None:
+    """Add the exits of every layer of `exit_layers` on the component to acc."""
+    for _, exits in exit_layers(game, component, f, memo):
+        acc |= exits
 
 
 def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: float,
-               partition: StatePartition) -> BestExitSet:
+               partition: StatePartition) -> set[tuple[int, str]]:
     """Per-iteration end-component pass over the unknown states.
 
-    Trap detection runs first: states the Minimizer can confine play around
-    move to the sinks and count as value 0 before any exit is ranked, so a
-    ranking never credits an exit leading into a trap. Then exits are
-    evaluated against f = reach + stay*u and the layered best exits of
-    every maximal end component among the remaining unknowns are collected.
-    The reach/stay entries of every trapped state are zeroed for good.
+    Evaluates exits against f = reach + stay*u and returns the layered best
+    exits, as (state, action label) pairs, of every maximal end component
+    of the unknown states. The pool holds no trap (`remove_traps` ran
+    before the first sweep), so every component has an exit to rank.
+    Nothing is written into the partition or the vectors.
 
     Only the ranking depends on f. The MEC decompositions, of the unknown
     set and of every peeled remainder, are kept in `partition.ec_memo`
-    across calls. Trap detection reruns, and the memo is emptied, only when
-    partition.unknown differs from the set the previous call left behind;
-    an unchanged set has no traps left, since the previous call removed
-    the largest trap inside it.
+    across calls.
     """
-    acc = BestExitSet()
-    memo = partition.ec_memo
-    if partition.unknown != memo.unknown:
-        memo.mecs.clear()
-        _move_to_sinks(trap_states(game, partition.unknown), partition, acc)
-    f = [0.0 if s in acc.removed_trap_states else reach[s] + stay[s] * u
-         for s in range(game.n_states)]
-    for mec in cached_mecs(game, partition.unknown, memo):
-        best_exit_set(game, f, mec.states, partition, acc)
-    for s in acc.removed_trap_states:
-        reach[s] = 0.0
-        stay[s] = 0.0
-    memo.unknown = frozenset(partition.unknown)
-    return acc
+    f = [r + st * u for r, st in zip(reach, stay)]
+    pairs: set[tuple[int, str]] = set()
+    for mec in cached_mecs(game, partition.unknown, partition.ec_memo):
+        best_exit_set(game, f, mec.states, partition.ec_memo, pairs)
+    return pairs

@@ -239,35 +239,21 @@ class StochasticGame:
 
 
 @dataclass
-class EcMemo:
-    """End-component analysis kept across the passes of one solve.
-
-    mecs maps a state set to its `graph.mec_decompose` result, a pure
-    function of the game and the set. unknown is the unknown set as the
-    last `graph.handle_ecs` pass left it (None before the first pass);
-    that pass clears mecs and reruns trap detection only when the unknown
-    set has changed since.
-    """
-
-    unknown: frozenset[int] | None = None
-    mecs: dict[frozenset[int], list[Mec]] = field(default_factory=dict)
-
-
-@dataclass
 class StatePartition:
     """The classic three-way split used by every solver.
 
     targets: the goal states (value 1); sinks: states with no path to a
     target under any resolution of choices (value 0); unknown: the rest.
-    Solvers own their copy; EC analysis may move unknown states to sinks.
-    ec_memo belongs to the copy's solve: eq and repr ignore it, and
-    `copy` starts an empty one.
+    Solvers own their copy; `graph.remove_traps` may move unknown states to
+    sinks. ec_memo maps a state set to its `graph.mec_decompose` result, a
+    pure function of the game and the set, kept across the passes of the
+    copy's solve: eq and repr ignore it, and `copy` starts an empty one.
     """
 
     targets: set[int]
     sinks: set[int]
     unknown: set[int]
-    ec_memo: EcMemo = field(default_factory=EcMemo, compare=False, repr=False)
+    ec_memo: dict[frozenset[int], list[Mec]] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "StatePartition":
         return StatePartition(set(self.targets), set(self.sinks), set(self.unknown))

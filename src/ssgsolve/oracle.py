@@ -41,9 +41,10 @@ class ExactResult:
 
 
 def _single_actions(game: StochasticGame) -> None:
-    bad = [s for s in range(game.n_states) if len(game.actions[s]) != 1]
+    bad = [f"{s} has {len(game.actions[s])}" for s in range(game.n_states)
+           if len(game.actions[s]) != 1]
     if bad:
-        raise ValueError(f"expected one action per state, got several at {bad}")
+        raise ValueError(f"expected one action per state, but state {', state '.join(bad)}")
 
 
 #: One chain row in integers: (d, ((successor, num), ...)), probabilities num/d.
@@ -180,7 +181,8 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     response to the outer one).
 
     Raises TooLarge beyond max_states states or max_pairs strategy pairs,
-    before any row is scaled or chain solved.
+    before any row is scaled or chain solved, and then ValueError on a game
+    that is not normalized, as the solvers do.
     """
     if order not in ("maxmin", "minmax"):
         raise ValueError("order must be 'maxmin' or 'minmax'")
@@ -198,6 +200,8 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     pairs = profile_count(max_sites) * profile_count(min_sites)
     if n > max_states or pairs > max_pairs:
         raise TooLarge(n, pairs)
+    if not game.is_normalized():
+        raise ValueError("game must be normalized first (see normalize())")
 
     targets = set(game.targets)
     rows = _int_rows(game)

@@ -40,10 +40,10 @@ class SolveResult:
     lower[s] <= V(s) <= upper[s] up to float noise and value is the
     midpoint. `sound` is False for classic value iteration, whose stopping
     rule does not certify the distance to the true value. `strategy` maps
-    originally-unknown states to the final chosen action label (or the
-    delay marker); states discovered to be traps are omitted. global_lower
-    and global_upper bound every unknown state at once where the algorithm
-    maintains such scalars; they stay at the vacuous 0 and 1 otherwise.
+    originally-unknown states to the final chosen action label; states
+    discovered to be traps are omitted. global_lower and global_upper
+    bound every unknown state at once where the algorithm maintains such
+    scalars; they stay at the vacuous 0 and 1 otherwise.
     `vectors` optionally keeps one (lower, upper) per-state snapshot per
     iteration for iteration-wise soundness checks.
     """

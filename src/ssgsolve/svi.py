@@ -10,15 +10,17 @@ would invalidate the very action choices the vectors were computed with,
 so each bound move is capped by the decision values - the bound levels at
 which some state would switch its preferred action.
 
-End components need two extra devices. Their members are herded toward the
-current best exits of each component (recomputed every iteration), traps
-without any Maximizer exit are moved to the sinks, and a Maximizer state
-inside an end component whose fresh estimate would overshoot its previous
-upper estimate is delayed: it keeps its old vector entries for one round.
-States outside every end component are never delayed. Iterations with a
-delay skip the global bound update.
+End components need three extra devices. Traps, out of which the
+Maximizer cannot force play, are moved to the sinks once, before the
+first sweep (`graph.remove_traps`). The members of the other components
+are herded toward the current best exits of each component (recomputed
+every iteration), and a Maximizer state inside an end component whose
+fresh estimate would overshoot its previous upper estimate is delayed: it
+keeps its old vector entries for one round. States outside every end
+component are never delayed. Iterations with a delay skip the global
+bound update.
 
-Before the first sweep the acyclic tail of the undecided pool is settled:
+Before the traps go, the acyclic tail of the undecided pool is settled:
 a state that lies on no cycle and whose successors are all decided gets
 its exact one-step value, and from then on counts as decided, like a
 frozen state (Azeem et al., "Optimistic and topological value iteration
@@ -34,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import TIE_TOL, BestExitSet, cached_mecs, handle_ecs, scc_decompose
+from .graph import TIE_TOL, cached_mecs, handle_ecs, remove_traps, scc_decompose
 from .model import MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
 
@@ -140,20 +142,21 @@ def _estimate(row: Sequence[tuple[int, float]], reach: list[float], stay: list[f
 
 
 def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
-                   bounds: GlobalBounds, B: BestExitSet | None,
+                   bounds: GlobalBounds, B: set[tuple[int, str]] | None,
                    prev: StrategySnapshot | None) -> StrategySnapshot:
     """Pick each undecided state's action for the next sweep.
 
     Minimizer states take the argmin of the one-step estimate under l,
     Maximizer states the argmax under u - except that states holding a
-    best exit in B are forced into it. Ties keep the previous choice when
-    it is still in the argopt band, otherwise the lowest action index
-    wins, so runs are reproducible.
+    best exit in B (the pairs of `handle_ecs`; None when EC handling is
+    off) are forced into it. Ties keep the previous choice when it is
+    still in the argopt band, otherwise the lowest action index wins, so
+    runs are reproducible.
     """
     rows, index = game.rows, game.index
     forced_at: dict[int, list[int]] = {}
     if B is not None:
-        for s, a in B.pairs:
+        for s, a in B:
             forced_at.setdefault(s, []).append(index[s][a])
     choices: dict[int, str] = {}
     bexit_states: set[int] = set()
@@ -318,11 +321,12 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
               record_vectors: bool = False) -> SolveResult:
     """Solve a normalized game to certified per-state precision eps.
 
-    Settles the acyclic tail first (`settle_tail`), then runs the full
-    loop: EC pass (unless ec_handling is off), action choice, decision
-    values, batch sweep with delays, global bound update, termination
-    test. On the iteration cap the result comes back with converged=False;
-    its bounds are still valid, just wider than 2*eps.
+    Settles the acyclic tail first (`settle_tail`) and, unless ec_handling
+    is off, moves the traps to the sinks (`graph.remove_traps`). Then runs
+    the full loop: EC pass (unless ec_handling is off), action choice,
+    decision values, batch sweep with delays, global bound update,
+    termination test. On the iteration cap the result comes back with
+    converged=False; its bounds are still valid, just wider than 2*eps.
 
     `frozen` pins the given states to fixed values (their reach entry),
     excluding them from the undecided pool; the topological driver uses
@@ -337,6 +341,8 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     n = game.n_states
     reach = start_vector(game, eps, part, frozen)
     last_choice = settle_tail(game, part, reach)
+    if ec_handling:
+        remove_traps(game, part)
     stay = [1.0 if s in part.unknown else 0.0 for s in range(n)]
     rs = ReachStayVector(reach, stay, 0)
     bounds = GlobalBounds(0.0, 1.0)
@@ -349,6 +355,7 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     while not converged and it < max_iters:
         B = handle_ecs(game, rs.reach, rs.stay, bounds.u, part) if ec_handling else None
         snapshot = choose_actions(game, part, rs, bounds, B, prev)
+        last_choice.update(snapshot.choices)
         max_dv: list[float] = []
         min_dv: list[float] = []
         for s in part.unknown:
@@ -357,7 +364,6 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
                 if dv is not None:
                     (max_dv if game.owner[s] == MAX else min_dv).append(dv)
         rs, snapshot, any_delay = bellman_update(game, part, rs, snapshot, bounds)
-        last_choice.update(snapshot.choices)
         n_delayed = sum(1 for v in snapshot.choices.values() if v == DELAY)
         updates = len(part.unknown) - n_delayed
         new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, any_delay,

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ssgsolve.baselines import UNSOUND_NOTE, deflate, solve_bvi, solve_vi
-from ssgsolve.graph import mec_decompose
+from ssgsolve.graph import mec_decompose, remove_traps
 from ssgsolve.model import (
     GenParams,
     StatePartition,
@@ -169,7 +169,7 @@ def test_bvi_iteration_counts_frozen():
         one_way_out: 2,
         loop_with_bypass: 685,
         two_route_choice: 2,
-        minimizer_trap: 1,
+        minimizer_trap: 0,
         nested_rings: 4,
         shifting_preference: 39,
     }
@@ -240,7 +240,7 @@ def test_deflate_warm_memo_matches_cold(ec_bias):
         for step in range(8):
             U = [0.0 if s in part.sinks else rng.random() for s in range(g.n_states)]
             assert deflate(g, part, U) == deflate(g, part.copy(), U)
-            remainders += sum(len(k) < len(part.unknown) for k in part.ec_memo.mecs)
+            remainders += sum(len(k) < len(part.unknown) for k in part.ec_memo)
             if step % 3 == 2:
                 for s in rng.sample(sorted(part.unknown), min(2, len(part.unknown))):
                     part.unknown.discard(s)
@@ -252,8 +252,11 @@ def test_bvi_decomposes_the_unknown_set_once(monkeypatch):
 
     g = normalize(generate_random(GenParams(
         n_states=40, max_actions_per_state=3, max_branching=2, target_fraction=0.1,
-        ec_bias=0.5, seed=3)))
-    unknown = partition_states(g).unknown
+        ec_bias=0.5, seed=12)))
+    # the pool that solve_bvi sweeps: the unknown states less the traps
+    part = partition_states(g)
+    remove_traps(g, part)
+    unknown = part.unknown
     assert mec_decompose(g, unknown)
     calls = []
 

@@ -5,17 +5,20 @@ import random
 
 import pytest
 
+import ssgsolve.baselines as baselines
+import ssgsolve.graph as graph
 from ssgsolve.graph import (
-    BestExitSet,
     best_exit_set,
     best_exits,
     handle_ecs,
     mec_decompose,
+    remove_traps,
     scc_decompose,
     trap_states,
 )
 from ssgsolve.model import MAX, GenParams, generate_random, normalize, parse_model, partition_states
 from ssgsolve.presets import (
+    ALL_PRESETS,
     asymmetric_ring,
     exit_seesaw,
     loop_or_coin,
@@ -120,19 +123,18 @@ def test_best_exits_empty_without_maximizer_exit():
 def test_best_exit_set_peels_ring_layer_by_layer():
     g = asymmetric_ring()
     part = partition_states(g)
-    acc = BestExitSet()
-    best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2}), part, acc)
-    assert acc.pairs == {(2, "cash"), (1, "cash")}
-    assert acc.removed_trap_states == set()
+    acc = set()
+    best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2}), part.ec_memo, acc)
+    assert acc == {(2, "cash"), (1, "cash")}
 
 
 def test_best_exit_set_nested_rings_pessimistic_vector():
     # with nothing accumulated on the ring the cash-outs win layer by layer
     g = nested_rings()
     part = partition_states(g)
-    acc = BestExitSet()
-    best_exit_set(g, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part, acc)
-    assert acc.pairs == {(0, "cash"), (1, "cash"), (2, "cash")}
+    acc = set()
+    best_exit_set(g, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part.ec_memo, acc)
+    assert acc == {(0, "cash"), (1, "cash"), (2, "cash")}
 
 
 def test_best_exit_set_nested_rings_optimistic_vector():
@@ -140,56 +142,56 @@ def test_best_exit_set_nested_rings_optimistic_vector():
     # outrank the remaining cash-outs
     g = nested_rings()
     part = partition_states(g)
-    acc = BestExitSet()
-    best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part, acc)
-    assert acc.pairs == {(0, "cash"), (3, "ring")}
+    acc = set()
+    best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part.ec_memo, acc)
+    assert acc == {(0, "cash"), (3, "ring")}
 
 
-def test_best_exit_set_records_trap():
+def test_remove_traps_moves_trap_to_sinks():
     g = minimizer_trap()
     part = partition_states(g)
-    acc = BestExitSet()
-    best_exit_set(g, [0.0, 0.0, 1.0, 0.0], frozenset({0, 1}), part, acc)
-    assert acc.removed_trap_states == {0, 1}
+    assert remove_traps(g, part) == {0, 1}
     assert part.unknown == set()
     assert {0, 1} <= part.sinks
+    # a pool without traps stays as it is
+    part = partition_states(exit_seesaw())
+    before = part.copy()
+    assert remove_traps(exit_seesaw(), part) == set()
+    assert part == before
 
 
 def test_handle_ecs_forces_coin_state():
     g = loop_or_coin()
     part, reach, stay = k0_vectors(g)
-    B = handle_ecs(g, reach, stay, 1.0, part)
-    assert B.pairs == {(0, "b")}
-    assert B.removed_trap_states == set()
+    assert handle_ecs(g, reach, stay, 1.0, part) == {(0, "b")}
 
 
 def test_handle_ecs_no_components_no_pairs():
     g = slow_loop()
     part, reach, stay = k0_vectors(g)
-    B = handle_ecs(g, reach, stay, 1.0, part)
-    assert B.pairs == set()
-    assert B.removed_trap_states == set()
+    assert handle_ecs(g, reach, stay, 1.0, part) == set()
     assert part.unknown == {0}
 
 
-def test_handle_ecs_removes_trap_and_zeroes_rows():
-    g = minimizer_trap()
-    part, reach, stay = k0_vectors(g)
-    B = handle_ecs(g, reach, stay, 1.0, part)
-    assert B.removed_trap_states == {0, 1}
-    assert part.unknown == set()
-    assert {0, 1} <= part.sinks
-    assert reach[0] == reach[1] == 0.0
-    assert stay[0] == stay[1] == 0.0
+def test_handle_ecs_leaves_partition_and_vectors_alone():
+    # even with a trap left in the pool: the pass only ranks exits
+    for build in (minimizer_trap, loop_or_coin, nested_rings):
+        g = build()
+        part, reach, stay = k0_vectors(g)
+        before = (part.copy(), list(reach), list(stay))
+        handle_ecs(g, reach, stay, 1.0, part)
+        assert (part, reach, stay) == before
 
 
 def test_handle_ecs_trap_removed_before_ranking():
     # state 3 must not be steered into the worthless trap exit
+    # (the solvers build their vectors on the pool the trap left)
     g = parse_model(TRAP_FEED)
-    part, reach, stay = k0_vectors(g)
-    B = handle_ecs(g, reach, stay, 1.0, part)
-    assert B.removed_trap_states == {1, 2}
-    assert (3, "a0") not in B.pairs
+    part = partition_states(g)
+    assert remove_traps(g, part) == {1, 2}
+    reach = [1.0 if s in part.targets else 0.0 for s in range(g.n_states)]
+    stay = [1.0 if s in part.unknown else 0.0 for s in range(g.n_states)]
+    assert (3, "a0") not in handle_ecs(g, reach, stay, 1.0, part)
 
 
 def all_end_components(game, region):
@@ -258,6 +260,7 @@ def check_exit_cover(game):
     vals = exact_floats(game)
     reach = list(vals)
     stay = [0.0] * game.n_states
+    remove_traps(game, part)
     B = handle_ecs(game, reach, stay, 1.0, part)
     for T in ecs:
         if not has_max_exit(game, T):
@@ -265,11 +268,11 @@ def check_exit_cover(game):
         elif T <= part.unknown:
             exits = {
                 (s, a)
-                for (s, a) in B.pairs
+                for (s, a) in B
                 if s in T and any(t not in T for t, _ in game.action(s, a).transitions)
             }
             assert exits, f"no exit pair covers {sorted(T)}"
-    for s, a in B.pairs:
+    for s, a in B:
         est = sum(float(p) * vals[t] for t, p in game.action(s, a).transitions)
         assert est >= vals[s] - 1e-9
 
@@ -305,14 +308,48 @@ def test_mec_decomposition_matches_exhaustive_enumeration():
         check_mecs_are_maximal_ecs(generate_random(p))
 
 
+def test_no_exit_layer_is_empty_after_remove_traps(monkeypatch):
+    # Every end component of a trap-free pool, and of every set peeled off
+    # one, has a Maximizer exit, whatever vector ranks the exits: both the
+    # walk of handle_ecs and the walk of deflate (which ranks on the vector
+    # it is capping) see an exit in every layer.
+    layers = []
+    exit_layers = graph.exit_layers
+
+    def recorded(*args):
+        for comp, exits in exit_layers(*args):
+            layers.append((comp, exits))
+            yield comp, exits
+
+    monkeypatch.setattr(graph, "exit_layers", recorded)
+    monkeypatch.setattr(baselines, "exit_layers", recorded)
+    games = [build() for build in ALL_PRESETS.values()] + [
+        normalize(generate_random(GenParams(
+            n_states=12, max_actions_per_state=3, max_branching=2, target_fraction=0.1,
+            ec_bias=ec_bias, seed=seed)))
+        for ec_bias in (0.5, 1.0) for seed in range(20)]
+    trapped = 0
+    rng = random.Random(0)
+    for g in games:
+        part = partition_states(g)
+        trapped += len(remove_traps(g, part))
+        n = g.n_states
+        for _ in range(3):
+            reach = [rng.random() / 2 for _ in range(n)]
+            stay = [rng.random() / 2 for _ in range(n)]
+            handle_ecs(g, reach, stay, rng.random(), part)
+            baselines.deflate(g, part, [0.0 if s in part.sinks else rng.random() for s in range(n)])
+    assert trapped > 0 and len(layers) > 100
+    empty = [sorted(comp) for comp, exits in layers if not exits]
+    assert not empty
+
+
 @pytest.mark.parametrize("ec_bias", [0.5, 1.0])
 def test_handle_ecs_warm_memo_matches_cold_copies(ec_bias):
     # Passes over one partition, whose memo carries over, against the same
     # passes on fresh copies. Two passes see each unknown set, with different
-    # vectors; then a few states leave the pool. The last round puts the
-    # starting sets back: a memo still keyed to the shrunken set would skip
-    # trap detection there.
-    trapped = remainders = 0
+    # vectors; then a few states leave the pool.
+    remainders = 0
     for seed in range(12):
         g = normalize(generate_random(GenParams(
             n_states=24, max_actions_per_state=3, max_branching=2, target_fraction=0.1,
@@ -320,25 +357,15 @@ def test_handle_ecs_warm_memo_matches_cold_copies(ec_bias):
         rng = random.Random(seed)
         n = g.n_states
         warm = partition_states(g)
-        start = warm.copy()
+        remove_traps(g, warm)
         for step in range(6):
             for _ in range(2):
                 reach = [rng.random() / 2 for _ in range(n)]
                 stay = [rng.random() / 2 for _ in range(n)]
                 cold = warm.copy()
-                cold_reach, cold_stay = list(reach), list(stay)
-                B = handle_ecs(g, reach, stay, 0.9, warm)
-                want = handle_ecs(g, cold_reach, cold_stay, 0.9, cold)
-                assert (B.pairs, B.removed_trap_states) == (want.pairs, want.removed_trap_states)
-                assert warm == cold
-                assert (reach, stay) == (cold_reach, cold_stay)
-                trapped += len(B.removed_trap_states)
-                remainders += len(warm.ec_memo.mecs) - 1
-            if step == 4:
-                warm.targets, warm.sinks, warm.unknown = (
-                    set(start.targets), set(start.sinks), set(start.unknown))
-            else:
-                for s in rng.sample(sorted(warm.unknown), min(2, len(warm.unknown))):
-                    warm.unknown.discard(s)
-    # the games do exercise traps and peeled remainders
-    assert trapped > 0 and remainders > 0
+                assert handle_ecs(g, reach, stay, 0.9, warm) == handle_ecs(g, reach, stay, 0.9, cold)
+                remainders += len(warm.ec_memo) - 1
+            for s in rng.sample(sorted(warm.unknown), min(2, len(warm.unknown))):
+                warm.unknown.discard(s)
+    # the games do exercise peeled remainders
+    assert remainders > 0

@@ -11,7 +11,6 @@ from ssgsolve.model import (
     Action,
     BadProbability,
     DuplicateActionLabel,
-    EcMemo,
     GenParams,
     MalformedLine,
     MissingHeader,
@@ -194,10 +193,9 @@ def test_partition_states_hands_out_fresh_copies():
 
 def test_partition_memo_is_private_to_its_copy():
     part = partition_states(slow_loop())
-    part.ec_memo.unknown = frozenset(part.unknown)
-    part.ec_memo.mecs[frozenset({0})] = []
+    part.ec_memo[frozenset({0})] = []
     other = part.copy()
-    assert other.ec_memo == EcMemo()
+    assert other.ec_memo == {}
     assert other.ec_memo is not part.ec_memo
     # eq and repr ignore the memo
     assert part == other

@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 
 import ssgsolve.oracle as oracle
-from ssgsolve.model import MAX, Action, GenParams, StochasticGame, generate_random, partition_states
+from ssgsolve.model import (
+    MAX,
+    Action,
+    GenParams,
+    StochasticGame,
+    generate_random,
+    normalize,
+    parse_model,
+    partition_states,
+)
 from ssgsolve.oracle import (
     TooLarge,
     chain_reachability,
@@ -28,6 +37,18 @@ from ssgsolve.presets import (
 )
 
 F = Fraction
+
+# states 2 (a sink) and 3 (the target) have no action until normalize()
+ACTIONLESS = """\
+ssg 1
+states 4
+target 3
+action 0 a
+  1 1/2
+  3 1/2
+action 1 b
+  0 1
+"""
 
 
 def test_exact_values_on_presets():
@@ -241,8 +262,20 @@ def test_chain_reachability_loop():
 
 
 def test_chain_reachability_rejects_choice():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state 0 has 2"):
         chain_reachability(two_route_choice())
+    with pytest.raises(ValueError, match="state 2 has 0, state 3 has 0"):
+        chain_reachability(parse_model(ACTIONLESS))
+
+
+def test_exact_value_rejects_an_unnormalized_game():
+    g = parse_model(ACTIONLESS)
+    with pytest.raises(ValueError, match="game must be normalized first"):
+        exact_value(g)
+    # the size refusal still comes first
+    with pytest.raises(TooLarge):
+        exact_value(g, max_states=3)
+    assert exact_value(normalize(g)).values == (1, 1, 0, 1)
 
 
 def test_too_large_state_cap():

@@ -326,8 +326,9 @@ def test_bypass_run():
 
 
 def test_minimizer_trap_run():
+    # both pool states form the trap, so the pool is empty before sweep 1
     r = solve_svi(minimizer_trap())
-    assert r.converged and r.iterations == 1
+    assert r.converged and r.iterations == 0
     assert r.value == [0.0, 0.0, 1.0, 0.0]
     assert r.strategy == {}
 
@@ -482,7 +483,7 @@ def test_known_livelock_converges():
         assert ref.lower[s] - 1e-9 <= r.value[s] <= ref.upper[s] + 1e-9
 
 
-def test_svi_detects_traps_once_per_unknown_set(monkeypatch):
+def test_trap_detection_runs_once_per_solve(monkeypatch):
     import ssgsolve.graph as graph
 
     calls = []
@@ -498,7 +499,24 @@ def test_svi_detects_traps_once_per_unknown_set(monkeypatch):
                                   max_branching=3, target_fraction=0.1, ec_bias=0.5))
     r = solve_svi(g, max_iters=200)
     assert r.iterations == 200 and not r.converged
-    assert len(calls) == len(set(calls)) < r.iterations
+    assert len(calls) == 1
+    r = solve_bvi(g, max_iters=200)
+    assert r.iterations > 1 and len(calls) == 2
+    # without EC handling svi leaves the traps in the pool
+    solve_svi(g, max_iters=5, ec_handling=False)
+    assert len(calls) == 2
+
+
+def test_capped_solve_names_real_actions():
+    # State 1 is delayed in the last of the 50 sweeps: its strategy entry is
+    # the action chosen for that sweep, not the delay marker.
+    g = generate_random(GenParams(n_states=10, seed=6, max_actions_per_state=3,
+                                  max_branching=3, target_fraction=0.1, ec_bias=0.5))
+    r = solve_svi(g, max_iters=50)
+    assert not r.converged and r.trace[-1].delayed
+    assert r.strategy
+    for s, label in r.strategy.items():
+        assert label in g.action_labels(s), (s, label)
 
 
 def test_retirement_keeps_value_inside_bracket():
@@ -523,6 +541,7 @@ def test_census_slice_brackets_contain_the_value():
                 g = generate_random(GenParams(n_states=n, seed=seed, max_actions_per_state=3,
                                               max_branching=3, target_fraction=tf, ec_bias=eb))
                 want = [float(v) for v in exact_value(g).values]
-                r = solve_svi(g, max_iters=500)
-                for s, v in enumerate(want):
-                    assert r.lower[s] <= v + SLACK and r.upper[s] >= v - SLACK, (n, seed, eb, s)
+                for r in (solve_svi(g, max_iters=500), solve_bvi(g, max_iters=500)):
+                    for s, v in enumerate(want):
+                        assert r.lower[s] <= v + SLACK and r.upper[s] >= v - SLACK, (
+                            r.algorithm, n, seed, eb, s)
