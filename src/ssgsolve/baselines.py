@@ -17,30 +17,53 @@ never meets one.
 from __future__ import annotations
 
 import time
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 # mec_decompose is not called here, but perfbench/layers.py wraps it under this name
 from .graph import cached_mecs, exit_layers, mec_decompose, remove_traps  # noqa: F401
-from .model import MAX, StatePartition, StochasticGame, partition_states
+from .model import MAX, StatePartition, StochasticGame, dot, dot2, partition_states
 from .results import SolveResult, TraceEntry
-from .svi import float_rows, start_vector
+from .svi import float_rows, start_vector, tie_band
 
 UNSOUND_NOTE = "unsound stopping"
 
 
-def _sweep(game: StochasticGame, unknown: set[int], vec: list[float]) -> list[float]:
+def _sweep(game: StochasticGame, unknown: AbstractSet[int], vec: list[float]) -> list[float]:
     """One Jacobi sweep of the optimality operator over the unknown states."""
-    rows = game.rows
+    rows, owner = game.rows, game.owner
     new = list(vec)
     for s in unknown:
-        vals = [sum(p * vec[t] for t, p in row) for row in rows[s]]
-        new[s] = max(vals) if game.owner[s] == MAX else min(vals)
+        acts = rows[s]
+        if len(acts) == 1:
+            new[s] = dot(acts[0], vec)
+            continue
+        vals = [dot(row, vec) for row in acts]
+        new[s] = max(vals) if owner[s] == MAX else min(vals)
     return new
 
 
-def _greedy_strategy(game: StochasticGame, unknown: set[int],
+def _sweep2(game: StochasticGame, unknown: AbstractSet[int], low: list[float],
+            high: list[float]) -> tuple[list[float], list[float]]:
+    """`(_sweep(game, unknown, low), _sweep(game, unknown, high))` in one pass over the rows."""
+    rows, owner = game.rows, game.owner
+    new_low, new_high = list(low), list(high)
+    for s in unknown:
+        acts = rows[s]
+        if len(acts) == 1:
+            new_low[s], new_high[s] = dot2(acts[0], low, high)
+            continue
+        pick = max if owner[s] == MAX else min
+        new_low[s] = pick([dot(row, low) for row in acts])
+        new_high[s] = pick([dot(row, high) for row in acts])
+    return new_low, new_high
+
+
+def _greedy_strategy(game: StochasticGame, unknown: AbstractSet[int],
                      low: list[float], high: list[float]) -> dict[int, str]:
-    """Final action snapshot: Maximizer argmax under high, Minimizer argmin under low."""
+    """Final action snapshot: Maximizer argmax under high, Minimizer argmin under low.
+
+    Near-ties go to the lowest action index (`svi.tie_band`), as in svi.
+    """
     rows = game.rows
     out: dict[int, str] = {}
     for s in sorted(unknown):
@@ -50,9 +73,8 @@ def _greedy_strategy(game: StochasticGame, unknown: set[int],
             continue
         maximize = game.owner[s] == MAX
         ref = high if maximize else low
-        vals = [sum(p * ref[t] for t, p in row) for row in rows[s]]
-        best = max(vals) if maximize else min(vals)
-        out[s] = acts[vals.index(best)].label
+        vals = [dot(row, ref) for row in rows[s]]
+        out[s] = acts[tie_band(vals, max(vals) if maximize else min(vals))[0]].label
     return out
 
 
@@ -121,8 +143,7 @@ def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float])
     memo = partition.ec_memo
     for mec in cached_mecs(game, partition.unknown, memo):
         for component, exits in exit_layers(game, mec.states, new, memo):
-            val = max((sum(p * new[t] for t, p in rows[s][index[s][a]]) for s, a in exits),
-                      default=0.0)
+            val = max((dot(rows[s][index[s][a]], new) for s, a in exits), default=0.0)
             for s in component:
                 new[s] = min(new[s], val)
     return new
@@ -143,6 +164,7 @@ def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_0
     n = game.n_states
     L = start_vector(game, eps, part, frozen)
     remove_traps(game, part)
+    part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
     U = [1.0 if s in part.unknown else L[s] for s in range(n)]
     float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
@@ -150,8 +172,8 @@ def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_0
     it = 0
     gap = max((U[s] - L[s] for s in part.unknown), default=0.0)
     while gap >= eps and it < max_iters:
-        L = _sweep(game, part.unknown, L)
-        U = deflate(game, part, _sweep(game, part.unknown, U))
+        L, U = _sweep2(game, part.unknown, L, U)
+        U = deflate(game, part, U)
         it += 1
         gap = max(U[s] - L[s] for s in part.unknown)
         trace.append(TraceEntry(

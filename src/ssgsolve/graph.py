@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .model import MAX, StatePartition, StochasticGame
+from .model import MAX, StatePartition, StochasticGame, dot
 
 TIE_TOL = 1e-12
 
@@ -222,7 +222,7 @@ def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
         for act, row in zip(game.actions[s], rows[s]):
             if all(succ in component for succ, _ in row):
                 continue
-            val = sum(p * f[succ] for succ, p in row)
+            val = dot(row, f)
             scored.append((val, s, act.label))
             if best_val is None or val > best_val:
                 best_val = val
@@ -278,8 +278,10 @@ def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: f
     set and of every peeled remainder, are kept in `partition.ec_memo`
     across calls.
     """
-    f = [r + st * u for r, st in zip(reach, stay)]
     pairs: set[tuple[int, str]] = set()
-    for mec in cached_mecs(game, partition.unknown, partition.ec_memo):
-        best_exit_set(game, f, mec.states, partition.ec_memo, pairs)
+    mecs = cached_mecs(game, partition.unknown, partition.ec_memo)
+    if mecs:
+        f = [r + st * u for r, st in zip(reach, stay)]
+        for mec in mecs:
+            best_exit_set(game, f, mec.states, partition.ec_memo, pairs)
     return pairs

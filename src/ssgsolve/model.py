@@ -9,7 +9,10 @@ is an MDP, a game with one action everywhere is a Markov chain.
 
 Probabilities are kept as exact `Fraction`s on the model. The solvers read
 a float copy of them, `StochasticGame.rows`, which each game builds on
-first use; the exact oracle keeps the rationals.
+first use; the exact oracle keeps the rationals. Every float dot product of
+the solvers goes through `dot` or `dot2`, which add left to right: builtin
+`sum` adds floats with compensated summation from Python 3.12 on, and
+iteration counts would then depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .graph import Mec
+    from .svi import PoolFacts
 
 MAX = "max"
 MIN = "min"
@@ -38,6 +42,24 @@ PROB_SUM_TOL = 1e-9
 FloatRows = Sequence[Sequence[Sequence[tuple[int, float]]]]
 #: One state's {(i, j): ((successor, float(delta_i - delta_j)), ...)}.
 DeltaTable = dict[tuple[int, int], tuple[tuple[int, float], ...]]
+
+
+def dot(row: Sequence[tuple[int, float]], vec: Sequence[float]) -> float:
+    """The sum of p * vec[t] over the (t, p) pairs of row, added left to right from 0.0."""
+    acc = 0.0
+    for t, p in row:
+        acc += p * vec[t]
+    return acc
+
+
+def dot2(row: Sequence[tuple[int, float]], a: Sequence[float],
+         b: Sequence[float]) -> tuple[float, float]:
+    """`(dot(row, a), dot(row, b))` in one pass over the row."""
+    x = y = 0.0
+    for t, p in row:
+        x += p * a[t]
+        y += p * b[t]
+    return x, y
 
 
 class ModelError(ValueError):
@@ -123,8 +145,9 @@ class StochasticGame:
 
     `rows` and `index`, the solvers' float transitions and per-state label
     positions, `deltas`, the pairwise action differences behind svi's
-    decision values, and `split`, the targets / sinks / unknown partition,
-    are built on first use and kept on the instance. They are not fields:
+    decision values, `split`, the targets / sinks / unknown partition, and
+    `normalized`, the answer of `is_normalized()`, are built on first use
+    and kept on the instance. They are not fields:
     eq, hash and repr ignore them, and `dataclasses.replace` gives a new
     game with its own.
     """
@@ -227,15 +250,21 @@ class StochasticGame:
         except KeyError:
             raise KeyError(f"state {s} has no action {label!r}") from None
 
-    def is_normalized(self) -> bool:
+    @cached_property
+    def normalized(self) -> bool:
+        """Whether every target only loops onto itself and every other state has an action."""
+        one = Fraction(1)
         for s in range(self.n_states):
             if s in self.targets:
                 acts = self.actions[s]
-                if len(acts) != 1 or acts[0].transitions != ((s, Fraction(1)),):
+                if len(acts) != 1 or acts[0].transitions != ((s, one),):
                     return False
             elif not self.actions[s]:
                 return False
         return True
+
+    def is_normalized(self) -> bool:
+        return self.normalized
 
 
 @dataclass
@@ -244,16 +273,21 @@ class StatePartition:
 
     targets: the goal states (value 1); sinks: states with no path to a
     target under any resolution of choices (value 0); unknown: the rest.
-    Solvers own their copy; `graph.remove_traps` may move unknown states to
-    sinks. ec_memo maps a state set to its `graph.mec_decompose` result, a
-    pure function of the game and the set, kept across the passes of the
-    copy's solve: eq and repr ignore it, and `copy` starts an empty one.
+    Solvers own their copy; their set-up may move unknown states to the
+    sinks (`graph.remove_traps`) or decide them, and the sound solvers then
+    freeze `unknown` into a frozenset: the pool never changes again in that
+    solve, and the memo lookups keyed by it cost nothing. ec_memo maps a
+    state set to its `graph.mec_decompose` result and pool_memo a pool to
+    its `svi.PoolFacts`; both are pure functions of the game and the set,
+    kept across the sweeps of the copy's solve: eq and repr ignore them,
+    and `copy` starts empty ones.
     """
 
     targets: set[int]
     sinks: set[int]
-    unknown: set[int]
+    unknown: set[int] | frozenset[int]
     ec_memo: dict[frozenset[int], list[Mec]] = field(default_factory=dict, compare=False, repr=False)
+    pool_memo: dict[frozenset[int], PoolFacts] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "StatePartition":
         return StatePartition(set(self.targets), set(self.sinks), set(self.unknown))

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
-from .graph import TIE_TOL, cached_mecs, handle_ecs, remove_traps, scc_decompose
-from .model import MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, partition_states
+from .graph import TIE_TOL, Mec, cached_mecs, handle_ecs, remove_traps, scc_decompose
+from .model import MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, dot, partition_states
 from .results import SolveResult, TraceEntry
 
 #: Strategy marker for a Maximizer state that kept its old vector this round.
@@ -73,13 +74,51 @@ class StrategySnapshot:
     """First-step action choices of the current iteration.
 
     choices maps undecided states to an action label, or to DELAY for a
-    Maximizer state that kept its old vector entries. bexit is the set of
-    states forced into a best-exit action this iteration; None when EC
-    handling is off (then no state is ever delayed either).
+    Maximizer state that kept its old vector entries; delayed is the set of
+    those states. bexit is the set of states forced into a best-exit action
+    this iteration; None when EC handling is off (then no state is ever
+    delayed either).
     """
 
     choices: dict[int, str]
     bexit: frozenset[int] | None = None
+    delayed: frozenset[int] = frozenset()
+
+
+class PoolFacts:
+    """What every sweep of one solve needs to know about its fixed undecided pool.
+
+    `first` maps each pool state, in ascending order, to the label of its
+    only action, or to None when it has several; `multi` lists the latter
+    in ascending order. `ec_max`, the Maximizer members of the pool's end
+    components (the only states `bellman_update` may delay), is worked out
+    on first use, so a solve without EC handling never decomposes the pool.
+    """
+
+    def __init__(self, game: StochasticGame, pool: frozenset[int],
+                 ec_memo: dict[frozenset[int], list[Mec]]) -> None:
+        self.game = game
+        self.pool = pool
+        self.ec_memo = ec_memo
+        acts = game.actions
+        self.first: dict[int, str | None] = {
+            s: acts[s][0].label if len(acts[s]) == 1 else None for s in sorted(pool)}
+        self.multi = tuple(s for s, label in self.first.items() if label is None)
+
+    @cached_property
+    def ec_max(self) -> frozenset[int]:
+        owner = self.game.owner
+        return frozenset(s for mec in cached_mecs(self.game, self.pool, self.ec_memo)
+                         for s in mec.states if owner[s] == MAX)
+
+
+def pool_facts(game: StochasticGame, partition: StatePartition) -> PoolFacts:
+    """The `PoolFacts` of `partition.unknown`, computed once per pool in `partition.pool_memo`."""
+    key = frozenset(partition.unknown)
+    facts = partition.pool_memo.get(key)
+    if facts is None:
+        facts = partition.pool_memo[key] = PoolFacts(game, key, partition.ec_memo)
+    return facts
 
 
 def float_rows(game: StochasticGame) -> FloatRows:
@@ -122,13 +161,21 @@ def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) ->
         rows = game.rows[s]
         if len(comp) > 1 or any(t in part.unknown for row in rows for t, _ in row):
             continue
-        vals = [sum(p * vec[t] for t, p in row) for row in rows]
+        vals = [dot(row, vec) for row in rows]
         opt = min(vals) if game.owner[s] == MIN else max(vals)
-        i = next(i for i, v in enumerate(vals) if abs(v - opt) <= TIE_TOL)
         vec[s] = opt
-        settled[s] = game.actions[s][i].label
+        settled[s] = game.actions[s][tie_band(vals, opt)[0]].label
         part.unknown.discard(s)
     return settled
+
+
+def tie_band(vals: Sequence[float], opt: float) -> list[int]:
+    """Ascending positions of the values within TIE_TOL of the optimum opt.
+
+    Every solver reports the first of them when nothing else decides: the
+    lowest-index near-optimal action, not the one float noise favours.
+    """
+    return [i for i, v in enumerate(vals) if abs(v - opt) <= TIE_TOL]
 
 
 def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
@@ -138,7 +185,10 @@ def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
 
 def _estimate(row: Sequence[tuple[int, float]], reach: list[float], stay: list[float],
               bound: float) -> float:
-    return sum(p * (reach[t] + stay[t] * bound) for t, p in row)
+    acc = 0.0
+    for t, p in row:
+        acc += p * (reach[t] + stay[t] * bound)
+    return acc
 
 
 def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
@@ -150,35 +200,31 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
     Maximizer states the argmax under u - except that states holding a
     best exit in B (the pairs of `handle_ecs`; None when EC handling is
     off) are forced into it. Ties keep the previous choice when it is
-    still in the argopt band, otherwise the lowest action index wins, so
-    runs are reproducible.
+    still in the argopt band, otherwise the lowest action index wins
+    (`tie_band`), so runs are reproducible. The choices come in ascending
+    state order.
     """
-    rows, index = game.rows, game.index
+    facts = pool_facts(game, partition)
+    rows, index, actions = game.rows, game.index, game.actions
+    choices = dict(facts.first)  # one-action states are done; the others are overwritten below
     forced_at: dict[int, list[int]] = {}
-    if B is not None:
-        for s, a in B:
+    for s, a in B or ():
+        if s in choices:
             forced_at.setdefault(s, []).append(index[s][a])
-    choices: dict[int, str] = {}
-    bexit_states: set[int] = set()
     prev_choices = prev.choices if prev is not None else {}
-    for s in sorted(partition.unknown):
-        acts = game.actions[s]
+    for s, forced in forced_at.items():
         keep = index[s].get(prev_choices.get(s))
-        forced = forced_at.get(s)
-        if forced:
-            choices[s] = acts[keep if keep in forced else min(forced)].label
-            bexit_states.add(s)
-            continue
-        if len(acts) == 1:
-            choices[s] = acts[0].label
+        choices[s] = actions[s][keep if keep in forced else min(forced)].label
+    for s in facts.multi:
+        if s in forced_at:
             continue
         minimize = game.owner[s] == MIN
         bound = bounds.l if minimize else bounds.u
         ests = [_estimate(row, rs.reach, rs.stay, bound) for row in rows[s]]
-        opt = min(ests) if minimize else max(ests)
-        band = [i for i, e in enumerate(ests) if abs(e - opt) <= TIE_TOL]
-        choices[s] = acts[keep if keep in band else band[0]].label
-    return StrategySnapshot(choices, frozenset(bexit_states) if B is not None else None)
+        band = tie_band(ests, min(ests) if minimize else max(ests))
+        keep = index[s].get(prev_choices.get(s))
+        choices[s] = actions[s][keep if keep in band else band[0]].label
+    return StrategySnapshot(choices, frozenset(forced_at) if B is not None else None)
 
 
 def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: str) -> float | None:
@@ -201,11 +247,10 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: st
         if j == ci:
             continue
         row = deltas[(ci, j)]
-        d_stay = sum(w * rs.stay[t] for t, w in row)
+        d_stay = dot(row, rs.stay)
         if d_stay <= 0.0:
             continue
-        d_reach = -sum(w * rs.reach[t] for t, w in row)
-        val = d_reach / d_stay
+        val = -dot(row, rs.reach) / d_stay
         if best is None:
             best = val
         else:
@@ -222,41 +267,36 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
     active (strategy.bexit is not None), a Maximizer state that lies in an
     end component of the undecided pool but outside the best-exit set, and
     whose candidate upper estimate exceeds its old one, is delayed: it
-    keeps its old entries and its snapshot entry becomes DELAY. Rows of
-    decided states never change.
+    keeps its old entries, its snapshot entry becomes DELAY and it joins
+    the snapshot's delayed set. Rows of decided states never change.
     """
-    rows, index = game.rows, game.index
-    cand: dict[int, tuple[float, float]] = {}
+    rows, index, choices = game.rows, game.index, strategy.choices
+    reach, stay = rs.reach, rs.stay
+    new_reach = list(reach)
+    new_stay = list(stay)
     for s in partition.unknown:
-        row = rows[s][index[s][strategy.choices[s]]]
-        r = sum(p * rs.reach[t] for t, p in row)
-        st = sum(p * rs.stay[t] for t, p in row)
-        cand[s] = (r, st)
+        # `dot2` inlined: this is the hottest loop of a solve
+        r = st = 0.0
+        for t, p in rows[s][index[s][choices[s]]]:
+            r += p * reach[t]
+            st += p * stay[t]
+        new_reach[s] = r
+        new_stay[s] = st
 
     delayed: set[int] = set()
     if strategy.bexit is not None:
         u = bounds.u
-        # the EC pass of this iteration decomposed the same set
-        mecs = cached_mecs(game, partition.unknown, partition.ec_memo)
-        for s in set().union(*(mec.states for mec in mecs)) - strategy.bexit:
-            if game.owner[s] != MAX:
-                continue
-            r, st = cand[s]
-            if r + st * u > rs.reach[s] + rs.stay[s] * u + TIE_TOL:
+        for s in pool_facts(game, partition).ec_max - strategy.bexit:
+            if new_reach[s] + new_stay[s] * u > reach[s] + stay[s] * u + TIE_TOL:
                 delayed.add(s)
-
-    new_reach = list(rs.reach)
-    new_stay = list(rs.stay)
-    for s, (r, st) in cand.items():
-        if s not in delayed:
-            new_reach[s] = r
-            new_stay[s] = st
-    new_choices = dict(strategy.choices)
+    new_choices = dict(choices)
     for s in delayed:
+        new_reach[s] = reach[s]
+        new_stay[s] = stay[s]
         new_choices[s] = DELAY
     return (
         ReachStayVector(new_reach, new_stay, rs.k + 1),
-        StrategySnapshot(new_choices, strategy.bexit),
+        StrategySnapshot(new_choices, strategy.bexit, frozenset(delayed)),
         bool(delayed),
     )
 
@@ -281,11 +321,10 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
     for v in min_decvals:
         d_l = min(d_l, v)
     l, u = bounds.l, bounds.u
-    pool = partition.unknown
-    gate = not any_delay and all(rs.stay[s] < 1.0 for s in pool)
-    if gate:
-        cands = [rs.reach[s] / (1.0 - rs.stay[s]) for s in pool]
-        if cands:
+    pool, reach, stay = partition.unknown, rs.reach, rs.stay
+    if not any_delay and pool:
+        cands = [reach[s] / (1.0 - stay[s]) for s in pool if stay[s] < 1.0]
+        if len(cands) == len(pool):  # no undecided state has stay 1
             if use_decision_values:
                 l = max(l, min(d_l, min(cands)))
                 u = min(u, max(d_u, max(cands)))
@@ -322,10 +361,11 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     """Solve a normalized game to certified per-state precision eps.
 
     Settles the acyclic tail first (`settle_tail`) and, unless ec_handling
-    is off, moves the traps to the sinks (`graph.remove_traps`). Then runs
-    the full loop: EC pass (unless ec_handling is off), action choice,
-    decision values, batch sweep with delays, global bound update,
-    termination test. On the iteration cap the result comes back with
+    is off, moves the traps to the sinks (`graph.remove_traps`). The pool
+    is fixed from then on, so what the sweeps need to know about it
+    (`PoolFacts`) is worked out once. Then runs the full loop: EC pass
+    (unless ec_handling is off), action choice, decision values, batch
+    sweep with delays, global bound update, termination test. On the iteration cap the result comes back with
     converged=False; its bounds are still valid, just wider than 2*eps.
 
     `frozen` pins the given states to fixed values (their reach entry),
@@ -343,6 +383,8 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     last_choice = settle_tail(game, part, reach)
     if ec_handling:
         remove_traps(game, part)
+    part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
+    multi = pool_facts(game, part).multi
     stay = [1.0 if s in part.unknown else 0.0 for s in range(n)]
     rs = ReachStayVector(reach, stay, 0)
     bounds = GlobalBounds(0.0, 1.0)
@@ -358,24 +400,22 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
         last_choice.update(snapshot.choices)
         max_dv: list[float] = []
         min_dv: list[float] = []
-        for s in part.unknown:
-            if len(game.actions[s]) > 1:
-                dv = decision_value(game, rs, s, snapshot.choices[s])
-                if dv is not None:
-                    (max_dv if game.owner[s] == MAX else min_dv).append(dv)
+        for s in multi:
+            dv = decision_value(game, rs, s, snapshot.choices[s])
+            if dv is not None:
+                (max_dv if game.owner[s] == MAX else min_dv).append(dv)
         rs, snapshot, any_delay = bellman_update(game, part, rs, snapshot, bounds)
-        n_delayed = sum(1 for v in snapshot.choices.values() if v == DELAY)
-        updates = len(part.unknown) - n_delayed
+        n_delayed = len(snapshot.delayed)
         new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, any_delay,
                                           use_decision_values=use_decision_values)
         it += 1
-        max_gap = max((rs.stay[s] * (new_bounds.u - new_bounds.l) for s in part.unknown),
-                      default=0.0)
+        gap = new_bounds.u - new_bounds.l
+        max_gap = max([rs.stay[s] * gap for s in part.unknown], default=0.0)
         trace.append(TraceEntry(
             k=it, l=new_bounds.l, u=new_bounds.u, d_l=new_bounds.d_l, d_u=new_bounds.d_u,
             delayed=n_delayed,
             bounds_updated=(new_bounds.l, new_bounds.u) != (bounds.l, bounds.u),
-            max_gap=max_gap, updates=updates,
+            max_gap=max_gap, updates=len(part.unknown) - n_delayed,
         ))
         if record_vectors:
             vectors.append((

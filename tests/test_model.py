@@ -295,6 +295,16 @@ def test_replaced_game_builds_its_own_tables():
     assert (g.rows, g.index, g.deltas) == _expected_tables(g)
 
 
+def test_is_normalized_is_worked_out_once_per_game():
+    g = parse_model(MINIMAL)
+    assert "normalized" not in vars(g)
+    assert not g.is_normalized()
+    assert vars(g)["normalized"] is False  # kept on the instance, like rows and split
+    # a replaced game answers for itself, not with the parent's cached answer
+    h = dataclasses.replace(g, actions=normalize(g).actions)
+    assert h.is_normalized() and not g.is_normalized()
+
+
 def test_game_validate_rejects_bad_owner():
     g = StochasticGame(
         n_states=1,

@@ -204,6 +204,7 @@ def test_bellman_delays_overshooting_maximizer():
     rs1, snap1, delayed = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
     assert delayed
     assert snap1.choices[1] == DELAY
+    assert snap1.delayed == frozenset({1})
     assert (rs1.reach[1], rs1.stay[1]) == (0.0, 0.1)
     # the sanctioned exit state itself still sweeps
     assert rs1.reach[0] == pytest.approx((0.2 + 1.0) / 3)
@@ -517,6 +518,51 @@ def test_capped_solve_names_real_actions():
     assert r.strategy
     for s, label in r.strategy.items():
         assert label in g.action_labels(s), (s, label)
+
+
+@pytest.mark.parametrize("game, cap", [
+    (exit_seesaw(), 2000),
+    (generate_random(GenParams(n_states=10, seed=6, max_actions_per_state=3,
+                               max_branching=3, target_fraction=0.1, ec_bias=0.5)), 50),
+    # delays up to three states in one sweep
+    (generate_random(GenParams(n_states=12, seed=56, max_actions_per_state=3,
+                               max_branching=3, target_fraction=0.1, ec_bias=0.5)), 50),
+])
+def test_trace_delay_counts_are_the_sweeps_delay_marks(monkeypatch, game, cap):
+    import ssgsolve.svi as svi
+
+    marks = []
+    sweep = svi.bellman_update
+
+    def recorded(*args, **kwargs):
+        out = sweep(*args, **kwargs)
+        choices = out[1].choices
+        marks.append((list(choices.values()).count(DELAY), len(choices)))
+        return out
+
+    monkeypatch.setattr(svi, "bellman_update", recorded)
+    r = solve_svi(normalize(game), max_iters=cap)
+    assert len(marks) == len(r.trace) == r.iterations
+    assert [(t.delayed, t.updates) for t in r.trace] == [(d, n - d) for d, n in marks]
+    assert any(d for d, _ in marks)
+
+
+def test_svi_without_ec_handling_never_decomposes_the_pool(monkeypatch):
+    import ssgsolve.graph as graph
+
+    calls = []
+    decompose = graph.mec_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "mec_decompose", counted)
+    g = exit_seesaw()  # one end component, {0, 1}
+    solve_svi(g, ec_handling=False, max_iters=50)
+    assert calls == []
+    solve_svi(g, max_iters=50)
+    assert len(calls) >= 1
 
 
 def test_retirement_keeps_value_inside_bracket():
