@@ -2,8 +2,9 @@
 
 Inside an end component the players can spin forever, so the naive upper
 estimate never drops below 1: every state defers to its neighbour. The
-component pass ranks the Maximizer's exits, forces play towards the best
-one, and lets provably worthless traps fall straight to the sink set.
+component pass ranks the Maximizer's exits and forces play towards the
+best one. Provably worthless traps never get that far: the state
+partition counts them among the sinks before the first sweep.
 """
 
 from ssgsolve.presets import exit_seesaw, loop_or_coin, minimizer_trap
@@ -26,7 +27,7 @@ def main():
           f"delayed states per iteration {delays}")
     print()
 
-    # a component with no Maximizer exit is worthless and gets removed
+    # a component with no Maximizer exit is worthless: a sink from the start
     res = solve_svi(minimizer_trap(), eps=1e-6)
     print(f"trap game: values {[round(v, 6) for v in res.value]} "
           f"in {res.iterations} iteration(s), strategy {res.strategy}")

@@ -10,8 +10,8 @@ which is sound only because the upper vector is deflated every sweep:
 inside an end component the operator alone admits spurious fixed points
 above the value, so each component is capped to its best Maximizer exit,
 recursively. Traps, the components without any Maximizer exit, have value
-0; they move to the sinks once, before the first sweep, so deflation
-never meets one.
+0; the state partition counts them among the sinks, so deflation never
+meets one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 from typing import AbstractSet, Mapping, Sequence
 
 # mec_decompose is not called here, but perfbench/layers.py wraps it under this name
-from .graph import cached_mecs, exit_layers, mec_decompose, remove_traps  # noqa: F401
+from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
 from .model import MAX, StatePartition, StochasticGame, dot, dot2, partition_states
 from .results import SolveResult, TraceEntry
 from .svi import float_rows, start_vector, tie_band
@@ -82,9 +82,10 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     """Classic value iteration from below; stops on a small sweep-to-sweep change.
 
     The returned per-state lower equals the final vector and is a genuine
-    lower bound; the upper is the trivial 1-on-possibly-reaching /
-    0-on-sinks split. The result is flagged sound=False: the stopping rule
-    says nothing about how far the vector still is from the value.
+    lower bound; the upper is the trivial split: 0 on the sinks (traps
+    included), 1 everywhere else. The result is flagged sound=False: the
+    stopping rule says nothing about how far the vector still is from the
+    value.
     """
     t0 = time.perf_counter()
     part = partition_states(game)
@@ -126,11 +127,10 @@ def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float])
 
     For each maximal end component of the unknown states, walks the layers
     of `exit_layers` on a copy of U: caps every member of a layer to the
-    value of its best Maximizer exit. The pool has no trap (`solve_bvi`
-    removes them first); a layer without exit, which only a trap left in
-    the pool yields, is capped to 0. The layers are ranked lazily on that
-    same copy, so each sub-component is ranked on the vector its parent
-    has already capped; ranking them all on the uncapped U would pick
+    value of its best Maximizer exit. The partition's pool holds no trap,
+    so every layer has an exit. The layers are ranked lazily on that same
+    copy, so each sub-component is ranked on the vector its parent has
+    already capped; ranking them all on the uncapped U would pick
     different exits. Returns the new vector; the partition's sets are not
     modified. Requires U >= V pointwise, which the capping preserves.
 
@@ -143,7 +143,7 @@ def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float])
     memo = partition.ec_memo
     for mec in cached_mecs(game, partition.unknown, memo):
         for component, exits in exit_layers(game, mec.states, new, memo):
-            val = max((dot(rows[s][index[s][a]], new) for s, a in exits), default=0.0)
+            val = max(dot(rows[s][index[s][a]], new) for s, a in exits)
             for s in component:
                 new[s] = min(new[s], val)
     return new
@@ -154,16 +154,14 @@ def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_0
               record_vectors: bool = False) -> SolveResult:
     """Bounded value iteration: L from below, deflated U from above.
 
-    Moves the traps to the sinks first (`graph.remove_traps`). Stops when
-    the largest per-state interval U-L drops below eps; the value is the
-    midpoint. `frozen` pins states to exact values and drops them from
-    the sweeps (used by the topological driver).
+    Stops when the largest per-state interval U-L drops below eps; the
+    value is the midpoint. `frozen` pins states to exact values and drops
+    them from the sweeps (used by the topological driver).
     """
     t0 = time.perf_counter()
     part = partition_states(game)
     n = game.n_states
     L = start_vector(game, eps, part, frozen)
-    remove_traps(game, part)
     part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
     U = [1.0 if s in part.unknown else L[s] for s in range(n)]
     float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep

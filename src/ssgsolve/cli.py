@@ -5,9 +5,11 @@ oracle (exact rational values), compare (CSV of several algorithms over
 several models), fuzz (randomized cross-checking), gen (write a random
 model). Exit codes: 0 success, 1 fuzz found a counterexample, 2 unreadable
 or unparseable model (a missing file or one that is not UTF-8 text
-included), 3 a model that parses but fails validation, 4 solver hit the
-iteration cap, 5 model too large for the exact oracle, 141 stdout closed
-early (a broken pipe, as in `ssgsolve solve model.ssg | head`).
+included) or bad arguments (argparse's usage errors, such as an --eps
+that is not positive), 3 a model that parses but fails validation, 4
+solver hit the iteration cap, 5 model too large for the exact oracle, 141
+stdout closed early (a broken pipe, as in `ssgsolve solve model.ssg |
+head`).
 """
 
 from __future__ import annotations
@@ -286,6 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--no-ec-handling is only available for plain --algo svi")
     if getattr(args, "topo", False) and args.algo == "vi":
         parser.error("--topo needs a sound inner solver (bvi or svi)")
+    if not getattr(args, "eps", 1.0) > 0:  # NaN fails this test too
+        parser.error("--eps must be positive")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit

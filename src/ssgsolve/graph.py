@@ -3,11 +3,12 @@
 An end component is a set of states T plus a set of retained actions such
 that every retained action stays inside T and T is strongly connected
 through them. Play can remain inside an end component forever, which is
-what breaks naive upper-bound iteration. The sound solvers treat end
-components in two steps: `remove_traps` moves the states the Minimizer can
-confine play to (value 0) to the sinks once, before the first sweep; every
-end component left in the pool then has a Maximizer exit, and the routines
-here find the components and the Maximizer actions that leave them best.
+what breaks naive upper-bound iteration. End components are treated in
+two steps. The state partition (`StochasticGame.split`) counts the
+greatest trap (`trap_states`: states the Minimizer can confine play to,
+value 0) among the sinks, once per game; every end component of the
+unknown states then has a Maximizer exit, and the routines here find the
+components and the Maximizer actions that leave them best.
 """
 
 from __future__ import annotations
@@ -190,20 +191,6 @@ def trap_states(game: StochasticGame, region: Iterable[int]) -> set[int]:
     return W
 
 
-def remove_traps(game: StochasticGame, partition: StatePartition) -> set[int]:
-    """Move the greatest trap of the unknown states to the sinks; return it.
-
-    The sound solvers call this once, before their first sweep. Their pool
-    never changes afterwards, so it stays free of traps: every end
-    component of it, and of every set peeled from one, has a Maximizer
-    exit (one without would be a trap, and the greatest trap is gone).
-    """
-    trapped = trap_states(game, partition.unknown)
-    partition.sinks |= trapped
-    partition.unknown -= trapped
-    return trapped
-
-
 def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
                f: Sequence[float]) -> set[tuple[int, str]]:
     """Maximizer exits of the component with the best one-step value.
@@ -238,12 +225,13 @@ def exit_layers(game: StochasticGame, component: frozenset[int] | set[int], f: S
 
     Yields (component, best_exits(game, component, f)), then the same for
     every maximal end component of the component minus its exit states,
-    and so on down. An empty exit set marks a trap (no Maximizer exit) and
-    ends that branch; on a pool that `remove_traps` has cleared no layer
-    is empty. Each component is ranked only when it is about to be
-    yielded, after the consumer has handled everything yielded before it,
-    so a consumer that writes into f (as `deflate` caps its upper vector)
-    has each sub-component ranked on the values its parent already set.
+    and so on down. An empty exit set, which only a trap (a component
+    without a Maximizer exit) yields, ends that branch; the unknown states
+    of a partition hold no trap, so on them no layer is empty. Each
+    component is ranked only when it is about to be yielded, after the
+    consumer has handled everything yielded before it, so a consumer that
+    writes into f (as `deflate` caps its upper vector) has each
+    sub-component ranked on the values its parent already set.
     The peeling visits at most |component| sets; their MEC decompositions
     come from the memo, since the same remainders recur from pass to pass.
     """
@@ -270,8 +258,8 @@ def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: f
 
     Evaluates exits against f = reach + stay*u and returns the layered best
     exits, as (state, action label) pairs, of every maximal end component
-    of the unknown states. The pool holds no trap (`remove_traps` ran
-    before the first sweep), so every component has an exit to rank.
+    of the unknown states. The partition counts the traps among the sinks,
+    so every component has an exit to rank.
     Nothing is written into the partition or the vectors.
 
     Only the ranking depends on f. The MEC decompositions, of the unknown

@@ -145,7 +145,8 @@ class StochasticGame:
 
     `rows` and `index`, the solvers' float transitions and per-state label
     positions, `deltas`, the pairwise action differences behind svi's
-    decision values, `split`, the targets / sinks / unknown partition, and
+    decision values, `can_reach`, the states with a path to a target,
+    `split`, the targets / sinks / unknown partition, and
     `normalized`, the answer of `is_normalized()`, are built on first use
     and kept on the instance. They are not fields:
     eq, hash and repr ignore them, and `dataclasses.replace` gives a new
@@ -217,32 +218,37 @@ class StochasticGame:
         } for ds in dists)
 
     @cached_property
-    def split(self) -> StatePartition:
-        """The targets / sinks / unknown partition, by graph reachability.
-
-        A state is a sink when no sequence of choices can reach a target
-        from it, regardless of who owns the states along the way. Found by
-        a backward search from the targets over the edge relation of all
-        actions. Shared by every solve of the game, so never mutate it:
-        `partition_states` hands out copies.
-        """
+    def can_reach(self) -> frozenset[int]:
+        """The targets and the states with a path to one, whoever owns the states on it."""
         preds: list[set[int]] = [set() for _ in range(self.n_states)]
-        for s in range(self.n_states):
-            for act in self.actions[s]:
+        for s, acts in enumerate(self.actions):
+            for act in acts:
                 for succ, _ in act.transitions:
                     preds[succ].add(s)
-        can_reach = set(self.targets)
-        frontier = list(self.targets)
+        found, frontier = set(self.targets), list(self.targets)
         while frontier:
-            t = frontier.pop()
-            for p in preds[t]:
-                if p not in can_reach:
-                    can_reach.add(p)
-                    frontier.append(p)
+            for p in preds[frontier.pop()] - found:
+                found.add(p)
+                frontier.append(p)
+        return frozenset(found)
+
+    @cached_property
+    def split(self) -> StatePartition:
+        """The targets / sinks / unknown partition, decided by graph analysis.
+
+        The sinks are the states outside `can_reach` and the greatest trap
+        of the other non-target states (`graph.trap_states`), so no end
+        component of the unknown states lacks a Maximizer exit. Shared by
+        every solve of the game, so never mutate it: `partition_states`
+        hands out copies.
+        """
+        from . import graph  # graph imports this module
+
         targets = set(self.targets)
-        sinks = {s for s in range(self.n_states) if s not in can_reach}
-        unknown = {s for s in range(self.n_states) if s not in targets and s not in sinks}
-        return StatePartition(targets, sinks, unknown)
+        unknown = self.can_reach - targets
+        unknown -= graph.trap_states(self, unknown)
+        sinks = set(range(self.n_states)) - targets - unknown
+        return StatePartition(targets, sinks, set(unknown))
 
     def action(self, s: int, label: str) -> Action:
         try:
@@ -271,11 +277,12 @@ class StochasticGame:
 class StatePartition:
     """The classic three-way split used by every solver.
 
-    targets: the goal states (value 1); sinks: states with no path to a
-    target under any resolution of choices (value 0); unknown: the rest.
-    Solvers own their copy; their set-up may move unknown states to the
-    sinks (`graph.remove_traps`) or decide them, and the sound solvers then
-    freeze `unknown` into a frozenset: the pool never changes again in that
+    targets: the goal states (value 1); sinks: the states with no path to
+    a target under any resolution of choices, and the traps the Minimizer
+    can hold play in (value 0, see `StochasticGame.split`); unknown: the
+    rest. Solvers own their copy; their set-up may decide unknown states
+    (frozen pins, the settled tail), and the sound solvers then freeze
+    `unknown` into a frozenset: the pool never changes again in that
     solve, and the memo lookups keyed by it cost nothing. ec_memo maps a
     state set to its `graph.mec_decompose` result and pool_memo a pool to
     its `svi.PoolFacts`; both are pure functions of the game and the set,
@@ -504,7 +511,7 @@ def normalize(game: StochasticGame) -> StochasticGame:
 
 
 def partition_states(game: StochasticGame) -> StatePartition:
-    """Split states into targets / sinks / unknown by graph reachability.
+    """Split states into targets / sinks / unknown by graph analysis.
 
     Returns a fresh copy of `game.split`, computed once per game, for the
     caller to own and mutate.

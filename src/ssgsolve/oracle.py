@@ -16,7 +16,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import MAX, MIN, StochasticGame, partition_states
+# partition_states is not called here, but perfbench/layers.py wraps it under this name
+from .model import MAX, MIN, StochasticGame, partition_states  # noqa: F401
 
 
 class TooLarge(ValueError):
@@ -180,6 +181,10 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     meant for cross-checking values (its inner witness is only a best
     response to the outer one).
 
+    The strategy sites are the non-target states in `game.can_reach` with
+    a choice, not the partition's unknown states: this reference checks
+    the partition's trap analysis and must not rely on it.
+
     Raises TooLarge beyond max_states states or max_pairs strategy pairs,
     before any row is scaled or chain solved, and then ValueError on a game
     that is not normalized, as the solvers do.
@@ -187,9 +192,9 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     if order not in ("maxmin", "minmax"):
         raise ValueError("order must be 'maxmin' or 'minmax'")
     n = game.n_states
-    part = partition_states(game)
-    max_sites = [s for s in sorted(part.unknown) if game.owner[s] == MAX and len(game.actions[s]) > 1]
-    min_sites = [s for s in sorted(part.unknown) if game.owner[s] == MIN and len(game.actions[s]) > 1]
+    free = sorted(game.can_reach - game.targets)
+    max_sites = [s for s in free if game.owner[s] == MAX and len(game.actions[s]) > 1]
+    min_sites = [s for s in free if game.owner[s] == MIN and len(game.actions[s]) > 1]
 
     def profile_count(sites: list[int]) -> int:
         c = 1

@@ -40,8 +40,9 @@ class SolveResult:
     lower[s] <= V(s) <= upper[s] up to float noise and value is the
     midpoint. `sound` is False for classic value iteration, whose stopping
     rule does not certify the distance to the true value. `strategy` maps
-    originally-unknown states to the final chosen action label; states
-    discovered to be traps are omitted. global_lower and global_upper
+    the unknown states of the game's partition (not frozen ones) to the
+    final chosen action label; sinks, traps among them, and targets have
+    no entry. global_lower and global_upper
     bound every unknown state at once where the algorithm maintains such
     scalars; they stay at the vacuous 0 and 1 otherwise.
     `vectors` optionally keeps one (lower, upper) per-state snapshot per

@@ -10,17 +10,16 @@ would invalidate the very action choices the vectors were computed with,
 so each bound move is capped by the decision values - the bound levels at
 which some state would switch its preferred action.
 
-End components need three extra devices. Traps, out of which the
-Maximizer cannot force play, are moved to the sinks once, before the
-first sweep (`graph.remove_traps`). The members of the other components
-are herded toward the current best exits of each component (recomputed
-every iteration), and a Maximizer state inside an end component whose
-fresh estimate would overshoot its previous upper estimate is delayed: it
-keeps its old vector entries for one round. States outside every end
-component are never delayed. Iterations with a delay skip the global
-bound update.
+End components need two extra devices; traps, out of which the Maximizer
+cannot force play, are sinks of the state partition and never enter the
+pool. The members of every end component are herded toward its current
+best exits (recomputed every iteration), and a Maximizer state inside an
+end component whose fresh estimate would overshoot its previous upper
+estimate is delayed: it keeps its old vector entries for one round.
+States outside every end component are never delayed. Iterations with a
+delay skip the global bound update.
 
-Before the traps go, the acyclic tail of the undecided pool is settled:
+Before the first sweep, the acyclic tail of the undecided pool is settled:
 a state that lies on no cycle and whose successors are all decided gets
 its exact one-step value, and from then on counts as decided, like a
 frozen state (Azeem et al., "Optimistic and topological value iteration
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .graph import TIE_TOL, Mec, cached_mecs, handle_ecs, remove_traps, scc_decompose
+from .graph import TIE_TOL, Mec, cached_mecs, handle_ecs, scc_decompose
 from .model import MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, dot, partition_states
 from .results import SolveResult, TraceEntry
 
@@ -130,11 +129,11 @@ def start_vector(game: StochasticGame, eps: float, part: StatePartition,
                  frozen: Mapping[int, float] | None) -> list[float]:
     """Check a solver's arguments and return its starting lower vector.
 
-    Rejects a non-positive eps and a game that is not normalized. Frozen
-    states leave `part.unknown`. The vector is 1 on targets, the pinned
-    value on frozen states and 0 everywhere else.
+    Rejects an eps that is not positive (NaN included) and a game that is
+    not normalized. Frozen states leave `part.unknown`. The vector is 1 on
+    targets, the pinned value on frozen states and 0 everywhere else.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if not game.is_normalized():
         raise ValueError("game must be normalized first (see normalize())")
@@ -360,12 +359,12 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
               record_vectors: bool = False) -> SolveResult:
     """Solve a normalized game to certified per-state precision eps.
 
-    Settles the acyclic tail first (`settle_tail`) and, unless ec_handling
-    is off, moves the traps to the sinks (`graph.remove_traps`). The pool
-    is fixed from then on, so what the sweeps need to know about it
-    (`PoolFacts`) is worked out once. Then runs the full loop: EC pass
-    (unless ec_handling is off), action choice, decision values, batch
-    sweep with delays, global bound update, termination test. On the iteration cap the result comes back with
+    Settles the acyclic tail first (`settle_tail`); the pool, free of
+    traps by the partition, is fixed from then on, so what the sweeps need
+    to know about it (`PoolFacts`) is worked out once. Then runs the full
+    loop: EC pass (unless ec_handling is off), action choice, decision
+    values, batch sweep with delays, global bound update, termination
+    test. On the iteration cap the result comes back with
     converged=False; its bounds are still valid, just wider than 2*eps.
 
     `frozen` pins the given states to fixed values (their reach entry),
@@ -381,8 +380,6 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     n = game.n_states
     reach = start_vector(game, eps, part, frozen)
     last_choice = settle_tail(game, part, reach)
-    if ec_handling:
-        remove_traps(game, part)
     part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
     multi = pool_facts(game, part).multi
     stay = [1.0 if s in part.unknown else 0.0 for s in range(n)]
@@ -430,7 +427,6 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     lower = [rs.reach[s] + rs.stay[s] * bounds.l for s in range(n)]
     upper = [rs.reach[s] + rs.stay[s] * bounds.u for s in range(n)]
     value = [rs.reach[s] + rs.stay[s] * mid for s in range(n)]
-    strategy = {s: a for s, a in last_choice.items() if s not in part.sinks}
     return SolveResult(
         algorithm="svi" if ec_handling else "svi-noec",
         iterations=it,
@@ -440,7 +436,7 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
         lower=lower,
         upper=upper,
         value=value,
-        strategy=strategy,
+        strategy=last_choice,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=True,
         trace=trace,

@@ -41,7 +41,7 @@ class SccEntry:
     states: tuple[int, ...]
     depth: int
     eps_local: float
-    kind: str  # "unknown" needs solving, "decided" is all-target or all-sink
+    kind: str  # "unknown" has an undecided state, "decided" is all-target or all-sink
     frontier: dict[int, tuple[float, float]] = field(default_factory=dict)
     bounds: tuple[float, float] | None = None
     iterations: int = 0
@@ -62,9 +62,12 @@ def build_plan(game: StochasticGame, eps: float) -> SccPlan:
     """Decompose into SCCs and assign each its local precision budget.
 
     Components come out downstream-first. Depth is the longest predecessor
-    chain in the component DAG (0 at the sources); a component mixing
-    target or sink states with undecided ones cannot exist, so `kind` is
-    well defined per component.
+    chain in the component DAG (0 at the sources). A component with an
+    undecided state is solved as a whole ("unknown"). It may also hold
+    sinks: a trap inside a cycle, such as a Minimizer state that can loop
+    forever but also step to a Maximizer state that gambles on the target
+    and else returns. The inner solver keeps those at 0, as it does every
+    sink.
     """
     part = partition_states(game)
     comps = scc_decompose(game)
@@ -108,6 +111,8 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     """
     if inner not in INNER_SOLVERS:
         raise ValueError(f"unknown inner algorithm {inner!r}")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     if not game.is_normalized():
         raise ValueError("game must be normalized first (see normalize())")
     t0 = time.perf_counter()

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from ssgsolve.fuzz import run_fuzz
-from ssgsolve.graph import handle_ecs, remove_traps, trap_states
+from ssgsolve.graph import handle_ecs, trap_states
 from ssgsolve.model import GenParams, generate_random, parse_model, partition_states
 from ssgsolve.oracle import exact_value
 from ssgsolve.presets import (
@@ -175,7 +175,6 @@ def _batch_games(count=40, max_states=6):
 def _stepwise_invariants(g, iters=8):
     """Drive the solver loop by hand: mass, cap, and stability invariants."""
     part = partition_states(g)
-    remove_traps(g, part)
     n = g.n_states
     rs = ReachStayVector(
         [1.0 if s in part.targets else 0.0 for s in range(n)],
@@ -230,9 +229,10 @@ def test_a09_structural_invariants_on_random_batch():
         _stepwise_invariants(g)
         check_exit_cover(g)
         part = partition_states(g)
-        for s in trap_states(g, part.unknown):
+        assert trap_states(g, part.unknown) == set()
+        for s in part.sinks:
             assert want[s] == 0.0
-    print("A9 PASS: bounds monotone, iterates sandwiched, caps stable, exits cover, traps are zeros")
+    print("A9 PASS: bounds monotone, iterates sandwiched, caps stable, exits cover, sinks are zeros")
 
 
 def test_a10_topological_runs_agree_with_plain():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ssgsolve.baselines import UNSOUND_NOTE, deflate, solve_bvi, solve_vi
-from ssgsolve.graph import mec_decompose, remove_traps
+from ssgsolve.graph import mec_decompose
 from ssgsolve.model import (
     GenParams,
     StatePartition,
@@ -95,9 +95,15 @@ def test_deflate_peels_ring_exits():
 
 
 def test_deflate_zeroes_minimizer_trap():
+    # the partition counts the trap among the sinks, so the upper vector bvi
+    # starts from is 0 there, and deflating it changes nothing
     g = minimizer_trap()
     part = partition_states(g)
-    assert deflate(g, part, [1.0, 1.0, 1.0, 0.0]) == [0.0, 0.0, 1.0, 0.0]
+    assert {0, 1} <= part.sinks
+    U = [0.0 if s in part.sinks else 1.0 for s in range(g.n_states)]
+    assert U == [0.0, 0.0, 1.0, 0.0]
+    assert deflate(g, part, U) == U
+    assert solve_bvi(g).upper == U
 
 
 def test_deflate_no_components_no_change():
@@ -253,10 +259,8 @@ def test_bvi_decomposes_the_unknown_set_once(monkeypatch):
     g = normalize(generate_random(GenParams(
         n_states=40, max_actions_per_state=3, max_branching=2, target_fraction=0.1,
         ec_bias=0.5, seed=12)))
-    # the pool that solve_bvi sweeps: the unknown states less the traps
-    part = partition_states(g)
-    remove_traps(g, part)
-    unknown = part.unknown
+    # the pool that solve_bvi sweeps: the unknown states, which hold no trap
+    unknown = partition_states(g).unknown
     assert mec_decompose(g, unknown)
     calls = []
 

@@ -213,6 +213,22 @@ def test_topo_rejects_vi(loop_file, capsys):
     assert "sound inner solver" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "MODEL", "--eps", "0"],
+    ["solve", "MODEL", "--topo", "--eps", "-1"],
+    ["compare", "MODEL", "--eps", "-1"],
+    ["fuzz", "--count", "1", "--eps", "0"],
+    ["solve", "MODEL", "--eps", "nan"],
+], ids=["solve", "solve-topo", "compare", "fuzz", "nan"])
+def test_non_positive_eps_is_a_usage_error(loop_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(loop_file) if a == "MODEL" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--eps must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_relative_mode_limited_to_plain_svi(loop_file):
     with pytest.raises(SystemExit):
         main(["solve", str(loop_file), "--relative", "--algo", "bvi"])

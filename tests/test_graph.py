@@ -12,11 +12,18 @@ from ssgsolve.graph import (
     best_exits,
     handle_ecs,
     mec_decompose,
-    remove_traps,
     scc_decompose,
     trap_states,
 )
-from ssgsolve.model import MAX, GenParams, generate_random, normalize, parse_model, partition_states
+from ssgsolve.model import (
+    MAX,
+    GenParams,
+    StatePartition,
+    generate_random,
+    normalize,
+    parse_model,
+    partition_states,
+)
 from ssgsolve.presets import (
     ALL_PRESETS,
     asymmetric_ring,
@@ -98,9 +105,13 @@ def test_trap_states_ignore_maximizer_cycles():
 
 
 def test_trap_states_found_behind_feeder():
+    # the partition finds the trap behind the feeding state 3 and counts it
+    # among the sinks, so no trap is left among the unknown states
     g = parse_model(TRAP_FEED)
+    assert trap_states(g, {1, 2, 3}) == {1, 2}
     part = partition_states(g)
-    assert trap_states(g, part.unknown) == {1, 2}
+    assert part.sinks == {1, 2} and part.unknown == {3}
+    assert trap_states(g, part.unknown) == set()
 
 
 def test_best_exits_seesaw_initial():
@@ -147,17 +158,14 @@ def test_best_exit_set_nested_rings_optimistic_vector():
     assert acc == {(0, "cash"), (3, "ring")}
 
 
-def test_remove_traps_moves_trap_to_sinks():
+def test_partition_moves_trap_to_sinks():
     g = minimizer_trap()
     part = partition_states(g)
-    assert remove_traps(g, part) == {0, 1}
     assert part.unknown == set()
-    assert {0, 1} <= part.sinks
-    # a pool without traps stays as it is
+    assert part.sinks == {0, 1, 3}
+    # Maximizer cycles stay unknown
     part = partition_states(exit_seesaw())
-    before = part.copy()
-    assert remove_traps(exit_seesaw(), part) == set()
-    assert part == before
+    assert part.unknown == {0, 1}
 
 
 def test_handle_ecs_forces_coin_state():
@@ -174,10 +182,12 @@ def test_handle_ecs_no_components_no_pairs():
 
 
 def test_handle_ecs_leaves_partition_and_vectors_alone():
-    # even with a trap left in the pool: the pass only ranks exits
+    # even with a trap put back into the pool: the pass only ranks exits
     for build in (minimizer_trap, loop_or_coin, nested_rings):
         g = build()
         part, reach, stay = k0_vectors(g)
+        if build is minimizer_trap:
+            part = StatePartition(part.targets, {3}, {0, 1})
         before = (part.copy(), list(reach), list(stay))
         handle_ecs(g, reach, stay, 1.0, part)
         assert (part, reach, stay) == before
@@ -185,12 +195,10 @@ def test_handle_ecs_leaves_partition_and_vectors_alone():
 
 def test_handle_ecs_trap_removed_before_ranking():
     # state 3 must not be steered into the worthless trap exit
-    # (the solvers build their vectors on the pool the trap left)
+    # (the partition counts the trap among the sinks, so the vectors hold 0 there)
     g = parse_model(TRAP_FEED)
-    part = partition_states(g)
-    assert remove_traps(g, part) == {1, 2}
-    reach = [1.0 if s in part.targets else 0.0 for s in range(g.n_states)]
-    stay = [1.0 if s in part.unknown else 0.0 for s in range(g.n_states)]
+    part, reach, stay = k0_vectors(g)
+    assert {1, 2} <= part.sinks
     assert (3, "a0") not in handle_ecs(g, reach, stay, 1.0, part)
 
 
@@ -260,7 +268,6 @@ def check_exit_cover(game):
     vals = exact_floats(game)
     reach = list(vals)
     stay = [0.0] * game.n_states
-    remove_traps(game, part)
     B = handle_ecs(game, reach, stay, 1.0, part)
     for T in ecs:
         if not has_max_exit(game, T):
@@ -308,11 +315,11 @@ def test_mec_decomposition_matches_exhaustive_enumeration():
         check_mecs_are_maximal_ecs(generate_random(p))
 
 
-def test_no_exit_layer_is_empty_after_remove_traps(monkeypatch):
-    # Every end component of a trap-free pool, and of every set peeled off
-    # one, has a Maximizer exit, whatever vector ranks the exits: both the
-    # walk of handle_ecs and the walk of deflate (which ranks on the vector
-    # it is capping) see an exit in every layer.
+def test_no_exit_layer_is_empty_on_partition_pools(monkeypatch):
+    # The partition's pool holds no trap, so every end component of it, and
+    # of every set peeled off one, has a Maximizer exit, whatever vector
+    # ranks the exits: both the walk of handle_ecs and the walk of deflate
+    # (which ranks on the vector it is capping) see an exit in every layer.
     layers = []
     exit_layers = graph.exit_layers
 
@@ -332,7 +339,8 @@ def test_no_exit_layer_is_empty_after_remove_traps(monkeypatch):
     rng = random.Random(0)
     for g in games:
         part = partition_states(g)
-        trapped += len(remove_traps(g, part))
+        assert trap_states(g, part.unknown) == set()
+        trapped += len(part.sinks & g.can_reach)
         n = g.n_states
         for _ in range(3):
             reach = [rng.random() / 2 for _ in range(n)]
@@ -357,7 +365,6 @@ def test_handle_ecs_warm_memo_matches_cold_copies(ec_bias):
         rng = random.Random(seed)
         n = g.n_states
         warm = partition_states(g)
-        remove_traps(g, warm)
         for step in range(6):
             for _ in range(2):
                 reach = [rng.random() / 2 for _ in range(n)]

@@ -68,6 +68,33 @@ def test_exact_values_on_presets():
         assert list(got.values) == want, build.__name__
 
 
+# minimizer_trap with state 1's exit to the target listed first
+TRAP_EXIT_FIRST = """\
+ssg 1
+states 4
+minplayer 0 1
+target 2
+action 0 a
+  1 1
+action 1 out
+  2 1
+action 1 a
+  0 1
+"""
+
+
+def test_strategy_sites_do_not_come_from_the_partition():
+    # The partition counts the trap {0, 1} among the sinks. The oracle must
+    # still let the Minimizer choose at state 1: fixed to its first action,
+    # state 1 would leave the trap and get value 1.
+    g = normalize(parse_model(TRAP_EXIT_FIRST))
+    assert {0, 1} <= partition_states(g).sinks
+    res = exact_value(g)
+    assert res.values == (F(0), F(0), F(1), F(0))
+    assert res.min_strategy == {1: "a"}
+    assert res.pairs_evaluated == 2
+
+
 def test_exact_values_satisfy_bellman_equations():
     for build in ALL_PRESETS.values():
         g = build()

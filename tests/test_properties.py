@@ -93,9 +93,11 @@ def test_deflate_never_cuts_below_exact(g):
 @settings(deadline=None, max_examples=30)
 @given(games(max_states=6))
 def test_trap_members_have_value_zero(g):
+    # the partition's sinks include the traps: none is left unknown, each has value 0
     part = partition_states(g)
     want = exact_floats(g)
-    for s in trap_states(g, part.unknown):
+    assert trap_states(g, part.unknown) == set()
+    for s in part.sinks:
         assert want[s] == 0.0
 
 
@@ -134,7 +136,10 @@ def test_ec_bias_produces_end_components():
         n_states=6, max_actions_per_state=2, max_branching=2,
         target_fraction=0.2, min_player_fraction=0.5, ec_bias=1.0, seed=4,
     ))
-    part = partition_states(g)
-    assert part.unknown == {3, 4}
-    mecs = mec_decompose(g, part.unknown)
+    reaching = g.can_reach - g.targets
+    assert reaching == {3, 4}
+    mecs = mec_decompose(g, reaching)
     assert [sorted(m.states) for m in mecs] == [[4]]
+    # state 4 is a Minimizer self-loop, a trap: the partition counts it among the sinks
+    part = partition_states(g)
+    assert part.unknown == {3} and 4 in part.sinks

@@ -41,7 +41,7 @@ from ssgsolve.svi import (
     update_global_bounds,
 )
 from ssgsolve.topo import solve_topological
-from ssgsolve.baselines import solve_bvi
+from ssgsolve.baselines import solve_bvi, solve_vi
 from ssgsolve.fuzz import SLACK
 from ssgsolve.oracle import exact_value
 
@@ -438,6 +438,14 @@ def test_iteration_cap_returns_wide_bounds():
     assert r.sound
 
 
+@pytest.mark.parametrize("solve", [solve_vi, solve_bvi, solve_svi, solve_topological])
+def test_nan_eps_rejected(solve):
+    # NaN passes an `eps <= 0` test: svi then stops at once as converged,
+    # and vi runs to its iteration cap
+    with pytest.raises(ValueError, match="eps must be positive"):
+        solve(slow_loop(), float("nan"))
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         solve_svi(slow_loop(), eps=0.0)
@@ -484,7 +492,7 @@ def test_known_livelock_converges():
         assert ref.lower[s] - 1e-9 <= r.value[s] <= ref.upper[s] + 1e-9
 
 
-def test_trap_detection_runs_once_per_solve(monkeypatch):
+def test_trap_detection_runs_once_per_game(monkeypatch):
     import ssgsolve.graph as graph
 
     calls = []
@@ -502,10 +510,13 @@ def test_trap_detection_runs_once_per_solve(monkeypatch):
     assert r.iterations == 200 and not r.converged
     assert len(calls) == 1
     r = solve_bvi(g, max_iters=200)
-    assert r.iterations > 1 and len(calls) == 2
-    # without EC handling svi leaves the traps in the pool
+    assert r.iterations > 1
+    solve_vi(g, max_iters=5)
     solve_svi(g, max_iters=5, ec_handling=False)
-    assert len(calls) == 2
+    r = solve_topological(g, max_iters=200)
+    assert r.iterations > 1
+    # the partition's trap pass serves every solve of the game, topo's pinned runs too
+    assert len(calls) == 1
 
 
 def test_capped_solve_names_real_actions():

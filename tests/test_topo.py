@@ -169,3 +169,42 @@ def test_unknown_inner_rejected():
 def test_iteration_cap_propagates():
     res = solve_topological(slow_loop(), max_iters=0)
     assert not res.converged
+
+
+# Minimizer state 0 may loop forever (stay) or step to the Maximizer state 1,
+# which goes half back to 0 and half to the target 2. {0, 1} is one
+# component with the trap {0} inside it: state 0 has value 0, state 1 1/2.
+TRAP_IN_CYCLE = """\
+ssg 1
+states 3
+minplayer 0
+target 2
+action 0 stay
+0 1
+action 0 go
+1 1
+action 1 a
+0 1/2
+2 1/2
+"""
+
+
+def test_component_mixing_a_trap_with_undecided_states():
+    g = normalize(parse_model(TRAP_IN_CYCLE))
+    plan = build_plan(g, 1e-6)
+    (entry,) = [e for e in plan.entries if 0 in e.states]
+    assert entry.states == (0, 1) and entry.kind == "unknown"
+    for inner in INNER_SOLVERS:
+        res = solve_topological(g, inner=inner)
+        assert res.converged, inner
+        assert res.lower[0] == res.upper[0] == 0.0
+        assert res.lower[1] <= 0.5 <= res.upper[1]
+        assert res.upper[1] - res.lower[1] <= 2e-6
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_non_positive_eps_rejected(eps):
+    # a lone target needs no inner solve, and is rejected all the same
+    target_only = normalize(parse_model("ssg 1\nstates 1\ntarget 0\n"))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        solve_topological(target_only, eps)
