@@ -115,7 +115,7 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
         lower=list(L),
         upper=upper,
         value=list(L),
-        strategy=_greedy_strategy(game, part.unknown, L, L),
+        strategy={**part.attractor, **_greedy_strategy(game, part.unknown, L, L)},
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=False,
         trace=trace,
@@ -191,7 +191,7 @@ def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_0
         lower=list(L),
         upper=list(U),
         value=value,
-        strategy=_greedy_strategy(game, part.unknown, L, U),
+        strategy={**part.attractor, **_greedy_strategy(game, part.unknown, L, U)},
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=True,
         trace=trace,

@@ -213,8 +213,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     part = partition_states(game)
-    print(f"generated {game.n_states} states: {len(part.targets)} target, "
-          f"{len(part.sinks)} sink, {len(part.unknown)} unknown", file=sys.stderr)
+    print(f"generated {game.n_states} states: {len(game.targets)} target, "
+          f"{len(part.attractor)} value-1, {len(part.sinks)} sink, "
+          f"{len(part.unknown)} unknown", file=sys.stderr)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .baselines import solve_bvi
-from .model import Action, GenParams, StochasticGame, generate_random, serialize_model
+from .model import Action, GenParams, StochasticGame, generate_random, partition_states, serialize_model
 from .oracle import TooLarge, exact_value
 from .results import SolveResult
 from .svi import solve_svi
@@ -72,12 +72,19 @@ def check_model(game: StochasticGame, algo: str, eps: float,
                 overrides: Mapping[str, dict] | None = None) -> str | None:
     """Run one algorithm on one game; return a failure reason or None.
 
-    Checks: the final bounds sandwich the exact values, the same at
-    sampled recorded iterations, convergence, |value - exact| within eps
-    (2 eps for the topological driver, whose per-component budgets stack),
-    and the reported strategy uses real action labels. A capped solve
-    gets its brackets checked before it counts as a stall.
+    Checks: the game's partition has exact value 1 on every target (the
+    almost-sure winners included) and 0 on every sink, the final bounds
+    sandwich the exact values, the same at sampled recorded iterations,
+    convergence, |value - exact| within eps (2 eps for the topological
+    driver, whose per-component budgets stack), and the reported strategy
+    uses real action labels. A capped solve gets its brackets checked
+    before it counts as a stall.
     """
+    part = partition_states(game)
+    for decided, want, kind in ((part.targets, 1.0, "target"), (part.sinks, 0.0, "sink")):
+        for s in sorted(decided):
+            if values[s] != want:
+                return f"partition counts state {s} as a {kind}, exact value {values[s]!r}"
     try:
         res = _solve(game, algo, eps, overrides or {})
     except Exception as exc:  # a crash is a finding, not a test error

@@ -1,4 +1,4 @@
-"""Graph analysis: SCCs, maximal end components, traps and best-exit sets.
+"""Graph analysis: SCCs, maximal end components, traps, almost-sure winners and best-exit sets.
 
 An end component is a set of states T plus a set of retained actions such
 that every retained action stays inside T and T is strongly connected
@@ -8,7 +8,9 @@ two steps. The state partition (`StochasticGame.split`) counts the
 greatest trap (`trap_states`: states the Minimizer can confine play to,
 value 0) among the sinks, once per game; every end component of the
 unknown states then has a Maximizer exit, and the routines here find the
-components and the Maximizer actions that leave them best.
+components and the Maximizer actions that leave them best. The partition
+also counts the states the Maximizer wins almost surely (`almost_sure`,
+value 1) among the targets, so no sweep spends time certifying them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .model import MAX, StatePartition, StochasticGame, dot
+from .model import MAX, MIN, StatePartition, StochasticGame, dot
 
 TIE_TOL = 1e-12
 
@@ -189,6 +191,92 @@ def trap_states(game: StochasticGame, region: Iterable[int]) -> set[int]:
                 W.discard(s)
                 changed = True
     return W
+
+
+def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, str]:
+    """The states of the region from which the Maximizer reaches a target almost surely.
+
+    The nested fixpoint νY.μX of the value-1 (Prob1) precomputation
+    (Baier & Katoen, *Principles of Model Checking*, 2008, ch. 10): start
+    with Y = region ∪ targets and X = targets; a Maximizer state joins X
+    when some action has all its successors in Y and one in X, a
+    Minimizer state when every action has; then Y = X, until Y is stable.
+    Each round is one worklist pass over predecessor counts, linear in
+    the transitions. A state that leaves Y takes the Minimizer's positive
+    attractor of it along at once (a Minimizer state with an action that
+    leaves Y, a Maximizer state whose every action does): none of them
+    can join X in a later round, and without this they would leave Y one
+    layer per round.
+
+    Maps every winning state to its attractor action: for a Maximizer
+    state the action by which it joined X in the last round, which keeps
+    play in Y and moves it closer to a target with positive probability,
+    so playing it wins almost surely; for a Minimizer state its first
+    action. Non-target states only; each has value 1.
+    """
+    n, owner, actions, targets = game.n_states, game.owner, game.actions, sorted(game.targets)
+    pool = sorted(set(region) - game.targets)
+    in_y = bytearray(n)
+    for s in pool + targets:
+        in_y[s] = 1
+    # one entry k per action of a pool state: its state and its position
+    act_state: list[int] = []
+    act_pos: list[int] = []
+    preds: list[list[int]] = [[] for _ in range(n)]  # k once per transition into the state
+    n_acts = [0] * n
+    for s in pool:
+        n_acts[s] = len(actions[s])
+        for i, act in enumerate(actions[s]):
+            k = len(act_state)
+            act_state.append(s)
+            act_pos.append(i)
+            for t, _ in act.transitions:
+                preds[t].append(k)
+    stays = bytearray(b"\x01") * len(act_state)  # whether action k stays in Y
+    staying = list(n_acts)  # per state, its actions that stay in Y
+
+    def drop(work: list[int]) -> None:
+        """Take the states out of Y, with the Minimizer's positive attractor of them."""
+        for s in work:
+            in_y[s] = 0
+        while work:
+            for k in preds[work.pop()]:
+                if not stays[k]:
+                    continue
+                stays[k] = 0
+                s = act_state[k]
+                staying[s] -= 1
+                if in_y[s] and (owner[s] == MIN or not staying[s]):
+                    in_y[s] = 0
+                    work.append(s)
+
+    drop([s for s in range(n) if not in_y[s]])  # the actions into states outside Y never stay
+    while True:
+        in_x = bytearray(n)
+        for t in targets:
+            in_x[t] = 1
+        hit = bytearray(len(act_state))
+        missing = list(n_acts)  # per Minimizer state, its actions not yet seen to reach X
+        joined: dict[int, int] = {}
+        work = list(targets)
+        while work:
+            for k in preds[work.pop()]:
+                s = act_state[k]
+                if hit[k] or not stays[k] or in_x[s] or not in_y[s]:
+                    continue
+                hit[k] = 1
+                if owner[s] == MIN:
+                    missing[s] -= 1
+                    if missing[s]:
+                        continue
+                in_x[s] = 1
+                joined[s] = act_pos[k]
+                work.append(s)
+        lost = [s for s in pool if in_y[s] and not in_x[s]]
+        if not lost:
+            break
+        drop(lost)
+    return {s: actions[s][i if owner[s] == MAX else 0].label for s, i in sorted(joined.items())}
 
 
 def best_exits(game: StochasticGame, component: frozenset[int] | set[int],

@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .graph import Mec
@@ -238,17 +239,23 @@ class StochasticGame:
 
         The sinks are the states outside `can_reach` and the greatest trap
         of the other non-target states (`graph.trap_states`), so no end
-        component of the unknown states lacks a Maximizer exit. Shared by
-        every solve of the game, so never mutate it: `partition_states`
-        hands out copies.
+        component of the unknown states lacks a Maximizer exit. The states
+        the Maximizer wins almost surely (`graph.almost_sure`, run on what
+        the trap pass leaves) join the targets, value 1, with their
+        attractor actions in `StatePartition.attractor`. Shared by every
+        solve of the game, so never mutate it: `partition_states` hands
+        out copies.
         """
         from . import graph  # graph imports this module
 
         targets = set(self.targets)
         unknown = self.can_reach - targets
         unknown -= graph.trap_states(self, unknown)
+        won = graph.almost_sure(self, unknown)
+        unknown -= won.keys()
+        targets |= won.keys()
         sinks = set(range(self.n_states)) - targets - unknown
-        return StatePartition(targets, sinks, set(unknown))
+        return StatePartition(targets, sinks, set(unknown), MappingProxyType(won))
 
     def action(self, s: int, label: str) -> Action:
         try:
@@ -277,11 +284,15 @@ class StochasticGame:
 class StatePartition:
     """The classic three-way split used by every solver.
 
-    targets: the goal states (value 1); sinks: the states with no path to
-    a target under any resolution of choices, and the traps the Minimizer
-    can hold play in (value 0, see `StochasticGame.split`); unknown: the
-    rest. Solvers own their copy; their set-up may decide unknown states
-    (frozen pins, the settled tail), and the sound solvers then freeze
+    targets: the goal states and the states the Maximizer wins almost
+    surely (value 1); sinks: the states with no path to a target under any
+    resolution of choices, and the traps the Minimizer can hold play in
+    (value 0, see `StochasticGame.split`); unknown: the rest. attractor
+    maps each of the almost-sure winners (targets, but not the game's) to
+    its attractor action, which the solvers report as its strategy; it is
+    read-only and shared by every copy. Solvers own their copy; their
+    set-up may decide unknown states (frozen pins, which also leave
+    attractor, and the settled tail), and the sound solvers then freeze
     `unknown` into a frozenset: the pool never changes again in that
     solve, and the memo lookups keyed by it cost nothing. ec_memo maps a
     state set to its `graph.mec_decompose` result and pool_memo a pool to
@@ -293,11 +304,12 @@ class StatePartition:
     targets: set[int]
     sinks: set[int]
     unknown: set[int] | frozenset[int]
+    attractor: Mapping[int, str] = field(default_factory=lambda: MappingProxyType({}))
     ec_memo: dict[frozenset[int], list[Mec]] = field(default_factory=dict, compare=False, repr=False)
     pool_memo: dict[frozenset[int], PoolFacts] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "StatePartition":
-        return StatePartition(set(self.targets), set(self.sinks), set(self.unknown))
+        return StatePartition(set(self.targets), set(self.sinks), set(self.unknown), self.attractor)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,13 @@ which some state would switch its preferred action.
 
 End components need two extra devices; traps, out of which the Maximizer
 cannot force play, are sinks of the state partition and never enter the
-pool. The members of every end component are herded toward its current
-best exits (recomputed every iteration), and a Maximizer state inside an
-end component whose fresh estimate would overshoot its previous upper
-estimate is delayed: it keeps its old vector entries for one round.
+pool, and neither do the states the Maximizer wins almost surely, which
+the partition counts among the targets at value 1 (reported with their
+attractor actions). The members of every end component are herded
+toward its current best exits (recomputed every iteration), and a
+Maximizer state inside an end component whose fresh estimate would
+overshoot its previous upper estimate is delayed: it keeps its old
+vector entries for one round.
 States outside every end component are never delayed. Iterations with a
 delay skip the global bound update.
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .graph import TIE_TOL, Mec, cached_mecs, handle_ecs, scc_decompose
@@ -130,7 +134,8 @@ def start_vector(game: StochasticGame, eps: float, part: StatePartition,
     """Check a solver's arguments and return its starting lower vector.
 
     Rejects an eps that is not positive (NaN included) and a game that is
-    not normalized. Frozen states leave `part.unknown`. The vector is 1 on
+    not normalized. Frozen states leave `part.unknown` and
+    `part.attractor`, so no strategy entry names them. The vector is 1 on
     targets, the pinned value on frozen states and 0 everywhere else.
     """
     if not eps > 0:
@@ -138,9 +143,11 @@ def start_vector(game: StochasticGame, eps: float, part: StatePartition,
     if not game.is_normalized():
         raise ValueError("game must be normalized first (see normalize())")
     vec = [1.0 if s in part.targets else 0.0 for s in range(game.n_states)]
-    for s, v in (frozen or {}).items():
-        part.unknown.discard(s)
-        vec[s] = v
+    if frozen:
+        for s, v in frozen.items():
+            part.unknown.discard(s)
+            vec[s] = v
+        part.attractor = MappingProxyType({s: a for s, a in part.attractor.items() if s not in frozen})
     return vec
 
 
@@ -379,7 +386,7 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
     part = partition_states(game)
     n = game.n_states
     reach = start_vector(game, eps, part, frozen)
-    last_choice = settle_tail(game, part, reach)
+    last_choice = {**part.attractor, **settle_tail(game, part, reach)}
     part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
     multi = pool_facts(game, part).multi
     stay = [1.0 if s in part.unknown else 0.0 for s in range(n)]

@@ -62,12 +62,15 @@ def build_plan(game: StochasticGame, eps: float) -> SccPlan:
     """Decompose into SCCs and assign each its local precision budget.
 
     Components come out downstream-first. Depth is the longest predecessor
-    chain in the component DAG (0 at the sources). A component with an
-    undecided state is solved as a whole ("unknown"). It may also hold
-    sinks: a trap inside a cycle, such as a Minimizer state that can loop
-    forever but also step to a Maximizer state that gambles on the target
-    and else returns. The inner solver keeps those at 0, as it does every
-    sink.
+    chain in the component DAG (0 at the sources). A component whose
+    states the partition decided, targets (the almost-sure winners
+    included) and sinks, is "decided" and costs no sweep. A component
+    with an undecided state is solved as a whole ("unknown"). It may also
+    hold decided states: a trap inside a cycle, such as a Minimizer state
+    that can loop forever but also step to a Maximizer state that gambles
+    on the target and else returns, or an almost-sure winner beside a
+    state that can leave for a sink. The inner solver keeps those at 0
+    and 1, as it does every sink and target.
     """
     part = partition_states(game)
     comps = scc_decompose(game)
@@ -106,8 +109,9 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     Returns one merged result; trace entries carry the component index they
     came from. The strategy is taken from each component's lower-frontier
     run, the side whose Maximizer choices certify the reported lower
-    bounds. If a plan is passed in it is filled with per-component
-    outcomes.
+    bounds; the partition's almost-sure winners carry their attractor
+    action, whichever component they lie in. If a plan is passed in it is
+    filled with per-component outcomes.
     """
     if inner not in INNER_SOLVERS:
         raise ValueError(f"unknown inner algorithm {inner!r}")
@@ -127,7 +131,7 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     for s in part.sinks:
         lo[s] = hi[s] = 0.0
     trace: list[TraceEntry] = []
-    strategy: dict[int, str] = {}
+    strategy = dict(part.attractor)
     iterations = 0
     converged = True
     for entry in plan.entries:

@@ -314,6 +314,15 @@ def test_gen_roundtrip_and_determinism(tmp_path, capsys):
     assert out_file.read_text() == first.out
 
 
+def test_gen_summary_counts_each_kind_of_state(capsys):
+    # the partition decides states 1, 4 and 7 at value 1 by graph analysis;
+    # they are counted apart from the model's one target
+    assert main(["gen", "--states", "10", "--seed", "25", "--max-actions", "3",
+                 "--branching", "3", "--target-fraction", "0.1", "--ec-bias", "0.5"]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "generated 10 states: 1 target, 3 value-1, 2 sink, 4 unknown"
+
+
 def test_installed_script(loop_file, tmp_path):
     # Runs the console script declared in pyproject.toml as its own process,
     # through the same launcher pip writes for it, so no install is needed.

@@ -80,6 +80,30 @@ def test_check_model_flags_wrong_expectation():
     assert "final upper" in reason
 
 
+def test_check_model_catches_a_wrong_partition(monkeypatch):
+    import ssgsolve.fuzz as fuzz
+
+    g = two_route_choice()  # state 0 has value 1/2, 1 is the target, 2 the sink
+    want = exact_floats(g)
+    assert check_model(g, "svi", 1e-6, want) is None
+    honest = fuzz.partition_states
+
+    def moving_0_to(kind):
+        def partition(game):
+            part = honest(game)
+            part.unknown.discard(0)
+            getattr(part, kind).add(0)
+            return part
+        return partition
+
+    monkeypatch.setattr(fuzz, "partition_states", moving_0_to("targets"))
+    assert check_model(g, "svi", 1e-6, want) == \
+        "partition counts state 0 as a target, exact value 0.5"
+    monkeypatch.setattr(fuzz, "partition_states", moving_0_to("sinks"))
+    rep = run_fuzz(0, 0, extra_models=(g,), algorithms=("bvi",))
+    assert [f.reason for f in rep.failures] == ["partition counts state 0 as a sink, exact value 0.5"]
+
+
 def test_capped_solve_gets_its_bracket_checked():
     # one sweep of the weakened solver lifts state 0's lower bound to 0.6,
     # above its value 1/2, and stops far short of closing the slow loop 3

@@ -1,5 +1,6 @@
-"""Graph analyses: SCCs, end components, traps, best-exit collection."""
+"""Graph analyses: SCCs, end components, traps, almost-sure winners, best-exit collection."""
 
+import dataclasses
 import itertools
 import random
 
@@ -7,7 +8,9 @@ import pytest
 
 import ssgsolve.baselines as baselines
 import ssgsolve.graph as graph
+from ssgsolve.baselines import solve_bvi, solve_vi
 from ssgsolve.graph import (
+    almost_sure,
     best_exit_set,
     best_exits,
     handle_ecs,
@@ -24,6 +27,7 @@ from ssgsolve.model import (
     parse_model,
     partition_states,
 )
+from ssgsolve.oracle import exact_value
 from ssgsolve.presets import (
     ALL_PRESETS,
     asymmetric_ring,
@@ -35,6 +39,8 @@ from ssgsolve.presets import (
     serial_loops,
     slow_loop,
 )
+from ssgsolve.svi import solve_svi
+from ssgsolve.topo import solve_topological
 
 from _util import TRAP_FEED, exact_floats
 
@@ -104,14 +110,106 @@ def test_trap_states_ignore_maximizer_cycles():
     assert trap_states(nested_rings(), {0, 1, 2, 3}) == set()
 
 
+# TRAP_FEED with state 3's direct step into the target made a coin flip
+# between the target and the dead state 4, so 3 has value 1/2, not 1: the
+# Minimizer 2-cycle {1, 2} is a trap behind the feeding state 3.
+TRAP_FEED_COIN = """\
+ssg 1
+states 5
+minplayer 1 2
+target 0
+action 0 loop
+0 1
+action 1 a0
+2 1
+action 1 a1
+0 1
+action 2 a0
+1 1
+action 3 a0
+2 1
+action 3 a1
+3 1
+action 3 a2
+0 1/2
+4 1/2
+action 4 loop
+4 1
+"""
+
+
 def test_trap_states_found_behind_feeder():
     # the partition finds the trap behind the feeding state 3 and counts it
     # among the sinks, so no trap is left among the unknown states
-    g = parse_model(TRAP_FEED)
+    g = parse_model(TRAP_FEED_COIN)
     assert trap_states(g, {1, 2, 3}) == {1, 2}
     part = partition_states(g)
-    assert part.sinks == {1, 2} and part.unknown == {3}
+    assert part.sinks == {1, 2, 4} and part.unknown == {3}
     assert trap_states(g, part.unknown) == set()
+
+
+# 0: Maximizer, `loop` (listed first) stays on 0 forever, `go` leads to
+# the Minimizer state 2, whose every action reaches the target 3 with
+# positive probability and otherwise returns to 0. Every state has value
+# 1, but only `go` wins: `loop` stays in Y without ever reaching X.
+LOOP_BESIDE_ATTRACTOR = """\
+ssg 1
+states 4
+minplayer 2
+target 3
+action 0 loop
+  0 1
+action 0 go
+  2 1
+action 2 a
+  3 1/2
+  0 1/2
+action 2 b
+  3 1
+"""
+
+
+def test_almost_sure_does_not_report_a_loop_that_never_reaches_the_target():
+    g = normalize(parse_model(LOOP_BESIDE_ATTRACTOR))
+    # a Maximizer state reports the action it joined X by, a Minimizer state its first
+    assert almost_sure(g, {0, 1, 2}) == {0: "go", 2: "a"}
+    part = partition_states(g)
+    assert part.targets == {0, 2, 3} and part.unknown == set() and part.sinks == {1}
+    assert part.attractor == {0: "go", 2: "a"}
+    for solve in (solve_vi, solve_bvi, solve_svi, solve_topological):
+        r = solve(g)
+        assert r.converged and r.iterations == 0
+        assert r.strategy == {0: "go", 2: "a"}, r.algorithm
+        assert r.lower[0] == r.upper[0] == 1.0
+
+
+def _census_slice():
+    for n in (6, 8, 10):
+        for seed in range(50):
+            for tf, eb in ((0.1, 0.0), (0.1, 0.5), (0.05, 1.0)):
+                yield normalize(generate_random(GenParams(
+                    n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
+                    target_fraction=tf, ec_bias=eb)))
+
+
+def test_almost_sure_is_the_exact_value_one_set_on_a_census_slice():
+    # 450 census games: the fixpoint finds exactly the non-target states of
+    # value 1, and the reported attractor actions win almost surely
+    decided = 0
+    for g in _census_slice():
+        exact = exact_value(g).values
+        won = almost_sure(g, g.can_reach - g.targets)
+        assert set(won) == {s for s in range(g.n_states) if exact[s] == 1} - g.targets
+        assert dict(g.split.attractor) == won
+        decided += len(won)
+        # the Maximizer restricted to the attractor actions still wins everywhere
+        actions = list(g.actions)
+        for s, label in won.items():
+            if g.owner[s] == MAX:
+                actions[s] = (g.action(s, label),)
+        restricted = exact_value(dataclasses.replace(g, actions=tuple(actions))).values
+        assert all(restricted[s] == 1 for s in won)
+    assert decided > 1000
 
 
 def test_best_exits_seesaw_initial():
@@ -334,7 +432,7 @@ def test_no_exit_layer_is_empty_on_partition_pools(monkeypatch):
         normalize(generate_random(GenParams(
             n_states=12, max_actions_per_state=3, max_branching=2, target_fraction=0.1,
             ec_bias=ec_bias, seed=seed)))
-        for ec_bias in (0.5, 1.0) for seed in range(20)]
+        for ec_bias in (0.5, 1.0) for seed in range(40)]
     trapped = 0
     rng = random.Random(0)
     for g in games:

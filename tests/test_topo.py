@@ -17,8 +17,31 @@ from ssgsolve.presets import (
 from _util import exact_floats, max_err
 
 
+# `loop_with_bypass` with the relay 2 made a coin flip between the target
+# 3 and the sink 4, so that 2 has value 1/2 and stays an unknown component.
+LOOP_WITH_COIN_BYPASS = """\
+ssg 1
+states 5
+minplayer 0 2
+target 3
+action 0 a
+  1 1
+action 0 b
+  2 1
+action 1 a
+  1 49/50
+  3 1/100
+  4 1/100
+action 1 b
+  4 1
+action 2 c
+  3 1/2
+  4 1/2
+"""
+
+
 def test_plan_orders_components_successors_first():
-    plan = build_plan(loop_with_bypass(), 1e-6)
+    plan = build_plan(normalize(parse_model(LOOP_WITH_COIN_BYPASS)), 1e-6)
     assert [tuple(e.states) for e in plan.entries] == [(3,), (4,), (1,), (2,), (0,)]
     kinds = [e.kind for e in plan.entries]
     assert kinds == ["decided", "decided", "unknown", "unknown", "unknown"]
@@ -54,7 +77,8 @@ def test_slow_component_resolves_locally_in_one_iteration():
 
 # State 0 chooses between two components that do not see each other: the
 # loop {1, 2} (values 2/3 and 1/3, bracketed only to eps) and the loop
-# {3}, whose one successor outside itself is the target 4.
+# {3} (value 1/2), whose successors outside itself are the target 4 and
+# the sink 5.
 TIGHT_NEXT_TO_LOOSE = """\
 ssg 1
 states 6
@@ -71,7 +95,8 @@ action 2 a
   5 1/2
 action 3 a
   3 1/2
-  4 1/2
+  4 1/4
+  5 1/4
 """
 
 
@@ -92,7 +117,7 @@ def test_second_run_only_for_a_loose_frontier(monkeypatch):
     assert [e.states for e in plan.unknown_entries()] == [(1, 2), (3,), (0,)]
     loose, tight, source = plan.unknown_entries()
     assert res.lower[1] < res.upper[1]
-    assert tight.frontier == {4: (1.0, 1.0)}
+    assert tight.frontier == {4: (1.0, 1.0), 5: (0.0, 0.0)}
     assert source.frontier[1] == (res.lower[1], res.upper[1])
     assert solved == [(1, 2), (3,), (0,), (0,)]
     assert max_err(res.value, exact_floats(g)) <= 2e-6
