@@ -17,7 +17,7 @@ meets one.
 from __future__ import annotations
 
 import time
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Sequence
 
 # mec_decompose is not called here, but perfbench/layers.py wraps it under this name
 from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
@@ -63,6 +63,8 @@ def _greedy_strategy(game: StochasticGame, unknown: AbstractSet[int],
     """Final action snapshot: Maximizer argmax under high, Minimizer argmin under low.
 
     Near-ties go to the lowest action index (`svi.tie_band`), as in svi.
+    Inside end components it is no winning strategy: a Maximizer choice may
+    stay where the Minimizer can hold play (bvi loses on 10 of 480 census games).
     """
     rows = game.rows
     out: dict[int, str] = {}
@@ -90,7 +92,7 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     t0 = time.perf_counter()
     part = partition_states(game)
     n = game.n_states
-    L = start_vector(game, eps, part, None)
+    L = start_vector(game, eps, part)
     float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
     it = 0
@@ -150,48 +152,57 @@ def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float])
 
 
 def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_000, *,
-              frozen: Mapping[int, float] | None = None,
               record_vectors: bool = False) -> SolveResult:
-    """Bounded value iteration: L from below, deflated U from above.
-
-    Stops when the largest per-state interval U-L drops below eps; the
-    value is the midpoint. `frozen` pins states to exact values and drops
-    them from the sweeps (used by the topological driver).
-    """
+    """Bounded value iteration: `solve_bvi_pool` on the game's partition."""
     t0 = time.perf_counter()
     part = partition_states(game)
-    n = game.n_states
-    L = start_vector(game, eps, part, frozen)
-    part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
-    U = [1.0 if s in part.unknown else L[s] for s in range(n)]
+    return solve_bvi_pool(game, part, start_vector(game, eps, part), eps, max_iters, t0=t0,
+                          record_vectors=record_vectors)
+
+
+def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], eps: float,
+                   max_iters: int, *, t0: float | None = None, record_vectors: bool = False) -> SolveResult:
+    """Bounded value iteration on the pool `part.unknown`: L from below, deflated U from above.
+
+    L holds every state's start value, the decided values around the pool
+    included. Stops when the largest per-state interval U-L drops below
+    eps; the value is the midpoint. wall_ms counts from t0 (default: the
+    call). Set-up is pool-sized but for list copies: topo calls this per component.
+    """
+    t0 = time.perf_counter() if t0 is None else t0
+    pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
+    U = list(L)
+    for s in pool:
+        U[s] = 1.0
     float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
     vectors: list[tuple[list[float], list[float]]] = []
     it = 0
-    gap = max((U[s] - L[s] for s in part.unknown), default=0.0)
+    gap = max((U[s] - L[s] for s in pool), default=0.0)
     while gap >= eps and it < max_iters:
-        L, U = _sweep2(game, part.unknown, L, U)
+        L, U = _sweep2(game, pool, L, U)
         U = deflate(game, part, U)
         it += 1
-        gap = max(U[s] - L[s] for s in part.unknown)
+        gap = max(U[s] - L[s] for s in pool)
         trace.append(TraceEntry(
-            k=it, l=min(L[s] for s in part.unknown), u=max(U[s] for s in part.unknown),
-            d_l=None, d_u=None, delayed=0, bounds_updated=False, max_gap=gap,
-            updates=len(part.unknown),
+            k=it, l=min(L[s] for s in pool), u=max(U[s] for s in pool),
+            d_l=None, d_u=None, delayed=0, bounds_updated=False, max_gap=gap, updates=len(pool),
         ))
         if record_vectors:
             vectors.append((list(L), list(U)))
-    value = [(lo + hi) / 2.0 for lo, hi in zip(L, U)]
+    value = list(L)  # outside the pool L and U agree
+    for s in pool:
+        value[s] = (L[s] + U[s]) / 2.0
     return SolveResult(
         algorithm="bvi",
         iterations=it,
         converged=gap < eps,
-        global_lower=min((L[s] for s in part.unknown), default=0.0),
-        global_upper=max((U[s] for s in part.unknown), default=1.0),
+        global_lower=min((L[s] for s in pool), default=0.0),
+        global_upper=max((U[s] for s in pool), default=1.0),
         lower=list(L),
         upper=list(U),
         value=value,
-        strategy={**part.attractor, **_greedy_strategy(game, part.unknown, L, U)},
+        strategy={**part.attractor, **_greedy_strategy(game, pool, L, U)},
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=True,
         trace=trace,

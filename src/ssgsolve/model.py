@@ -291,14 +291,14 @@ class StatePartition:
     maps each of the almost-sure winners (targets, but not the game's) to
     its attractor action, which the solvers report as its strategy; it is
     read-only and shared by every copy. Solvers own their copy; their
-    set-up may decide unknown states (frozen pins, which also leave
-    attractor, and the settled tail), and the sound solvers then freeze
-    `unknown` into a frozenset: the pool never changes again in that
-    solve, and the memo lookups keyed by it cost nothing. ec_memo maps a
-    state set to its `graph.mec_decompose` result and pool_memo a pool to
-    its `svi.PoolFacts`; both are pure functions of the game and the set,
-    kept across the sweeps of the copy's solve: eq and repr ignore them,
-    and `copy` starts empty ones.
+    set-up may decide unknown states (the settled tail), and the sound
+    solvers then freeze `unknown` into a frozenset: the pool never changes
+    again in that solve, and the memo lookups keyed by it cost nothing.
+    The topological driver makes one per component (its unknown states,
+    no attractor). ec_memo maps a state set to its `graph.mec_decompose`
+    result and pool_memo a pool to its `svi.PoolFacts`; both are pure
+    functions of the game and the set, kept across the sweeps of the
+    copy's solve: eq and repr ignore them, and `copy` starts empty ones.
     """
 
     targets: set[int]

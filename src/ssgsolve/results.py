@@ -40,10 +40,10 @@ class SolveResult:
     lower[s] <= V(s) <= upper[s] up to float noise and value is the
     midpoint. `sound` is False for classic value iteration, whose stopping
     rule does not certify the distance to the true value. `strategy` maps
-    the unknown states of the game's partition (not frozen ones) to the
-    final chosen action label, and the states the partition decided at
-    value 1 by graph analysis to their attractor action
-    (`StatePartition.attractor`), which wins almost surely; sinks, traps
+    the solved pool (the unknown states of the game's partition, for a
+    public solver) to the final chosen action label, and the states the
+    partition decided at value 1 by graph analysis to their attractor
+    action (`StatePartition.attractor`), which wins almost surely; sinks, traps
     among them, and the game's targets have no entry. global_lower and
     global_upper bound every unknown state at once where the algorithm
     maintains such scalars; they stay at the vacuous 0 and 1 otherwise.

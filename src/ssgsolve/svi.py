@@ -24,12 +24,12 @@ delay skip the global bound update.
 
 Before the first sweep, the acyclic tail of the undecided pool is settled:
 a state that lies on no cycle and whose successors are all decided gets
-its exact one-step value, and from then on counts as decided, like a
-frozen state (Azeem et al., "Optimistic and topological value iteration
-for simple stochastic games", ATVA 2022, freeze states decided in
-topological order the same way). Left in the pool, such a state would
-keep its value among the bound candidates for good, so l and u could never
-close past it.
+its exact one-step value, and from then on counts as decided, like the
+states around a topological component (Azeem et al., "Optimistic and
+topological value iteration for simple stochastic games", ATVA 2022,
+decide states in topological order the same way). Left in the pool,
+such a state would keep its value among the bound candidates for good,
+so l and u could never close past it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .graph import TIE_TOL, Mec, cached_mecs, handle_ecs, scc_decompose
 from .model import MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, dot, partition_states
@@ -129,26 +128,17 @@ def float_rows(game: StochasticGame) -> FloatRows:
     return game.rows
 
 
-def start_vector(game: StochasticGame, eps: float, part: StatePartition,
-                 frozen: Mapping[int, float] | None) -> list[float]:
+def start_vector(game: StochasticGame, eps: float, part: StatePartition) -> list[float]:
     """Check a solver's arguments and return its starting lower vector.
 
     Rejects an eps that is not positive (NaN included) and a game that is
-    not normalized. Frozen states leave `part.unknown` and
-    `part.attractor`, so no strategy entry names them. The vector is 1 on
-    targets, the pinned value on frozen states and 0 everywhere else.
+    not normalized. The vector is 1 on targets and 0 everywhere else.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if not game.is_normalized():
         raise ValueError("game must be normalized first (see normalize())")
-    vec = [1.0 if s in part.targets else 0.0 for s in range(game.n_states)]
-    if frozen:
-        for s, v in frozen.items():
-            part.unknown.discard(s)
-            vec[s] = v
-        part.attractor = MappingProxyType({s: a for s, a in part.attractor.items() if s not in frozen})
-    return vec
+    return [1.0 if s in part.targets else 0.0 for s in range(game.n_states)]
 
 
 def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) -> dict[int, str]:
@@ -361,36 +351,52 @@ def check_termination(partition: StatePartition, rs: ReachStayVector, bounds: Gl
 
 def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = True,
               mode: str = "absolute", max_iters: int = 10_000_000,
-              frozen: Mapping[int, float] | None = None,
-              use_decision_values: bool = True,
-              record_vectors: bool = False) -> SolveResult:
-    """Solve a normalized game to certified per-state precision eps.
+              use_decision_values: bool = True, record_vectors: bool = False) -> SolveResult:
+    """Solve a normalized game to certified per-state precision eps: `solve_svi_pool` on its partition."""
+    t0 = time.perf_counter()
+    part = partition_states(game)
+    return solve_svi_pool(game, part, start_vector(game, eps, part), eps, max_iters, t0=t0,
+                          ec_handling=ec_handling, mode=mode,
+                          use_decision_values=use_decision_values, record_vectors=record_vectors)
 
-    Settles the acyclic tail first (`settle_tail`); the pool, free of
-    traps by the partition, is fixed from then on, so what the sweeps need
-    to know about it (`PoolFacts`) is worked out once. Then runs the full
-    loop: EC pass (unless ec_handling is off), action choice, decision
-    values, batch sweep with delays, global bound update, termination
-    test. On the iteration cap the result comes back with
+
+def _bracket(rs: ReachStayVector, pool: frozenset[int], level: float) -> list[float]:
+    """reach + stay*level per state; outside the pool stay is 0, so a copy of reach does."""
+    out = list(rs.reach)
+    for s in pool:
+        out[s] = rs.reach[s] + rs.stay[s] * level
+    return out
+
+
+def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float], eps: float,
+                   max_iters: int, *, t0: float | None = None, ec_handling: bool = True,
+                   mode: str = "absolute", use_decision_values: bool = True,
+                   record_vectors: bool = False) -> SolveResult:
+    """Solve the pool `part.unknown`, around the values `vec` holds for every other state.
+
+    The pool must hold no trap and no state of value 1, as the partition
+    ensures; `part` and `vec` are the solve's own. Settles the acyclic
+    tail first (`settle_tail`); the pool is fixed from then on, so what
+    the sweeps need to know about it (`PoolFacts`) is worked out once.
+    Then runs the full loop: EC pass (unless ec_handling is off), action
+    choice, decision values, batch sweep with delays, global bound update,
+    termination test. On the iteration cap the result comes back with
     converged=False; its bounds are still valid, just wider than 2*eps.
-
-    `frozen` pins the given states to fixed values (their reach entry),
-    excluding them from the undecided pool; the topological driver uses
-    this to feed already-solved downstream states into an upstream
-    component. mode is "absolute" or "relative" (termination test only).
+    mode is "absolute" or "relative" (termination test only); wall_ms
+    counts from t0 (default: the call). The strategy names
+    `part.attractor` and the pool. Set-up is pool-sized but for list
+    copies: topo calls this per component.
     """
     if mode not in ("absolute", "relative"):
         raise ValueError("mode must be 'absolute' or 'relative'")
-    t0 = time.perf_counter()
-
-    part = partition_states(game)
-    n = game.n_states
-    reach = start_vector(game, eps, part, frozen)
-    last_choice = {**part.attractor, **settle_tail(game, part, reach)}
-    part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
+    t0 = time.perf_counter() if t0 is None else t0
+    last_choice = {**part.attractor, **settle_tail(game, part, vec)}
+    pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
     multi = pool_facts(game, part).multi
-    stay = [1.0 if s in part.unknown else 0.0 for s in range(n)]
-    rs = ReachStayVector(reach, stay, 0)
+    stay = [0.0] * game.n_states
+    for s in pool:
+        stay[s] = 1.0
+    rs = ReachStayVector(vec, stay, 0)
     bounds = GlobalBounds(0.0, 1.0)
     prev: StrategySnapshot | None = None
     trace: list[TraceEntry] = []
@@ -414,35 +420,28 @@ def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = Tr
                                           use_decision_values=use_decision_values)
         it += 1
         gap = new_bounds.u - new_bounds.l
-        max_gap = max([rs.stay[s] * gap for s in part.unknown], default=0.0)
+        max_gap = max([rs.stay[s] * gap for s in pool], default=0.0)
         trace.append(TraceEntry(
             k=it, l=new_bounds.l, u=new_bounds.u, d_l=new_bounds.d_l, d_u=new_bounds.d_u,
             delayed=n_delayed,
             bounds_updated=(new_bounds.l, new_bounds.u) != (bounds.l, bounds.u),
-            max_gap=max_gap, updates=len(part.unknown) - n_delayed,
+            max_gap=max_gap, updates=len(pool) - n_delayed,
         ))
         if record_vectors:
-            vectors.append((
-                [rs.reach[s] + rs.stay[s] * new_bounds.l for s in range(n)],
-                [rs.reach[s] + rs.stay[s] * new_bounds.u for s in range(n)],
-            ))
+            vectors.append((_bracket(rs, pool, new_bounds.l), _bracket(rs, pool, new_bounds.u)))
         bounds = new_bounds
         prev = snapshot
         converged = check_termination(part, rs, bounds, eps, mode)
 
-    mid = (bounds.l + bounds.u) / 2.0
-    lower = [rs.reach[s] + rs.stay[s] * bounds.l for s in range(n)]
-    upper = [rs.reach[s] + rs.stay[s] * bounds.u for s in range(n)]
-    value = [rs.reach[s] + rs.stay[s] * mid for s in range(n)]
     return SolveResult(
         algorithm="svi" if ec_handling else "svi-noec",
         iterations=it,
         converged=converged,
         global_lower=bounds.l,
         global_upper=bounds.u,
-        lower=lower,
-        upper=upper,
-        value=value,
+        lower=_bracket(rs, pool, bounds.l),
+        upper=_bracket(rs, pool, bounds.u),
+        value=_bracket(rs, pool, (bounds.l + bounds.u) / 2.0),
         strategy=last_choice,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=True,

@@ -2,10 +2,11 @@
 
 Value dependencies follow the edge relation, so the strongly connected
 components can be solved in reverse topological order with everything
-downstream already decided. Each component is solved twice on frozen
-frontiers, once with all downstream states pinned to their certified
-lower values and once with its frontier (the downstream states one step
-away, the only ones its values depend on) pinned to their uppers; by
+downstream already decided. Each component's undecided states are solved
+as the pool of an inner pool solve (`svi.solve_svi_pool`,
+`baselines.solve_bvi_pool`) twice: once with every downstream state at
+its certified lower value and once with its frontier (the downstream
+states one step away, the only ones its values depend on) at its uppers; by
 monotonicity of the value in the frontier the first run's lowers and the
 second run's uppers bound the true values. When the frontier is already
 tight (lower == upper for every frontier state, the common case) a single
@@ -21,15 +22,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .baselines import solve_bvi
+from .baselines import solve_bvi_pool
 from .graph import scc_decompose
-from .model import StochasticGame, partition_states
+from .model import StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
-from .svi import solve_svi
+from .svi import solve_svi_pool, start_vector
 
+#: pool solves, called as solver(game, part, vec, eps, max_iters)
 INNER_SOLVERS: dict[str, Callable[..., SolveResult]] = {
-    "svi": solve_svi,
-    "bvi": solve_bvi,
+    "svi": solve_svi_pool,
+    "bvi": solve_bvi_pool,
 }
 
 
@@ -104,7 +106,7 @@ def build_plan(game: StochasticGame, eps: float) -> SccPlan:
 
 def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi",
                       max_iters: int = 10_000_000, plan: SccPlan | None = None) -> SolveResult:
-    """Solve SCC by SCC with the given inner algorithm on frozen frontiers.
+    """Solve SCC by SCC with the given inner pool solve around the decided frontiers.
 
     Returns one merged result; trace entries carry the component index they
     came from. The strategy is taken from each component's lower-frontier
@@ -115,21 +117,13 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     """
     if inner not in INNER_SOLVERS:
         raise ValueError(f"unknown inner algorithm {inner!r}")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not game.is_normalized():
-        raise ValueError("game must be normalized first (see normalize())")
     t0 = time.perf_counter()
     solver = INNER_SOLVERS[inner]
     part = partition_states(game)
+    lo = start_vector(game, eps, part)  # states not yet decided are unreachable from a component
+    hi = list(lo)
     if plan is None:
         plan = build_plan(game, eps)
-    lo: dict[int, float] = {}
-    hi: dict[int, float] = {}
-    for s in part.targets:
-        lo[s] = hi[s] = 1.0
-    for s in part.sinks:
-        lo[s] = hi[s] = 0.0
     trace: list[TraceEntry] = []
     strategy = dict(part.attractor)
     iterations = 0
@@ -144,17 +138,18 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
             for s in sorted({t for u in inside for a in game.actions[u]
                              for t in a.successors()} - inside)
         }
-        # states not yet decided are unreachable from this component
-        lo_frozen = {s: lo.get(s, 0.0) for s in range(game.n_states) if s not in inside}
-        runs = [solver(game, entry.eps_local, max_iters=max_iters, frozen=lo_frozen)]
+        vecs = [list(lo)]
         if any(a != b for a, b in entry.frontier.values()):
-            hi_frozen = lo_frozen | {s: b for s, (_, b) in entry.frontier.items()}
-            runs.append(solver(game, entry.eps_local, max_iters=max_iters, frozen=hi_frozen))
+            vecs.append(list(lo))
+            for s, (_, b) in entry.frontier.items():
+                vecs[1][s] = b
+        runs = [solver(game, StatePartition(part.targets, part.sinks, part.unknown & inside), vec,
+                       entry.eps_local, max_iters) for vec in vecs]
         run_lo, run_hi = runs[0], runs[-1]
         for s in inside:
             lo[s] = run_lo.lower[s]
             hi[s] = run_hi.upper[s]
-        strategy.update({s: a for s, a in run_lo.strategy.items() if s in inside})
+        strategy.update(run_lo.strategy)
         for run in runs:
             trace.extend(dataclasses.replace(t, scc=entry.index) for t in run.trace)
         entry.iterations = sum(r.iterations for r in runs)
@@ -162,17 +157,15 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
         entry.bounds = (run_lo.global_lower, run_hi.global_upper)
         iterations += entry.iterations
         converged = converged and entry.converged
-    lower = [lo[s] for s in range(game.n_states)]
-    upper = [hi[s] for s in range(game.n_states)]
     return SolveResult(
         algorithm=f"topo-{inner}",
         iterations=iterations,
         converged=converged,
-        global_lower=min((lower[s] for s in part.unknown), default=0.0),
-        global_upper=max((upper[s] for s in part.unknown), default=1.0),
-        lower=lower,
-        upper=upper,
-        value=[(a + b) / 2.0 for a, b in zip(lower, upper)],
+        global_lower=min((lo[s] for s in part.unknown), default=0.0),
+        global_upper=max((hi[s] for s in part.unknown), default=1.0),
+        lower=lo,
+        upper=hi,
+        value=[(a + b) / 2.0 for a, b in zip(lo, hi)],
         strategy=strategy,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=True,

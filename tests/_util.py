@@ -1,6 +1,22 @@
 """Helpers shared by the test modules."""
 
+from ssgsolve.model import StatePartition, partition_states
 from ssgsolve.oracle import exact_value
+from ssgsolve.svi import start_vector
+
+
+def pinned(game, values):
+    """A pool-solve partition and start vector with the given states decided at the given values.
+
+    The partition is the game's without its attractor, so a pool solve's
+    strategy names the pool only, as in the topological driver.
+    """
+    part = partition_states(game)
+    part = StatePartition(part.targets, part.sinks, part.unknown - values.keys())
+    vec = start_vector(game, 1e-6, part)
+    for s, v in values.items():
+        vec[s] = v
+    return part, vec
 
 
 def exact_floats(game):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ssgsolve.baselines import UNSOUND_NOTE, deflate, solve_bvi, solve_vi
+from ssgsolve.baselines import UNSOUND_NOTE, deflate, solve_bvi, solve_bvi_pool, solve_vi
 from ssgsolve.graph import mec_decompose
 from ssgsolve.model import (
     GenParams,
@@ -30,7 +30,7 @@ from ssgsolve.presets import (
     two_route_choice,
 )
 
-from _util import exact_floats, max_err
+from _util import exact_floats, max_err, pinned
 
 
 def test_vi_follows_geometric_closed_form():
@@ -218,8 +218,9 @@ def test_bvi_bounds_are_monotone_and_bracket_the_value():
                     assert highs[k][s] <= highs[k - 1][s] + 1e-12
 
 
-def test_bvi_frozen_pins():
-    r = solve_bvi(loop_with_bypass(), frozen={1: 0.5, 2: 1.0})
+def test_bvi_pool_reads_downstream_values():
+    g = loop_with_bypass()
+    r = solve_bvi_pool(g, *pinned(g, {1: 0.5, 2: 1.0}), 1e-6, 10_000_000)
     assert r.converged
     assert r.lower[1] == r.upper[1] == 0.5
     assert abs(r.value[0] - 0.5) <= 1e-6

@@ -1,4 +1,4 @@
-"""Certified-precision solver: operations, full runs, frozen traces."""
+"""Certified-precision solver: operations, full runs, pool solves."""
 
 from fractions import Fraction
 
@@ -37,7 +37,7 @@ from ssgsolve.svi import (
     decision_value,
     settle_tail,
     solve_svi,
-    start_vector,
+    solve_svi_pool,
     update_global_bounds,
 )
 from ssgsolve.topo import solve_topological
@@ -45,7 +45,7 @@ from ssgsolve.baselines import solve_bvi, solve_vi
 from ssgsolve.fuzz import SLACK
 from ssgsolve.oracle import exact_value
 
-from _util import REGRESSION_MODELS, exact_floats, max_err
+from _util import REGRESSION_MODELS, exact_floats, max_err, pinned
 
 # Two actions with the same coin flip between the target 1 and the sink 2.
 TWIN_ACTIONS = """\
@@ -76,7 +76,7 @@ def k0_state(game):
 
 
 # 0: Maximizer, x -> 1 (value 1/2) ties with y (1/2) and beats z (0).
-# 1: Minimizer, a (3/4) against b (1/2). 2: Maximizer over the frozen
+# 1: Minimizer, a (3/4) against b (1/2). 2: Maximizer over the pinned
 # state 5 and the sink. 3 loops on itself, 4 leads into 3. 6 is the sink.
 # 3, 4 and 5 have value 1/2, so none of them is decided at value 1.
 TAIL = """\
@@ -115,8 +115,7 @@ action 5 a
 
 def test_settle_tail_decides_the_acyclic_tail_successors_first():
     g = normalize(parse_model(TAIL))
-    part = partition_states(g)
-    vec = start_vector(g, 1e-6, part, {5: 0.3})
+    part, vec = pinned(g, {5: 0.3})
     settled = settle_tail(g, part, vec)
     # the lowest index wins the tie at 0; the Minimizer takes its minimum
     assert settled == {0: "x", 1: "b", 2: "a"}
@@ -125,7 +124,7 @@ def test_settle_tail_decides_the_acyclic_tail_successors_first():
     assert part.unknown == {3, 4}
     assert vec[3] == vec[4] == 0.0
 
-    r = solve_svi(g, frozen={5: 0.3})
+    r = solve_svi_pool(g, *pinned(g, {5: 0.3}), 1e-6, 10_000)
     assert r.converged
     assert r.lower[:3] == r.upper[:3] == [0.5, 0.5, 0.3]
     assert all(r.strategy[s] == settled[s] for s in settled)
@@ -426,10 +425,11 @@ def test_relative_mode():
     assert max_err(r.value, exact_floats(g)) <= 2e-6
 
 
-def test_frozen_pins_downstream_values():
-    # every successor of state 0 is frozen, so the tail pass settles it at
+def test_pool_solve_reads_downstream_values():
+    # every successor of state 0 is pinned, so the tail pass settles it at
     # min(0.5, 1.0) before the first sweep and no sweep is left to run
-    r = solve_svi(loop_with_bypass(), frozen={1: 0.5, 2: 1.0})
+    g = loop_with_bypass()
+    r = solve_svi_pool(g, *pinned(g, {1: 0.5, 2: 1.0}), 1e-6, 10_000)
     assert r.converged and r.iterations == 0
     assert r.value[0] == 0.5
     assert r.strategy == {0: "a"}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ssgsolve.model import normalize, parse_model
+from ssgsolve.baselines import solve_bvi
+from ssgsolve.model import GenParams, generate_random, normalize, parse_model, partition_states
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import INNER_SOLVERS, build_plan, solve_topological
 from ssgsolve.presets import (
@@ -105,9 +106,9 @@ def test_second_run_only_for_a_loose_frontier(monkeypatch):
     solved = []
     inner = INNER_SOLVERS["svi"]
 
-    def counted(game, eps, **kwargs):
-        solved.append(tuple(s for s in range(game.n_states) if s not in kwargs["frozen"]))
-        return inner(game, eps, **kwargs)
+    def counted(game, part, vec, eps, max_iters):
+        solved.append(tuple(sorted(part.unknown)))
+        return inner(game, part, vec, eps, max_iters)
 
     monkeypatch.setitem(INNER_SOLVERS, "svi", counted)
     plan = build_plan(g, 1e-6)
@@ -154,11 +155,39 @@ def test_agreement_with_plain_solver_on_presets():
 
 
 def test_single_component_degenerates_to_plain_run():
-    topo = solve_topological(exit_seesaw())
-    plain = solve_svi(exit_seesaw())
-    assert topo.iterations == plain.iterations == 6
-    assert topo.value == plain.value
-    assert topo.strategy == plain.strategy
+    # the pool solve on the one component is the public solve's own path
+    for inner, plain_solve, sweeps in (("svi", solve_svi, 6), ("bvi", solve_bvi, 12)):
+        topo = solve_topological(exit_seesaw(), inner=inner)
+        plain = plain_solve(exit_seesaw())
+        assert topo.iterations == plain.iterations == sweeps, inner
+        assert topo.value == plain.value, inner
+        assert topo.lower == plain.lower, inner
+        assert topo.upper == plain.upper, inner
+        assert topo.strategy == plain.strategy, inner
+
+
+@pytest.mark.parametrize("inner", sorted(INNER_SOLVERS))
+def test_almost_sure_winner_inside_an_unknown_component(inner, monkeypatch):
+    # Maximizer state 4 wins by a0 (half to the target 3, half back to 4); its
+    # a1 leads to state 2, which loops back to 4 and has value 5/9. {2, 4} is
+    # one component, and only 2 is left for the inner solve.
+    g = normalize(generate_random(GenParams(n_states=5, max_actions_per_state=3, max_branching=3,
+                                            target_fraction=0.2, ec_bias=0.5, seed=29)))
+    assert [e.states for e in build_plan(g, 1e-6).unknown_entries()] == [(2, 4)]
+    pools = []
+    solver = INNER_SOLVERS[inner]
+
+    def recorded(game, part, vec, eps, max_iters):
+        pools.append(set(part.unknown))
+        return solver(game, part, vec, eps, max_iters)
+
+    monkeypatch.setitem(INNER_SOLVERS, inner, recorded)
+    res = solve_topological(g, inner=inner)
+    assert res.converged
+    assert pools == [{2}]
+    assert res.strategy[4] == partition_states(g).attractor[4] == "a0"
+    assert res.lower[4] == res.upper[4] == 1.0
+    assert res.lower[2] <= 5 / 9 <= res.upper[2]
 
 
 def test_traces_carry_component_index():
