@@ -1,8 +1,9 @@
 """Exact answers at small scale, and using them to hunt for solver bugs.
 
-The oracle enumerates both players' memoryless deterministic strategies
-and solves the induced chains over the rationals, so its answers carry
-no rounding at all. The fuzz loop generates random games, solves them
+The oracle runs strategy iteration for both players and solves each
+induced chain over the rationals, so its answers carry no rounding at
+all; its minmax order enumerates every strategy pair instead, as a
+cross-check. The fuzz loop generates random games, solves them
 with every algorithm, and flags any value or bound that disagrees with
 the oracle. Dropping the decision-value cap is a known way to go wrong;
 the loop finds it immediately.
@@ -19,7 +20,10 @@ def main():
     print("ring values, exactly:")
     for s, v in enumerate(res.values):
         print(f"  state {s}: {v}")
-    print(f"({res.pairs_evaluated} strategy pairs enumerated)")
+    every = exact_value(ring, order="minmax")
+    assert every.values == res.values
+    print(f"(chains solved: {res.pairs_evaluated} by strategy iteration, "
+          f"{every.pairs_evaluated} by enumerating every strategy pair)")
     print()
 
     rep = run_fuzz(50, seed=11)

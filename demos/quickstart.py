@@ -21,7 +21,7 @@ def main():
     for s, label in sorted(res.strategy.items()):
         print(f"  play {label!r} at state {s}")
 
-    # brute-force rational answer for comparison
+    # exact rational answer for comparison
     ores = exact_value(game)
     print("exact values:", ", ".join(str(v) for v in ores.values))
 

@@ -6,7 +6,7 @@ picks actions to make that likely and the Minimizer to make it unlikely.
 `solve_svi` keeps certified lower and upper bounds and is the recommended
 entry point; `solve_vi` and `solve_bvi` are the classic baselines;
 `solve_topological` runs any of them one strongly connected component at
-a time; `exact_value` is a brute-force rational oracle for small models.
+a time; `exact_value` is an exact rational oracle for small models.
 """
 
 from .baselines import deflate, solve_bvi, solve_vi

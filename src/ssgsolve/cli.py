@@ -6,10 +6,10 @@ several models), fuzz (randomized cross-checking), gen (write a random
 model). Exit codes: 0 success, 1 fuzz found a counterexample, 2 unreadable
 or unparseable model (a missing file or one that is not UTF-8 text
 included) or bad arguments (argparse's usage errors, such as an --eps
-that is not positive), 3 a model that parses but fails validation, 4
-solver hit the iteration cap, 5 model too large for the exact oracle, 141
-stdout closed early (a broken pipe, as in `ssgsolve solve model.ssg |
-head`).
+that is not positive or a fuzz --max-states below 2), 3 a model that
+parses but fails validation, 4 solver hit the iteration cap, 5 model too
+large for the exact oracle, 141 stdout closed early (a broken pipe, as in
+`ssgsolve solve model.ssg | head`).
 """
 
 from __future__ import annotations
@@ -243,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the chosen actions to stderr")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_oracle = sub.add_parser("oracle", help="exact rational values by brute force")
+    p_oracle = sub.add_parser("oracle", help="exact rational values by strategy iteration")
     p_oracle.add_argument("model", help="model file, or - for stdin")
-    p_oracle.add_argument("--order", choices=["maxmin", "minmax"], default="maxmin")
+    p_oracle.add_argument("--order", choices=["maxmin", "minmax"], default="maxmin",
+                          help="minmax enumerates every strategy pair instead, as a cross-check")
     p_oracle.add_argument("--json", metavar="PATH", help="write a JSON report")
     p_oracle.set_defaults(func=_cmd_oracle)
 
@@ -291,6 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--topo needs a sound inner solver (bvi or svi)")
     if not getattr(args, "eps", 1.0) > 0:  # NaN fails this test too
         parser.error("--eps must be positive")
+    if args.command == "fuzz" and args.max_states < 2:
+        parser.error("--max-states must be at least 2")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit

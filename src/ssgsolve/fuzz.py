@@ -61,9 +61,13 @@ def _solve(game: StochasticGame, algo: str, eps: float, overrides: Mapping[str, 
 
 
 def _sample_indices(total: int, want: int) -> list[int]:
+    """`want` indices spread evenly over range(total), from the first to the last.
+
+    A single sample is the first index.
+    """
     if total <= want:
         return list(range(total))
-    step = (total - 1) / (want - 1)
+    step = (total - 1) / max(want - 1, 1)
     return sorted({round(i * step) for i in range(want)})
 
 

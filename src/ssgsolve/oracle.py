@@ -1,11 +1,13 @@
-"""Exact reference results via rational arithmetic and brute-force strategies.
+"""Exact reference results in rational arithmetic.
 
 Everything here is exact: probabilities are `Fraction`s, and each Markov
 chain is solved in integers before its answers become `Fraction`s, so the
 numbers are independent of the float iteration schemes they are used to
 check.
-Intended for desk-sized models; `exact_value` enumerates memoryless
-deterministic strategies for both players, which is exponential by design.
+`exact_value` finds the game value by strategy iteration, a few chain
+solves per game. Its order="minmax" enumerates every pair of memoryless
+deterministic strategies instead, which is exponential by design and kept
+as an independent reference for desk-sized models.
 """
 
 from __future__ import annotations
@@ -21,19 +23,24 @@ from .model import MAX, MIN, StochasticGame, partition_states  # noqa: F401
 
 
 class TooLarge(ValueError):
-    """The model is beyond the configured brute-force budget."""
+    """The model is beyond the configured size or strategy-pair budget."""
 
     def __init__(self, states: int, pairs: int) -> None:
         self.states = states
         self.pairs = pairs
         super().__init__(
-            f"brute force refused: {states} states, {pairs} strategy pairs"
+            f"exact oracle refused: {states} states, {pairs} strategy pairs"
         )
 
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact values plus one optimal memoryless strategy per player."""
+    """Exact values plus one optimal memoryless strategy per player.
+
+    pairs_evaluated counts the Markov chains solved, one per strategy pair
+    evaluated: a few under strategy iteration, every pair under
+    order="minmax".
+    """
 
     values: tuple[Fraction, ...]
     max_strategy: dict[int, str]
@@ -163,27 +170,162 @@ def chain_reachability(game: StochasticGame) -> list[Fraction]:
     return _chain_reach(_chain_step(_int_rows(game), {}), set(game.targets))
 
 
+def _attractor(owner: tuple[str, ...], rows: list[list[IntRow]], targets: set[int],
+               sigma: dict[int, int] | None = None) -> dict[int, int]:
+    """The Maximizer's positive attractor of the targets, by backward search.
+
+    A Maximizer state joins when one of its actions (with `sigma`, only
+    its action sigma.get(s, 0)) has a successor inside, a Minimizer state
+    when every action has one. Outside it the Minimizer can keep the
+    probability of reaching a target at 0. Maps every non-target member to
+    the action whose successor completed its entry: for a Maximizer state,
+    an action towards a state that joined before it, of lower rank.
+    """
+    preds: list[list[tuple[int, int]]] = [[] for _ in rows]
+    left = [0] * len(rows)
+    for s, acts in enumerate(rows):
+        if s in targets:
+            continue
+        picks: range | tuple[int, ...] = range(len(acts))
+        if owner[s] == MAX:
+            left[s] = 1
+            if sigma is not None:
+                picks = (sigma.get(s, 0),)
+        else:
+            left[s] = len(acts)
+        for a in picks:
+            for t, _ in acts[a][1]:
+                preds[t].append((s, a))
+    joined: dict[int, int] = {}
+    hit: set[tuple[int, int]] = set()
+    queue = list(targets)
+    for t in queue:   # grows while it is walked
+        for s, a in preds[t]:
+            if s in joined or (s, a) in hit:
+                continue
+            hit.add((s, a))
+            left[s] -= 1
+            if not left[s]:
+                joined[s] = a
+                queue.append(s)
+    return joined
+
+
+def _improve(rows: list[list[IntRow]], values: list[Fraction], sites: list[int],
+             choice: dict[int, int], better) -> bool:
+    """Switch each site to its best action if that beats the site's value strictly.
+
+    An action's worth is its exact one-step value under `values`; ties keep
+    the current action. Returns whether any site switched.
+    """
+    switched = False
+    for s in sites:
+        best, best_worth = None, values[s]
+        for a, (d, row) in enumerate(rows[s]):
+            worth = sum(num * values[t] for t, num in row) / d
+            if better(worth, best_worth):
+                best, best_worth = a, worth
+        if best is not None:
+            choice[s] = best
+            switched = True
+    return switched
+
+
+#: An exact solve's answer: values, the Maximizer's and the Minimizer's
+#: action index per state, and the number of chains solved.
+Solved = tuple[list[Fraction], dict[int, int], dict[int, int], int]
+
+
+def _strategy_iteration(owner: tuple[str, ...], rows: list[list[IntRow]], targets: set[int],
+                        max_sites: list[int], min_sites: list[int]) -> Solved:
+    """Values, both witnesses and the chain count, by exact strategy iteration.
+
+    The Maximizer starts from the attractor strategy and switches only on a
+    strict exact gain. Each of its strategies sigma is evaluated on the
+    Minimizer's MDP: outside sigma's attractor the Minimizer escapes it for
+    good (value 0); inside, every Minimizer strategy reaches a target with
+    positive probability from every state, so its own strategy iteration,
+    switching only on a strict exact loss, ends at a best response. Each
+    Maximizer switch raises the values somewhere and lowers them nowhere,
+    and the end point is a fixed point of the Bellman operator at most the
+    value, so it is the value (the least fixed point).
+    """
+    sigma = {s: a for s, a in _attractor(owner, rows, targets).items() if owner[s] == MAX}
+    tau: dict[int, int] = {}
+    evaluated = 0
+    while True:
+        inside = _attractor(owner, rows, targets, sigma).keys() | targets
+        for s in min_sites:
+            if s not in inside:
+                tau[s] = next(a for a, (_, row) in enumerate(rows[s])
+                              if all(t not in inside for t, _ in row))
+        while True:
+            values = _chain_reach(_chain_step(rows, {**sigma, **tau}), targets)
+            evaluated += 1
+            if not _improve(rows, values, min_sites, tau, operator.lt):
+                break
+        if not _improve(rows, values, max_sites, sigma, operator.gt):
+            return values, sigma, tau, evaluated
+
+
+def _enumerate_minmax(rows: list[list[IntRow]], targets: set[int],
+                      max_sites: list[int], min_sites: list[int]) -> Solved:
+    """Values, witnesses and the chain count by brute force, Minimizer outside.
+
+    For each Minimizer strategy, every Maximizer strategy's chain is solved
+    and the pointwise maximum taken; the pointwise minimum over those
+    vectors is the value. The Maximizer witness is only a best response to
+    the Minimizer's.
+    """
+    def profiles(sites: list[int]):
+        for combo in itertools.product(*(range(len(rows[s])) for s in sites)):
+            yield dict(zip(sites, combo))
+
+    def pointwise_opt(vectors: list[list[Fraction]], better) -> list[Fraction]:
+        opt = list(vectors[0])
+        for vec in vectors[1:]:
+            for i, v in enumerate(vec):
+                # the shared 0 and 1 entries need no Fraction comparison
+                if v is not opt[i] and better(v, opt[i]):
+                    opt[i] = v
+        return opt
+
+    evaluated = 0
+    outer_vectors: list[tuple[dict[int, int], list[Fraction], dict[int, int]]] = []
+    for tau in profiles(min_sites):
+        inner_runs: list[tuple[dict[int, int], list[Fraction]]] = []
+        for sigma in profiles(max_sites):
+            inner_runs.append((sigma, _chain_reach(_chain_step(rows, {**tau, **sigma}), targets)))
+            evaluated += 1
+        inner_opt = pointwise_opt([vec for _, vec in inner_runs], operator.gt)
+        best_reply = next(sigma for sigma, vec in inner_runs if vec == inner_opt)
+        outer_vectors.append((tau, inner_opt, best_reply))
+
+    values = pointwise_opt([vec for _, vec, _ in outer_vectors], operator.lt)
+    tau, _, sigma = next(run for run in outer_vectors if run[1] == values)
+    return values, sigma, tau, evaluated
+
+
 def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 10_000_000,
                 order: str = "maxmin") -> ExactResult:
-    """Game value by brute force over memoryless deterministic strategies.
+    """Game value in exact rationals, with one optimal memoryless strategy per player.
 
-    The outer player's strategies are enumerated; for each, the inner
-    player's strategies are enumerated and the induced Markov chains are
-    solved exactly, taking the pointwise inner optimum. Each action's row
-    is scaled once per call to integers over the lcm of its denominators,
-    and each chain is solved by fraction-free integer elimination
-    (`_chain_reach`); nothing is kept on the game. The outer optimum
-    over those vectors is the value (memoryless deterministic strategies
-    suffice for both players, and one strategy is optimal at every state
-    simultaneously). order="maxmin" puts the Maximizer outside,
-    order="minmax" the Minimizer; both give the same values. Witness
-    strategies are optimal for both players in maxmin order; minmax is
-    meant for cross-checking values (its inner witness is only a best
-    response to the outer one).
+    order="maxmin" runs strategy iteration: the Maximizer, started from its
+    attractor strategy, improves on strict exact gains, and each of its
+    strategies is evaluated by the Minimizer's own strategy iteration, so a
+    game takes a few chain solves. States outside the Maximizer's positive
+    attractor of the targets get value 0. Both witnesses are optimal.
+    order="minmax" enumerates every pair of memoryless deterministic
+    strategies with the Minimizer outside, exponential by design; it gives
+    the same values and is kept as an independent reference (its
+    Maximizer witness is only a best response to the Minimizer's). Each
+    action's row is scaled once per call to integers over the lcm of its
+    denominators, and each induced chain is solved by fraction-free
+    integer elimination (`_chain_reach`); nothing is kept on the game.
 
     The strategy sites are the non-target states in `game.can_reach` with
     a choice, not the partition's unknown states: this reference checks
-    the partition's trap analysis and must not rely on it.
+    the partition's trap and value-1 analysis and must not rely on it.
 
     Raises TooLarge beyond max_states states or max_pairs strategy pairs,
     before any row is scaled or chain solved, and then ValueError on a game
@@ -208,50 +350,16 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     if not game.is_normalized():
         raise ValueError("game must be normalized first (see normalize())")
 
-    targets = set(game.targets)
-    rows = _int_rows(game)
-    outer_sites, inner_sites = (max_sites, min_sites) if order == "maxmin" else (min_sites, max_sites)
-    outer_better, inner_better = ((operator.gt, operator.lt) if order == "maxmin"
-                                  else (operator.lt, operator.gt))
-
-    def profiles(sites: list[int]):
-        ranges = [range(len(game.actions[s])) for s in sites]
-        for combo in itertools.product(*ranges):
-            yield dict(zip(sites, combo))
-
-    def pointwise_opt(vectors: list[list[Fraction]], better) -> list[Fraction]:
-        opt = list(vectors[0])
-        for vec in vectors[1:]:
-            for i, v in enumerate(vec):
-                # the shared 0 and 1 entries need no Fraction comparison
-                if v is not opt[i] and better(v, opt[i]):
-                    opt[i] = v
-        return opt
-
-    evaluated = 0
-    outer_vectors: list[tuple[dict[int, int], list[Fraction], dict[int, int]]] = []
-    for outer in profiles(outer_sites):
-        inner_runs: list[tuple[dict[int, int], list[Fraction]]] = []
-        for inner in profiles(inner_sites):
-            choice = {**outer, **inner}
-            inner_runs.append((inner, _chain_reach(_chain_step(rows, choice), targets)))
-            evaluated += 1
-        inner_opt = pointwise_opt([vec for _, vec in inner_runs], inner_better)
-        witness_inner = next(ip for ip, vec in inner_runs if vec == inner_opt)
-        outer_vectors.append((outer, inner_opt, witness_inner))
-
-    values = pointwise_opt([vec for _, vec, _ in outer_vectors], outer_better)
-    outer_witness, _, inner_witness = next(
-        (op, vec, iw) for op, vec, iw in outer_vectors if vec == values
-    )
+    rows, targets = _int_rows(game), set(game.targets)
+    if order == "maxmin":
+        solved = _strategy_iteration(game.owner, rows, targets, max_sites, min_sites)
+    else:
+        solved = _enumerate_minmax(rows, targets, max_sites, min_sites)
+    values, max_prof, min_prof, evaluated = solved
 
     def to_labels(profile: dict[int, int], sites: list[int]) -> dict[int, str]:
         return {s: game.actions[s][profile.get(s, 0)].label for s in sites}
 
-    if order == "maxmin":
-        max_prof, min_prof = outer_witness, inner_witness
-    else:
-        max_prof, min_prof = inner_witness, outer_witness
     return ExactResult(
         values=tuple(values),
         max_strategy=to_labels(max_prof, max_sites),

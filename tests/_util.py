@@ -1,6 +1,6 @@
 """Helpers shared by the test modules."""
 
-from ssgsolve.model import StatePartition, partition_states
+from ssgsolve.model import MAX, StatePartition, partition_states
 from ssgsolve.oracle import exact_value
 from ssgsolve.svi import start_vector
 
@@ -22,6 +22,53 @@ def pinned(game, values):
 def exact_floats(game):
     """Exact per-state values as floats."""
     return [float(v) for v in exact_value(game).values]
+
+
+def certificate_faults(game, values, max_strategy):
+    """Why `values` is not proven, in exact arithmetic, to be the game value.
+
+    Upper side: T(V) <= V for the Bellman operator T, so V is at least the
+    value, the least fixed point of T. Lower side: hold the Maximizer to
+    `max_strategy` (state -> label). V must be 0 wherever the Minimizer can
+    then keep play away from the targets for good. Everywhere else the
+    Minimizer's MDP leaves the non-targets almost surely, so its operator
+    T_sigma has one fixed point there, and V <= T_sigma(V) puts V below it,
+    at most the value. Returns the violations; an empty list is a proof.
+    """
+    def worth(act):
+        return sum(p * values[t] for t, p in act.transitions)
+
+    def moves(s):
+        return (game.action(s, max_strategy[s]),) if s in max_strategy else game.actions[s]
+
+    faults = []
+    for s in range(game.n_states):
+        if s in game.targets:
+            if values[s] != 1:
+                faults.append(f"target {s} has V = {values[s]}")
+            continue
+        opt = max if game.owner[s] == MAX else min
+        if opt(worth(a) for a in game.actions[s]) > values[s]:
+            faults.append(f"state {s}: T(V) above V = {values[s]}")
+    # the greatest set of non-targets the Minimizer can keep play in
+    avoid = set(range(game.n_states)) - game.targets
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for s in sorted(avoid):
+            kept = [all(t in avoid for t in a.successors()) for a in moves(s)]
+            if not (all(kept) if game.owner[s] == MAX else any(kept)):
+                avoid.discard(s)
+                shrinking = True
+    for s in range(game.n_states):
+        if s in avoid:
+            if values[s] != 0:
+                faults.append(f"state {s}: the Minimizer avoids the targets, V = {values[s]}")
+        elif s not in game.targets:
+            opt = max if game.owner[s] == MAX else min
+            if values[s] > opt(worth(a) for a in moves(s)):
+                faults.append(f"state {s}: V = {values[s]} above T_sigma(V)")
+    return faults
 
 
 def max_err(got, want):

@@ -23,7 +23,7 @@ from ssgsolve.cli import (
     main,
 )
 from ssgsolve.model import GenParams, generate_random, parse_model, serialize_model
-from ssgsolve.presets import slow_loop, two_route_choice
+from ssgsolve.presets import shifting_preference, slow_loop, two_route_choice
 
 SHORT_MASS = """\
 ssg 1
@@ -229,6 +229,16 @@ def test_non_positive_eps_is_a_usage_error(loop_file, argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("states", ["1", "0", "-3"])
+def test_fuzz_max_states_below_two_is_a_usage_error(states, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", "1", "--max-states", states])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--max-states must be at least 2" in captured.err
+    assert captured.out == ""
+
+
 def test_relative_mode_limited_to_plain_svi(loop_file):
     with pytest.raises(SystemExit):
         main(["solve", str(loop_file), "--relative", "--algo", "bvi"])
@@ -243,6 +253,19 @@ def test_oracle_output(loop_file, tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["states"][0]["exact"] == "1/2"
     assert payload["pairs_evaluated"] == 1
+
+
+def test_oracle_minmax_order_prints_the_default_values(tmp_path, capsys):
+    model = tmp_path / "pref.ssg"
+    model.write_text(serialize_model(shifting_preference()))
+    printed = {}
+    for order in ("maxmin", "minmax"):
+        assert main(["oracle", str(model), "--order", order]) == EXIT_OK
+        printed[order] = capsys.readouterr().out.splitlines()
+    states = [line for line in printed["maxmin"] if line.startswith("state ")]
+    assert len(states) == shifting_preference().n_states
+    assert states == [line for line in printed["minmax"] if line.startswith("state ")]
+    assert printed["maxmin"][-1] != printed["minmax"][-1]   # far fewer chains solved
 
 
 def test_oracle_too_large(tmp_path, capsys):

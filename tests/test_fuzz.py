@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from ssgsolve.fuzz import check_model, run_fuzz, shrink
+from ssgsolve.fuzz import _sample_indices, check_model, run_fuzz, shrink
 from ssgsolve.model import GenParams, generate_random, parse_model
 from ssgsolve.presets import slow_loop, two_route_choice
 from ssgsolve.svi import solve_svi
@@ -64,6 +64,16 @@ def test_clean_stream_has_no_failures():
     assert rep.skipped == 0
     assert rep.ok
     assert rep.written == []
+
+
+def test_sample_indices_spread_over_the_run():
+    assert _sample_indices(5, 1) == [0]
+    assert _sample_indices(5, 2) == [0, 4]
+    assert _sample_indices(9, 3) == [0, 4, 8]
+    assert _sample_indices(3, 10) == [0, 1, 2]
+    rep = run_fuzz(5, 7, sample_iters=1)
+    assert rep.checked == 5
+    assert rep.ok
 
 
 def test_check_model_accepts_sound_solvers():

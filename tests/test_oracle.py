@@ -1,5 +1,7 @@
-"""Exact oracle: brute-forced rational values, chain values, k-step vectors."""
+"""Exact oracle: strategy iteration against the enumeration, chain values, k-step vectors."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +37,8 @@ from ssgsolve.presets import (
     slow_loop,
     two_route_choice,
 )
+
+from _util import certificate_faults
 
 F = Fraction
 
@@ -92,7 +96,8 @@ def test_strategy_sites_do_not_come_from_the_partition():
     res = exact_value(g)
     assert res.values == (F(0), F(0), F(1), F(0))
     assert res.min_strategy == {1: "a"}
-    assert res.pairs_evaluated == 2
+    assert res.pairs_evaluated == 1   # outside the attractor {2}, state 1 escapes at once
+    assert exact_value(g, order="minmax").pairs_evaluated == 2
 
 
 def test_exact_values_satisfy_bellman_equations():
@@ -113,10 +118,37 @@ def test_exact_values_satisfy_bellman_equations():
                 assert v[s] == 0
 
 
+def _restricted(g, strategy):
+    """The game with every state named in `strategy` left only its chosen action."""
+    acts = tuple((g.action(s, strategy[s]),) if s in strategy else g.actions[s]
+                 for s in range(g.n_states))
+    return dataclasses.replace(g, actions=acts)
+
+
+def _census_slice():
+    for n in (6, 8, 10):
+        for seed in range(10):
+            for tf, eb in ((0.1, 0.0), (0.1, 0.5), (0.05, 1.0)):
+                yield (n, seed, eb), normalize(generate_random(GenParams(
+                    n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
+                    target_fraction=tf, ec_bias=eb)))
+
+
 def test_exact_value_orders_agree():
-    for build in ALL_PRESETS.values():
-        g = build()
-        assert exact_value(g).values == exact_value(g, order="minmax").values
+    # strategy iteration equals the enumeration, and each of its witnesses
+    # alone holds the values against every reply
+    cases = [(name, build()) for name, build in ALL_PRESETS.items()]
+    cases += list(_census_slice())
+    fractional = 0
+    for case, g in cases:
+        res = exact_value(g)
+        assert res.values == exact_value(g, order="minmax").values, case
+        assert exact_value(_restricted(g, res.max_strategy), order="minmax").values \
+            == res.values, case
+        assert exact_value(_restricted(g, res.min_strategy), order="minmax").values \
+            == res.values, case
+        fractional += any(0 < v < 1 for v in res.values)
+    assert fractional >= 40
 
 
 def test_exact_value_orders_agree_on_random_games():
@@ -158,8 +190,35 @@ def test_witness_strategies_only_name_real_actions():
 
 
 def test_pair_counts():
-    assert exact_value(one_way_out()).pairs_evaluated == 4
-    assert exact_value(nested_rings()).pairs_evaluated == 24
+    # the enumeration solves every pair's chain, strategy iteration a few
+    assert exact_value(one_way_out(), order="minmax").pairs_evaluated == 4
+    assert exact_value(nested_rings(), order="minmax").pairs_evaluated == 24
+    assert exact_value(one_way_out()).pairs_evaluated == 1
+    assert exact_value(nested_rings()).pairs_evaluated == 3
+
+
+def test_certificate_past_twelve_states():
+    games = 0
+    for n in (16, 20, 25, 30):
+        for seed in range(6):
+            for eb in (0.0, 0.5):
+                g = normalize(generate_random(GenParams(
+                    n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
+                    target_fraction=0.1, ec_bias=eb)))
+                res = exact_value(g, max_states=n, max_pairs=math.inf)
+                assert certificate_faults(g, res.values, res.max_strategy) == [], (n, seed, eb)
+                games += any(0 < v < 1 for v in res.values)
+    assert games >= 20
+
+
+def test_certificate_rejects_a_moved_value():
+    g = nested_rings()
+    res = exact_value(g)
+    assert certificate_faults(g, res.values, res.max_strategy) == []
+    for step in (F(1, 1000), F(-1, 1000)):
+        moved = list(res.values)
+        moved[0] += step
+        assert certificate_faults(g, moved, res.max_strategy), step
 
 
 def _reference_reach(rows, targets):
@@ -280,7 +339,7 @@ def test_too_large_runs_no_chain_solve(monkeypatch):
     with pytest.raises(TooLarge):
         exact_value(two_route_choice(), max_pairs=1)
     assert calls == {"rows": 0, "solve": 0}
-    exact_value(two_route_choice())
+    exact_value(two_route_choice())   # the Minimizer's first action, then its switch
     assert calls == {"rows": 1, "solve": 2}
 
 
