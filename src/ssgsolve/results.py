@@ -11,11 +11,14 @@ class TraceEntry:
 
     l/u and d_l/d_u are the global bounds and running decision values of
     the bound-based solvers; the baselines fill l/u with the extremes of
-    their per-state vectors and leave d_l/d_u as None. max_gap is the
-    algorithm's own stopping quantity after the iteration: max stay*(u-l)
-    for the bound-extrapolating solver, max per-state U-L for the
-    interval baseline, and the largest single-sweep change for classic
-    value iteration. updates counts states actually rewritten this
+    their per-state vectors and leave d_l/d_u as None. A decision value is
+    a running extremum only until it pins its bound (d_l <= l, d_u >= u);
+    from then on it is no longer computed and stays frozen at the value
+    that pinned it. Without decision values both keep their seeds 1 and 0.
+    max_gap is the algorithm's own stopping quantity after the iteration:
+    max stay*(u-l) for the bound-extrapolating solver, max per-state U-L
+    for the interval baseline, and the largest single-sweep change for
+    classic value iteration. updates counts states actually rewritten this
     iteration (delayed states are not). scc tags entries produced inside
     a topological sub-solve.
     """

@@ -40,7 +40,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .graph import TIE_TOL, Mec, cached_mecs, handle_ecs, scc_decompose
-from .model import MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, dot, partition_states
+from .model import (MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, dot, dot2,
+                    partition_states)
 from .results import SolveResult, TraceEntry
 
 #: Strategy marker for a Maximizer state that kept its old vector this round.
@@ -62,7 +63,10 @@ class GlobalBounds:
 
     d_l is the running minimum over Minimizer decision values (seeded 1),
     d_u the running maximum over Maximizer ones (seeded 0); they cap how
-    far l may rise and u may fall.
+    far l may rise and u may fall. Once d_l <= l, l can never rise again,
+    and once d_u >= u, u can never fall: the cap has pinned its bound, so
+    `solve_svi_pool` stops computing its side's decision values and the
+    cap stays frozen at the value that pinned it.
     """
 
     l: float
@@ -179,14 +183,6 @@ def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
     return game.deltas[s]
 
 
-def _estimate(row: Sequence[tuple[int, float]], reach: list[float], stay: list[float],
-              bound: float) -> float:
-    acc = 0.0
-    for t, p in row:
-        acc += p * (reach[t] + stay[t] * bound)
-    return acc
-
-
 def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
                    bounds: GlobalBounds, B: set[tuple[int, str]] | None,
                    prev: StrategySnapshot | None) -> StrategySnapshot:
@@ -201,7 +197,8 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
     state order.
     """
     facts = pool_facts(game, partition)
-    rows, index, actions = game.rows, game.index, game.actions
+    rows, index, actions, owner = game.rows, game.index, game.actions, game.owner
+    reach, stay = rs.reach, rs.stay
     choices = dict(facts.first)  # one-action states are done; the others are overwritten below
     forced_at: dict[int, list[int]] = {}
     for s, a in B or ():
@@ -214,12 +211,20 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
     for s in facts.multi:
         if s in forced_at:
             continue
-        minimize = game.owner[s] == MIN
+        minimize = owner[s] == MIN
         bound = bounds.l if minimize else bounds.u
-        ests = [_estimate(row, rs.reach, rs.stay, bound) for row in rows[s]]
-        band = tie_band(ests, min(ests) if minimize else max(ests))
+        ests = []
+        for row in rows[s]:  # the one-step estimate, added left to right like `dot`
+            acc = 0.0
+            for t, p in row:
+                acc += p * (reach[t] + stay[t] * bound)
+            ests.append(acc)
+        opt = min(ests) if minimize else max(ests)
         keep = index[s].get(prev_choices.get(s))
-        choices[s] = actions[s][keep if keep in band else band[0]].label
+        if keep is None or not abs(ests[keep] - opt) <= TIE_TOL:
+            # the first position of `tie_band(ests, opt)`
+            keep = next(i for i, v in enumerate(ests) if abs(v - opt) <= TIE_TOL)
+        choices[s] = actions[s][keep].label
     return StrategySnapshot(choices, frozenset(forced_at) if B is not None else None)
 
 
@@ -242,11 +247,10 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: st
     for j in range(len(acts)):
         if j == ci:
             continue
-        row = deltas[(ci, j)]
-        d_stay = dot(row, rs.stay)
+        d_reach, d_stay = dot2(deltas[(ci, j)], rs.reach, rs.stay)
         if d_stay <= 0.0:
             continue
-        val = -dot(row, rs.reach) / d_stay
+        val = -d_reach / d_stay
         if best is None:
             best = val
         else:
@@ -307,9 +311,11 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
     handling on), and there is at least one undecided state. Candidates
     are the loop extrapolations reach/(1-stay) of the undecided states.
     l rises to the smallest candidate, capped by d_l; u falls to the
-    largest, floored by d_u. The use_decision_values=False variant drops
-    the caps - it exists to demonstrate why they are needed and must never
-    be used for real runs.
+    largest, floored by d_u. Once both caps have pinned their bounds
+    (d_l <= l and d_u >= u) no candidate can move either, and they are
+    not computed. The use_decision_values=False variant drops the caps -
+    it exists to demonstrate why they are needed and must never be used
+    for real runs.
     """
     d_l, d_u = bounds.d_l, bounds.d_u
     for v in max_decvals:
@@ -318,7 +324,8 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
         d_l = min(d_l, v)
     l, u = bounds.l, bounds.u
     pool, reach, stay = partition.unknown, rs.reach, rs.stay
-    if not any_delay and pool:
+    pinned = use_decision_values and d_l <= l and d_u >= u
+    if not any_delay and pool and not pinned:
         cands = [reach[s] / (1.0 - stay[s]) for s in pool if stay[s] < 1.0]
         if len(cands) == len(pool):  # no undecided state has stay 1
             if use_decision_values:
@@ -380,8 +387,12 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     the sweeps need to know about it (`PoolFacts`) is worked out once.
     Then runs the full loop: EC pass (unless ec_handling is off), action
     choice, decision values, batch sweep with delays, global bound update,
-    termination test. On the iteration cap the result comes back with
-    converged=False; its bounds are still valid, just wider than 2*eps.
+    termination test. A side's decision values are computed only while
+    its cap can still move its bound (Minimizer: d_l > l, Maximizer:
+    d_u < u; see `GlobalBounds`), and none at all when
+    use_decision_values is off. On the iteration cap the result comes
+    back with converged=False; its bounds are still valid, just wider
+    than 2*eps.
     mode is "absolute" or "relative" (termination test only); wall_ms
     counts from t0 (default: the call). The strategy names
     `part.attractor` and the pool. Set-up is pool-sized but for list
@@ -393,6 +404,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     last_choice = {**part.attractor, **settle_tail(game, part, vec)}
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
     multi = pool_facts(game, part).multi
+    owner = game.owner
     stay = [0.0] * game.n_states
     for s in pool:
         stay[s] = 1.0
@@ -410,17 +422,25 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
         last_choice.update(snapshot.choices)
         max_dv: list[float] = []
         min_dv: list[float] = []
-        for s in multi:
-            dv = decision_value(game, rs, s, snapshot.choices[s])
-            if dv is not None:
-                (max_dv if game.owner[s] == MAX else min_dv).append(dv)
+        # a pinned cap can no longer move its bound: skip its side's decision values
+        want = {MIN: use_decision_values and bounds.d_l > bounds.l,
+                MAX: use_decision_values and bounds.d_u < bounds.u}
+        if want[MIN] or want[MAX]:
+            for s in multi:
+                side = owner[s]
+                if want[side]:
+                    dv = decision_value(game, rs, s, snapshot.choices[s])
+                    if dv is not None:
+                        (max_dv if side == MAX else min_dv).append(dv)
         rs, snapshot, any_delay = bellman_update(game, part, rs, snapshot, bounds)
         n_delayed = len(snapshot.delayed)
         new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, any_delay,
                                           use_decision_values=use_decision_values)
         it += 1
         gap = new_bounds.u - new_bounds.l
-        max_gap = max([rs.stay[s] * gap for s in pool], default=0.0)
+        # max(stay[s] * gap): rounding is monotone, so the extreme stay gives it exactly
+        extreme = max if gap >= 0.0 else min
+        max_gap = gap * extreme(map(rs.stay.__getitem__, pool), default=0.0)
         trace.append(TraceEntry(
             k=it, l=new_bounds.l, u=new_bounds.u, d_l=new_bounds.d_l, d_u=new_bounds.d_u,
             delayed=n_delayed,

@@ -1,5 +1,6 @@
 """Certified-precision solver: operations, full runs, pool solves."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -468,6 +469,82 @@ def test_dropping_decision_values_is_unsound():
     assert r.iterations == 1
     assert r.global_lower == r.global_upper == pytest.approx(2 / 3)
     assert r.value[0] >= 2 / 3 - 1e-9
+
+
+def _digest(r):
+    rows = [(t.l, t.u, t.max_gap, t.bounds_updated) for t in r.trace]
+    return hashlib.sha256(repr((r.lower, r.upper, r.value, r.strategy, rows)).encode()).hexdigest()
+
+
+# Iterations and a digest of the bounds, vectors, strategy and trace (caps
+# aside), recorded before decision values were skipped for pinned caps.
+GOLDEN_SOLVES = [
+    (GenParams(80, 3, 3, 0.05, 0.5, 0.0, 2), 267,
+     "ac4bae393c002775913cd013da532cf8df7d99932fe5b831047c536d10ae769a"),
+    (GenParams(80, 3, 3, 0.05, 0.5, 0.0, 3), 86,
+     "ec1e862376cf1306d5ea86d4f19bd5fab21fa843356fffae2bdf1196219ebdfe"),
+    (GenParams(80, 3, 3, 0.05, 0.5, 0.5, 2), 0,
+     "bdbbce7640b3508d79db34fd8457326accee9aa17317cec62636353ab4474a10"),
+    (GenParams(80, 3, 3, 0.05, 0.5, 0.5, 3), 65,
+     "b72ec3a124f1d87dc19ed168ada93cbc06c4dbf9eea5e6d61c323e7e53036dd9"),
+    (exit_seesaw, 6, "009da3ec1a0b0a6ef5ef333995079592297f04b9ec2027977bfb25b664cb7f4c"),
+    (two_route_choice, 2, "f736990b1b8815133c4267fcd2db9e7771091c58352357350ed347c230b8f17d"),
+]
+
+
+@pytest.mark.parametrize("model, iterations, digest", GOLDEN_SOLVES)
+def test_solves_match_golden_values(model, iterations, digest):
+    g = generate_random(model) if isinstance(model, GenParams) else model()
+    r = solve_svi(g)
+    assert r.converged
+    assert (r.iterations, _digest(r)) == (iterations, digest)
+
+
+def _count_decision_values(monkeypatch):
+    """Wrap svi.decision_value; the list gets the sweeps done before each call."""
+    import ssgsolve.svi as svi
+
+    calls = []
+    sweeps = []
+    decide, sweep = svi.decision_value, svi.bellman_update
+
+    def counted_decide(*args, **kwargs):
+        calls.append(len(sweeps))
+        return decide(*args, **kwargs)
+
+    def counted_sweep(*args, **kwargs):
+        sweeps.append(None)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(svi, "decision_value", counted_decide)
+    monkeypatch.setattr(svi, "bellman_update", counted_sweep)
+    return calls
+
+
+def test_pinned_caps_are_not_recomputed(monkeypatch):
+    # Sweep 1 sees reach 0 on the whole pool, so d_l falls to -0.0 <= l and
+    # d_u rises past u = 1: both caps pin their bounds at once.
+    calls = _count_decision_values(monkeypatch)
+    r = solve_svi(generate_random(GenParams(80, 3, 3, 0.05, 0.5, 0.0, 2)))
+    assert r.converged and r.iterations == 267
+    assert calls and set(calls) == {0}
+    first = r.trace[0]
+    assert first.d_l <= first.l and first.d_u >= first.u
+    for t in r.trace[1:]:
+        assert (t.d_l, t.d_u) == (first.d_l, first.d_u)
+        assert t.d_l <= t.l
+        assert not t.bounds_updated
+
+
+def test_no_decision_values_without_caps(monkeypatch):
+    calls = _count_decision_values(monkeypatch)
+    g = generate_random(GenParams(80, 3, 3, 0.05, 0.5, 0.0, 2))
+    r = solve_svi(g, use_decision_values=False)
+    assert r.iterations > 1
+    assert calls == []
+    assert {(t.d_l, t.d_u) for t in r.trace} == {(1.0, 0.0)}
+    solve_svi(g, max_iters=1)
+    assert calls
 
 
 def test_fuzzed_regressions_stay_fixed():
