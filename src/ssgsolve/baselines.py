@@ -23,7 +23,7 @@ from typing import AbstractSet, Sequence
 from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
 from .model import MAX, StatePartition, StochasticGame, dot, dot2, partition_states
 from .results import SolveResult, TraceEntry
-from .svi import float_rows, start_vector, tie_band
+from .svi import argopt, float_rows, start_vector
 
 UNSOUND_NOTE = "unsound stopping"
 
@@ -62,7 +62,7 @@ def _greedy_strategy(game: StochasticGame, unknown: AbstractSet[int],
                      low: list[float], high: list[float]) -> dict[int, str]:
     """Final action snapshot: Maximizer argmax under high, Minimizer argmin under low.
 
-    Near-ties go to the lowest action index (`svi.tie_band`), as in svi.
+    Near-ties go to the lowest action index (`svi.argopt`), as in svi.
     Inside end components it is no winning strategy: a Maximizer choice may
     stay where the Minimizer can hold play (bvi loses on 10 of 480 census games).
     """
@@ -75,8 +75,7 @@ def _greedy_strategy(game: StochasticGame, unknown: AbstractSet[int],
             continue
         maximize = game.owner[s] == MAX
         ref = high if maximize else low
-        vals = [dot(row, ref) for row in rows[s]]
-        out[s] = acts[tie_band(vals, max(vals) if maximize else min(vals))[0]].label
+        out[s] = acts[argopt([dot(row, ref) for row in rows[s]], maximize)[1]].label
     return out
 
 

@@ -6,8 +6,9 @@ several models), fuzz (randomized cross-checking), gen (write a random
 model). Exit codes: 0 success, 1 fuzz found a counterexample, 2 unreadable
 or unparseable model (a missing file or one that is not UTF-8 text
 included) or bad arguments (argparse's usage errors, such as an --eps
-that is not positive or a fuzz --max-states below 2), 3 a model that
-parses but fails validation, 4 solver hit the iteration cap, 5 model too
+that is not positive, a negative --max-iters, a fuzz --max-states below
+2 or gen parameters out of range), 3 a model that parses but fails
+validation, 4 solver hit the iteration cap, 5 model too
 large for the exact oracle, 141 stdout closed early (a broken pipe, as in
 `ssgsolve solve model.ssg | head`).
 """
@@ -196,8 +197,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    params = GenParams(
+def _gen_params(args: argparse.Namespace) -> GenParams:
+    return GenParams(
         n_states=args.states,
         max_actions_per_state=args.max_actions,
         max_branching=args.branching,
@@ -206,7 +207,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         ec_bias=args.ec_bias,
         seed=args.seed,
     )
-    game = generate_random(params)
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
+    game = generate_random(_gen_params(args))
     text = serialize_model(game)
     if args.out:
         Path(args.out).write_text(text)
@@ -292,8 +296,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--topo needs a sound inner solver (bvi or svi)")
     if not getattr(args, "eps", 1.0) > 0:  # NaN fails this test too
         parser.error("--eps must be positive")
+    if getattr(args, "max_iters", 0) < 0:
+        parser.error("--max-iters must not be negative")
     if args.command == "fuzz" and args.max_states < 2:
         parser.error("--max-states must be at least 2")
+    if args.command == "gen":
+        try:
+            _gen_params(args).validate()
+        except ValidationError as exc:
+            parser.error(str(exc))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit

@@ -1,4 +1,4 @@
-"""Graph analysis: SCCs, maximal end components, traps, almost-sure winners and best-exit sets.
+"""Graph analysis: SCCs, attractors, maximal end components, traps, almost-sure winners and best-exit sets.
 
 An end component is a set of states T plus a set of retained actions such
 that every retained action stays inside T and T is strongly connected
@@ -11,14 +11,17 @@ unknown states then has a Maximizer exit, and the routines here find the
 components and the Maximizer actions that leave them best. The partition
 also counts the states the Maximizer wins almost surely (`almost_sure`,
 value 1) among the targets, so no sweep spends time certifying them.
+
+The trap, the value-1 set and the maximal end components are fixpoints
+of one routine, `attractor`, a player's positive attractor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import MAX, MIN, StatePartition, StochasticGame, dot
+from .model import MAX, MIN, Action, StatePartition, StochasticGame, dot
 
 TIE_TOL = 1e-12
 
@@ -102,14 +105,59 @@ def _tarjan(nodes: Iterable[int], adj: dict[int, list[int]]) -> list[list[int]]:
     return sccs
 
 
+def attractor(game: StochasticGame, region: Iterable[int], seeds: Iterable[int], player: str | None,
+              usable: Callable[[int, Action], bool] | None = None) -> dict[int, int]:
+    """The player's positive attractor of the seeds inside the region.
+
+    The seeds, states outside the region, are in it from the start. A
+    player state of the region joins when one of its usable actions has a
+    successor in it, any other state (every state when player is None)
+    when each of its usable actions has one, at once if it has none.
+    usable(s, action) filters the actions; by default all of them count.
+    One worklist pass over predecessor counts, kept for the region's
+    states only, walking `game.preds` back from each state that joins:
+    the seeds are popped last in, first out, and predecessors come in
+    (state, action, transition) order. Maps each member that joined to
+    the position of the action whose hit completed its entry (-1 if it
+    had no usable action); the seeds are not in the result.
+    """
+    owner, actions = game.owner, game.actions
+    # per region state, the hits it still needs to join; 0 once it has
+    need = {s: 1 if owner[s] == player else
+            len(actions[s]) if usable is None else sum(usable(s, act) for act in actions[s])
+            for s in region}
+    joined = dict.fromkeys(sorted(s for s, m in need.items() if not m), -1)
+    work = [*seeds, *joined]
+    hit: set[tuple[int, int]] = set()  # the non-player actions already counted
+    while work:
+        for key in game.preds[work.pop()]:
+            s, i = key
+            m = need.get(s)
+            if not m or usable is not None and not usable(s, actions[s][i]):
+                continue
+            if owner[s] != player:
+                if key in hit:
+                    continue
+                hit.add(key)
+                if m > 1:
+                    need[s] = m - 1
+                    continue
+            need[s] = 0
+            joined[s] = i
+            work.append(s)
+    return joined
+
+
 def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -> list[Mec]:
     """Maximal end components of the game restricted to the given states.
 
-    Standard prune-and-split: drop actions that leave the candidate set,
-    drop states left without actions, split along SCCs, repeat until each
-    candidate is strongly connected through its staying actions. Actions
-    whose successors include a state outside `restrict` never stay, which
-    is what makes the restriction meaningful for partially solved games.
+    Standard prune-and-split: drop the states whose every action is bound
+    to leave the candidate set (the attractor, with no player's choice
+    and through the actions that stay, of the states without one), split
+    the rest along the SCCs of the staying actions, repeat until each
+    candidate is strongly connected through them. Actions whose
+    successors include a state outside `restrict` never stay, which is
+    what makes the restriction meaningful for partially solved games.
     Returned in ascending order of their smallest state.
     """
     base = set(restrict) if restrict is not None else set(range(game.n_states))
@@ -117,23 +165,14 @@ def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
     work: list[set[int]] = [base]
     while work:
         cand = work.pop()
+        cand -= attractor(game, cand, (), None,
+                          usable=lambda s, act: all(t in cand for t, _ in act.transitions)).keys()
         if not cand:
             continue
-        staying: dict[int, tuple[str, ...]] = {}
-        dead: set[int] = set()
-        for s in cand:
-            labels = tuple(
-                act.label
-                for act in game.actions[s]
-                if all(succ in cand for succ, _ in act.transitions)
-            )
-            if labels:
-                staying[s] = labels
-            else:
-                dead.add(s)
-        if dead:
-            work.append(cand - dead)
-            continue
+        # every state left keeps an action that stays
+        staying = {s: tuple(act.label for act in game.actions[s]
+                            if all(t in cand for t, _ in act.transitions))
+                   for s in cand}
         sub = _sccs_via(game, cand, staying)
         if len(sub) == 1 and len(sub[0]) == len(cand):
             result.append(Mec(frozenset(cand), staying))
@@ -171,26 +210,15 @@ def trap_states(game: StochasticGame, region: Iterable[int]) -> set[int]:
 
     Greatest subset W of the region in which every Maximizer member's
     every action stays inside W and every Minimizer member keeps at least
-    one action fully inside W. The Minimizer simply plays the staying
+    one action fully inside W: the region minus the Maximizer's attractor
+    of the states outside it. The Minimizer simply plays the staying
     actions, the Maximizer has no way out, and W contains no target, so
     every member has value exactly 0. Every end component without a
     Maximizer exit is contained in W, including ones only exposed after
     peeling exit states off a larger component.
     """
-    W = set(region)
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(W):
-            acts = game.actions[s]
-            if game.owner[s] == MAX:
-                ok = all(all(t in W for t, _ in a.transitions) for a in acts)
-            else:
-                ok = any(all(t in W for t, _ in a.transitions) for a in acts)
-            if not ok:
-                W.discard(s)
-                changed = True
-    return W
+    region = set(region)
+    return region - attractor(game, region, set(range(game.n_states)) - region, MAX).keys()
 
 
 def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, str]:
@@ -198,15 +226,14 @@ def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, str]:
 
     The nested fixpoint νY.μX of the value-1 (Prob1) precomputation
     (Baier & Katoen, *Principles of Model Checking*, 2008, ch. 10): start
-    with Y = region ∪ targets and X = targets; a Maximizer state joins X
-    when some action has all its successors in Y and one in X, a
-    Minimizer state when every action has; then Y = X, until Y is stable.
-    Each round is one worklist pass over predecessor counts, linear in
-    the transitions. A state that leaves Y takes the Minimizer's positive
-    attractor of it along at once (a Minimizer state with an action that
-    leaves Y, a Maximizer state whose every action does): none of them
-    can join X in a later round, and without this they would leave Y one
-    layer per round.
+    with Y = region ∪ targets; each round X is the Maximizer's attractor
+    of the targets inside Y through the actions that stay in Y, and the
+    states of Y outside X leave it, until none does. Y only ever holds
+    states the Minimizer cannot force out of it: a state that leaves Y
+    takes the Minimizer's attractor of it along at once (a Minimizer state
+    with an action that leaves Y, a Maximizer state whose every action
+    does), since none of them can join X in a later round, and without
+    this they would leave Y one layer per round.
 
     Maps every winning state to its attractor action: for a Maximizer
     state the action by which it joined X in the last round, which keeps
@@ -214,69 +241,19 @@ def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, str]:
     so playing it wins almost surely; for a Minimizer state its first
     action. Non-target states only; each has value 1.
     """
-    n, owner, actions, targets = game.n_states, game.owner, game.actions, sorted(game.targets)
-    pool = sorted(set(region) - game.targets)
-    in_y = bytearray(n)
-    for s in pool + targets:
-        in_y[s] = 1
-    # one entry k per action of a pool state: its state and its position
-    act_state: list[int] = []
-    act_pos: list[int] = []
-    preds: list[list[int]] = [[] for _ in range(n)]  # k once per transition into the state
-    n_acts = [0] * n
-    for s in pool:
-        n_acts[s] = len(actions[s])
-        for i, act in enumerate(actions[s]):
-            k = len(act_state)
-            act_state.append(s)
-            act_pos.append(i)
-            for t, _ in act.transitions:
-                preds[t].append(k)
-    stays = bytearray(b"\x01") * len(act_state)  # whether action k stays in Y
-    staying = list(n_acts)  # per state, its actions that stay in Y
-
-    def drop(work: list[int]) -> None:
-        """Take the states out of Y, with the Minimizer's positive attractor of them."""
-        for s in work:
-            in_y[s] = 0
-        while work:
-            for k in preds[work.pop()]:
-                if not stays[k]:
-                    continue
-                stays[k] = 0
-                s = act_state[k]
-                staying[s] -= 1
-                if in_y[s] and (owner[s] == MIN or not staying[s]):
-                    in_y[s] = 0
-                    work.append(s)
-
-    drop([s for s in range(n) if not in_y[s]])  # the actions into states outside Y never stay
+    targets = sorted(game.targets)
+    y = set(region) - game.targets
     while True:
-        in_x = bytearray(n)
-        for t in targets:
-            in_x[t] = 1
-        hit = bytearray(len(act_state))
-        missing = list(n_acts)  # per Minimizer state, its actions not yet seen to reach X
-        joined: dict[int, int] = {}
-        work = list(targets)
-        while work:
-            for k in preds[work.pop()]:
-                s = act_state[k]
-                if hit[k] or not stays[k] or in_x[s] or not in_y[s]:
-                    continue
-                hit[k] = 1
-                if owner[s] == MIN:
-                    missing[s] -= 1
-                    if missing[s]:
-                        continue
-                in_x[s] = 1
-                joined[s] = act_pos[k]
-                work.append(s)
-        lost = [s for s in pool if in_y[s] and not in_x[s]]
-        if not lost:
+        # the states outside Y that actions of Y reach
+        gone = {t for s in y for act in game.actions[s] for t, _ in act.transitions} - y - game.targets
+        gone |= attractor(game, y, gone, MIN).keys()
+        y -= gone
+        won = attractor(game, y, targets, MAX, usable=None if not gone else
+                        lambda s, act: gone.isdisjoint(t for t, _ in act.transitions))
+        if len(won) == len(y):
             break
-        drop(lost)
-    return {s: actions[s][i if owner[s] == MAX else 0].label for s, i in sorted(joined.items())}
+        y = set(won)
+    return {s: game.actions[s][i if game.owner[s] == MAX else 0].label for s, i in sorted(won.items())}
 
 
 def best_exits(game: StochasticGame, component: frozenset[int] | set[int],

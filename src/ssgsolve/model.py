@@ -146,8 +146,9 @@ class StochasticGame:
 
     `rows` and `index`, the solvers' float transitions and per-state label
     positions, `deltas`, the pairwise action differences behind svi's
-    decision values, `can_reach`, the states with a path to a target,
-    `split`, the targets / sinks / unknown partition, and
+    decision values, `preds`, the transitions into each state, which
+    `graph.attractor` walks back, `can_reach`, the states with a path to
+    a target, `split`, the targets / sinks / unknown partition, and
     `normalized`, the answer of `is_normalized()`, are built on first use
     and kept on the instance. They are not fields:
     eq, hash and repr ignore them, and `dataclasses.replace` gives a new
@@ -217,6 +218,21 @@ class StochasticGame:
                           if (w := di.get(t, zero) - dj.get(t, zero)) != 0)
             for i, di in enumerate(ds) for j, dj in enumerate(ds) if i != j
         } for ds in dists)
+
+    @cached_property
+    def preds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per state, the (state, action position) of every transition into it.
+
+        Listed in (state, action, transition) order, so a walk along it
+        visits predecessors in the same order every time.
+        """
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(self.n_states)]
+        for s, acts in enumerate(self.actions):
+            for i, act in enumerate(acts):
+                key = (s, i)
+                for t, _ in act.transitions:
+                    preds[t].append(key)
+        return tuple(map(tuple, preds))
 
     @cached_property
     def can_reach(self) -> frozenset[int]:

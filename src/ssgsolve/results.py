@@ -69,10 +69,6 @@ class SolveResult:
     vectors: list[tuple[list[float], list[float]]] | None = None
 
     @property
-    def total_updates(self) -> int:
-        return sum(t.updates for t in self.trace)
-
-    @property
     def max_final_gap(self) -> float:
         return max(
             (u - lo for lo, u in zip(self.lower, self.upper)), default=0.0

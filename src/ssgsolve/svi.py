@@ -161,21 +161,20 @@ def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) ->
         rows = game.rows[s]
         if len(comp) > 1 or any(t in part.unknown for row in rows for t, _ in row):
             continue
-        vals = [dot(row, vec) for row in rows]
-        opt = min(vals) if game.owner[s] == MIN else max(vals)
-        vec[s] = opt
-        settled[s] = game.actions[s][tie_band(vals, opt)[0]].label
+        vec[s], i = argopt([dot(row, vec) for row in rows], game.owner[s] == MAX)
+        settled[s] = game.actions[s][i].label
         part.unknown.discard(s)
     return settled
 
 
-def tie_band(vals: Sequence[float], opt: float) -> list[int]:
-    """Ascending positions of the values within TIE_TOL of the optimum opt.
+def argopt(vals: Sequence[float], maximize: bool) -> tuple[float, int]:
+    """The optimum of vals and the lowest position within TIE_TOL of it.
 
-    Every solver reports the first of them when nothing else decides: the
+    Every solver reports that position when nothing else decides: the
     lowest-index near-optimal action, not the one float noise favours.
     """
-    return [i for i, v in enumerate(vals) if abs(v - opt) <= TIE_TOL]
+    opt = max(vals) if maximize else min(vals)
+    return opt, next(i for i, v in enumerate(vals) if abs(v - opt) <= TIE_TOL)
 
 
 def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
@@ -193,7 +192,7 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
     best exit in B (the pairs of `handle_ecs`; None when EC handling is
     off) are forced into it. Ties keep the previous choice when it is
     still in the argopt band, otherwise the lowest action index wins
-    (`tie_band`), so runs are reproducible. The choices come in ascending
+    (`argopt`), so runs are reproducible. The choices come in ascending
     state order.
     """
     facts = pool_facts(game, partition)
@@ -222,7 +221,7 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
         opt = min(ests) if minimize else max(ests)
         keep = index[s].get(prev_choices.get(s))
         if keep is None or not abs(ests[keep] - opt) <= TIE_TOL:
-            # the first position of `tie_band(ests, opt)`
+            # the lowest position within TIE_TOL of opt, as `argopt` picks it
             keep = next(i for i, v in enumerate(ests) if abs(v - opt) <= TIE_TOL)
         choices[s] = actions[s][keep].label
     return StrategySnapshot(choices, frozenset(forced_at) if B is not None else None)

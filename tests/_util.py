@@ -71,6 +71,29 @@ def certificate_faults(game, values, max_strategy):
     return faults
 
 
+def greedy_trap(game, region):
+    """The greatest trap in the region, by rescanning it until nothing leaves.
+
+    The reference for `graph.trap_states`: a Maximizer state stays while
+    every action keeps play in the set, a Minimizer state while one does.
+    Quadratic in the worst case, which is why the package does not use it.
+    """
+    W = set(region)
+    changed = True
+    while changed:
+        changed = False
+        for s in sorted(W):
+            acts = game.actions[s]
+            if game.owner[s] == MAX:
+                ok = all(all(t in W for t, _ in a.transitions) for a in acts)
+            else:
+                ok = any(all(t in W for t, _ in a.transitions) for a in acts)
+            if not ok:
+                W.discard(s)
+                changed = True
+    return W
+
+
 def max_err(got, want):
     return max(abs(a - b) for a, b in zip(got, want))
 

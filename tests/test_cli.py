@@ -239,6 +239,35 @@ def test_fuzz_max_states_below_two_is_a_usage_error(states, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "MODEL", "--max-iters", "-1"],
+    ["solve", "MODEL", "--topo", "--max-iters", "-5"],
+    ["compare", "MODEL", "--max-iters", "-1"],
+], ids=["solve", "solve-topo", "compare"])
+def test_negative_max_iters_is_a_usage_error(loop_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(loop_file) if a == "MODEL" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--max-iters must not be negative" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["--states", "5", "--ec-bias", "2"], "ec_bias must be within [0, 1]"),
+    (["--states", "5", "--target-fraction", "nan"], "target_fraction must be within [0, 1]"),
+    (["--states", "0"], "must be >= 1"),
+    (["--states", "5", "--branching", "0"], "must be >= 1"),
+], ids=["ec-bias", "target-fraction-nan", "states", "branching"])
+def test_gen_parameters_out_of_range_are_a_usage_error(argv, why, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert why in captured.err
+    assert captured.out == ""
+
+
 def test_relative_mode_limited_to_plain_svi(loop_file):
     with pytest.raises(SystemExit):
         main(["solve", str(loop_file), "--relative", "--algo", "bvi"])

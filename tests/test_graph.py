@@ -1,6 +1,7 @@
 """Graph analyses: SCCs, end components, traps, almost-sure winners, best-exit collection."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ import ssgsolve.graph as graph
 from ssgsolve.baselines import solve_bvi, solve_vi
 from ssgsolve.graph import (
     almost_sure,
+    attractor,
     best_exit_set,
     best_exits,
     handle_ecs,
@@ -20,6 +22,7 @@ from ssgsolve.graph import (
 )
 from ssgsolve.model import (
     MAX,
+    MIN,
     GenParams,
     StatePartition,
     generate_random,
@@ -42,7 +45,7 @@ from ssgsolve.presets import (
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import solve_topological
 
-from _util import TRAP_FEED, exact_floats
+from _util import TRAP_FEED, exact_floats, greedy_trap
 
 
 def k0_vectors(game):
@@ -96,6 +99,99 @@ def test_mec_none_in_leaky_loop():
 def test_mec_minimizer_cycle():
     (mec,) = mec_decompose(minimizer_trap(), {0, 1})
     assert mec.states == frozenset({0, 1})
+
+
+# Region {0, 1, 3, 4, 5, 6, 7}; 2 and 8 lie outside and serve as seeds.
+# 0 and 1 (Maximizer, Minimizer) each have one action into 2 and one into
+# the self-loop 3; the Minimizer state 4 reaches 2 by both of its actions,
+# the second with probability 1/2; 5 reaches 2 only by its second action;
+# 6 only steps to 0; 7 has one action into each seed.
+ATTRACTOR_GAME = """\
+ssg 1
+states 9
+minplayer 1 4
+target 2
+action 0 a
+  2 1
+action 0 b
+  3 1
+action 1 a
+  2 1
+action 1 b
+  3 1
+action 2 loop
+  2 1
+action 3 loop
+  3 1
+action 4 a
+  2 1
+action 4 b
+  2 1/2
+  3 1/2
+action 5 a
+  3 1
+action 5 b
+  2 1
+action 6 a
+  0 1
+action 7 a
+  8 1
+action 7 b
+  2 1
+action 8 loop
+  8 1
+"""
+
+
+def test_attractor_player_rule_against_opponent_rule():
+    g = parse_model(ATTRACTOR_GAME)
+    region = {0, 1, 3, 4, 5, 6, 7}
+    # a player state joins by one action, each other state needs all of its
+    # actions; the value is the position of the action that completed the entry
+    assert attractor(g, region, [2], MAX) == {0: 0, 4: 1, 5: 1, 6: 0, 7: 1}
+    assert attractor(g, region, [2], MIN) == {1: 0, 4: 0}
+    # with no player every state needs all of its actions
+    assert attractor(g, region, [2], None) == {4: 1}
+    # the seeds are popped last in, first out
+    assert attractor(g, region, [2, 8], MAX)[7] == 0
+    assert attractor(g, region, [8, 2], MAX)[7] == 1
+
+
+def test_attractor_usable_filter():
+    g = parse_model(ATTRACTOR_GAME)
+    region = {0, 1, 3, 4, 5, 6, 7}
+    # without the b actions the Minimizer states 1 and 4 need only a, and 5 and 7 cannot join
+    assert attractor(g, region, [2], MAX, usable=lambda s, act: act.label != "b") == \
+        {0: 0, 1: 0, 4: 0, 6: 0}
+    # an opponent state without a usable action joins at once, reported as -1;
+    # it is popped before the seeds, so 1 and 4 join by their actions into 3
+    assert attractor(g, region, [2], MIN, usable=lambda s, act: act.label != "loop") == \
+        {3: -1, 1: 1, 4: 1, 0: 0, 5: 1, 6: 0}
+
+
+def test_trap_states_is_the_greedy_fixpoint_on_a_census_slice():
+    rng = random.Random(5)
+    for g in _census_slice():
+        for region in (g.can_reach - g.targets, set(range(g.n_states)) - g.targets,
+                       set(rng.sample(range(g.n_states), g.n_states // 2))):
+            assert trap_states(g, region) == greedy_trap(g, region)
+
+
+def _partition_digest(games):
+    keys = [(sorted(p.targets), sorted(p.sinks), sorted(p.unknown), sorted(p.attractor.items()))
+            for p in (g.split for g in games)]
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+def test_partition_digests_of_the_census_and_the_ec_set():
+    # recorded with `greedy_trap` and with a Prob1 worklist of its own in
+    # `almost_sure`, before both ran on `attractor`
+    census = _census((6, 8, 10, 12), range(150))
+    assert _partition_digest(census) == "c73ccbee71278d6a784bc4da05d76fae15b1c75ea740d4ff366d8fd9c2b549ad"
+    ec_set = (normalize(generate_random(GenParams(n, 3, br, 0.1, mp, eb, seed=seed)))
+              for n in (6, 8, 10) for seed in range(150) for eb in (0.3, 0.5, 0.7)
+              for br in (2, 3) for mp in (0.3, 0.5))
+    assert _partition_digest(ec_set) == "af093d6a2c1c28b67fe09256315172646d1f8599bb241f9af10c666f23376da9"
 
 
 def test_trap_states_minimizer_cycle():
@@ -183,13 +279,17 @@ def test_almost_sure_does_not_report_a_loop_that_never_reaches_the_target():
         assert r.lower[0] == r.upper[0] == 1.0
 
 
-def _census_slice():
-    for n in (6, 8, 10):
-        for seed in range(50):
+def _census(sizes, seeds):
+    for n in sizes:
+        for seed in seeds:
             for tf, eb in ((0.1, 0.0), (0.1, 0.5), (0.05, 1.0)):
                 yield normalize(generate_random(GenParams(
                     n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
                     target_fraction=tf, ec_bias=eb)))
+
+
+def _census_slice():
+    return _census((6, 8, 10), range(50))
 
 
 def test_almost_sure_is_the_exact_value_one_set_on_a_census_slice():

@@ -137,11 +137,12 @@ def test_serial_chain_needs_one_update_per_component():
     topo = solve_topological(g)
     plain = solve_svi(g)
     assert topo.converged and plain.converged
+    topo_updates, plain_updates = (sum(t.updates for t in r.trace) for r in (topo, plain))
     assert topo.iterations == 3
-    assert topo.total_updates == 3
+    assert topo_updates == 3
     assert plain.iterations == 785
-    assert plain.total_updates == 2355
-    assert topo.total_updates <= plain.total_updates
+    assert plain_updates == 2355
+    assert topo_updates <= plain_updates
     assert max_err(topo.value, plain.value) <= 2e-6
 
 
