@@ -9,7 +9,8 @@ included) or bad arguments (argparse's usage errors, such as an --eps
 that is not positive, a negative --max-iters, a fuzz --max-states below
 2 or gen parameters out of range), 3 a model that parses but fails
 validation, 4 solver hit the iteration cap, 5 model too
-large for the exact oracle, 141 stdout closed early (a broken pipe, as in
+large for the exact oracle (more than 12 states, or under --order minmax
+more than 10^7 strategy pairs), 141 stdout closed early (a broken pipe, as in
 `ssgsolve solve model.ssg | head`).
 """
 

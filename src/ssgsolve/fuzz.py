@@ -146,13 +146,7 @@ def _shrink_candidates(game: StochasticGame) -> Iterator[StochasticGame]:
             for idx in range(len(game.actions[s])):
                 yield _drop_action(game, s, idx)
     if game.n_states > 1:
-        referenced = {
-            t
-            for s in range(game.n_states)
-            for a in game.actions[s]
-            for t in a.successors()
-            if t != s
-        }
+        referenced = {t for s, succs in enumerate(game.succs) for t in succs if t != s}
         for r in range(game.n_states):
             if r not in referenced:
                 yield _drop_state(game, r)
@@ -184,8 +178,8 @@ def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
              out_dir: str | Path | None = None) -> FuzzReport:
     """Generate `count` random games, check each with every algorithm.
 
-    Games whose strategy space exceeds the oracle caps are skipped and
-    counted. `extra_models` are checked before the generated stream (same
+    Games beyond the oracle's state cap are skipped and counted.
+    `extra_models` are checked before the generated stream (same
     checks); `overrides` passes extra keyword arguments to specific
     solvers, which is how the acceptance suite checks that a deliberately
     weakened solver is caught. Failing models and their shrunk versions

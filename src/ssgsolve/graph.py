@@ -35,7 +35,7 @@ class Mec:
 
 
 def scc_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -> list[list[int]]:
-    """Strongly connected components of the action-successor graph.
+    """Strongly connected components of the action-successor graph, `game.succs`.
 
     Returns components in reverse topological order: every component comes
     after all components it can reach, so processing the list front to back
@@ -43,10 +43,7 @@ def scc_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
     """
     nodes = sorted(restrict) if restrict is not None else list(range(game.n_states))
     node_set = set(nodes)
-    # successors without duplicates, in order of first appearance
-    adj = {s: list(dict.fromkeys(succ for act in game.actions[s] for succ, _ in act.transitions
-                                 if succ in node_set and succ != s))
-           for s in nodes}
+    adj = {s: [t for t in game.succs[s] if t in node_set] for s in nodes}
     return _tarjan(nodes, adj)
 
 
@@ -245,7 +242,7 @@ def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, str]:
     y = set(region) - game.targets
     while True:
         # the states outside Y that actions of Y reach
-        gone = {t for s in y for act in game.actions[s] for t, _ in act.transitions} - y - game.targets
+        gone = {t for s in y for t in game.succs[s]} - y - game.targets
         gone |= attractor(game, y, gone, MIN).keys()
         y -= gone
         won = attractor(game, y, targets, MAX, usable=None if not gone else

@@ -131,8 +131,13 @@ class Action:
     label: str
     transitions: tuple[tuple[int, Fraction], ...]
 
-    def successors(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.transitions)
+
+def _distribution(act: Action) -> dict[int, Fraction]:
+    """The action's probability of each successor, summed over the transitions that list it."""
+    dist: dict[int, Fraction] = {}
+    for t, p in act.transitions:
+        dist[t] = dist.get(t, 0) + p
+    return dist
 
 
 @dataclass(frozen=True)
@@ -147,12 +152,15 @@ class StochasticGame:
     `rows` and `index`, the solvers' float transitions and per-state label
     positions, `deltas`, the pairwise action differences behind svi's
     decision values, `preds`, the transitions into each state, which
-    `graph.attractor` walks back, `can_reach`, the states with a path to
-    a target, `split`, the targets / sinks / unknown partition, and
-    `normalized`, the answer of `is_normalized()`, are built on first use
-    and kept on the instance. They are not fields:
-    eq, hash and repr ignore them, and `dataclasses.replace` gives a new
-    game with its own.
+    `graph.attractor` and `can_reach` walk back, `succs`, the distinct
+    successors of each state, which every forward graph walk reads,
+    `can_reach`, the states with a path to a target, `split`, the
+    targets / sinks / unknown partition, and `normalized`, the answer of
+    `is_normalized()`, are built on first use and kept on the instance.
+    `preds` and `succs` are the package's only per-state edge tables; the
+    exact oracle keeps its own, to stay independent of the solvers. None
+    of these are fields: eq, hash and repr ignore them, and
+    `dataclasses.replace` gives a new game with its own.
     """
 
     n_states: int
@@ -208,11 +216,13 @@ class StochasticGame:
         """Per state, the pairwise differences of its actions' distributions.
 
         Entry (i, j) lists (successor, float(delta_i - delta_j)) in successor
-        order, skipping exact zeros; the subtraction is exact, so 0.5 and 0.4
-        differ by exactly one tenth. One-action states share one empty table.
+        order, skipping exact zeros; a successor listed twice in one action
+        counts with the sum of its probabilities. The sums and the subtraction
+        are exact, so 0.5 and 0.4 differ by exactly one tenth. One-action
+        states share one empty table.
         """
         zero, empty = Fraction(0), {}
-        dists = [[dict(a.transitions) for a in acts] for acts in self.actions]
+        dists = [[_distribution(a) for a in acts] for acts in self.actions]
         return tuple(empty if len(ds) < 2 else {
             (i, j): tuple((t, float(w)) for t in sorted(di.keys() | dj.keys())
                           if (w := di.get(t, zero) - dj.get(t, zero)) != 0)
@@ -235,18 +245,24 @@ class StochasticGame:
         return tuple(map(tuple, preds))
 
     @cached_property
+    def succs(self) -> tuple[tuple[int, ...], ...]:
+        """Per state, its distinct successors over all actions, in order of first appearance.
+
+        A self-loop lists the state itself. Every walk along the edges
+        reads this table, so each walk visits successors in the same order.
+        """
+        return tuple(tuple(dict.fromkeys(t for act in acts for t, _ in act.transitions))
+                     for acts in self.actions)
+
+    @cached_property
     def can_reach(self) -> frozenset[int]:
         """The targets and the states with a path to one, whoever owns the states on it."""
-        preds: list[set[int]] = [set() for _ in range(self.n_states)]
-        for s, acts in enumerate(self.actions):
-            for act in acts:
-                for succ, _ in act.transitions:
-                    preds[succ].add(s)
         found, frontier = set(self.targets), list(self.targets)
         while frontier:
-            for p in preds[frontier.pop()] - found:
-                found.add(p)
-                frontier.append(p)
+            for p, _ in self.preds[frontier.pop()]:
+                if p not in found:
+                    found.add(p)
+                    frontier.append(p)
         return frozenset(found)
 
     @cached_property

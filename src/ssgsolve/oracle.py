@@ -23,7 +23,7 @@ from .model import MAX, MIN, StochasticGame, partition_states  # noqa: F401
 
 
 class TooLarge(ValueError):
-    """The model is beyond the configured size or strategy-pair budget."""
+    """The model is beyond the configured size, or the enumeration's strategy-pair budget."""
 
     def __init__(self, states: int, pairs: int) -> None:
         self.states = states
@@ -327,9 +327,11 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     a choice, not the partition's unknown states: this reference checks
     the partition's trap and value-1 analysis and must not rely on it.
 
-    Raises TooLarge beyond max_states states or max_pairs strategy pairs,
-    before any row is scaled or chain solved, and then ValueError on a game
-    that is not normalized, as the solvers do.
+    Raises TooLarge beyond max_states states, or under order="minmax"
+    beyond max_pairs strategy pairs (strategy iteration takes a few chain
+    solves however many pairs there are), before any row is scaled or chain
+    solved, and then ValueError on a game that is not normalized, as the
+    solvers do.
     """
     if order not in ("maxmin", "minmax"):
         raise ValueError("order must be 'maxmin' or 'minmax'")
@@ -345,7 +347,7 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
         return c
 
     pairs = profile_count(max_sites) * profile_count(min_sites)
-    if n > max_states or pairs > max_pairs:
+    if n > max_states or order == "minmax" and pairs > max_pairs:
         raise TooLarge(n, pairs)
     if not game.is_normalized():
         raise ValueError("game must be normalized first (see normalize())")

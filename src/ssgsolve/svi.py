@@ -158,10 +158,9 @@ def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) ->
     settled: dict[int, str] = {}
     for comp in scc_decompose(game, part.unknown):
         s = comp[0]
-        rows = game.rows[s]
-        if len(comp) > 1 or any(t in part.unknown for row in rows for t, _ in row):
+        if len(comp) > 1 or any(t in part.unknown for t in game.succs[s]):
             continue
-        vec[s], i = argopt([dot(row, vec) for row in rows], game.owner[s] == MAX)
+        vec[s], i = argopt([dot(row, vec) for row in game.rows[s]], game.owner[s] == MAX)
         settled[s] = game.actions[s][i].label
         part.unknown.discard(s)
     return settled

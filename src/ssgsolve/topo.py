@@ -64,36 +64,33 @@ def build_plan(game: StochasticGame, eps: float) -> SccPlan:
     """Decompose into SCCs and assign each its local precision budget.
 
     Components come out downstream-first. Depth is the longest predecessor
-    chain in the component DAG (0 at the sources). A component whose
-    states the partition decided, targets (the almost-sure winners
-    included) and sinks, is "decided" and costs no sweep. A component
-    with an undecided state is solved as a whole ("unknown"). It may also
-    hold decided states: a trap inside a cycle, such as a Minimizer state
-    that can loop forever but also step to a Maximizer state that gambles
-    on the target and else returns, or an almost-sure winner beside a
-    state that can leave for a sink. The inner solver keeps those at 0
-    and 1, as it does every sink and target.
+    chain in the component DAG (0 at the sources), found in one pass over
+    `game.succs`. A component whose states the partition (`game.split`)
+    decided, targets (the almost-sure winners included) and sinks, is
+    "decided" and costs no sweep. A component with an undecided state is
+    solved as a whole ("unknown"). It may also hold decided states: a trap
+    inside a cycle, such as a Minimizer state that can loop forever but
+    also step to a Maximizer state that gambles on the target and else
+    returns, or an almost-sure winner beside a state that can leave for a
+    sink. The inner solver keeps those at 0 and 1, as it does every sink
+    and target.
     """
-    part = partition_states(game)
+    unknown = game.split.unknown
     comps = scc_decompose(game)
-    comp_of = {}
+    comp_of = [0] * game.n_states
     for i, comp in enumerate(comps):
         for s in comp:
             comp_of[s] = i
-    preds: list[set[int]] = [set() for _ in comps]
-    for s in range(game.n_states):
-        for act in game.actions[s]:
-            for t in act.successors():
-                if comp_of[t] != comp_of[s]:
-                    preds[comp_of[t]].add(comp_of[s])
     depth = [0] * len(comps)
-    # reversed list is topological (predecessors first), so depths are ready
+    # reversed list is topological (predecessors first), so depth[i] is final when passed on
     for i in reversed(range(len(comps))):
-        if preds[i]:
-            depth[i] = 1 + max(depth[j] for j in preds[i])
+        for s in comps[i]:
+            for t in game.succs[s]:
+                if comp_of[t] != i:
+                    depth[comp_of[t]] = max(depth[comp_of[t]], depth[i] + 1)
     entries = []
     for i, comp in enumerate(comps):
-        kind = "unknown" if any(s in part.unknown for s in comp) else "decided"
+        kind = "unknown" if any(s in unknown for s in comp) else "decided"
         entries.append(SccEntry(
             index=i,
             states=tuple(comp),
@@ -135,8 +132,7 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
         inside = set(entry.states)
         entry.frontier = {
             s: (lo[s], hi[s])
-            for s in sorted({t for u in inside for a in game.actions[u]
-                             for t in a.successors()} - inside)
+            for s in sorted({t for u in inside for t in game.succs[u]} - inside)
         }
         vecs = [list(lo)]
         if any(a != b for a, b in entry.frontier.values()):

@@ -1,6 +1,6 @@
 """Helpers shared by the test modules."""
 
-from ssgsolve.model import MAX, StatePartition, partition_states
+from ssgsolve.model import MAX, GenParams, StatePartition, generate_random, normalize, partition_states
 from ssgsolve.oracle import exact_value
 from ssgsolve.svi import start_vector
 
@@ -17,6 +17,34 @@ def pinned(game, values):
     for s, v in values.items():
         vec[s] = v
     return part, vec
+
+
+def census(sizes, seeds):
+    """The census games of the given sizes and seeds, at the three (target fraction, ec_bias) pairs."""
+    for n in sizes:
+        for seed in seeds:
+            for tf, eb in ((0.1, 0.0), (0.1, 0.5), (0.05, 1.0)):
+                yield normalize(generate_random(GenParams(
+                    n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
+                    target_fraction=tf, ec_bias=eb)))
+
+
+def reach_by_predecessor_sets(game):
+    """The targets and the states with a path to one, by a search over per-state predecessor sets.
+
+    The reference for `StochasticGame.can_reach`, which walks `preds`.
+    """
+    preds = [set() for _ in range(game.n_states)]
+    for s, acts in enumerate(game.actions):
+        for act in acts:
+            for succ, _ in act.transitions:
+                preds[succ].add(s)
+    found, frontier = set(game.targets), list(game.targets)
+    while frontier:
+        for p in preds[frontier.pop()] - found:
+            found.add(p)
+            frontier.append(p)
+    return frozenset(found)
 
 
 def exact_floats(game):
@@ -56,7 +84,7 @@ def certificate_faults(game, values, max_strategy):
     while shrinking:
         shrinking = False
         for s in sorted(avoid):
-            kept = [all(t in avoid for t in a.successors()) for a in moves(s)]
+            kept = [all(t in avoid for t, _ in a.transitions) for a in moves(s)]
             if not (all(kept) if game.owner[s] == MAX else any(kept)):
                 avoid.discard(s)
                 shrinking = True

@@ -45,7 +45,7 @@ from ssgsolve.presets import (
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import solve_topological
 
-from _util import TRAP_FEED, exact_floats, greedy_trap
+from _util import TRAP_FEED, census, exact_floats, greedy_trap, reach_by_predecessor_sets
 
 
 def k0_vectors(game):
@@ -177,6 +177,14 @@ def test_trap_states_is_the_greedy_fixpoint_on_a_census_slice():
             assert trap_states(g, region) == greedy_trap(g, region)
 
 
+def test_can_reach_is_the_predecessor_set_search():
+    games = [*_census_slice(), *(generate_random(GenParams(200, 3, 3, 0.05, 0.5, eb, seed=seed))
+                                for eb in (0.0, 0.5) for seed in range(4))]
+    for g in games:
+        assert g.can_reach == reach_by_predecessor_sets(g)
+    assert any(len(g.can_reach) < g.n_states for g in games)
+
+
 def _partition_digest(games):
     keys = [(sorted(p.targets), sorted(p.sinks), sorted(p.unknown), sorted(p.attractor.items()))
             for p in (g.split for g in games)]
@@ -186,8 +194,8 @@ def _partition_digest(games):
 def test_partition_digests_of_the_census_and_the_ec_set():
     # recorded with `greedy_trap` and with a Prob1 worklist of its own in
     # `almost_sure`, before both ran on `attractor`
-    census = _census((6, 8, 10, 12), range(150))
-    assert _partition_digest(census) == "c73ccbee71278d6a784bc4da05d76fae15b1c75ea740d4ff366d8fd9c2b549ad"
+    games = census((6, 8, 10, 12), range(150))
+    assert _partition_digest(games) == "c73ccbee71278d6a784bc4da05d76fae15b1c75ea740d4ff366d8fd9c2b549ad"
     ec_set = (normalize(generate_random(GenParams(n, 3, br, 0.1, mp, eb, seed=seed)))
               for n in (6, 8, 10) for seed in range(150) for eb in (0.3, 0.5, 0.7)
               for br in (2, 3) for mp in (0.3, 0.5))
@@ -279,17 +287,8 @@ def test_almost_sure_does_not_report_a_loop_that_never_reaches_the_target():
         assert r.lower[0] == r.upper[0] == 1.0
 
 
-def _census(sizes, seeds):
-    for n in sizes:
-        for seed in seeds:
-            for tf, eb in ((0.1, 0.0), (0.1, 0.5), (0.05, 1.0)):
-                yield normalize(generate_random(GenParams(
-                    n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
-                    target_fraction=tf, ec_bias=eb)))
-
-
 def _census_slice():
-    return _census((6, 8, 10), range(50))
+    return census((6, 8, 10), range(50))
 
 
 def test_almost_sure_is_the_exact_value_one_set_on_a_census_slice():

@@ -47,7 +47,6 @@ def test_parse_minimal_model():
     (a,) = g.actions[0]
     assert a.label == "a"
     assert a.transitions == ((1, Fraction(1, 3)), (2, Fraction(2, 3)))
-    assert a.successors() == (1, 2)
     # states 1 and 2 have no declared actions yet
     assert g.actions[1] == () and g.actions[2] == ()
 
@@ -237,9 +236,11 @@ def test_game_action_lookup():
 
 
 def _delta(a, b):
-    pa, pb = dict(a.transitions), dict(b.transitions)
-    diff = {t: pa.get(t, 0) - pb.get(t, 0) for t in sorted(pa.keys() | pb.keys())}
-    return tuple((t, float(w)) for t, w in diff.items() if w != 0)
+    diff = {}
+    for sign, act in ((1, a), (-1, b)):
+        for t, p in act.transitions:
+            diff[t] = diff.get(t, 0) + sign * p
+    return tuple((t, float(w)) for t, w in sorted(diff.items()) if w != 0)
 
 
 def _expected_tables(g):
@@ -273,6 +274,16 @@ def test_game_deltas_subtract_exact_probabilities():
     assert 0.5 - 0.4 != tenth
     assert g.deltas[0] == {(0, 1): ((1, tenth), (2, -tenth)),
                            (1, 0): ((1, -tenth), (2, tenth))}
+
+
+def test_game_succs_lists_each_successor_once_in_order_of_first_appearance():
+    g = parse_model("ssg 1\nstates 4\ntarget 3\n"
+                    "action 0 x\n  2 1/2\n  0 1/4\n  2 1/4\n"
+                    "action 0 y\n  3 1/2\n  2 1/2\n"
+                    "action 1 z\n  1 1\n")
+    # a repeated successor is listed once and self-loops are kept
+    assert g.succs == ((2, 0, 3), (1,), (), ())
+    assert g.succs is g.succs
 
 
 def test_game_tables_stay_out_of_equality_and_repr():

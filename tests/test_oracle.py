@@ -1,7 +1,6 @@
 """Exact oracle: strategy iteration against the enumeration, chain values, k-step vectors."""
 
 import dataclasses
-import math
 import random
 from fractions import Fraction
 
@@ -205,7 +204,7 @@ def test_certificate_past_twelve_states():
                 g = normalize(generate_random(GenParams(
                     n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
                     target_fraction=0.1, ec_bias=eb)))
-                res = exact_value(g, max_states=n, max_pairs=math.inf)
+                res = exact_value(g, max_states=n)
                 assert certificate_faults(g, res.values, res.max_strategy) == [], (n, seed, eb)
                 games += any(0 < v < 1 for v in res.values)
     assert games >= 20
@@ -337,7 +336,7 @@ def test_too_large_runs_no_chain_solve(monkeypatch):
     with pytest.raises(TooLarge):
         exact_value(generate_random(GenParams(n_states=13, seed=0)))
     with pytest.raises(TooLarge):
-        exact_value(two_route_choice(), max_pairs=1)
+        exact_value(two_route_choice(), max_pairs=1, order="minmax")
     assert calls == {"rows": 0, "solve": 0}
     exact_value(two_route_choice())   # the Minimizer's first action, then its switch
     assert calls == {"rows": 1, "solve": 2}
@@ -373,7 +372,19 @@ def test_too_large_state_cap():
 
 def test_too_large_pair_cap():
     with pytest.raises(TooLarge):
-        exact_value(two_route_choice(), max_pairs=1)
+        exact_value(two_route_choice(), max_pairs=1, order="minmax")
+
+
+def test_pair_cap_binds_only_the_enumeration():
+    g = normalize(generate_random(GenParams(12, 10, 2, 0.1, 0.5, 0.3, seed=0)))
+    with pytest.raises(TooLarge) as exc:
+        exact_value(g, order="minmax")
+    assert (exc.value.states, exc.value.pairs) == (12, 36_288_000)
+    # strategy iteration needs a few chain solves, however many pairs there are
+    res = exact_value(g)
+    assert res.pairs_evaluated <= 5
+    assert any(0 < v < 1 for v in res.values)
+    assert certificate_faults(g, res.values, res.max_strategy) == []
 
 
 def test_k_step_seeds():

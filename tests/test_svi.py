@@ -715,3 +715,43 @@ def test_census_stalls_converge(n, seed, ec_bias, won):
         assert r.converged, r.algorithm
         for s, v in enumerate(want):
             assert r.lower[s] <= v + SLACK and r.upper[s] >= v - SLACK, (r.algorithm, s)
+
+
+# State 0's a2 lists successor 4 twice. Read as a dict, its decision-value
+# deltas kept one half of it, and svi converged with state 1's upper at
+# 0.285714110, below the exact 2/7.
+REPEATED_SUCCESSOR = """\
+ssg 1
+states 6
+minplayer 2 3 4
+target 5
+action 0 a0
+0 1/2
+1 1/2
+action 0 a2
+4 1/2
+4 1/2
+action 1 a0
+0 2/5
+2 1/2
+5 1/10
+action 2 a1
+2 1
+action 3 a0
+1 3/4
+5 1/4
+action 4 a0
+3 1
+"""
+
+
+def test_a_successor_listed_twice_counts_with_both_probabilities():
+    g = normalize(parse_model(REPEATED_SUCCESSOR))
+    merged = normalize(parse_model(REPEATED_SUCCESSOR.replace("4 1/2\n4 1/2\n", "4 1\n")))
+    assert g.deltas[0] == merged.deltas[0]
+    exact = exact_value(g).values
+    assert exact[1] == Fraction(2, 7)
+    for r in (solve_svi(g), solve_topological(g)):
+        assert r.converged, r.algorithm
+        for s, v in enumerate(exact):
+            assert r.lower[s] <= v + SLACK and r.upper[s] >= v - SLACK, (r.algorithm, s)

@@ -1,5 +1,8 @@
 """Per-component driver: plan construction and frontier propagation."""
 
+import hashlib
+import random
+
 import pytest
 
 from ssgsolve.baselines import solve_bvi
@@ -15,7 +18,7 @@ from ssgsolve.presets import (
     slow_loop,
 )
 
-from _util import exact_floats, max_err
+from _util import census, exact_floats, max_err
 
 
 # `loop_with_bypass` with the relay 2 made a coin flip between the target
@@ -255,6 +258,28 @@ def test_component_mixing_a_trap_with_undecided_states():
         assert res.lower[0] == res.upper[0] == 0.0
         assert res.lower[1] <= 0.5 <= res.upper[1]
         assert res.upper[1] - res.lower[1] <= 2e-6
+
+
+def _oracle_sized_stream(count):
+    """The first `count` games that `run_fuzz(count, 0, max_states=12)` draws."""
+    rng = random.Random(0)
+    for _ in range(count):
+        yield generate_random(GenParams(
+            n_states=rng.randint(2, 12), max_actions_per_state=rng.randint(1, 3),
+            max_branching=rng.randint(1, 3), target_fraction=rng.choice([0.1, 0.2, 0.4]),
+            min_player_fraction=rng.choice([0.3, 0.5, 0.7]),
+            ec_bias=rng.choice([0.0, 0.3, 0.7, 1.0]), seed=rng.randrange(2**31)))
+
+
+def test_plan_digest_of_the_census_and_the_benchmark_families():
+    # recorded while the depths came from per-component predecessor sets
+    games = [*census((6, 8, 10, 12), range(150)), serial_loops(150), slow_loop(),
+             *(generate_random(GenParams(80, 3, 3, 0.05, 0.5, eb, seed))
+               for eb in (0.0, 0.5) for seed in (2, 3)),
+             *(normalize(g) for g in _oracle_sized_stream(300))]
+    keys = [[(e.states, e.depth, e.eps_local, e.kind) for e in build_plan(g, 1e-6).entries]
+            for g in games]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == "b9967c08ff21845327a882680d8420ad7603105e15d2ef507250a10a7ecae35d"
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
