@@ -16,12 +16,13 @@ meets one.
 
 from __future__ import annotations
 
+import math
 import time
-from typing import AbstractSet, Sequence
+from typing import AbstractSet
 
 # mec_decompose is not called here, but perfbench/layers.py wraps it under this name
 from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
-from .model import MAX, StatePartition, StochasticGame, dot, dot2, partition_states
+from .model import MAX, StatePartition, StochasticGame, dot, partition_states
 from .results import SolveResult, TraceEntry
 from .svi import argopt, float_rows, start_vector
 
@@ -29,32 +30,79 @@ UNSOUND_NOTE = "unsound stopping"
 
 
 def _sweep(game: StochasticGame, unknown: AbstractSet[int], vec: list[float]) -> list[float]:
-    """One Jacobi sweep of the optimality operator over the unknown states."""
+    """One Jacobi sweep of the optimality operator over the unknown states.
+
+    `dot` is inlined, as in `svi.bellman_update`: each row is added left to
+    right from 0.0, and the first of equal row values wins, as in builtin
+    `max`/`min`.
+    """
     rows, owner = game.rows, game.owner
     new = list(vec)
     for s in unknown:
         acts = rows[s]
         if len(acts) == 1:
-            new[s] = dot(acts[0], vec)
+            x = 0.0
+            for t, p in acts[0]:
+                x += p * vec[t]
+            new[s] = x
             continue
-        vals = [dot(row, vec) for row in acts]
-        new[s] = max(vals) if owner[s] == MAX else min(vals)
+        maximize = owner[s] == MAX
+        best = None
+        for row in acts:
+            x = 0.0
+            for t, p in row:
+                x += p * vec[t]
+            if best is None:
+                best = x
+            elif maximize:
+                if x > best:
+                    best = x
+            elif x < best:
+                best = x
+        new[s] = best
     return new
 
 
 def _sweep2(game: StochasticGame, unknown: AbstractSet[int], low: list[float],
             high: list[float]) -> tuple[list[float], list[float]]:
-    """`(_sweep(game, unknown, low), _sweep(game, unknown, high))` in one pass over the rows."""
+    """`(_sweep(game, unknown, low), _sweep(game, unknown, high))` in one pass over the rows.
+
+    Each row's two sums come from one pass over it (`dot2` inlined); the
+    optimum of each side is kept on its own.
+    """
     rows, owner = game.rows, game.owner
     new_low, new_high = list(low), list(high)
     for s in unknown:
         acts = rows[s]
         if len(acts) == 1:
-            new_low[s], new_high[s] = dot2(acts[0], low, high)
+            x = y = 0.0
+            for t, p in acts[0]:
+                x += p * low[t]
+                y += p * high[t]
+            new_low[s] = x
+            new_high[s] = y
             continue
-        pick = max if owner[s] == MAX else min
-        new_low[s] = pick([dot(row, low) for row in acts])
-        new_high[s] = pick([dot(row, high) for row in acts])
+        maximize = owner[s] == MAX
+        lo = hi = None
+        for row in acts:
+            x = y = 0.0
+            for t, p in row:
+                x += p * low[t]
+                y += p * high[t]
+            if lo is None:
+                lo, hi = x, y
+            elif maximize:
+                if x > lo:
+                    lo = x
+                if y > hi:
+                    hi = y
+            else:
+                if x < lo:
+                    lo = x
+                if y < hi:
+                    hi = y
+        new_low[s] = lo
+        new_high[s] = hi
     return new_low, new_high
 
 
@@ -98,11 +146,20 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     converged = not part.unknown
     while not converged and it < max_iters:
         new = _sweep(game, part.unknown, L)
-        delta = max(abs(new[s] - L[s]) for s in part.unknown)
+        # the largest change and the smallest new value in one pass; from
+        # 0.0 and inf, since abs() >= 0.0 and the values are finite
+        delta, low = 0.0, math.inf
+        for s in part.unknown:
+            x = new[s]
+            d = abs(x - L[s])
+            if d > delta:
+                delta = d
+            if x < low:
+                low = x
         L = new
         it += 1
         trace.append(TraceEntry(
-            k=it, l=min(L[s] for s in part.unknown), u=1.0, d_l=None, d_u=None,
+            k=it, l=low, u=1.0, d_l=None, d_u=None,
             delayed=0, bounds_updated=False, max_gap=delta, updates=len(part.unknown),
         ))
         converged = delta < eps
@@ -123,7 +180,7 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     )
 
 
-def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float]) -> list[float]:
+def deflate(game: StochasticGame, partition: StatePartition, U: list[float]) -> list[float]:
     """Cap an upper vector inside every end component to its best exit.
 
     For each maximal end component of the unknown states, walks the layers
@@ -132,17 +189,22 @@ def deflate(game: StochasticGame, partition: StatePartition, U: Sequence[float])
     so every layer has an exit. The layers are ranked lazily on that same
     copy, so each sub-component is ranked on the vector its parent has
     already capped; ranking them all on the uncapped U would pick
-    different exits. Returns the new vector; the partition's sets are not
-    modified. Requires U >= V pointwise, which the capping preserves.
+    different exits. Returns the capped copy, or U itself when the pool
+    has no end component; callers must not mutate the result, which may
+    be their argument. The partition's sets are not modified. Requires
+    U >= V pointwise, which the capping preserves.
 
     The MEC decompositions, of the unknown set and of the peeled
     remainders, come from `partition.ec_memo`: across the sweeps of one
     solve only the exits ranked on U change.
     """
+    memo = partition.ec_memo
+    mecs = cached_mecs(game, partition.unknown, memo)
+    if not mecs:
+        return U
     rows, index = game.rows, game.index
     new = list(U)
-    memo = partition.ec_memo
-    for mec in cached_mecs(game, partition.unknown, memo):
+    for mec in mecs:
         for component, exits in exit_layers(game, mec.states, new, memo):
             val = max(dot(rows[s][index[s][a]], new) for s, a in exits)
             for s in component:
@@ -182,9 +244,20 @@ def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], e
         L, U = _sweep2(game, pool, L, U)
         U = deflate(game, part, U)
         it += 1
-        gap = max(U[s] - L[s] for s in pool)
+        # max(U-L), min L and max U in one pass; strict comparisons keep the
+        # first of equal values, as builtin max and min do
+        gap = high = -math.inf
+        low = math.inf
+        for s in pool:
+            lo, hi = L[s], U[s]
+            if hi - lo > gap:
+                gap = hi - lo
+            if lo < low:
+                low = lo
+            if hi > high:
+                high = hi
         trace.append(TraceEntry(
-            k=it, l=min(L[s] for s in pool), u=max(U[s] for s in pool),
+            k=it, l=low, u=high,
             d_l=None, d_u=None, delayed=0, bounds_updated=False, max_gap=gap, updates=len(pool),
         ))
         if record_vectors:

@@ -162,6 +162,13 @@ def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
     work: list[set[int]] = [base]
     while work:
         cand = work.pop()
+        if len(cand) == 1:
+            # a single state is an end component exactly when an action stays on it
+            (s,) = cand
+            stay = tuple(act.label for act in game.actions[s] if all(t == s for t, _ in act.transitions))
+            if stay:
+                result.append(Mec(frozenset(cand), {s: stay}))
+            continue
         cand -= attractor(game, cand, (), None,
                           usable=lambda s, act: all(t in cand for t, _ in act.transitions)).keys()
         if not cand:

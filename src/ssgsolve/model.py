@@ -9,10 +9,11 @@ is an MDP, a game with one action everywhere is a Markov chain.
 
 Probabilities are kept as exact `Fraction`s on the model. The solvers read
 a float copy of them, `StochasticGame.rows`, which each game builds on
-first use; the exact oracle keeps the rationals. Every float dot product of
-the solvers goes through `dot` or `dot2`, which add left to right: builtin
-`sum` adds floats with compensated summation from Python 3.12 on, and
-iteration counts would then depend on the interpreter.
+first use; the exact oracle keeps the rationals. The solvers add every
+float dot product left to right from 0.0, as `dot` and `dot2` do; the
+sweep kernels of vi, bvi and svi inline that loop. Builtin `sum` adds
+floats with compensated summation from Python 3.12 on, and iteration
+counts would then depend on the interpreter.
 """
 
 from __future__ import annotations

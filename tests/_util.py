@@ -1,6 +1,6 @@
 """Helpers shared by the test modules."""
 
-from ssgsolve.model import MAX, GenParams, StatePartition, generate_random, normalize, partition_states
+from ssgsolve.model import MAX, GenParams, StatePartition, dot, dot2, generate_random, normalize, partition_states
 from ssgsolve.oracle import exact_value
 from ssgsolve.svi import start_vector
 
@@ -45,6 +45,35 @@ def reach_by_predecessor_sets(game):
             found.add(p)
             frontier.append(p)
     return frozenset(found)
+
+
+def sweep_by_dot(game, unknown, vec):
+    """One Jacobi sweep with one `dot` call per row: the reference for `baselines._sweep`."""
+    rows, owner = game.rows, game.owner
+    new = list(vec)
+    for s in unknown:
+        acts = rows[s]
+        if len(acts) == 1:
+            new[s] = dot(acts[0], vec)
+            continue
+        vals = [dot(row, vec) for row in acts]
+        new[s] = max(vals) if owner[s] == MAX else min(vals)
+    return new
+
+
+def sweep2_by_dot(game, unknown, low, high):
+    """Two Jacobi sweeps through `dot2` and `dot`: the reference for `baselines._sweep2`."""
+    rows, owner = game.rows, game.owner
+    new_low, new_high = list(low), list(high)
+    for s in unknown:
+        acts = rows[s]
+        if len(acts) == 1:
+            new_low[s], new_high[s] = dot2(acts[0], low, high)
+            continue
+        pick = max if owner[s] == MAX else min
+        new_low[s] = pick([dot(row, low) for row in acts])
+        new_high[s] = pick([dot(row, high) for row in acts])
+    return new_low, new_high
 
 
 def exact_floats(game):

@@ -1,6 +1,8 @@
 """Float arithmetic the solvers trust: fixed summation order and one tie rule."""
 
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,9 +11,11 @@ import ssgsolve.graph as graph
 import ssgsolve.model as model
 import ssgsolve.svi as svi
 from ssgsolve.baselines import solve_bvi, solve_vi
-from ssgsolve.model import GenParams, dot, dot2, generate_random, normalize, parse_model
+from ssgsolve.model import MAX, MIN, GenParams, dot, dot2, generate_random, normalize, parse_model
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import solve_topological
+
+from _util import census, sweep2_by_dot, sweep_by_dot
 
 # Exactly equal values whose float sums differ: 3/10 in one step against
 # 1/10 + 2/10 over two targets, which comes to 0.30000000000000004.
@@ -40,6 +44,30 @@ def test_dot_adds_left_to_right_from_zero():
     assert math.fsum(p for _, p in row) == 1.0000000000000002
     assert dot2(row, vec, [0.0, 0.5, 0.5]) == (1.0, 1e-16)
     assert dot((), vec) == 0.0
+
+
+def test_sweep_kernels_add_left_to_right_from_zero():
+    # the row above on a one-action state, a Maximizer and a Minimizer state
+    row = ((0, 1.0), (1, 1e-16), (2, 1e-16))
+    game = SimpleNamespace(rows=((row,), (row, ((0, 0.5),)), (((0, 2.0),), row)), owner=(MAX, MAX, MIN))
+    vec = [1.0, 1.0, 1.0]
+    assert baselines._sweep(game, {0, 1, 2}, vec) == [1.0, 1.0, 1.0]
+    assert baselines._sweep2(game, {0, 1, 2}, vec, [0.0, 0.5, 0.5]) == ([1.0, 1.0, 1.0], [1e-16, 1e-16, 0.0])
+
+
+def test_sweep_kernels_match_the_dot_reference_bit_for_bit():
+    rng = random.Random(18)
+    multi = set()
+    for g in census((6, 8, 10, 12), range(10)):
+        states = range(g.n_states)
+        multi |= {g.owner[s] for s in states if len(g.rows[s]) > 1}
+        # uniform draws, and coarse ones whose row values often tie
+        for draw in (rng.random, lambda: rng.choice((0.0, 0.25, 0.5, 1.0))):
+            low = [draw() for _ in states]
+            high = [draw() for _ in states]
+            assert repr(baselines._sweep(g, states, low)) == repr(sweep_by_dot(g, states, low))
+            assert repr(baselines._sweep2(g, states, low, high)) == repr(sweep2_by_dot(g, states, low, high))
+    assert multi == {MAX, MIN}
 
 
 @pytest.mark.parametrize("owner, rows, want", [

@@ -1,5 +1,6 @@
 """Classic value iteration and the bounded, deflating variant."""
 
+import hashlib
 import random
 
 import pytest
@@ -82,8 +83,10 @@ def test_vi_and_bvi_share_the_lower_sequence():
 def test_deflate_caps_pure_cycle_to_zero():
     g = cycle_with_sink_exit()
     part = StatePartition(targets=set(), sinks={2}, unknown={0, 1})
-    assert deflate(g, part, [1.0, 1.0, 0.0]) == [0.0, 0.0, 0.0]
+    U = [1.0, 1.0, 0.0]
+    assert deflate(g, part, U) == [0.0, 0.0, 0.0]
     # input untouched, partition untouched
+    assert U == [1.0, 1.0, 0.0]
     assert part.unknown == {0, 1}
 
 
@@ -110,7 +113,8 @@ def test_deflate_no_components_no_change():
     g = slow_loop()
     part = partition_states(g)
     U = [0.7, 1.0, 0.0]
-    assert deflate(g, part, U) == U
+    # without an end component the argument itself comes back, no copy
+    assert deflate(g, part, U) is U
 
 
 def test_deflate_never_cuts_below_the_value():
@@ -275,3 +279,42 @@ def test_bvi_decomposes_the_unknown_set_once(monkeypatch):
     assert calls.count(frozenset(unknown)) == 1
     # each remainder is decomposed once as well
     assert len(calls) == len(set(calls))
+
+
+def _digest(r):
+    rows = [(t.l, t.u, t.max_gap) for t in r.trace]
+    return hashlib.sha256(repr((r.lower, r.upper, r.value, r.strategy, rows)).encode()).hexdigest()
+
+
+# vi and bvi on the models of test_svi.GOLDEN_SOLVES: iterations and a digest
+# of the bounds, vectors, strategy and trace, recorded while every row was
+# added by a `dot` or `dot2` call
+GOLDEN_BASELINES = [
+    (GenParams(80, 3, 3, 0.05, 0.5, 0.0, 2),
+     (166, "04263725fd6ed13d3921d167f5425f0b3d83bdd8e04b4d9ab6b7c401b6c6f6c5"),
+     (238, "e0b891aa8e618db8a7ddc332bc83e977a835512e703e7a797ba376de75abffa0")),
+    (GenParams(80, 3, 3, 0.05, 0.5, 0.0, 3),
+     (71, "db7beae7f67e124efddd79e67833821add84fd41fe9920cb6de26cfa393eb350"),
+     (81, "cd5d20d66f3196782be4333f67d0164b34485e7ae7a7b0a6ce27c32cc83885f7")),
+    (GenParams(80, 3, 3, 0.05, 0.5, 0.5, 2),
+     (0, "bdbbce7640b3508d79db34fd8457326accee9aa17317cec62636353ab4474a10"),
+     (0, "bdbbce7640b3508d79db34fd8457326accee9aa17317cec62636353ab4474a10")),
+    (GenParams(80, 3, 3, 0.05, 0.5, 0.5, 3),
+     (55, "156bf0ec5c3cf2c7230596a13c74b5d8cbf7565eb6298a3204af26cdae1ab15d"),
+     (63, "a3c01a7ab968a1771090b5b0c2af2ce9c22bcacd2f8fa0a779b0507ea34cc6c1")),
+    (exit_seesaw,
+     (11, "cb8d64f3229be5a27095932841059e091feb1975102718d5c686fb6e8e253d3f"),
+     (12, "cfc59ec8a0d68e963bd229b94e38105e215b4e415baadc1297f56174ee5f5489")),
+    (two_route_choice,
+     (3, "0a623e688708ca6c4fd40206dab2445bbb45083b6b4d1187b147b64736364e29"),
+     (2, "517714698297f38faee1b814683534c320e25694027d60320aae92706cefed90")),
+]
+
+
+@pytest.mark.parametrize("model, vi, bvi", GOLDEN_BASELINES)
+def test_baselines_match_golden_values(model, vi, bvi):
+    g = generate_random(model) if isinstance(model, GenParams) else model()
+    for solve, want in ((solve_vi, vi), (solve_bvi, bvi)):
+        r = solve(g)
+        assert r.converged
+        assert (r.iterations, _digest(r)) == want, solve.__name__

@@ -441,6 +441,20 @@ def all_end_components(game, region):
     return found
 
 
+def test_mec_of_one_state_is_the_exhaustive_answer():
+    # every state of a census slice as its own region: the enumeration decides
+    # whether it is an end component, and its staying actions are the ones
+    # whose every successor is the state itself
+    found = 0
+    for g in census((6, 8, 10), range(20)):
+        for s in range(g.n_states):
+            stay = tuple(a.label for a in g.actions[s] if {t for t, _ in a.transitions} == {s})
+            want = [(frozenset({s}), {s: stay})] if all_end_components(g, {s}) else []
+            assert [(m.states, m.stay_actions) for m in mec_decompose(g, {s})] == want
+            found += bool(want)
+    assert found > 0
+
+
 def has_max_exit(game, T):
     return any(
         game.owner[s] == MAX and any(t not in T for t, _ in a.transitions)
