@@ -11,7 +11,7 @@ a time; `exact_value` is an exact rational oracle for small models.
 
 from .baselines import deflate, solve_bvi, solve_vi
 from .fuzz import Counterexample, FuzzReport, run_fuzz
-from .graph import Mec, best_exits, mec_decompose, scc_decompose
+from .graph import best_exits, mec_decompose, scc_decompose
 from .model import (
     MAX,
     MIN,
@@ -45,7 +45,6 @@ __all__ = [
     "FuzzReport",
     "GenParams",
     "GlobalBounds",
-    "Mec",
     "ModelError",
     "ParseError",
     "ReachStayVector",

@@ -183,32 +183,30 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
 def deflate(game: StochasticGame, partition: StatePartition, U: list[float]) -> list[float]:
     """Cap an upper vector inside every end component to its best exit.
 
-    For each maximal end component of the unknown states, walks the layers
-    of `exit_layers` on a copy of U: caps every member of a layer to the
-    value of its best Maximizer exit. The partition's pool holds no trap,
-    so every layer has an exit. The layers are ranked lazily on that same
-    copy, so each sub-component is ranked on the vector its parent has
-    already capped; ranking them all on the uncapped U would pick
-    different exits. Returns the capped copy, or U itself when the pool
-    has no end component; callers must not mutate the result, which may
-    be their argument. The partition's sets are not modified. Requires
-    U >= V pointwise, which the capping preserves.
+    Walks the layers of `exit_layers` on the unknown states once, on a
+    copy of U: caps every member of a layer to the value of its best
+    Maximizer exit. The partition's pool holds no trap, so every layer has
+    an exit. The layers are ranked lazily on that same copy, so each
+    sub-component is ranked on the vector its parent has already capped;
+    ranking them all on the uncapped U would pick different exits. Returns
+    the capped copy, or U itself when the pool has no end component;
+    callers must not mutate the result, which may be their argument. The
+    partition's sets are not modified. Requires U >= V pointwise, which
+    the capping preserves.
 
     The MEC decompositions, of the unknown set and of the peeled
     remainders, come from `partition.ec_memo`: across the sweeps of one
     solve only the exits ranked on U change.
     """
     memo = partition.ec_memo
-    mecs = cached_mecs(game, partition.unknown, memo)
-    if not mecs:
+    if not cached_mecs(game, partition.unknown, memo):
         return U
-    rows, index = game.rows, game.index
+    rows = game.rows
     new = list(U)
-    for mec in mecs:
-        for component, exits in exit_layers(game, mec.states, new, memo):
-            val = max(dot(rows[s][index[s][a]], new) for s, a in exits)
-            for s in component:
-                new[s] = min(new[s], val)
+    for component, exits in exit_layers(game, partition.unknown, new, memo):
+        val = max(dot(rows[s][i], new) for s, i in exits)
+        for s in component:
+            new[s] = min(new[s], val)
     return new
 
 

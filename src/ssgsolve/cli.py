@@ -17,6 +17,7 @@ more than 10^7 strategy pairs), 141 stdout closed early (a broken pipe, as in
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -92,14 +93,7 @@ def _result_payload(model: str, res: SolveResult, eps: float, mode: str,
         "wall_ms": res.wall_ms,
     }
     if with_trace:
-        payload["trace"] = [
-            {
-                "k": t.k, "l": t.l, "u": t.u, "d_l": t.d_l, "d_u": t.d_u,
-                "delayed": t.delayed, "bounds_updated": t.bounds_updated,
-                "max_gap": t.max_gap, "updates": t.updates, "scc": t.scc,
-            }
-            for t in res.trace
-        ]
+        payload["trace"] = [dataclasses.asdict(t) for t in res.trace]
     return payload
 
 

@@ -13,25 +13,19 @@ also counts the states the Maximizer wins almost surely (`almost_sure`,
 value 1) among the targets, so no sweep spends time certifying them.
 
 The trap, the value-1 set and the maximal end components are fixpoints
-of one routine, `attractor`, a player's positive attractor.
+of one routine, `attractor`, a player's positive attractor. An end
+component is a plain frozenset of states, and an action is its position
+in `game.actions[s]` (the row of `game.rows[s]`): nothing here reads an
+action label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import MAX, MIN, Action, StatePartition, StochasticGame, dot
 
 TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Mec:
-    """One maximal end component: its states and the actions that stay inside."""
-
-    states: frozenset[int]
-    stay_actions: dict[int, tuple[str, ...]] = field(hash=False, compare=False, default_factory=dict)
 
 
 def scc_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -> list[list[int]]:
@@ -145,7 +139,7 @@ def attractor(game: StochasticGame, region: Iterable[int], seeds: Iterable[int],
     return joined
 
 
-def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -> list[Mec]:
+def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Maximal end components of the game restricted to the given states.
 
     Standard prune-and-split: drop the states whose every action is bound
@@ -155,39 +149,36 @@ def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
     candidate is strongly connected through them. Actions whose
     successors include a state outside `restrict` never stay, which is
     what makes the restriction meaningful for partially solved games.
-    Returned in ascending order of their smallest state.
+    Each component is the frozenset of its states; they come in ascending
+    order of their smallest state.
     """
     base = set(restrict) if restrict is not None else set(range(game.n_states))
-    result: list[Mec] = []
+    result: list[frozenset[int]] = []
     work: list[set[int]] = [base]
     while work:
         cand = work.pop()
         if len(cand) == 1:
             # a single state is an end component exactly when an action stays on it
             (s,) = cand
-            stay = tuple(act.label for act in game.actions[s] if all(t == s for t, _ in act.transitions))
-            if stay:
-                result.append(Mec(frozenset(cand), {s: stay}))
+            if any(all(t == s for t, _ in act.transitions) for act in game.actions[s]):
+                result.append(frozenset(cand))
             continue
         cand -= attractor(game, cand, (), None,
                           usable=lambda s, act: all(t in cand for t, _ in act.transitions)).keys()
         if not cand:
             continue
         # every state left keeps an action that stays
-        staying = {s: tuple(act.label for act in game.actions[s]
-                            if all(t in cand for t, _ in act.transitions))
-                   for s in cand}
-        sub = _sccs_via(game, cand, staying)
+        sub = _sccs_via(game, cand)
         if len(sub) == 1 and len(sub[0]) == len(cand):
-            result.append(Mec(frozenset(cand), staying))
+            result.append(frozenset(cand))
         else:
             work.extend(set(c) for c in sub)
-    result.sort(key=lambda m: min(m.states))
+    result.sort(key=min)
     return result
 
 
 def cached_mecs(game: StochasticGame, states: set[int] | frozenset[int],
-                memo: dict[frozenset[int], list[Mec]]) -> list[Mec]:
+                memo: dict[frozenset[int], list[frozenset[int]]]) -> list[frozenset[int]]:
     """`mec_decompose(game, states)`, computed once per distinct set in the memo.
 
     The result is shared with later callers, who must not mutate it.
@@ -199,9 +190,9 @@ def cached_mecs(game: StochasticGame, states: set[int] | frozenset[int],
     return mecs
 
 
-def _sccs_via(game: StochasticGame, cand: set[int], staying: dict[int, tuple[str, ...]]) -> list[list[int]]:
-    """SCCs of cand using only the staying actions; singletons need a self-loop."""
-    adj = {s: sorted({t for act in game.actions[s] if act.label in staying.get(s, ())
+def _sccs_via(game: StochasticGame, cand: set[int]) -> list[list[int]]:
+    """SCCs of cand through the actions that stay in it; singletons need a self-loop."""
+    adj = {s: sorted({t for act in game.actions[s] if all(x in cand for x, _ in act.transitions)
                       for t, _ in act.transitions})
            for s in cand}
     # a singleton only counts as strongly connected if it loops onto itself
@@ -225,7 +216,7 @@ def trap_states(game: StochasticGame, region: Iterable[int]) -> set[int]:
     return region - attractor(game, region, set(range(game.n_states)) - region, MAX).keys()
 
 
-def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, str]:
+def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, int]:
     """The states of the region from which the Maximizer reaches a target almost surely.
 
     The nested fixpoint νY.μX of the value-1 (Prob1) precomputation
@@ -239,11 +230,11 @@ def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, str]:
     does), since none of them can join X in a later round, and without
     this they would leave Y one layer per round.
 
-    Maps every winning state to its attractor action: for a Maximizer
-    state the action by which it joined X in the last round, which keeps
-    play in Y and moves it closer to a target with positive probability,
-    so playing it wins almost surely; for a Minimizer state its first
-    action. Non-target states only; each has value 1.
+    Maps every winning state to the position of its attractor action: for
+    a Maximizer state the action by which it joined X in the last round,
+    which keeps play in Y and moves it closer to a target with positive
+    probability, so playing it wins almost surely; for a Minimizer state
+    its first action. Non-target states only; each has value 1.
     """
     targets = sorted(game.targets)
     y = set(region) - game.targets
@@ -257,88 +248,89 @@ def almost_sure(game: StochasticGame, region: Iterable[int]) -> dict[int, str]:
         if len(won) == len(y):
             break
         y = set(won)
-    return {s: game.actions[s][i if game.owner[s] == MAX else 0].label for s, i in sorted(won.items())}
+    return {s: i if game.owner[s] == MAX else 0 for s, i in sorted(won.items())}
 
 
 def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
-               f: Sequence[float]) -> set[tuple[int, str]]:
+               f: Sequence[float]) -> set[tuple[int, int]]:
     """Maximizer exits of the component with the best one-step value.
 
-    An exit is a pair (s, a) with s Maximizer-owned inside the component
-    and at least one successor of a outside it. Its worth is the
-    f-weighted successor sum. Returns the complete set of exits within
-    TIE_TOL of the best; empty when no Maximizer exit exists.
+    An exit is a pair (s, i) with s Maximizer-owned inside the component
+    and at least one successor of its action at position i outside it.
+    Its worth is the f-weighted successor sum. Returns the complete set of
+    exits within TIE_TOL of the best; empty when no Maximizer exit exists.
     """
     rows = game.rows
     best_val = None
-    scored: list[tuple[float, int, str]] = []
+    scored: list[tuple[float, int, int]] = []
     for s in sorted(component):
         if game.owner[s] != MAX:
             continue
-        for act, row in zip(game.actions[s], rows[s]):
+        for i, row in enumerate(rows[s]):
             if all(succ in component for succ, _ in row):
                 continue
             val = dot(row, f)
-            scored.append((val, s, act.label))
+            scored.append((val, s, i))
             if best_val is None or val > best_val:
                 best_val = val
     if best_val is None:
         return set()
-    return {(s, a) for val, s, a in scored if val >= best_val - TIE_TOL}
+    return {(s, i) for val, s, i in scored if val >= best_val - TIE_TOL}
 
 
-def exit_layers(game: StochasticGame, component: frozenset[int] | set[int], f: Sequence[float],
-                memo: dict[frozenset[int], list[Mec]],
-                ) -> Iterator[tuple[frozenset[int] | set[int], set[tuple[int, str]]]]:
-    """Peel best exits off a component, layer by layer, depth first.
+def exit_layers(game: StochasticGame, states: frozenset[int] | set[int], f: Sequence[float],
+                memo: dict[frozenset[int], list[frozenset[int]]],
+                ) -> Iterator[tuple[frozenset[int], set[tuple[int, int]]]]:
+    """Peel best exits off the end components of a state set, layer by layer, depth first.
 
-    Yields (component, best_exits(game, component, f)), then the same for
-    every maximal end component of the component minus its exit states,
-    and so on down. An empty exit set, which only a trap (a component
-    without a Maximizer exit) yields, ends that branch; the unknown states
-    of a partition hold no trap, so on them no layer is empty. Each
-    component is ranked only when it is about to be yielded, after the
-    consumer has handled everything yielded before it, so a consumer that
-    writes into f (as `deflate` caps its upper vector) has each
-    sub-component ranked on the values its parent already set.
-    The peeling visits at most |component| sets; their MEC decompositions
-    come from the memo, since the same remainders recur from pass to pass.
+    The children of a set are the maximal end components of the set minus
+    its exit states; those of `states` itself are its maximal end
+    components (it has no exits). Walks them in order, each one's subtree
+    before the next: yields (component, best_exits(game, component, f)),
+    then the same for every child of the component, and so on down. An
+    empty exit set, which only a trap (a component without a Maximizer
+    exit) yields, ends that branch; the unknown states of a partition hold
+    no trap, so on them no layer is empty. Each component is ranked only
+    when it is about to be yielded, after the consumer has handled
+    everything yielded before it, so a consumer that writes into f (as
+    `deflate` caps its upper vector) has each sub-component ranked on the
+    values its parent already set. The walk visits at most |states|
+    components; the MEC decompositions come from the memo, since the same
+    remainders recur from pass to pass.
     """
-    work = [component]
+    work = list(reversed(cached_mecs(game, states, memo)))
     while work:
         comp = work.pop()
         exits = best_exits(game, comp, f)
         yield comp, exits
         if exits:
-            remainder = set(comp) - {s for s, _ in exits}
-            work.extend(mec.states for mec in reversed(cached_mecs(game, remainder, memo)))
+            work.extend(reversed(cached_mecs(game, comp - {s for s, _ in exits}, memo)))
 
 
-def best_exit_set(game: StochasticGame, f: Sequence[float], component: frozenset[int] | set[int],
-                  memo: dict[frozenset[int], list[Mec]], acc: set[tuple[int, str]]) -> None:
-    """Add the exits of every layer of `exit_layers` on the component to acc."""
-    for _, exits in exit_layers(game, component, f, memo):
+def best_exit_set(game: StochasticGame, f: Sequence[float], states: frozenset[int] | set[int],
+                  memo: dict[frozenset[int], list[frozenset[int]]], acc: set[tuple[int, int]]) -> None:
+    """Add the exits of every layer of `exit_layers` on the states to acc."""
+    for _, exits in exit_layers(game, states, f, memo):
         acc |= exits
 
 
 def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: float,
-               partition: StatePartition) -> set[tuple[int, str]]:
+               partition: StatePartition) -> set[tuple[int, int]]:
     """Per-iteration end-component pass over the unknown states.
 
-    Evaluates exits against f = reach + stay*u and returns the layered best
-    exits, as (state, action label) pairs, of every maximal end component
-    of the unknown states. The partition counts the traps among the sinks,
-    so every component has an exit to rank.
-    Nothing is written into the partition or the vectors.
+    Evaluates exits against f = reach + stay*u and returns the best exits
+    of every layer of `exit_layers` on the unknown states, as (state,
+    action position) pairs. The partition counts the traps among the
+    sinks, so every component has an exit to rank. Nothing is written
+    into the partition or the vectors.
 
-    Only the ranking depends on f. The MEC decompositions, of the unknown
+    Only the ranking depends on f, which is built only when the unknown
+    states hold an end component. The MEC decompositions, of the unknown
     set and of every peeled remainder, are kept in `partition.ec_memo`
     across calls.
     """
-    pairs: set[tuple[int, str]] = set()
-    mecs = cached_mecs(game, partition.unknown, partition.ec_memo)
-    if mecs:
+    pairs: set[tuple[int, int]] = set()
+    if cached_mecs(game, partition.unknown, partition.ec_memo):
         f = [r + st * u for r, st in zip(reach, stay)]
-        for mec in mecs:
-            best_exit_set(game, f, mec.states, partition.ec_memo, pairs)
+        best_exit_set(game, f, partition.unknown, partition.ec_memo, pairs)
     return pairs

@@ -26,7 +26,6 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
-    from .graph import Mec
     from .svi import PoolFacts
 
 MAX = "max"
@@ -274,8 +273,8 @@ class StochasticGame:
         of the other non-target states (`graph.trap_states`), so no end
         component of the unknown states lacks a Maximizer exit. The states
         the Maximizer wins almost surely (`graph.almost_sure`, run on what
-        the trap pass leaves) join the targets, value 1, with their
-        attractor actions in `StatePartition.attractor`. Shared by every
+        the trap pass leaves) join the targets, value 1, with the labels of
+        their attractor actions in `StatePartition.attractor`. Shared by every
         solve of the game, so never mutate it: `partition_states` hands
         out copies.
         """
@@ -284,7 +283,7 @@ class StochasticGame:
         targets = set(self.targets)
         unknown = self.can_reach - targets
         unknown -= graph.trap_states(self, unknown)
-        won = graph.almost_sure(self, unknown)
+        won = {s: self.actions[s][i].label for s, i in graph.almost_sure(self, unknown).items()}
         unknown -= won.keys()
         targets |= won.keys()
         sinks = set(range(self.n_states)) - targets - unknown
@@ -322,14 +321,15 @@ class StatePartition:
     resolution of choices, and the traps the Minimizer can hold play in
     (value 0, see `StochasticGame.split`); unknown: the rest. attractor
     maps each of the almost-sure winners (targets, but not the game's) to
-    its attractor action, which the solvers report as its strategy; it is
-    read-only and shared by every copy. Solvers own their copy; their
-    set-up may decide unknown states (the settled tail), and the sound
-    solvers then freeze `unknown` into a frozenset: the pool never changes
-    again in that solve, and the memo lookups keyed by it cost nothing.
-    The topological driver makes one per component (its unknown states,
-    no attractor). ec_memo maps a state set to its `graph.mec_decompose`
-    result and pool_memo a pool to its `svi.PoolFacts`; both are pure
+    the label of its attractor action, which the solvers report as its
+    strategy; it is read-only and shared by every copy. Solvers own their
+    copy; their set-up may decide unknown states (the settled tail), and
+    the sound solvers then freeze `unknown` into a frozenset: the pool
+    never changes again in that solve, and the memo lookups keyed by it
+    cost nothing. The topological driver makes one per component (its
+    unknown states, no attractor). ec_memo maps a state set to its
+    `graph.mec_decompose` result, its maximal end components as frozensets
+    of states, and pool_memo a pool to its `svi.PoolFacts`; both are pure
     functions of the game and the set, kept across the sweeps of the
     copy's solve: eq and repr ignore them, and `copy` starts empty ones.
     """
@@ -338,7 +338,8 @@ class StatePartition:
     sinks: set[int]
     unknown: set[int] | frozenset[int]
     attractor: Mapping[int, str] = field(default_factory=lambda: MappingProxyType({}))
-    ec_memo: dict[frozenset[int], list[Mec]] = field(default_factory=dict, compare=False, repr=False)
+    ec_memo: dict[frozenset[int], list[frozenset[int]]] = field(default_factory=dict, compare=False,
+                                                                repr=False)
     pool_memo: dict[frozenset[int], PoolFacts] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "StatePartition":

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
-from .graph import TIE_TOL, Mec, cached_mecs, handle_ecs, scc_decompose
+from .graph import TIE_TOL, cached_mecs, handle_ecs, scc_decompose
 from .model import (MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, dot, dot2,
                     partition_states)
 from .results import SolveResult, TraceEntry
@@ -54,7 +53,6 @@ class ReachStayVector:
 
     reach: list[float]
     stay: list[float]
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -96,26 +94,15 @@ class PoolFacts:
 
     `first` maps each pool state, in ascending order, to the label of its
     only action, or to None when it has several; `multi` lists the latter
-    in ascending order. `ec_max`, the Maximizer members of the pool's end
-    components (the only states `bellman_update` may delay), is worked out
-    on first use, so a solve without EC handling never decomposes the pool.
+    in ascending order. The pool's end components, which `bellman_update`
+    reads, are not kept here but in `StatePartition.ec_memo`.
     """
 
-    def __init__(self, game: StochasticGame, pool: frozenset[int],
-                 ec_memo: dict[frozenset[int], list[Mec]]) -> None:
-        self.game = game
-        self.pool = pool
-        self.ec_memo = ec_memo
+    def __init__(self, game: StochasticGame, pool: frozenset[int]) -> None:
         acts = game.actions
         self.first: dict[int, str | None] = {
             s: acts[s][0].label if len(acts[s]) == 1 else None for s in sorted(pool)}
         self.multi = tuple(s for s, label in self.first.items() if label is None)
-
-    @cached_property
-    def ec_max(self) -> frozenset[int]:
-        owner = self.game.owner
-        return frozenset(s for mec in cached_mecs(self.game, self.pool, self.ec_memo)
-                         for s in mec.states if owner[s] == MAX)
 
 
 def pool_facts(game: StochasticGame, partition: StatePartition) -> PoolFacts:
@@ -123,7 +110,7 @@ def pool_facts(game: StochasticGame, partition: StatePartition) -> PoolFacts:
     key = frozenset(partition.unknown)
     facts = partition.pool_memo.get(key)
     if facts is None:
-        facts = partition.pool_memo[key] = PoolFacts(game, key, partition.ec_memo)
+        facts = partition.pool_memo[key] = PoolFacts(game, key)
     return facts
 
 
@@ -182,26 +169,26 @@ def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
 
 
 def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
-                   bounds: GlobalBounds, B: set[tuple[int, str]] | None,
+                   bounds: GlobalBounds, B: set[tuple[int, int]] | None,
                    prev: StrategySnapshot | None) -> StrategySnapshot:
     """Pick each undecided state's action for the next sweep.
 
     Minimizer states take the argmin of the one-step estimate under l,
     Maximizer states the argmax under u - except that states holding a
-    best exit in B (the pairs of `handle_ecs`; None when EC handling is
-    off) are forced into it. Ties keep the previous choice when it is
-    still in the argopt band, otherwise the lowest action index wins
-    (`argopt`), so runs are reproducible. The choices come in ascending
-    state order.
+    best exit in B (the (state, action position) pairs of `handle_ecs`;
+    None when EC handling is off) are forced into it. Ties keep the
+    previous choice when it is still in the argopt band, otherwise the
+    lowest action index wins (`argopt`), so runs are reproducible. The
+    choices come in ascending state order.
     """
     facts = pool_facts(game, partition)
     rows, index, actions, owner = game.rows, game.index, game.actions, game.owner
     reach, stay = rs.reach, rs.stay
     choices = dict(facts.first)  # one-action states are done; the others are overwritten below
     forced_at: dict[int, list[int]] = {}
-    for s, a in B or ():
+    for s, i in B or ():
         if s in choices:
-            forced_at.setdefault(s, []).append(index[s][a])
+            forced_at.setdefault(s, []).append(i)
     prev_choices = prev.choices if prev is not None else {}
     for s, forced in forced_at.items():
         keep = index[s].get(prev_choices.get(s))
@@ -258,15 +245,16 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: st
 
 def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
                    strategy: StrategySnapshot, bounds: GlobalBounds,
-                   ) -> tuple[ReachStayVector, StrategySnapshot, bool]:
+                   ) -> tuple[ReachStayVector, StrategySnapshot]:
     """One whole-vector sweep under the chosen actions, with delay detection.
 
     All candidates read the old vector (batch update). When EC handling is
     active (strategy.bexit is not None), a Maximizer state that lies in an
-    end component of the undecided pool but outside the best-exit set, and
-    whose candidate upper estimate exceeds its old one, is delayed: it
-    keeps its old entries, its snapshot entry becomes DELAY and it joins
-    the snapshot's delayed set. Rows of decided states never change.
+    end component of the undecided pool (read from `partition.ec_memo`)
+    but outside the best-exit set, and whose candidate upper estimate
+    exceeds its old one, is delayed: it keeps its old entries, its
+    snapshot entry becomes DELAY and it joins the snapshot's delayed set.
+    Rows of decided states never change.
     """
     rows, index, choices = game.rows, game.index, strategy.choices
     reach, stay = rs.reach, rs.stay
@@ -283,20 +271,19 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
 
     delayed: set[int] = set()
     if strategy.bexit is not None:
-        u = bounds.u
-        for s in pool_facts(game, partition).ec_max - strategy.bexit:
-            if new_reach[s] + new_stay[s] * u > reach[s] + stay[s] * u + TIE_TOL:
-                delayed.add(s)
+        u, owner, bexit = bounds.u, game.owner, strategy.bexit
+        for comp in cached_mecs(game, partition.unknown, partition.ec_memo):
+            for s in comp:
+                if (owner[s] == MAX and s not in bexit
+                        and new_reach[s] + new_stay[s] * u > reach[s] + stay[s] * u + TIE_TOL):
+                    delayed.add(s)
     new_choices = dict(choices)
     for s in delayed:
         new_reach[s] = reach[s]
         new_stay[s] = stay[s]
         new_choices[s] = DELAY
-    return (
-        ReachStayVector(new_reach, new_stay, rs.k + 1),
-        StrategySnapshot(new_choices, strategy.bexit, frozenset(delayed)),
-        bool(delayed),
-    )
+    return (ReachStayVector(new_reach, new_stay),
+            StrategySnapshot(new_choices, strategy.bexit, frozenset(delayed)))
 
 
 def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds: GlobalBounds,
@@ -399,16 +386,17 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     if mode not in ("absolute", "relative"):
         raise ValueError("mode must be 'absolute' or 'relative'")
     t0 = time.perf_counter() if t0 is None else t0
-    last_choice = {**part.attractor, **settle_tail(game, part, vec)}
+    settled = settle_tail(game, part, vec)
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
     multi = pool_facts(game, part).multi
     owner = game.owner
     stay = [0.0] * game.n_states
     for s in pool:
         stay[s] = 1.0
-    rs = ReachStayVector(vec, stay, 0)
+    rs = ReachStayVector(vec, stay)
     bounds = GlobalBounds(0.0, 1.0)
     prev: StrategySnapshot | None = None
+    last_choices: dict[int, str] = {}
     trace: list[TraceEntry] = []
     vectors: list[tuple[list[float], list[float]]] = []
 
@@ -417,7 +405,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     while not converged and it < max_iters:
         B = handle_ecs(game, rs.reach, rs.stay, bounds.u, part) if ec_handling else None
         snapshot = choose_actions(game, part, rs, bounds, B, prev)
-        last_choice.update(snapshot.choices)
+        last_choices = snapshot.choices
         max_dv: list[float] = []
         min_dv: list[float] = []
         # a pinned cap can no longer move its bound: skip its side's decision values
@@ -430,9 +418,9 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
                     dv = decision_value(game, rs, s, snapshot.choices[s])
                     if dv is not None:
                         (max_dv if side == MAX else min_dv).append(dv)
-        rs, snapshot, any_delay = bellman_update(game, part, rs, snapshot, bounds)
+        rs, snapshot = bellman_update(game, part, rs, snapshot, bounds)
         n_delayed = len(snapshot.delayed)
-        new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, any_delay,
+        new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, n_delayed > 0,
                                           use_decision_values=use_decision_values)
         it += 1
         gap = new_bounds.u - new_bounds.l
@@ -460,7 +448,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
         lower=_bracket(rs, pool, bounds.l),
         upper=_bracket(rs, pool, bounds.u),
         value=_bracket(rs, pool, (bounds.l + bounds.u) / 2.0),
-        strategy=last_choice,
+        strategy={**part.attractor, **settled, **last_choices},
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=True,
         trace=trace,

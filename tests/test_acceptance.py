@@ -140,7 +140,6 @@ def test_a07_decision_value_caps_the_lower_bound():
     rs = ReachStayVector(
         [1.0 if s in part.targets else 0.0 for s in range(3)],
         [1.0 if s in part.unknown else 0.0 for s in range(3)],
-        0,
     )
     assert decision_value(g, rs, 0, "alpha") == 0.25
     res = solve_svi(g, EPS)
@@ -179,7 +178,6 @@ def _stepwise_invariants(g, iters=8):
     rs = ReachStayVector(
         [1.0 if s in part.targets else 0.0 for s in range(n)],
         [1.0 if s in part.unknown else 0.0 for s in range(n)],
-        0,
     )
     B = handle_ecs(g, rs.reach, rs.stay, 1.0, part)
     bounds = GlobalBounds(0.0, 1.0)
@@ -194,11 +192,11 @@ def _stepwise_invariants(g, iters=8):
             d = decision_value(g, rs, s, label)
             if d is not None:
                 (maxdec if g.owner[s] == "max" else mindec).append(d)
-        rs, snap, delayed = bellman_update(g, part, rs, snap, bounds)
+        rs, snap = bellman_update(g, part, rs, snap, bounds)
         for s in part.unknown:
             assert rs.reach[s] >= -1e-12 and rs.stay[s] >= -1e-12
             assert rs.reach[s] + rs.stay[s] <= 1.0 + 1e-12
-        new_bounds = update_global_bounds(part, rs, bounds, maxdec, mindec, delayed)
+        new_bounds = update_global_bounds(part, rs, bounds, maxdec, mindec, bool(snap.delayed))
         # capped tightening must not flip any free choice
         re_chosen = choose_actions(g, part, rs, new_bounds, B, snap)
         forced = snap.bexit or frozenset()

@@ -1,5 +1,6 @@
 """Command line interface, driven through main(argv)."""
 
+import dataclasses
 import io
 import json
 import os
@@ -24,6 +25,7 @@ from ssgsolve.cli import (
 )
 from ssgsolve.model import GenParams, generate_random, parse_model, serialize_model
 from ssgsolve.presets import shifting_preference, slow_loop, two_route_choice
+from ssgsolve.results import TraceEntry
 
 SHORT_MASS = """\
 ssg 1
@@ -130,6 +132,22 @@ def test_solve_json_deterministic_modulo_wall_time(loop_file, tmp_path, capsys):
     pa.pop("wall_ms"), pb.pop("wall_ms")
     assert pa == pb
     assert pa["trace"][0]["k"] == 1
+
+
+def test_solve_json_trace_entries_carry_every_trace_field_in_order(route_file, tmp_path, capsys):
+    report = tmp_path / "out.json"
+    main(["solve", str(route_file), "--topo", "--json", str(report), "--trace"])
+    capsys.readouterr()
+    trace = json.loads(report.read_text())["trace"]
+    assert trace
+    names = [f.name for f in dataclasses.fields(TraceEntry)]
+    assert all(list(entry) == names for entry in trace)
+    assert trace[0]["scc"] is not None
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its object is deleted fails here
+    assert all(hasattr(ssgsolve, name) for name in ssgsolve.__all__)
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):

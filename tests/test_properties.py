@@ -139,7 +139,7 @@ def test_ec_bias_produces_end_components():
     reaching = g.can_reach - g.targets
     assert reaching == {3, 4}
     mecs = mec_decompose(g, reaching)
-    assert [sorted(m.states) for m in mecs] == [[4]]
+    assert [sorted(m) for m in mecs] == [[4]]
     # state 4 is a Minimizer self-loop, a trap: the partition counts it among the sinks
     part = partition_states(g)
     assert part.unknown == {3} and 4 in part.sinks

@@ -68,7 +68,6 @@ def k0_state(game):
     rs = ReachStayVector(
         [1.0 if s in part.targets else 0.0 for s in range(n)],
         [1.0 if s in part.unknown else 0.0 for s in range(n)],
-        0,
     )
     return part, rs
 
@@ -182,11 +181,10 @@ def test_bellman_single_sweep_on_loop():
     g = slow_loop()
     part, rs = k0_state(g)
     snap = StrategySnapshot({0: "go"}, None)
-    rs1, snap1, delayed = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, snap1 = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
     assert rs1.reach[0] == 0.01
     assert rs1.stay[0] == 0.98
-    assert rs1.k == 1
-    assert not delayed
+    assert not snap1.delayed
     assert snap1.choices == snap.choices
 
 
@@ -195,7 +193,7 @@ def test_bellman_sweep_is_batch():
     g = serial_loops(k=2)
     part, rs = k0_state(g)
     snap = StrategySnapshot({0: "go", 1: "go"}, None)
-    rs1, _, _ = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, _ = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
     assert rs1.reach[1] == 0.01
     assert rs1.reach[0] == 0.0
 
@@ -205,10 +203,9 @@ def test_bellman_delays_overshooting_maximizer():
     part, _ = k0_state(g)
     # (0, b) is the sanctioned exit; state 1 outside it would overshoot its
     # old upper estimate 0.1 with the candidate 0.2 + 0.1 * u, so it holds
-    rs = ReachStayVector([0.2, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0], 3)
+    rs = ReachStayVector([0.2, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0])
     snap = StrategySnapshot({0: "b", 1: "a"}, frozenset({0}))
-    rs1, snap1, delayed = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
-    assert delayed
+    rs1, snap1 = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
     assert snap1.choices[1] == DELAY
     assert snap1.delayed == frozenset({1})
     assert (rs1.reach[1], rs1.stay[1]) == (0.0, 0.1)
@@ -219,7 +216,7 @@ def test_bellman_delays_overshooting_maximizer():
 
 def test_update_global_bounds_caps_at_decision_values():
     part, rs = k0_state(two_route_choice())
-    rs = ReachStayVector([0.4, 1.0, 0.0], [0.4, 0.0, 0.0], 1)
+    rs = ReachStayVector([0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
     bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [0.25], False)
     # loop extrapolation says 2/3 but the pending switch pins l at 1/4
     assert bounds.l == 0.25
@@ -229,7 +226,7 @@ def test_update_global_bounds_caps_at_decision_values():
 
 def test_update_global_bounds_without_caps_overshoots():
     part, rs = k0_state(two_route_choice())
-    rs = ReachStayVector([0.4, 1.0, 0.0], [0.4, 0.0, 0.0], 1)
+    rs = ReachStayVector([0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
     bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [0.25], False,
                                   use_decision_values=False)
     assert bounds.l == pytest.approx(2 / 3)
@@ -243,7 +240,7 @@ def test_update_global_bounds_gate_on_full_stay():
 
 def test_update_global_bounds_gate_on_delay():
     part, rs = k0_state(slow_loop())
-    rs = ReachStayVector([0.01, 1.0, 0.0], [0.98, 0.0, 0.0], 1)
+    rs = ReachStayVector([0.01, 1.0, 0.0], [0.98, 0.0, 0.0])
     held = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [], True)
     assert (held.l, held.u) == (0.0, 1.0)
 
@@ -261,7 +258,7 @@ def test_check_termination_vacuous_and_strict():
 
 def test_check_termination_relative_mode():
     part, rs = k0_state(slow_loop())
-    rs = ReachStayVector([0.01, 1.0, 0.0], [0.0098, 0.0, 0.0], 2)
+    rs = ReachStayVector([0.01, 1.0, 0.0], [0.0098, 0.0, 0.0])
     bounds = GlobalBounds(0.4, 0.6)
     # absolute width 0.0098 * 0.2 is far above 2 eps
     assert not check_termination(part, rs, bounds, 1e-6)
