@@ -149,9 +149,9 @@ class StochasticGame:
     and `targets` is the set of goal states. Instances are safe to share
     across threads; solvers never mutate them.
 
-    `rows` and `index`, the solvers' float transitions and per-state label
-    positions, `deltas`, the pairwise action differences behind svi's
-    decision values, `preds`, the transitions into each state, which
+    `rows`, the solvers' float transitions by action position (the index
+    into `actions[s]`), `deltas`, the pairwise action differences behind
+    svi's decision values, `preds`, the transitions into each state, which
     `graph.attractor` and `can_reach` walk back, `succs`, the distinct
     successors of each state, which every forward graph walk reads,
     `can_reach`, the states with a path to a target, `split`, the
@@ -205,11 +205,6 @@ class StochasticGame:
         """Transitions with float probabilities, indexed [state][action position]."""
         return tuple(tuple(tuple((t, float(p)) for t, p in a.transitions) for a in acts)
                      for acts in self.actions)
-
-    @cached_property
-    def index(self) -> tuple[dict[str, int], ...]:
-        """Per state, the position of each action label in `actions[s]`."""
-        return tuple({a.label: i for i, a in enumerate(acts)} for acts in self.actions)
 
     @cached_property
     def deltas(self) -> tuple[DeltaTable, ...]:
@@ -290,10 +285,11 @@ class StochasticGame:
         return StatePartition(targets, sinks, set(unknown), MappingProxyType(won))
 
     def action(self, s: int, label: str) -> Action:
-        try:
-            return self.actions[s][self.index[s][label]]
-        except KeyError:
-            raise KeyError(f"state {s} has no action {label!r}") from None
+        """State s's action with the given label, by a scan of `actions[s]`; KeyError if none."""
+        for act in self.actions[s]:
+            if act.label == label:
+                return act
+        raise KeyError(f"state {s} has no action {label!r}")
 
     @cached_property
     def normalized(self) -> bool:

@@ -43,8 +43,9 @@ from .model import (MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticG
                     partition_states)
 from .results import SolveResult, TraceEntry
 
-#: Strategy marker for a Maximizer state that kept its old vector this round.
-DELAY = "DELAY"
+#: Strategy marker for a Maximizer state that kept its old vector this round;
+#: no action position equals it, so the next round sees no previous choice.
+DELAY = None
 
 
 @dataclass
@@ -77,14 +78,14 @@ class GlobalBounds:
 class StrategySnapshot:
     """First-step action choices of the current iteration.
 
-    choices maps undecided states to an action label, or to DELAY for a
-    Maximizer state that kept its old vector entries; delayed is the set of
-    those states. bexit is the set of states forced into a best-exit action
+    choices maps undecided states to an action position (the index into
+    `game.rows[s]`), or to DELAY for a Maximizer state that kept its old
+    vector entries; delayed is the set of those states. bexit is the set of states forced into a best-exit action
     this iteration; None when EC handling is off (then no state is ever
     delayed either).
     """
 
-    choices: dict[int, str]
+    choices: dict[int, int | None]
     bexit: frozenset[int] | None = None
     delayed: frozenset[int] = frozenset()
 
@@ -92,17 +93,14 @@ class StrategySnapshot:
 class PoolFacts:
     """What every sweep of one solve needs to know about its fixed undecided pool.
 
-    `first` maps each pool state, in ascending order, to the label of its
-    only action, or to None when it has several; `multi` lists the latter
-    in ascending order. The pool's end components, which `bellman_update`
-    reads, are not kept here but in `StatePartition.ec_memo`.
+    `order` lists the pool states in ascending order, `multi` those with
+    several actions, also ascending. The pool's end components, which
+    `bellman_update` reads, are not kept here but in `StatePartition.ec_memo`.
     """
 
     def __init__(self, game: StochasticGame, pool: frozenset[int]) -> None:
-        acts = game.actions
-        self.first: dict[int, str | None] = {
-            s: acts[s][0].label if len(acts[s]) == 1 else None for s in sorted(pool)}
-        self.multi = tuple(s for s, label in self.first.items() if label is None)
+        self.order = tuple(sorted(pool))
+        self.multi = tuple(s for s in self.order if len(game.rows[s]) > 1)
 
 
 def pool_facts(game: StochasticGame, partition: StatePartition) -> PoolFacts:
@@ -132,23 +130,22 @@ def start_vector(game: StochasticGame, eps: float, part: StatePartition) -> list
     return [1.0 if s in part.targets else 0.0 for s in range(game.n_states)]
 
 
-def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) -> dict[int, str]:
+def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) -> dict[int, int]:
     """Settle the undecided states on no cycle whose successors are all decided.
 
     Walks the SCCs of `part.unknown` successors first, so a state settled
     here counts as decided for the states upstream of it. Each settled
     state gets its exact one-step max (Maximizer) or min (Minimizer) value
-    in `vec` and leaves `part.unknown`; the returned map gives its action:
-    the lowest index within TIE_TOL of the optimum, as in `choose_actions`.
+    in `vec` and leaves `part.unknown`; the returned map gives its action
+    position: the lowest within TIE_TOL of the optimum, as in `choose_actions`.
     A self-loop keeps a state undecided.
     """
-    settled: dict[int, str] = {}
+    settled: dict[int, int] = {}
     for comp in scc_decompose(game, part.unknown):
         s = comp[0]
         if len(comp) > 1 or any(t in part.unknown for t in game.succs[s]):
             continue
-        vec[s], i = argopt([dot(row, vec) for row in game.rows[s]], game.owner[s] == MAX)
-        settled[s] = game.actions[s][i].label
+        vec[s], settled[s] = argopt([dot(row, vec) for row in game.rows[s]], game.owner[s] == MAX)
         part.unknown.discard(s)
     return settled
 
@@ -178,21 +175,22 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
     best exit in B (the (state, action position) pairs of `handle_ecs`;
     None when EC handling is off) are forced into it. Ties keep the
     previous choice when it is still in the argopt band, otherwise the
-    lowest action index wins (`argopt`), so runs are reproducible. The
-    choices come in ascending state order.
+    lowest position wins (`argopt`), so runs are reproducible. The choices
+    are action positions, in ascending state order; a delayed state's
+    DELAY counts as no previous choice.
     """
     facts = pool_facts(game, partition)
-    rows, index, actions, owner = game.rows, game.index, game.actions, game.owner
+    rows, owner = game.rows, game.owner
     reach, stay = rs.reach, rs.stay
-    choices = dict(facts.first)  # one-action states are done; the others are overwritten below
+    choices: dict[int, int | None] = dict.fromkeys(facts.order, 0)  # multi states overwritten below
     forced_at: dict[int, list[int]] = {}
     for s, i in B or ():
         if s in choices:
             forced_at.setdefault(s, []).append(i)
     prev_choices = prev.choices if prev is not None else {}
     for s, forced in forced_at.items():
-        keep = index[s].get(prev_choices.get(s))
-        choices[s] = actions[s][keep if keep in forced else min(forced)].label
+        keep = prev_choices.get(s)
+        choices[s] = keep if keep in forced else min(forced)
     for s in facts.multi:
         if s in forced_at:
             continue
@@ -205,16 +203,16 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
                 acc += p * (reach[t] + stay[t] * bound)
             ests.append(acc)
         opt = min(ests) if minimize else max(ests)
-        keep = index[s].get(prev_choices.get(s))
+        keep = prev_choices.get(s)
         if keep is None or not abs(ests[keep] - opt) <= TIE_TOL:
             # the lowest position within TIE_TOL of opt, as `argopt` picks it
             keep = next(i for i, v in enumerate(ests) if abs(v - opt) <= TIE_TOL)
-        choices[s] = actions[s][keep].label
+        choices[s] = keep
     return StrategySnapshot(choices, frozenset(forced_at) if B is not None else None)
 
 
-def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: str) -> float | None:
-    """Bound level at which state s would switch away from the chosen action.
+def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: int) -> float | None:
+    """Bound level at which state s would switch away from the action at position chosen.
 
     For every alternative beta whose stay-weighted distribution delta
     against the chosen action is positive, the crossing point is
@@ -222,17 +220,16 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: st
     chosen minus beta). Maximizer states report the largest crossing,
     Minimizer states the smallest; None when no alternative qualifies.
     """
-    acts = game.actions[s]
-    if len(acts) < 2:
+    n_acts = len(game.rows[s])
+    if n_acts < 2:
         return None
     deltas = game.deltas[s]
-    ci = game.index[s][chosen]
     maximize = game.owner[s] == MAX
     best: float | None = None
-    for j in range(len(acts)):
-        if j == ci:
+    for j in range(n_acts):
+        if j == chosen:
             continue
-        d_reach, d_stay = dot2(deltas[(ci, j)], rs.reach, rs.stay)
+        d_reach, d_stay = dot2(deltas[(chosen, j)], rs.reach, rs.stay)
         if d_stay <= 0.0:
             continue
         val = -d_reach / d_stay
@@ -248,22 +245,23 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
                    ) -> tuple[ReachStayVector, StrategySnapshot]:
     """One whole-vector sweep under the chosen actions, with delay detection.
 
-    All candidates read the old vector (batch update). When EC handling is
-    active (strategy.bexit is not None), a Maximizer state that lies in an
-    end component of the undecided pool (read from `partition.ec_memo`)
-    but outside the best-exit set, and whose candidate upper estimate
-    exceeds its old one, is delayed: it keeps its old entries, its
-    snapshot entry becomes DELAY and it joins the snapshot's delayed set.
-    Rows of decided states never change.
+    Each undecided state reads its row `game.rows[s][choices[s]]`, and
+    all read the old vector (batch update). When EC handling is active
+    (strategy.bexit is not None), a Maximizer state that lies in an end
+    component of the undecided pool (read from `partition.ec_memo`) but
+    outside the best-exit set, and whose candidate upper estimate exceeds
+    its old one, is delayed: it keeps its old entries, its snapshot entry
+    becomes DELAY and it joins the snapshot's delayed set. Rows of decided
+    states never change.
     """
-    rows, index, choices = game.rows, game.index, strategy.choices
+    rows, choices = game.rows, strategy.choices
     reach, stay = rs.reach, rs.stay
     new_reach = list(reach)
     new_stay = list(stay)
     for s in partition.unknown:
         # `dot2` inlined: this is the hottest loop of a solve
         r = st = 0.0
-        for t, p in rows[s][index[s][choices[s]]]:
+        for t, p in rows[s][choices[s]]:
             r += p * reach[t]
             st += p * stay[t]
         new_reach[s] = r
@@ -380,7 +378,8 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     than 2*eps.
     mode is "absolute" or "relative" (termination test only); wall_ms
     counts from t0 (default: the call). The strategy names
-    `part.attractor` and the pool. Set-up is pool-sized but for list
+    `part.attractor` and the pool; its action positions become labels
+    here and nowhere earlier. Set-up is pool-sized but for list
     copies: topo calls this per component.
     """
     if mode not in ("absolute", "relative"):
@@ -396,7 +395,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     rs = ReachStayVector(vec, stay)
     bounds = GlobalBounds(0.0, 1.0)
     prev: StrategySnapshot | None = None
-    last_choices: dict[int, str] = {}
+    last_choices: dict[int, int | None] = {}
     trace: list[TraceEntry] = []
     vectors: list[tuple[list[float], list[float]]] = []
 
@@ -448,7 +447,8 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
         lower=_bracket(rs, pool, bounds.l),
         upper=_bracket(rs, pool, bounds.u),
         value=_bracket(rs, pool, (bounds.l + bounds.u) / 2.0),
-        strategy={**part.attractor, **settled, **last_choices},
+        strategy={**part.attractor,
+                  **{s: game.actions[s][i].label for s, i in (settled | last_choices).items()}},
         wall_ms=(time.perf_counter() - t0) * 1000.0,
         sound=True,
         trace=trace,

@@ -141,7 +141,7 @@ def test_a07_decision_value_caps_the_lower_bound():
         [1.0 if s in part.targets else 0.0 for s in range(3)],
         [1.0 if s in part.unknown else 0.0 for s in range(3)],
     )
-    assert decision_value(g, rs, 0, "alpha") == 0.25
+    assert decision_value(g, rs, 0, 0) == 0.25  # alpha
     res = solve_svi(g, EPS)
     assert res.trace[0].d_l == 0.25
     assert abs(res.value[0] - 0.5) <= EPS
@@ -186,10 +186,10 @@ def _stepwise_invariants(g, iters=8):
         snap = choose_actions(g, part, rs, bounds, B, snap)
         maxdec, mindec = [], []
         for s in part.unknown:
-            label = snap.choices.get(s)
-            if label is None or label == DELAY or len(g.actions[s]) < 2:
+            chosen = snap.choices.get(s)
+            if chosen is None or chosen == DELAY or len(g.actions[s]) < 2:
                 continue
-            d = decision_value(g, rs, s, label)
+            d = decision_value(g, rs, s, chosen)
             if d is not None:
                 (maxdec if g.owner[s] == "max" else mindec).append(d)
         rs, snap = bellman_update(g, part, rs, snap, bounds)

@@ -270,7 +270,8 @@ action 2 b
 def test_almost_sure_does_not_report_a_loop_that_never_reaches_the_target():
     g = normalize(parse_model(LOOP_BESIDE_ATTRACTOR))
     # a Maximizer state reports the action it joined X by, a Minimizer state its first
-    assert almost_sure(g, {0, 1, 2}) == {0: g.index[0]["go"], 2: g.index[2]["a"]}
+    assert almost_sure(g, {0, 1, 2}) == {0: g.action_labels(0).index("go"),
+                                         2: g.action_labels(2).index("a")}
     part = partition_states(g)
     assert part.targets == {0, 2, 3} and part.unknown == set() and part.sinks == {1}
     assert part.attractor == {0: "go", 2: "a"}
@@ -309,14 +310,14 @@ def test_almost_sure_is_the_exact_value_one_set_on_a_census_slice():
 def test_best_exits_seesaw_initial():
     g = exit_seesaw()
     f = [1.0, 1.0, 1.0, 0.0]
-    assert best_exits(g, {0, 1}, f) == {(0, g.index[0]["b"])}
+    assert best_exits(g, {0, 1}, f) == {(0, g.action_labels(0).index("b"))}
     # worths behind that pick: 2/3 for (0, b) against 0.6 for (1, b)
     assert sum(float(p) * f[t] for t, p in g.action(0, "b").transitions) == 2 / 3
 
 
 def test_best_exits_ring_prefers_better_coin():
     g = asymmetric_ring()
-    assert best_exits(g, {0, 1, 2}, [1.0, 1.0, 1.0, 1.0, 0.0]) == {(2, g.index[2]["cash"])}
+    assert best_exits(g, {0, 1, 2}, [1.0, 1.0, 1.0, 1.0, 0.0]) == {(2, g.action_labels(2).index("cash"))}
 
 
 def test_best_exits_empty_without_maximizer_exit():
@@ -328,7 +329,7 @@ def test_best_exit_set_peels_ring_layer_by_layer():
     part = partition_states(g)
     acc = set()
     best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2}), part.ec_memo, acc)
-    assert acc == {(2, g.index[2]["cash"]), (1, g.index[1]["cash"])}
+    assert acc == {(2, g.action_labels(2).index("cash")), (1, g.action_labels(1).index("cash"))}
 
 
 def test_best_exit_set_nested_rings_pessimistic_vector():
@@ -337,7 +338,7 @@ def test_best_exit_set_nested_rings_pessimistic_vector():
     part = partition_states(g)
     acc = set()
     best_exit_set(g, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part.ec_memo, acc)
-    assert acc == {(s, g.index[s]["cash"]) for s in (0, 1, 2)}
+    assert acc == {(s, g.action_labels(s).index("cash")) for s in (0, 1, 2)}
 
 
 def test_best_exit_set_nested_rings_optimistic_vector():
@@ -347,7 +348,7 @@ def test_best_exit_set_nested_rings_optimistic_vector():
     part = partition_states(g)
     acc = set()
     best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part.ec_memo, acc)
-    assert acc == {(0, g.index[0]["cash"]), (3, g.index[3]["ring"])}
+    assert acc == {(0, g.action_labels(0).index("cash")), (3, g.action_labels(3).index("ring"))}
 
 
 def test_partition_moves_trap_to_sinks():
@@ -363,7 +364,7 @@ def test_partition_moves_trap_to_sinks():
 def test_handle_ecs_forces_coin_state():
     g = loop_or_coin()
     part, reach, stay = k0_vectors(g)
-    assert handle_ecs(g, reach, stay, 1.0, part) == {(0, g.index[0]["b"])}
+    assert handle_ecs(g, reach, stay, 1.0, part) == {(0, g.action_labels(0).index("b"))}
 
 
 def test_handle_ecs_no_components_no_pairs():
@@ -391,7 +392,7 @@ def test_handle_ecs_trap_removed_before_ranking():
     g = parse_model(TRAP_FEED)
     part, reach, stay = k0_vectors(g)
     assert {1, 2} <= part.sinks
-    assert g.index[3]["a0"] == 0
+    assert g.action_labels(3).index("a0") == 0
     assert (3, 0) not in handle_ecs(g, reach, stay, 1.0, part)
 
 

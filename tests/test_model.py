@@ -246,22 +246,25 @@ def _delta(a, b):
 def _expected_tables(g):
     rows = tuple(tuple(tuple((t, float(p)) for t, p in a.transitions) for a in acts)
                  for acts in g.actions)
-    index = tuple({a.label: i for i, a in enumerate(acts)} for acts in g.actions)
     deltas = tuple({(i, j): _delta(a, b) for i, a in enumerate(acts)
                     for j, b in enumerate(acts) if i != j} for acts in g.actions)
-    return rows, index, deltas
+    return rows, deltas
+
+
+def _check_action_lookup(g):
+    for s in range(g.n_states):
+        for i, label in enumerate(g.action_labels(s)):
+            assert g.action(s, label) is g.actions[s][i]
 
 
 def test_game_rows_and_index_match_actions():
     g = exit_seesaw()
-    rows, index, deltas = _expected_tables(g)
+    rows, deltas = _expected_tables(g)
     assert g.rows == rows
-    assert g.index == index
     assert g.deltas == deltas
     assert g.rows is g.rows and g.deltas is g.deltas  # built once, then kept
-    for s in range(g.n_states):
-        for label, i in g.index[s].items():
-            assert g.action(s, label) is g.actions[s][i]
+    assert not hasattr(g, "index")  # `action` scans the labels; no label table is kept
+    _check_action_lookup(g)
     single = [g.deltas[s] for s in range(g.n_states) if len(g.actions[s]) == 1]
     assert len(single) > 1 and all(t is single[0] for t in single)
 
@@ -289,21 +292,22 @@ def test_game_succs_lists_each_successor_once_in_order_of_first_appearance():
 def test_game_tables_stay_out_of_equality_and_repr():
     g, h = exit_seesaw(), exit_seesaw()
     before = repr(g)
-    assert g.rows and g.index and g.deltas
+    assert g.rows and g.deltas
     assert g == h and hash(g) == hash(h)
     assert repr(g) == before == repr(h)
 
 
 def test_replaced_game_builds_its_own_tables():
     g = exit_seesaw()
-    assert g.rows and g.index and g.deltas  # the parent's tables exist before the copy is made
+    assert g.rows and g.deltas  # the parent's tables exist before the copy is made
     s = next(s for s in range(g.n_states) if len(g.actions[s]) > 1)
     acts = list(g.actions)
     acts[s] = acts[s][1:]  # drop the first action, as fuzz shrinking does
     h = dataclasses.replace(g, actions=tuple(acts))
-    assert (h.rows, h.index, h.deltas) == _expected_tables(h)
-    assert h.rows[s] != g.rows[s] and h.index[s] != g.index[s] and h.deltas[s] != g.deltas[s]
-    assert (g.rows, g.index, g.deltas) == _expected_tables(g)
+    assert (h.rows, h.deltas) == _expected_tables(h)
+    assert h.rows[s] != g.rows[s] and h.deltas[s] != g.deltas[s]
+    assert (g.rows, g.deltas) == _expected_tables(g)
+    _check_action_lookup(h)
 
 
 def test_is_normalized_is_worked_out_once_per_game():
