@@ -197,7 +197,7 @@ def _sccs_via(game: StochasticGame, cand: set[int]) -> list[list[int]]:
            for s in cand}
     # a singleton only counts as strongly connected if it loops onto itself
     return [comp for comp in _tarjan(sorted(cand), adj)
-            if len(comp) > 1 or comp[0] in adj[comp[0]] or len(cand) == 1]
+            if len(comp) > 1 or comp[0] in adj[comp[0]]]
 
 
 def trap_states(game: StochasticGame, region: Iterable[int]) -> set[int]:

@@ -23,10 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
-
-if TYPE_CHECKING:
-    from .svi import PoolFacts
+from typing import Mapping, Sequence
 
 MAX = "max"
 MIN = "min"
@@ -325,9 +322,9 @@ class StatePartition:
     cost nothing. The topological driver makes one per component (its
     unknown states, no attractor). ec_memo maps a state set to its
     `graph.mec_decompose` result, its maximal end components as frozensets
-    of states, and pool_memo a pool to its `svi.PoolFacts`; both are pure
-    functions of the game and the set, kept across the sweeps of the
-    copy's solve: eq and repr ignore them, and `copy` starts empty ones.
+    of states. That result is a pure function of the game and the set,
+    kept across the sweeps of the copy's solve: eq and repr ignore the
+    memo, and `copy` starts an empty one.
     """
 
     targets: set[int]
@@ -336,7 +333,6 @@ class StatePartition:
     attractor: Mapping[int, str] = field(default_factory=lambda: MappingProxyType({}))
     ec_memo: dict[frozenset[int], list[frozenset[int]]] = field(default_factory=dict, compare=False,
                                                                 repr=False)
-    pool_memo: dict[frozenset[int], PoolFacts] = field(default_factory=dict, compare=False, repr=False)
 
     def copy(self) -> "StatePartition":
         return StatePartition(set(self.targets), set(self.sinks), set(self.unknown), self.attractor)

@@ -13,15 +13,11 @@ from fractions import Fraction
 from .model import MAX, MIN, Action, StochasticGame, normalize
 
 
-def _frac(x: str) -> Fraction:
-    return Fraction(x)
-
-
 def _game(n: int, owner: dict[int, str], actions: dict[int, list[tuple[str, list[tuple[int, str]]]]],
           targets: set[int]) -> StochasticGame:
     own = tuple(owner.get(s, MAX) for s in range(n))
     acts = tuple(
-        tuple(Action(lbl, tuple((succ, _frac(p)) for succ, p in trans)) for lbl, trans in actions.get(s, []))
+        tuple(Action(lbl, tuple((succ, Fraction(p)) for succ, p in trans)) for lbl, trans in actions.get(s, []))
         for s in range(n)
     )
     return normalize(StochasticGame(n, own, acts, frozenset(targets)))
@@ -35,7 +31,7 @@ def slow_loop(p: str | float = "0.98", r: str | float = "0.01") -> StochasticGam
     iteration needs hundreds of sweeps here because the loop drains slowly,
     while the bound extrapolation closes the gap after a single sweep.
     """
-    p_, r_ = _frac(str(p)), _frac(str(r))
+    p_, r_ = Fraction(str(p)), Fraction(str(r))
     q = 1 - p_ - r_
     if q < 0:
         raise ValueError("need p + r <= 1")
@@ -54,7 +50,7 @@ def serial_loops(k: int = 3, p: str = "0.98", r: str = "0.01") -> StochasticGame
     chain is only as precise as its least-known member, whereas per-SCC
     processing resolves each loop locally.
     """
-    p_, r_ = _frac(p), _frac(r)
+    p_, r_ = Fraction(p), Fraction(r)
     q = 1 - p_ - r_
     target, sink = k, k + 1
     actions = {}

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .graph import TIE_TOL, cached_mecs, handle_ecs, scc_decompose
@@ -80,9 +81,9 @@ class StrategySnapshot:
 
     choices maps undecided states to an action position (the index into
     `game.rows[s]`), or to DELAY for a Maximizer state that kept its old
-    vector entries; delayed is the set of those states. bexit is the set of states forced into a best-exit action
-    this iteration; None when EC handling is off (then no state is ever
-    delayed either).
+    vector entries; delayed is the set of those states. bexit is the set
+    of states forced into a best-exit action this iteration; None when EC
+    handling is off (then no state is ever delayed either).
     """
 
     choices: dict[int, int | None]
@@ -93,23 +94,25 @@ class StrategySnapshot:
 class PoolFacts:
     """What every sweep of one solve needs to know about its fixed undecided pool.
 
-    `order` lists the pool states in ascending order, `multi` those with
-    several actions, also ascending. The pool's end components, which
-    `bellman_update` reads, are not kept here but in `StatePartition.ec_memo`.
+    `solve_svi_pool` builds one per solve, once the pool `part.unknown` is
+    fixed. `order` lists the pool states in ascending order, `multi` those
+    with several actions, also ascending. `ec_max` lists the delay
+    candidates of `bellman_update`, the Maximizer states of the pool's
+    maximal end components, in ascending order. It is worked out on first
+    read, from the decomposition that the EC pass keeps in `part.ec_memo`,
+    so a solve that never sweeps with EC handling on never decomposes.
     """
 
-    def __init__(self, game: StochasticGame, pool: frozenset[int]) -> None:
-        self.order = tuple(sorted(pool))
+    def __init__(self, game: StochasticGame, part: StatePartition) -> None:
+        self.game, self.part = game, part
+        self.order = tuple(sorted(part.unknown))
         self.multi = tuple(s for s in self.order if len(game.rows[s]) > 1)
 
-
-def pool_facts(game: StochasticGame, partition: StatePartition) -> PoolFacts:
-    """The `PoolFacts` of `partition.unknown`, computed once per pool in `partition.pool_memo`."""
-    key = frozenset(partition.unknown)
-    facts = partition.pool_memo.get(key)
-    if facts is None:
-        facts = partition.pool_memo[key] = PoolFacts(game, key)
-    return facts
+    @cached_property
+    def ec_max(self) -> tuple[int, ...]:
+        game, part = self.game, self.part
+        return tuple(sorted(s for comp in cached_mecs(game, part.unknown, part.ec_memo)
+                            for s in comp if game.owner[s] == MAX))
 
 
 def float_rows(game: StochasticGame) -> FloatRows:
@@ -165,10 +168,10 @@ def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
     return game.deltas[s]
 
 
-def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
+def choose_actions(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
                    bounds: GlobalBounds, B: set[tuple[int, int]] | None,
                    prev: StrategySnapshot | None) -> StrategySnapshot:
-    """Pick each undecided state's action for the next sweep.
+    """Pick the action of each state of the pool `facts.order` for the next sweep.
 
     Minimizer states take the argmin of the one-step estimate under l,
     Maximizer states the argmax under u - except that states holding a
@@ -179,7 +182,6 @@ def choose_actions(game: StochasticGame, partition: StatePartition, rs: ReachSta
     are action positions, in ascending state order; a delayed state's
     DELAY counts as no previous choice.
     """
-    facts = pool_facts(game, partition)
     rows, owner = game.rows, game.owner
     reach, stay = rs.reach, rs.stay
     choices: dict[int, int | None] = dict.fromkeys(facts.order, 0)  # multi states overwritten below
@@ -240,25 +242,24 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: in
     return best
 
 
-def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachStayVector,
+def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
                    strategy: StrategySnapshot, bounds: GlobalBounds,
                    ) -> tuple[ReachStayVector, StrategySnapshot]:
     """One whole-vector sweep under the chosen actions, with delay detection.
 
-    Each undecided state reads its row `game.rows[s][choices[s]]`, and
-    all read the old vector (batch update). When EC handling is active
-    (strategy.bexit is not None), a Maximizer state that lies in an end
-    component of the undecided pool (read from `partition.ec_memo`) but
-    outside the best-exit set, and whose candidate upper estimate exceeds
-    its old one, is delayed: it keeps its old entries, its snapshot entry
-    becomes DELAY and it joins the snapshot's delayed set. Rows of decided
-    states never change.
+    Each state of the pool `facts.order` reads its row
+    `game.rows[s][choices[s]]`, and all read the old vector (batch
+    update). When EC handling is active (strategy.bexit is not None), a
+    delay candidate (`facts.ec_max`) outside the best-exit set whose
+    candidate upper estimate exceeds its old one is delayed: it keeps its
+    old entries, its snapshot entry becomes DELAY and it joins the
+    snapshot's delayed set. Rows of decided states never change.
     """
     rows, choices = game.rows, strategy.choices
     reach, stay = rs.reach, rs.stay
     new_reach = list(reach)
     new_stay = list(stay)
-    for s in partition.unknown:
+    for s in facts.order:
         # `dot2` inlined: this is the hottest loop of a solve
         r = st = 0.0
         for t, p in rows[s][choices[s]]:
@@ -269,12 +270,10 @@ def bellman_update(game: StochasticGame, partition: StatePartition, rs: ReachSta
 
     delayed: set[int] = set()
     if strategy.bexit is not None:
-        u, owner, bexit = bounds.u, game.owner, strategy.bexit
-        for comp in cached_mecs(game, partition.unknown, partition.ec_memo):
-            for s in comp:
-                if (owner[s] == MAX and s not in bexit
-                        and new_reach[s] + new_stay[s] * u > reach[s] + stay[s] * u + TIE_TOL):
-                    delayed.add(s)
+        u, bexit = bounds.u, strategy.bexit
+        for s in facts.ec_max:
+            if s not in bexit and new_reach[s] + new_stay[s] * u > reach[s] + stay[s] * u + TIE_TOL:
+                delayed.add(s)
     new_choices = dict(choices)
     for s in delayed:
         new_reach[s] = reach[s]
@@ -367,7 +366,8 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     The pool must hold no trap and no state of value 1, as the partition
     ensures; `part` and `vec` are the solve's own. Settles the acyclic
     tail first (`settle_tail`); the pool is fixed from then on, so what
-    the sweeps need to know about it (`PoolFacts`) is worked out once.
+    the sweeps need to know about it is worked out once, into the
+    `PoolFacts` that `choose_actions` and `bellman_update` read.
     Then runs the full loop: EC pass (unless ec_handling is off), action
     choice, decision values, batch sweep with delays, global bound update,
     termination test. A side's decision values are computed only while
@@ -387,7 +387,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     t0 = time.perf_counter() if t0 is None else t0
     settled = settle_tail(game, part, vec)
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
-    multi = pool_facts(game, part).multi
+    facts = PoolFacts(game, part)
     owner = game.owner
     stay = [0.0] * game.n_states
     for s in pool:
@@ -403,7 +403,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     converged = check_termination(part, rs, bounds, eps, mode)
     while not converged and it < max_iters:
         B = handle_ecs(game, rs.reach, rs.stay, bounds.u, part) if ec_handling else None
-        snapshot = choose_actions(game, part, rs, bounds, B, prev)
+        snapshot = choose_actions(game, facts, rs, bounds, B, prev)
         last_choices = snapshot.choices
         max_dv: list[float] = []
         min_dv: list[float] = []
@@ -411,13 +411,13 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
         want = {MIN: use_decision_values and bounds.d_l > bounds.l,
                 MAX: use_decision_values and bounds.d_u < bounds.u}
         if want[MIN] or want[MAX]:
-            for s in multi:
+            for s in facts.multi:
                 side = owner[s]
                 if want[side]:
                     dv = decision_value(game, rs, s, snapshot.choices[s])
                     if dv is not None:
                         (max_dv if side == MAX else min_dv).append(dv)
-        rs, snapshot = bellman_update(game, part, rs, snapshot, bounds)
+        rs, snapshot = bellman_update(game, facts, rs, snapshot, bounds)
         n_delayed = len(snapshot.delayed)
         new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, n_delayed > 0,
                                           use_decision_values=use_decision_values)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .baselines import solve_bvi_pool
@@ -44,10 +44,6 @@ class SccEntry:
     depth: int
     eps_local: float
     kind: str  # "unknown" has an undecided state, "decided" is all-target or all-sink
-    frontier: dict[int, tuple[float, float]] = field(default_factory=dict)
-    bounds: tuple[float, float] | None = None
-    iterations: int = 0
-    converged: bool = True
 
 
 @dataclass
@@ -102,15 +98,16 @@ def build_plan(game: StochasticGame, eps: float) -> SccPlan:
 
 
 def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi",
-                      max_iters: int = 10_000_000, plan: SccPlan | None = None) -> SolveResult:
+                      max_iters: int = 10_000_000) -> SolveResult:
     """Solve SCC by SCC with the given inner pool solve around the decided frontiers.
 
     Returns one merged result; trace entries carry the component index they
     came from. The strategy is taken from each component's lower-frontier
     run, the side whose Maximizer choices certify the reported lower
     bounds; the partition's almost-sure winners carry their attractor
-    action, whichever component they lie in. If a plan is passed in it is
-    filled with per-component outcomes.
+    action, whichever component they lie in. The plan (`build_plan`) is
+    only the schedule: the frontiers, bounds and sweep counts of the
+    components live in this call.
     """
     if inner not in INNER_SOLVERS:
         raise ValueError(f"unknown inner algorithm {inner!r}")
@@ -119,26 +116,18 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     part = partition_states(game)
     lo = start_vector(game, eps, part)  # states not yet decided are unreachable from a component
     hi = list(lo)
-    if plan is None:
-        plan = build_plan(game, eps)
     trace: list[TraceEntry] = []
     strategy = dict(part.attractor)
     iterations = 0
     converged = True
-    for entry in plan.entries:
-        if entry.kind == "decided":
-            entry.bounds = (lo[entry.states[0]], hi[entry.states[0]])
-            continue
+    for entry in build_plan(game, eps).unknown_entries():
         inside = set(entry.states)
-        entry.frontier = {
-            s: (lo[s], hi[s])
-            for s in sorted({t for u in inside for t in game.succs[u]} - inside)
-        }
+        frontier = {t for u in inside for t in game.succs[u]} - inside
         vecs = [list(lo)]
-        if any(a != b for a, b in entry.frontier.values()):
+        if any(lo[s] != hi[s] for s in frontier):
             vecs.append(list(lo))
-            for s, (_, b) in entry.frontier.items():
-                vecs[1][s] = b
+            for s in frontier:
+                vecs[1][s] = hi[s]
         runs = [solver(game, StatePartition(part.targets, part.sinks, part.unknown & inside), vec,
                        entry.eps_local, max_iters) for vec in vecs]
         run_lo, run_hi = runs[0], runs[-1]
@@ -148,11 +137,8 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
         strategy.update(run_lo.strategy)
         for run in runs:
             trace.extend(dataclasses.replace(t, scc=entry.index) for t in run.trace)
-        entry.iterations = sum(r.iterations for r in runs)
-        entry.converged = all(r.converged for r in runs)
-        entry.bounds = (run_lo.global_lower, run_hi.global_upper)
-        iterations += entry.iterations
-        converged = converged and entry.converged
+            iterations += run.iterations
+            converged = converged and run.converged
     return SolveResult(
         algorithm=f"topo-{inner}",
         iterations=iterations,

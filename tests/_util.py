@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
-from ssgsolve.model import MAX, GenParams, StatePartition, dot, dot2, generate_random, normalize, partition_states
+from ssgsolve.model import (MAX, Action, GenParams, StatePartition, StochasticGame, dot, dot2,
+                            generate_random, normalize, partition_states)
 from ssgsolve.oracle import exact_value
 from ssgsolve.svi import start_vector
 
@@ -17,6 +18,19 @@ def pinned(game, values):
     for s, v in values.items():
         vec[s] = v
     return part, vec
+
+
+def permute_states(game, perm):
+    """The same game with state s renamed perm[s]; transition order is kept."""
+    owner = [""] * game.n_states
+    actions = [()] * game.n_states
+    for s in range(game.n_states):
+        owner[perm[s]] = game.owner[s]
+        actions[perm[s]] = tuple(
+            Action(a.label, tuple((perm[t], p) for t, p in a.transitions)) for a in game.actions[s]
+        )
+    return StochasticGame(game.n_states, tuple(owner), tuple(actions),
+                          frozenset(perm[t] for t in game.targets))
 
 
 def census(sizes, seeds):

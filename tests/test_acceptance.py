@@ -28,6 +28,7 @@ from ssgsolve.presets import (
 from ssgsolve.svi import (
     DELAY,
     GlobalBounds,
+    PoolFacts,
     ReachStayVector,
     bellman_update,
     choose_actions,
@@ -180,10 +181,11 @@ def _stepwise_invariants(g, iters=8):
         [1.0 if s in part.unknown else 0.0 for s in range(n)],
     )
     B = handle_ecs(g, rs.reach, rs.stay, 1.0, part)
+    facts = PoolFacts(g, part)
     bounds = GlobalBounds(0.0, 1.0)
     snap = None
     for _ in range(iters):
-        snap = choose_actions(g, part, rs, bounds, B, snap)
+        snap = choose_actions(g, facts, rs, bounds, B, snap)
         maxdec, mindec = [], []
         for s in part.unknown:
             chosen = snap.choices.get(s)
@@ -192,13 +194,13 @@ def _stepwise_invariants(g, iters=8):
             d = decision_value(g, rs, s, chosen)
             if d is not None:
                 (maxdec if g.owner[s] == "max" else mindec).append(d)
-        rs, snap = bellman_update(g, part, rs, snap, bounds)
+        rs, snap = bellman_update(g, facts, rs, snap, bounds)
         for s in part.unknown:
             assert rs.reach[s] >= -1e-12 and rs.stay[s] >= -1e-12
             assert rs.reach[s] + rs.stay[s] <= 1.0 + 1e-12
         new_bounds = update_global_bounds(part, rs, bounds, maxdec, mindec, bool(snap.delayed))
         # capped tightening must not flip any free choice
-        re_chosen = choose_actions(g, part, rs, new_bounds, B, snap)
+        re_chosen = choose_actions(g, facts, rs, new_bounds, B, snap)
         forced = snap.bexit or frozenset()
         for s in part.unknown:
             if snap.choices.get(s) != DELAY and s not in forced:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ssgsolve
+import ssgsolve.cli as cli
 from ssgsolve.cli import (
     CSV_HEADER,
     EXIT_BROKEN_PIPE,
@@ -23,6 +24,7 @@ from ssgsolve.cli import (
     EXIT_VALIDATION,
     main,
 )
+from ssgsolve.fuzz import Counterexample, FuzzReport
 from ssgsolve.model import GenParams, generate_random, parse_model, serialize_model
 from ssgsolve.presets import shifting_preference, slow_loop, two_route_choice
 from ssgsolve.results import TraceEntry
@@ -291,6 +293,15 @@ def test_relative_mode_limited_to_plain_svi(loop_file):
         main(["solve", str(loop_file), "--relative", "--algo", "bvi"])
 
 
+def test_ec_handling_switch_limited_to_plain_svi(loop_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(loop_file), "--no-ec-handling", "--algo", "bvi"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--no-ec-handling is only available for plain --algo svi" in captured.err
+    assert captured.out == ""
+
+
 def test_oracle_output(loop_file, tmp_path, capsys):
     report = tmp_path / "oracle.json"
     assert main(["oracle", str(loop_file), "--json", str(report)]) == EXIT_OK
@@ -360,6 +371,44 @@ def test_compare_csv(loop_file, tmp_path, capsys):
     assert lines[6] == f"{missing},vi,0,false,0.000,"
     assert "unknown algorithm" in captured.err
     assert str(missing) in captured.err
+
+
+def test_compare_reports_a_capped_solve(loop_file, capsys):
+    assert main(["compare", str(loop_file), "--algos", "bvi", "--max-iters", "1"]) == EXIT_OK
+    captured = capsys.readouterr()
+    row = captured.out.splitlines()[1].split(",")
+    assert row[:4] == [str(loop_file), "bvi", "1", "false"]
+    assert f"note: {loop_file}: bvi hit the iteration cap" in captured.err
+
+
+def test_compare_reports_a_failing_solver(loop_file, monkeypatch, capsys):
+    def crash(game, eps, max_iters):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.SOLVERS, "svi", crash)
+    assert main(["compare", str(loop_file), "--algos", "svi,vi"]) == EXIT_OK
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[1] == f"{loop_file},svi,0,false,0.000,"
+    assert lines[2].startswith(f"{loop_file},vi,457,true,")
+    assert f"note: {loop_file}: svi failed: boom" in captured.err
+
+
+def test_fuzz_command_reports_counterexamples(monkeypatch, capsys):
+    report = FuzzReport(checked=3, failures=[
+        Counterexample(0, "svi", "did not converge", "", ""),
+        Counterexample(2, "topo", "value off by 1.000e-03 at state 1", "", ""),
+    ], written=["out/ce0-svi.ssg", "out/ce0-svi-shrunk.ssg"])
+    monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: report)
+    assert main(["fuzz", "--count", "3"]) == EXIT_COUNTEREXAMPLE
+    captured = capsys.readouterr()
+    assert captured.out == "checked=3 skipped=0 failures=2\n"
+    assert captured.err.splitlines() == [
+        "counterexample #0 [svi]: did not converge",
+        "counterexample #2 [topo]: value off by 1.000e-03 at state 1",
+        "wrote out/ce0-svi.ssg",
+        "wrote out/ce0-svi-shrunk.ssg",
+    ]
 
 
 def test_fuzz_command_clean(capsys):

@@ -1,7 +1,11 @@
 """Randomized cross-checking loop: checks, shrinking, reporting."""
 
+import dataclasses
 from pathlib import Path
 
+import pytest
+
+import ssgsolve.fuzz as fuzz
 from ssgsolve.fuzz import _sample_indices, check_model, run_fuzz, shrink
 from ssgsolve.model import GenParams, generate_random, parse_model
 from ssgsolve.presets import slow_loop, two_route_choice
@@ -91,8 +95,6 @@ def test_check_model_flags_wrong_expectation():
 
 
 def test_check_model_catches_a_wrong_partition(monkeypatch):
-    import ssgsolve.fuzz as fuzz
-
     g = two_route_choice()  # state 0 has value 1/2, 1 is the target, 2 the sink
     want = exact_floats(g)
     assert check_model(g, "svi", 1e-6, want) is None
@@ -127,6 +129,54 @@ def test_capped_solve_gets_its_bracket_checked():
     # a sound capped solve is still only a stall
     assert check_model(g, "bvi", 1e-6, want, overrides={"bvi": {"max_iters": 3}}) \
         == "did not converge"
+
+
+def doctor(monkeypatch, name, edit):
+    """Make fuzz's `name` return its honest result passed through edit."""
+    honest = getattr(fuzz, name)
+    monkeypatch.setattr(fuzz, name, lambda *args, **kwargs: edit(honest(*args, **kwargs)))
+
+
+def test_check_model_reports_a_crash(monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fuzz, "solve_bvi", crash)
+    g = slow_loop()
+    want = exact_floats(g)
+    assert check_model(g, "bvi", 1e-6, want) == "exception: RuntimeError('boom')"
+    assert check_model(g, "svi", 1e-6, want) is None
+
+
+def test_check_model_flags_a_value_off_its_bracket_midpoint(monkeypatch):
+    # the bracket still holds 1/2; only the reported value strays
+    doctor(monkeypatch, "solve_svi", lambda r: dataclasses.replace(r, value=[0.501, *r.value[1:]]))
+    g = slow_loop()
+    assert check_model(g, "svi", 1e-6, exact_floats(g)) == "value off by 1.000e-03 at state 0"
+
+
+@pytest.mark.parametrize("side, bad, reason", [
+    (0, 0.75, "iteration 2: lower 0.75 above exact 0.5 at state 0"),
+    (1, 0.25, "iteration 2: upper 0.25 below exact 0.5 at state 0"),
+])
+def test_check_model_flags_a_wrong_intermediate_bracket(monkeypatch, side, bad, reason):
+    def edit(r):
+        good = (r.lower, r.upper)
+        wrong = list(good)
+        wrong[side] = [bad, *good[side][1:]]
+        return dataclasses.replace(r, vectors=[good, tuple(wrong), good])
+
+    doctor(monkeypatch, "solve_bvi", edit)
+    g = slow_loop()
+    assert check_model(g, "bvi", 1e-6, exact_floats(g)) == reason
+
+
+def test_check_model_flags_an_unknown_strategy_label(monkeypatch):
+    doctor(monkeypatch, "solve_svi", lambda r: dataclasses.replace(r, strategy={0: "nope"}))
+    g = slow_loop()
+    assert g.action_labels(0) == ("go",)
+    assert check_model(g, "svi", 1e-6, exact_floats(g)) == \
+        "strategy names unknown action 'nope' at state 0"
 
 
 def test_weakened_solver_is_caught_and_shrunk():

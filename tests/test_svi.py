@@ -32,6 +32,7 @@ from ssgsolve.presets import (
 from ssgsolve.svi import (
     DELAY,
     GlobalBounds,
+    PoolFacts,
     ReachStayVector,
     StrategySnapshot,
     bellman_update,
@@ -48,7 +49,7 @@ from ssgsolve.baselines import solve_bvi, solve_vi
 from ssgsolve.fuzz import SLACK, check_model
 from ssgsolve.oracle import exact_value
 
-from _util import REGRESSION_MODELS, exact_floats, max_err, pinned
+from _util import REGRESSION_MODELS, exact_floats, max_err, permute_states, pinned
 
 # Two actions with the same coin flip between the target 1 and the sink 2.
 TWIN_ACTIONS = """\
@@ -135,7 +136,7 @@ def test_settle_tail_decides_the_acyclic_tail_successors_first():
 def test_choose_actions_minimizer_picks_cheaper_route():
     g = two_route_choice()
     part, rs = k0_state(g)
-    snap = choose_actions(g, part, rs, GlobalBounds(0.0, 1.0), None, None)
+    snap = choose_actions(g, PoolFacts(g, part), rs, GlobalBounds(0.0, 1.0), None, None)
     # one-step worths under l=0: alpha (position 0) 0.4 against beta 0.5
     assert snap.choices[0] == 0
     assert snap.bexit is None
@@ -145,7 +146,7 @@ def test_choose_actions_forced_into_best_exit():
     g = loop_or_coin()
     part, rs = k0_state(g)
     B = handle_ecs(g, rs.reach, rs.stay, 1.0, part)
-    snap = choose_actions(g, part, rs, GlobalBounds(0.0, 1.0), B, None)
+    snap = choose_actions(g, PoolFacts(g, part), rs, GlobalBounds(0.0, 1.0), B, None)
     assert snap.choices[0] == 1  # b
     assert snap.bexit == frozenset({0})
 
@@ -153,11 +154,12 @@ def test_choose_actions_forced_into_best_exit():
 def test_choose_actions_tie_keeps_previous_choice():
     g = normalize(parse_model(TWIN_ACTIONS))
     part, rs = k0_state(g)
+    facts = PoolFacts(g, part)
     bounds = GlobalBounds(0.0, 1.0)
-    first = choose_actions(g, part, rs, bounds, None, None)
+    first = choose_actions(g, facts, rs, bounds, None, None)
     assert first.choices[0] == 0  # x
     prev = StrategySnapshot({0: 1}, None)  # y
-    kept = choose_actions(g, part, rs, bounds, None, prev)
+    kept = choose_actions(g, facts, rs, bounds, None, prev)
     assert kept.choices[0] == 1
 
 
@@ -183,7 +185,7 @@ def test_bellman_single_sweep_on_loop():
     g = slow_loop()
     part, rs = k0_state(g)
     snap = StrategySnapshot({0: 0}, None)
-    rs1, snap1 = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, snap1 = bellman_update(g, PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
     assert rs1.reach[0] == 0.01
     assert rs1.stay[0] == 0.98
     assert not snap1.delayed
@@ -195,7 +197,7 @@ def test_bellman_sweep_is_batch():
     g = serial_loops(k=2)
     part, rs = k0_state(g)
     snap = StrategySnapshot({0: 0, 1: 0}, None)
-    rs1, _ = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, _ = bellman_update(g, PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
     assert rs1.reach[1] == 0.01
     assert rs1.reach[0] == 0.0
 
@@ -207,13 +209,52 @@ def test_bellman_delays_overshooting_maximizer():
     # old upper estimate 0.1 with the candidate 0.2 + 0.1 * u, so it holds
     rs = ReachStayVector([0.2, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0])
     snap = StrategySnapshot({0: 1, 1: 0}, frozenset({0}))  # 0 takes b, 1 takes a
-    rs1, snap1 = bellman_update(g, part, rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, snap1 = bellman_update(g, PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
     assert snap1.choices[1] == DELAY
     assert snap1.delayed == frozenset({1})
     assert (rs1.reach[1], rs1.stay[1]) == (0.0, 0.1)
     # the sanctioned exit state itself still sweeps
     assert rs1.reach[0] == pytest.approx((0.2 + 1.0) / 3)
     assert rs1.stay[0] == pytest.approx(0.1 / 3)
+
+
+# The cycle 0 -> 1 -> 2 -> 0 is an end component of Maximizer states 0 and 2
+# around the Minimizer state 1; both Maximizer states can leave it for a coin
+# flip between the target 4 and the sink 5. The Maximizer state 3 feeds it.
+MIXED_END_COMPONENT = """\
+ssg 1
+states 6
+minplayer 1
+target 4
+action 0 a
+  1 1
+action 0 b
+  4 1/2
+  5 1/2
+action 1 a
+  2 1
+action 2 a
+  0 1
+action 2 b
+  4 1/4
+  5 3/4
+action 3 a
+  0 1
+action 3 b
+  4 1/2
+  5 1/2
+"""
+
+
+def test_pool_facts_find_the_delay_candidates_on_first_read():
+    g = normalize(parse_model(MIXED_END_COMPONENT))
+    part = partition_states(g)
+    facts = PoolFacts(g, part)
+    assert facts.order == (0, 1, 2, 3)
+    assert facts.multi == (0, 2, 3)
+    assert not part.ec_memo  # nothing decomposed until a delay check asks
+    assert facts.ec_max == (0, 2)
+    assert part.ec_memo == {frozenset(facts.order): [frozenset({0, 1, 2})]}
 
 
 def test_update_global_bounds_caps_at_decision_values():
@@ -838,3 +879,52 @@ ITEM_1 = pytest.mark.xfail(raises=AssertionError, strict=True,
 def test_forced_exit_games_are_bracketed(algo, params):
     g = normalize(generate_random(params))
     assert check_model(g, algo, 1e-6, exact_floats(g), overrides={algo: {"max_iters": 300}}) is None
+
+
+# ROADMAP item 4: a Minimizer decision value that round-off pins. On this
+# census game svi and topo(svi) take 6 sweeps as numbered and 665 after the
+# renumbering, where a stay-weighted delta that is 0 in exact arithmetic
+# comes out at 5.55e-17; bvi takes 247 sweeps either way.
+ROUNDOFF_GAME = GenParams(n_states=12, seed=128, max_actions_per_state=3, max_branching=3,
+                          target_fraction=0.1, ec_bias=0.0)
+ROUNDOFF_RENUMBERING = [7, 11, 0, 8, 5, 6, 3, 10, 4, 1, 9, 2]
+ITEM_4 = pytest.mark.xfail(raises=AssertionError, strict=True,
+                           reason="ROADMAP item 4: a round-off decision value pins l at 0")
+SOUND_SOLVERS = {"svi": solve_svi, "topo": solve_topological, "bvi": solve_bvi}
+
+
+@pytest.mark.parametrize("algo", [pytest.param("svi", marks=ITEM_4),
+                                  pytest.param("topo", marks=ITEM_4), "bvi"])
+def test_sweeps_do_not_depend_on_state_numbering(algo):
+    g = normalize(generate_random(ROUNDOFF_GAME))
+    renumbered = permute_states(g, ROUNDOFF_RENUMBERING)
+    assert renumbered.is_normalized()
+    solve = SOUND_SOLVERS[algo]
+    assert solve(renumbered, 1e-6, max_iters=3000).iterations == solve(g, 1e-6, max_iters=3000).iterations
+
+
+# ROADMAP item 2: the delay livelocks. svi and topo(svi) keep delaying a
+# state and hit the 500-sweep cap on all three games; bvi converges.
+DELAY_LIVELOCKS = [
+    pytest.param(GenParams(200, 3, 3, 0.05, 0.5, 0.0, seed=3), 117, id="200-3"),
+    pytest.param(GenParams(16, 3, 2, 0.1, 0.3, 0.7, seed=75), 86, id="16-75"),
+    pytest.param(GenParams(16, 3, 2, 0.1, 0.3, 0.3, seed=80), 10, id="16-80"),
+]
+ITEM_2 = pytest.mark.xfail(raises=AssertionError, strict=True,
+                           reason="ROADMAP item 2: the delay rule livelocks")
+
+
+@pytest.mark.parametrize("params, bvi_sweeps", DELAY_LIVELOCKS)
+@pytest.mark.parametrize("algo", [pytest.param("svi", marks=ITEM_2),
+                                  pytest.param("topo", marks=ITEM_2)])
+def test_delay_livelock_games_converge(algo, params, bvi_sweeps):
+    g = normalize(generate_random(params))
+    assert SOUND_SOLVERS[algo](g, 1e-6, max_iters=500).converged
+
+
+@pytest.mark.parametrize("params, bvi_sweeps", DELAY_LIVELOCKS)
+def test_bvi_converges_on_the_delay_livelock_games(params, bvi_sweeps):
+    g = normalize(generate_random(params))
+    res = solve_bvi(g, 1e-6, max_iters=500)
+    assert res.converged
+    assert res.iterations == bvi_sweeps

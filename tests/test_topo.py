@@ -8,6 +8,7 @@ import pytest
 from ssgsolve.baselines import solve_bvi
 from ssgsolve.model import GenParams, generate_random, normalize, parse_model, partition_states
 from ssgsolve.svi import solve_svi
+from ssgsolve import topo
 from ssgsolve.topo import INNER_SOLVERS, build_plan, solve_topological
 from ssgsolve.presets import (
     ALL_PRESETS,
@@ -44,6 +45,21 @@ action 2 c
 """
 
 
+def record_inner(monkeypatch, inner="svi"):
+    """Capture every inner pool solve as (pool, start vector, result), in call order."""
+    calls = []
+    solver = INNER_SOLVERS[inner]
+
+    def recorded(game, part, vec, eps, max_iters):
+        pool, start = tuple(sorted(part.unknown)), list(vec)
+        res = solver(game, part, vec, eps, max_iters)
+        calls.append((pool, start, res))
+        return res
+
+    monkeypatch.setitem(INNER_SOLVERS, inner, recorded)
+    return calls
+
+
 def test_plan_orders_components_successors_first():
     plan = build_plan(normalize(parse_model(LOOP_WITH_COIN_BYPASS)), 1e-6)
     assert [tuple(e.states) for e in plan.entries] == [(3,), (4,), (1,), (2,), (0,)]
@@ -64,18 +80,20 @@ def test_plan_tightens_eps_with_depth():
     ]
 
 
-def test_slow_component_resolves_locally_in_one_iteration():
+def test_slow_component_resolves_locally_in_one_iteration(monkeypatch):
     g = loop_with_bypass()
-    plan = build_plan(g, 1e-6)
-    res = solve_topological(g, plan=plan)
+    calls = record_inner(monkeypatch)
+    res = solve_topological(g)
     assert res.converged
     assert res.algorithm == "topo-svi"
-    by_states = {tuple(e.states): e for e in plan.entries}
-    slow = by_states[(1,)]
+    (slow,) = [e for e in build_plan(g, 1e-6).entries if e.states == (1,)]
     assert slow.kind == "unknown"
-    assert slow.iterations == 1
-    assert slow.frontier == {3: (1.0, 1.0), 4: (0.0, 0.0)}
-    assert slow.bounds[1] - slow.bounds[0] <= 1e-6
+    # its frontier, the target 3 and the sink 4, is tight: one run, one sweep
+    ((_, start, run),) = [c for c in calls if c[0] == (1,)]
+    assert (start[3], start[4]) == (1.0, 0.0)
+    assert run.iterations == 1
+    assert [t.scc for t in res.trace].count(slow.index) == 1
+    assert res.upper[1] - res.lower[1] <= 1e-6
     assert res.strategy == {0: "a", 1: "a", 2: "c"}
 
 
@@ -106,33 +124,56 @@ action 3 a
 
 def test_second_run_only_for_a_loose_frontier(monkeypatch):
     g = normalize(parse_model(TIGHT_NEXT_TO_LOOSE))
-    solved = []
-    inner = INNER_SOLVERS["svi"]
-
-    def counted(game, part, vec, eps, max_iters):
-        solved.append(tuple(sorted(part.unknown)))
-        return inner(game, part, vec, eps, max_iters)
-
-    monkeypatch.setitem(INNER_SOLVERS, "svi", counted)
-    plan = build_plan(g, 1e-6)
-    res = solve_topological(g, plan=plan)
+    calls = record_inner(monkeypatch)
+    res = solve_topological(g)
     assert res.converged
     # the loose loop is decided before the tight one is solved
-    assert [e.states for e in plan.unknown_entries()] == [(1, 2), (3,), (0,)]
-    loose, tight, source = plan.unknown_entries()
+    assert [e.states for e in build_plan(g, 1e-6).unknown_entries()] == [(1, 2), (3,), (0,)]
+    assert [pool for pool, _, _ in calls] == [(1, 2), (3,), (0,), (0,)]
+    _, tight, source_lo, source_hi = (start for _, start, _ in calls)
     assert res.lower[1] < res.upper[1]
-    assert tight.frontier == {4: (1.0, 1.0), 5: (0.0, 0.0)}
-    assert source.frontier[1] == (res.lower[1], res.upper[1])
-    assert solved == [(1, 2), (3,), (0,), (0,)]
+    assert (tight[4], tight[5]) == (1.0, 0.0)
+    # the source 0 reads its frontier 1 and 3 once at their lowers, once at their uppers
+    assert (source_lo[1], source_lo[3]) == (res.lower[1], res.lower[3])
+    assert (source_hi[1], source_hi[3]) == (res.upper[1], res.upper[3])
+    assert source_hi[2] == res.lower[2] < res.upper[2]  # off the frontier: left at its lower
     assert max_err(res.value, exact_floats(g)) <= 2e-6
 
 
-def test_decided_components_cost_nothing():
-    plan = build_plan(loop_with_bypass(), 1e-6)
-    solve_topological(loop_with_bypass(), plan=plan)
-    for e in plan.entries:
-        if e.kind == "decided":
-            assert e.iterations == 0 and e.converged
+def test_decided_components_cost_nothing(monkeypatch):
+    g = loop_with_bypass()
+    decided = {s for e in build_plan(g, 1e-6).entries if e.kind == "decided" for s in e.states}
+    assert decided == {2, 3, 4}
+    calls = record_inner(monkeypatch)
+    res = solve_topological(g)
+    assert not decided & {s for pool, _, _ in calls for s in pool}
+    assert res.iterations == sum(run.iterations for _, _, run in calls)
+    assert res.converged
+
+
+def test_sweeps_and_convergence_sum_over_the_inner_runs(monkeypatch):
+    g = normalize(parse_model(TIGHT_NEXT_TO_LOOSE))
+    calls = record_inner(monkeypatch)
+    res = solve_topological(g, max_iters=3)
+    runs = [run for _, _, run in calls]
+    assert len(runs) == 4 and any(r.converged for r in runs)
+    assert not all(r.converged for r in runs)
+    assert res.iterations == sum(r.iterations for r in runs)
+    assert not res.converged
+    assert len(res.trace) == res.iterations
+
+
+def test_plan_is_looked_up_through_the_module(monkeypatch):
+    plans = []
+
+    def recorded(game, eps):
+        plans.append(build_plan(game, eps))
+        return plans[-1]
+
+    monkeypatch.setattr(topo, "build_plan", recorded)
+    solve_topological(loop_with_bypass(), 1e-4)
+    ((plan,),) = [plans]
+    assert [(e.states, e.eps_local) for e in plan.unknown_entries()] == [((1,), 1e-4 / 2), ((0,), 1e-4)]
 
 
 def test_serial_chain_needs_one_update_per_component():
@@ -196,9 +237,8 @@ def test_almost_sure_winner_inside_an_unknown_component(inner, monkeypatch):
 
 def test_traces_carry_component_index():
     g = loop_with_bypass()
-    plan = build_plan(g, 1e-6)
-    res = solve_topological(g, plan=plan)
-    unknown_idx = {e.index for e in plan.unknown_entries()}
+    res = solve_topological(g)
+    unknown_idx = {e.index for e in build_plan(g, 1e-6).unknown_entries()}
     seen = {t.scc for t in res.trace}
     assert None not in seen
     assert seen <= unknown_idx
