@@ -33,16 +33,20 @@ def scc_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
 
     Returns components in reverse topological order: every component comes
     after all components it can reach, so processing the list front to back
-    sees successors first. Deterministic for a given game.
+    sees successors first. Deterministic for a given game. Without
+    `restrict` the walk reads `game.succs` as it is.
     """
-    nodes = sorted(restrict) if restrict is not None else list(range(game.n_states))
+    if restrict is None:
+        return _tarjan(range(game.n_states), game.succs)
+    nodes = sorted(restrict)
     node_set = set(nodes)
     adj = {s: [t for t in game.succs[s] if t in node_set] for s in nodes}
     return _tarjan(nodes, adj)
 
 
-def _tarjan(nodes: Iterable[int], adj: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan over adj, rooted in the given node order.
+def _tarjan(nodes: Iterable[int],
+            adj: dict[int, list[int]] | Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan over adj (node -> successors), rooted in the given node order.
 
     Each component comes out sorted, and the components in reverse
     topological order. The successor order in adj decides the order of

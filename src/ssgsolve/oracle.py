@@ -1,13 +1,15 @@
 """Exact reference results in rational arithmetic.
 
-Everything here is exact: probabilities are `Fraction`s, and each Markov
-chain is solved in integers before its answers become `Fraction`s, so the
-numbers are independent of the float iteration schemes they are used to
-check.
+Everything here is exact, so the numbers are independent of the float
+iteration schemes they are used to check. Probabilities are `Fraction`s;
+each action's row is scaled to integers, and each Markov chain is solved
+in integers into one numerator per state over the chain's determinant.
 `exact_value` finds the game value by strategy iteration, a few chain
-solves per game. Its order="minmax" enumerates every pair of memoryless
-deterministic strategies instead, which is exponential by design and kept
-as an independent reference for desk-sized models.
+solves per game, comparing actions on those integers; only the final
+values become `Fraction`s. Its order="minmax" enumerates every pair of
+memoryless deterministic strategies instead, which is exponential by
+design and kept as an independent reference for desk-sized models; it
+compares `Fraction` vectors. Nothing is kept on the game between calls.
 """
 
 from __future__ import annotations
@@ -79,19 +81,25 @@ def _chain_step(rows: list[list[IntRow]], choice: dict[int, int]) -> list[IntRow
     return [acts[choice.get(s, 0)] for s, acts in enumerate(rows)]
 
 
-def _chain_reach(rows: list[IntRow], targets: set[int]) -> list[Fraction]:
-    """Exact absorption probabilities of a Markov chain into the target set.
+def _chain_reach(rows: list[IntRow], targets: set[int]) -> tuple[list[int], int]:
+    """Exact absorption probabilities of a Markov chain into the target set, in integers.
 
-    States with no path to a target get probability 0. The other non-target
-    states ("free") give the system d_s x_s - sum(num x_t over free t) =
-    sum(num over target t), uniquely solvable when rows sum to 1. Bareiss's
-    fraction-free elimination solves it in integers: every division is
-    exact, and the only Fractions built are the answers, numerator over the
-    last pivot. A row with a zero in the pivot column would only be scaled
-    by the ratio of two pivots, so it is left alone and the scale is paid
-    on its next use (the ratios telescope). The free states are taken in
-    reverse order of discovery by the backward search, which puts most
-    states before their successors and leaves little to eliminate.
+    Returns (nums, det): state s reaches a target with probability
+    nums[s] / det, over one common denominator det > 0. A target's
+    numerator is det, and a state with no path to a target gets 0. The
+    other non-target states ("free") give the system d_s x_s - sum(num x_t
+    over free t) = sum(num over target t), uniquely solvable when rows sum
+    to 1. Bareiss's fraction-free elimination solves it in integers: every
+    division is exact, and each numerator comes out of the
+    back-substitution by Cramer's rule, over the last pivot. That pivot is
+    the determinant of the system with its rows as pivoting swapped them,
+    so it can be negative; det is its absolute value, and the numerators
+    take the same sign flip. A row with a zero in the pivot column would
+    only be scaled by the ratio of two pivots, so it is left alone and the
+    scale is paid on its next use (the ratios telescope). The free states
+    are taken in reverse order of discovery by the backward search, which
+    puts most states before their successors and leaves little to
+    eliminate.
     """
     n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -108,12 +116,7 @@ def _chain_reach(rows: list[IntRow], targets: set[int]) -> list[Fraction]:
                 found.append(p)
                 frontier.append(p)
 
-    values = [_ZERO] * n
-    for t in targets:
-        values[t] = _ONE
     free = found[::-1]
-    if not free:
-        return values
     m = len(free)
     pos = {s: i for i, s in enumerate(free)}
     mat = [[0] * (m + 1) for _ in range(m)]
@@ -159,15 +162,26 @@ def _chain_reach(rows: list[IntRow], targets: set[int]) -> list[Fraction]:
             if r[j]:
                 acc -= r[j] * x[j]
         x[i] = acc // r[i]
+    if det < 0:
+        det = -det
+        x = [-v for v in x]
+    nums = [0] * n
+    for t in targets:
+        nums[t] = det
     for i, s in enumerate(free):
-        values[s] = Fraction(x[i], det)
-    return values
+        nums[s] = x[i]
+    return nums, det
+
+
+def _fractions(nums: list[int], det: int) -> list[Fraction]:
+    """A chain solve's numerators as Fractions; every 0 and 1 is the shared `_ZERO` or `_ONE`."""
+    return [_ZERO if not v else _ONE if v == det else Fraction(v, det) for v in nums]
 
 
 def chain_reachability(game: StochasticGame) -> list[Fraction]:
     """Exact target-reachability probabilities of a one-action-per-state game."""
     _single_actions(game)
-    return _chain_reach(_chain_step(_int_rows(game), {}), set(game.targets))
+    return _fractions(*_chain_reach(_chain_step(_int_rows(game), {}), set(game.targets)))
 
 
 def _attractor(owner: tuple[str, ...], rows: list[list[IntRow]], targets: set[int],
@@ -211,20 +225,25 @@ def _attractor(owner: tuple[str, ...], rows: list[list[IntRow]], targets: set[in
     return joined
 
 
-def _improve(rows: list[list[IntRow]], values: list[Fraction], sites: list[int],
+def _improve(rows: list[list[IntRow]], nums: list[int], sites: list[int],
              choice: dict[int, int], better) -> bool:
     """Switch each site to its best action if that beats the site's value strictly.
 
-    An action's worth is its exact one-step value under `values`; ties keep
-    the current action. Returns whether any site switched.
+    `nums` are a chain solve's numerators over its denominator det > 0.
+    Every value below is over that same det, so no comparison needs it:
+    action a's exact one-step worth is w / d, with w the sum of
+    num * nums[t] over its row and d the row's scale, and the site's own
+    value is nums[s] (d = 1). Two worths w / d and w' / d' compare as
+    w * d' against w' * d, in integers; ties keep the current action.
+    Returns whether any site switched.
     """
     switched = False
     for s in sites:
-        best, best_worth = None, values[s]
+        best, best_w, best_d = None, nums[s], 1
         for a, (d, row) in enumerate(rows[s]):
-            worth = sum(num * values[t] for t, num in row) / d
-            if better(worth, best_worth):
-                best, best_worth = a, worth
+            w = sum(num * nums[t] for t, num in row)
+            if better(w * best_d, best_w * d):
+                best, best_w, best_d = a, w, d
         if best is not None:
             choice[s] = best
             switched = True
@@ -260,12 +279,12 @@ def _strategy_iteration(owner: tuple[str, ...], rows: list[list[IntRow]], target
                 tau[s] = next(a for a, (_, row) in enumerate(rows[s])
                               if all(t not in inside for t, _ in row))
         while True:
-            values = _chain_reach(_chain_step(rows, {**sigma, **tau}), targets)
+            nums, det = _chain_reach(_chain_step(rows, {**sigma, **tau}), targets)
             evaluated += 1
-            if not _improve(rows, values, min_sites, tau, operator.lt):
+            if not _improve(rows, nums, min_sites, tau, operator.lt):
                 break
-        if not _improve(rows, values, max_sites, sigma, operator.gt):
-            return values, sigma, tau, evaluated
+        if not _improve(rows, nums, max_sites, sigma, operator.gt):
+            return _fractions(nums, det), sigma, tau, evaluated
 
 
 def _enumerate_minmax(rows: list[list[IntRow]], targets: set[int],
@@ -295,7 +314,8 @@ def _enumerate_minmax(rows: list[list[IntRow]], targets: set[int],
     for tau in profiles(min_sites):
         inner_runs: list[tuple[dict[int, int], list[Fraction]]] = []
         for sigma in profiles(max_sites):
-            inner_runs.append((sigma, _chain_reach(_chain_step(rows, {**tau, **sigma}), targets)))
+            chain = _chain_step(rows, {**tau, **sigma})
+            inner_runs.append((sigma, _fractions(*_chain_reach(chain, targets))))
             evaluated += 1
         inner_opt = pointwise_opt([vec for _, vec in inner_runs], operator.gt)
         best_reply = next(sigma for sigma, vec in inner_runs if vec == inner_opt)
@@ -321,7 +341,10 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     Maximizer witness is only a best response to the Minimizer's). Each
     action's row is scaled once per call to integers over the lcm of its
     denominators, and each induced chain is solved by fraction-free
-    integer elimination (`_chain_reach`); nothing is kept on the game.
+    integer elimination (`_chain_reach`) into numerators over a common
+    denominator. Strategy iteration compares actions on those integers
+    (`_improve`) and turns only its final values into `Fraction`s; the
+    enumeration converts each chain once. Nothing is kept on the game.
 
     The strategy sites are the non-target states in `game.can_reach` with
     a choice, not the partition's unknown states: this reference checks

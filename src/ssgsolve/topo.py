@@ -107,7 +107,10 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     bounds; the partition's almost-sure winners carry their attractor
     action, whichever component they lie in. The plan (`build_plan`) is
     only the schedule: the frontiers, bounds and sweep counts of the
-    components live in this call.
+    components live in this call. `max_iters` bounds the sweeps of the
+    whole solve: each inner run gets what the runs before it left. Once
+    none is left, the later components get no sweep; their runs return
+    valid brackets, unconverged unless already tight.
     """
     if inner not in INNER_SOLVERS:
         raise ValueError(f"unknown inner algorithm {inner!r}")
@@ -128,17 +131,19 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
             vecs.append(list(lo))
             for s in frontier:
                 vecs[1][s] = hi[s]
-        runs = [solver(game, StatePartition(part.targets, part.sinks, part.unknown & inside), vec,
-                       entry.eps_local, max_iters) for vec in vecs]
+        runs = []
+        for vec in vecs:
+            run = solver(game, StatePartition(part.targets, part.sinks, part.unknown & inside), vec,
+                         entry.eps_local, max_iters - iterations)
+            trace.extend(dataclasses.replace(t, scc=entry.index) for t in run.trace)
+            iterations += run.iterations
+            converged = converged and run.converged
+            runs.append(run)
         run_lo, run_hi = runs[0], runs[-1]
         for s in inside:
             lo[s] = run_lo.lower[s]
             hi[s] = run_hi.upper[s]
         strategy.update(run_lo.strategy)
-        for run in runs:
-            trace.extend(dataclasses.replace(t, scc=entry.index) for t in run.trace)
-            iterations += run.iterations
-            converged = converged and run.converged
     return SolveResult(
         algorithm=f"topo-{inner}",
         iterations=iterations,

@@ -1,6 +1,8 @@
 """Exact oracle: strategy iteration against the enumeration, chain values, k-step vectors."""
 
 import dataclasses
+import hashlib
+import operator
 import random
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ from ssgsolve.presets import (
     two_route_choice,
 )
 
-from _util import certificate_faults
+from _util import census, certificate_faults
 
 F = Fraction
 
@@ -97,6 +99,31 @@ def test_strategy_sites_do_not_come_from_the_partition():
     assert res.min_strategy == {1: "a"}
     assert res.pairs_evaluated == 1   # outside the attractor {2}, state 1 escapes at once
     assert exact_value(g, order="minmax").pairs_evaluated == 2
+
+
+def _fuzz_stream(count):
+    """The first `count` games of the stream `run_fuzz(count, 0, max_states=12)` draws."""
+    rng = random.Random(0)
+    for _ in range(count):
+        yield normalize(generate_random(GenParams(
+            n_states=rng.randint(2, 12),
+            max_actions_per_state=rng.randint(1, 3),
+            max_branching=rng.randint(1, 3),
+            target_fraction=rng.choice([0.1, 0.2, 0.4]),
+            min_player_fraction=rng.choice([0.3, 0.5, 0.7]),
+            ec_bias=rng.choice([0.0, 0.3, 0.7, 1.0]),
+            seed=rng.randrange(2**31),
+        )))
+
+
+def test_exact_results_match_the_golden_digest():
+    # values, both witnesses and pairs_evaluated of 240 games, frozen by a
+    # sha256 over the repr of each ExactResult: the fuzz stream's first 120
+    # games and 120 census games
+    games = [*_fuzz_stream(120), *census((8, 12), range(20))]
+    reprs = [repr(exact_value(g)) for g in games]
+    assert hashlib.sha256(repr(reprs).encode()).hexdigest() == (
+        "c361d1132dfba8fc4223d2879165bbbd802845e5d07636ad6e31f8d2a2be57b6")
 
 
 def test_exact_values_satisfy_bellman_equations():
@@ -320,6 +347,81 @@ def test_chain_solve_pivots_past_zero_diagonals():
         assert chain_reachability(g) == want, seed
         solved += 1
     assert solved >= 50
+
+
+def test_chain_solve_keeps_its_denominator_positive():
+    # Bareiss takes the free states in the order 0, 2, 3, 1, swaps rows three
+    # times on zero diagonals and ends on the pivot -1, the determinant of
+    # the system with its rows permuted: det and every numerator are negated
+    sticky = F(1, 10**10)
+    g = StochasticGame(5, (MAX,) * 5, (
+        (Action("a", ((0, F(1)), (1, sticky))),),
+        (Action("a", ((0, F(1, 2)), (4, F(1, 2)))),),
+        (Action("a", ((2, F(1)), (3, sticky))),),
+        (Action("a", ((0, F(1, 3)), (2, F(1, 3)), (4, F(1, 3)))),),
+        (Action("a", ((4, F(1)),)),),
+    ), frozenset({4}))
+    g.validate()
+    nums, det = oracle._chain_reach(oracle._chain_step(oracle._int_rows(g), {}), {4})
+    assert det == 1
+    assert nums == [-1, 0, 0, 0, 1]
+    rows = [acts[0].transitions for acts in g.actions]
+    assert chain_reachability(g) == _reference_reach(rows, g.targets)[0] == [-1, 0, 0, 0, 1]
+
+
+def _improve_by_fractions(rows, values, sites, choice, better):
+    """The switches of `oracle._improve`, with every worth an exact Fraction."""
+    switched = False
+    for s in sites:
+        best, best_worth = None, values[s]
+        for a, (d, row) in enumerate(rows[s]):
+            worth = sum(num * values[t] for t, num in row) / d
+            if better(worth, best_worth):
+                best, best_worth = a, worth
+        if best is not None:
+            choice[s] = best
+            switched = True
+    return switched
+
+
+def test_integer_improve_switches_as_the_fraction_comparison():
+    ties = switches = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        det = rng.randint(1, 40)
+        nums = [rng.randint(0, det) for _ in range(n)]
+        rows = []
+        for s in range(n):
+            acts = []
+            for _ in range(rng.randint(1, 4)):
+                if acts and rng.random() < 0.3:
+                    # the same worth over a larger denominator: an exact tie
+                    k = rng.randint(2, 5)
+                    d, row = rng.choice(acts)
+                    acts.append((d * k, tuple((t, num * k) for t, num in row)))
+                elif rng.random() < 0.2:
+                    # a certain step to a state of equal value ties the site's own
+                    same = [t for t in range(n) if nums[t] == nums[s]]
+                    acts.append((1, ((rng.choice(same), 1),)))
+                else:
+                    d = rng.randint(1, 12)
+                    cuts = sorted(rng.randint(0, d) for _ in range(rng.randint(0, 2)))
+                    parts = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
+                    acts.append((d, tuple((rng.randrange(n), p) for p in parts if p)))
+            rows.append(acts)
+        values = [F(v, det) for v in nums]
+        sites = sorted(rng.sample(range(n), rng.randint(1, n)))
+        start = {s: rng.randrange(len(rows[s])) for s in sites if rng.random() < 0.5}
+        for better in (operator.lt, operator.gt):
+            want, got = dict(start), dict(start)
+            switched = _improve_by_fractions(rows, values, sites, want, better)
+            assert oracle._improve(rows, nums, sites, got, better) == switched, (seed, better)
+            assert got == want, (seed, better)
+            switches += switched
+            ties += sum(sum(num * values[t] for t, num in row) / d == values[s]
+                        for s in sites for d, row in rows[s])
+    assert ties >= 1000 and switches >= 300, (ties, switches)
 
 
 def test_too_large_runs_no_chain_solve(monkeypatch):

@@ -163,6 +163,21 @@ def test_sweeps_and_convergence_sum_over_the_inner_runs(monkeypatch):
     assert len(res.trace) == res.iterations
 
 
+def test_max_iters_bounds_the_whole_solve():
+    # each inner run gets the sweeps the runs before it left, 3 in all here
+    # although the first run alone uses them up; a component reached with
+    # none left gets no sweep but still a valid bracket
+    tight_next_to_loose = normalize(parse_model(TIGHT_NEXT_TO_LOOSE))
+    assert solve_topological(tight_next_to_loose, max_iters=3).iterations == 3
+    g = normalize(generate_random(GenParams(200, 3, 3, 0.05, 0.5, 0.0, seed=3)))
+    res = solve_topological(g, max_iters=500)
+    assert res.iterations <= 500 and not res.converged
+    ref = solve_bvi(g)
+    assert ref.converged
+    for s in range(g.n_states):   # sound brackets overlap
+        assert res.lower[s] <= ref.upper[s] and ref.lower[s] <= res.upper[s], s
+
+
 def test_plan_is_looked_up_through_the_module(monkeypatch):
     plans = []
 
