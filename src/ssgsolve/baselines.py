@@ -24,7 +24,7 @@ from typing import AbstractSet
 from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
 from .model import MAX, StatePartition, StochasticGame, dot, partition_states
 from .results import SolveResult, TraceEntry
-from .svi import argopt, float_rows, start_vector
+from .svi import best_step, float_rows, start_vector
 
 UNSOUND_NOTE = "unsound stopping"
 
@@ -110,20 +110,17 @@ def _greedy_strategy(game: StochasticGame, unknown: AbstractSet[int],
                      low: list[float], high: list[float]) -> dict[int, str]:
     """Final action snapshot: Maximizer argmax under high, Minimizer argmin under low.
 
-    Near-ties go to the lowest action index (`svi.argopt`), as in svi.
+    Near-ties go to the lowest action index (`svi.best_step`), as in svi.
     Inside end components it is no winning strategy: a Maximizer choice may
     stay where the Minimizer can hold play (bvi loses on 10 of 480 census games).
     """
-    rows = game.rows
     out: dict[int, str] = {}
     for s in sorted(unknown):
         acts = game.actions[s]
         if len(acts) == 1:
             out[s] = acts[0].label
             continue
-        maximize = game.owner[s] == MAX
-        ref = high if maximize else low
-        out[s] = acts[argopt([dot(row, ref) for row in rows[s]], maximize)[1]].label
+        out[s] = acts[best_step(game, s, high if game.owner[s] == MAX else low)[1]].label
     return out
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceEntry:
     """One line of a solve trace, recorded after each iteration.
 
@@ -20,7 +20,9 @@ class TraceEntry:
     for the interval baseline, and the largest single-sweep change for
     classic value iteration. updates counts states actually rewritten this
     iteration (delayed states are not). scc tags entries produced inside
-    a topological sub-solve.
+    a topological sub-solve: the driver sets it on the inner run's own
+    entries, so the class is a plain (mutable) dataclass, like
+    `SolveResult`, and nothing hashes an entry.
     """
 
     k: int

@@ -138,9 +138,10 @@ def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) ->
 
     Walks the SCCs of `part.unknown` successors first, so a state settled
     here counts as decided for the states upstream of it. Each settled
-    state gets its exact one-step max (Maximizer) or min (Minimizer) value
-    in `vec` and leaves `part.unknown`; the returned map gives its action
-    position: the lowest within TIE_TOL of the optimum, as in `choose_actions`.
+    state gets its exact one-step value (`best_step`) in `vec` and leaves
+    `part.unknown`; the returned map gives its action position: the lowest
+    within TIE_TOL of the optimum, as in `choose_actions`. `topo` settles
+    its one-state components by the same rule.
     A self-loop keeps a state undecided.
     """
     settled: dict[int, int] = {}
@@ -148,7 +149,7 @@ def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) ->
         s = comp[0]
         if len(comp) > 1 or any(t in part.unknown for t in game.succs[s]):
             continue
-        vec[s], settled[s] = argopt([dot(row, vec) for row in game.rows[s]], game.owner[s] == MAX)
+        vec[s], settled[s] = best_step(game, s, vec)
         part.unknown.discard(s)
     return settled
 
@@ -161,6 +162,15 @@ def argopt(vals: Sequence[float], maximize: bool) -> tuple[float, int]:
     """
     opt = max(vals) if maximize else min(vals)
     return opt, next(i for i, v in enumerate(vals) if abs(v - opt) <= TIE_TOL)
+
+
+def best_step(game: StochasticGame, s: int, vec: list[float]) -> tuple[float, int]:
+    """State s's one-step optimum over vec and its action position (`argopt`).
+
+    The max for a Maximizer state, the min for a Minimizer one. When every
+    successor of s is decided in vec, this is s's exact value.
+    """
+    return argopt([dot(row, vec) for row in game.rows[s]], game.owner[s] == MAX)
 
 
 def delta_tables(game: StochasticGame, s: int) -> DeltaTable:

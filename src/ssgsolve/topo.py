@@ -2,22 +2,24 @@
 
 Value dependencies follow the edge relation, so the strongly connected
 components can be solved in reverse topological order with everything
-downstream already decided. Each component's undecided states are solved
-as the pool of an inner pool solve (`svi.solve_svi_pool`,
-`baselines.solve_bvi_pool`) twice: once with every downstream state at
-its certified lower value and once with its frontier (the downstream
-states one step away, the only ones its values depend on) at its uppers; by
-monotonicity of the value in the frontier the first run's lowers and the
-second run's uppers bound the true values. When the frontier is already
-tight (lower == upper for every frontier state, the common case) a single
-run suffices. Local precision is eps / (1 + depth), depth counted from the
-source components, so upstream components absorb the error their frontiers
-carry.
+downstream already decided. A game whose states the partition decides
+entirely needs no plan and no sweep. A component of one state without a
+self-loop depends on decided states only, and the driver settles it in
+one step: its one-step optimum over the lowers and over the uppers. Any
+other component's undecided states are solved as the pool of an inner
+pool solve (`svi.solve_svi_pool`, `baselines.solve_bvi_pool`) twice:
+once with every downstream state at its certified lower value and once
+with its frontier (the downstream states one step away, the only ones its
+values depend on) at its uppers; by monotonicity of the value in the
+frontier the first run's lowers and the second run's uppers bound the
+true values. When the frontier is already tight (lower == upper for every
+frontier state, the common case) a single run suffices. Local precision
+is eps / (1 + depth), depth counted from the source components, so
+upstream components absorb the error their frontiers carry.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -26,7 +28,7 @@ from .baselines import solve_bvi_pool
 from .graph import scc_decompose
 from .model import StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
-from .svi import solve_svi_pool, start_vector
+from .svi import best_step, solve_svi_pool, start_vector
 
 #: pool solves, called as solver(game, part, vec, eps, max_iters)
 INNER_SOLVERS: dict[str, Callable[..., SolveResult]] = {
@@ -106,11 +108,14 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     run, the side whose Maximizer choices certify the reported lower
     bounds; the partition's almost-sure winners carry their attractor
     action, whichever component they lie in. The plan (`build_plan`) is
-    only the schedule: the frontiers, bounds and sweep counts of the
-    components live in this call. `max_iters` bounds the sweeps of the
-    whole solve: each inner run gets what the runs before it left. Once
-    none is left, the later components get no sweep; their runs return
-    valid brackets, unconverged unless already tight.
+    only the schedule, built only when the partition leaves a state
+    undecided: the frontiers, bounds and sweep counts of the components
+    live in this call. A component of one state without a self-loop gets
+    no inner run: `best_step` over the lowers gives its lower and its
+    action, over the uppers its upper. `max_iters` bounds the sweeps of
+    the whole solve: each inner run gets what the runs before it left.
+    Once none is left, the later components get no sweep; their runs
+    return valid brackets, unconverged unless already tight.
     """
     if inner not in INNER_SOLVERS:
         raise ValueError(f"unknown inner algorithm {inner!r}")
@@ -123,7 +128,15 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     strategy = dict(part.attractor)
     iterations = 0
     converged = True
-    for entry in build_plan(game, eps).unknown_entries():
+    entries = build_plan(game, eps).unknown_entries() if part.unknown else []
+    for entry in entries:
+        s, *others = entry.states
+        if not others and s not in game.succs[s]:
+            # every successor is downstream, so decided: one step settles s
+            lo[s], i = best_step(game, s, lo)
+            hi[s] = best_step(game, s, hi)[0]
+            strategy[s] = game.actions[s][i].label
+            continue
         inside = set(entry.states)
         frontier = {t for u in inside for t in game.succs[u]} - inside
         vecs = [list(lo)]
@@ -135,7 +148,9 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
         for vec in vecs:
             run = solver(game, StatePartition(part.targets, part.sinks, part.unknown & inside), vec,
                          entry.eps_local, max_iters - iterations)
-            trace.extend(dataclasses.replace(t, scc=entry.index) for t in run.trace)
+            for t in run.trace:
+                t.scc = entry.index
+            trace.extend(run.trace)
             iterations += run.iterations
             converged = converged and run.converged
             runs.append(run)

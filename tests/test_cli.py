@@ -137,14 +137,15 @@ def test_solve_json_deterministic_modulo_wall_time(loop_file, tmp_path, capsys):
 
 
 def test_solve_json_trace_entries_carry_every_trace_field_in_order(route_file, tmp_path, capsys):
-    report = tmp_path / "out.json"
-    main(["solve", str(route_file), "--topo", "--json", str(report), "--trace"])
-    capsys.readouterr()
-    trace = json.loads(report.read_text())["trace"]
-    assert trace
     names = [f.name for f in dataclasses.fields(TraceEntry)]
-    assert all(list(entry) == names for entry in trace)
-    assert trace[0]["scc"] is not None
+    for algo in ("svi", "bvi"):
+        report = tmp_path / f"{algo}.json"
+        main(["solve", str(route_file), "--algo", algo, "--topo", "--json", str(report), "--trace"])
+        capsys.readouterr()
+        trace = json.loads(report.read_text())["trace"]
+        assert trace, algo
+        assert all(list(entry) == names for entry in trace), algo
+        assert all(entry["scc"] is not None for entry in trace), algo
 
 
 def test_every_public_name_resolves():

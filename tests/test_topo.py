@@ -1,5 +1,6 @@
 """Per-component driver: plan construction and frontier propagation."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -100,7 +101,8 @@ def test_slow_component_resolves_locally_in_one_iteration(monkeypatch):
 # State 0 chooses between two components that do not see each other: the
 # loop {1, 2} (values 2/3 and 1/3, bracketed only to eps) and the loop
 # {3} (value 1/2), whose successors outside itself are the target 4 and
-# the sink 5.
+# the sink 5. Its action b also returns to 0, so the source lies on a
+# cycle and is solved by inner runs, not settled in one step.
 TIGHT_NEXT_TO_LOOSE = """\
 ssg 1
 states 6
@@ -108,7 +110,8 @@ target 4
 action 0 a
   1 1
 action 0 b
-  3 1
+  3 1/2
+  0 1/2
 action 1 a
   2 1/2
   4 1/2
@@ -153,14 +156,85 @@ def test_decided_components_cost_nothing(monkeypatch):
 
 def test_sweeps_and_convergence_sum_over_the_inner_runs(monkeypatch):
     g = normalize(parse_model(TIGHT_NEXT_TO_LOOSE))
+    full = solve_topological(g)
     calls = record_inner(monkeypatch)
-    res = solve_topological(g, max_iters=3)
+    res = solve_topological(g, max_iters=full.iterations - 1)  # the last run is cut one sweep short
     runs = [run for _, _, run in calls]
-    assert len(runs) == 4 and any(r.converged for r in runs)
-    assert not all(r.converged for r in runs)
-    assert res.iterations == sum(r.iterations for r in runs)
+    assert len(runs) == 4 and all(r.converged for r in runs[:-1])
+    assert not runs[-1].converged
+    assert res.iterations == sum(r.iterations for r in runs) == full.iterations - 1
     assert not res.converged
     assert len(res.trace) == res.iterations
+
+
+# The Maximizer source 0 chooses between the loop {1, 2} (value 2/3) and a
+# coin (value 3/5) that hits the target 3 or the sink 4. It is one state
+# without a self-loop, so the driver settles it in one step.
+LOOSE_LOOP_OR_COIN = """\
+ssg 1
+states 5
+target 3
+action 0 a
+  1 1
+action 0 b
+  3 3/5
+  4 2/5
+action 1 a
+  2 1/2
+  3 1/2
+action 2 a
+  1 1/2
+  4 1/2
+"""
+
+
+@pytest.mark.parametrize("inner", sorted(INNER_SOLVERS))
+def test_one_state_source_is_settled_over_a_loose_frontier(inner, monkeypatch):
+    g = normalize(parse_model(LOOSE_LOOP_OR_COIN))
+    calls = record_inner(monkeypatch, inner)
+    res = solve_topological(g, inner=inner, max_iters=1)  # one sweep leaves the loop loose
+    assert [pool for pool, _, _ in calls] == [(1, 2)]  # no inner run for the source
+    assert res.lower[1] < 0.6 < res.upper[1]
+    # lower from the frontier's lowers, upper from its uppers
+    assert res.lower[0] == max(res.lower[1], 0.6) == 0.6
+    assert res.upper[0] == max(res.upper[1], 0.6) == res.upper[1]
+    # the action that certifies the lower: the coin, though the uppers favour the loop
+    assert res.strategy[0] == "b"
+
+
+def test_decided_game_builds_no_plan_and_runs_no_inner_solve(monkeypatch):
+    # the Maximizer 0 wins almost surely by b; 1 is a sink
+    g = normalize(parse_model("ssg 1\nstates 3\ntarget 2\naction 0 a\n1 1\naction 0 b\n2 1\n"
+                              "action 1 a\n1 1\n"))
+
+    def refuse(*args):
+        raise AssertionError("called on a decided game")
+
+    monkeypatch.setattr(topo, "build_plan", refuse)
+    for inner in INNER_SOLVERS:
+        monkeypatch.setitem(INNER_SOLVERS, inner, refuse)
+    for inner in INNER_SOLVERS:
+        res = solve_topological(g, inner=inner)
+        assert res.iterations == 0 and res.converged
+        assert res.lower == res.upper == [1.0, 0.0, 1.0]
+        assert res.strategy == partition_states(g).attractor == {0: "b"}
+
+
+def test_work_counts_on_the_oracle_sized_stream(monkeypatch):
+    # the partition decides 239 of the 300 games entirely, and a component
+    # of one acyclic state needs no inner run: with a plan and an inner run
+    # for every unknown component it would be 300 plans and 120 runs
+    plans = []
+
+    def recorded(game, eps):
+        plans.append(game)
+        return build_plan(game, eps)
+
+    monkeypatch.setattr(topo, "build_plan", recorded)
+    calls = record_inner(monkeypatch)
+    for g in _oracle_sized_stream(300):
+        solve_topological(normalize(g))
+    assert (len(plans), len(calls)) == (61, 35)
 
 
 def test_max_iters_bounds_the_whole_solve():
@@ -335,6 +409,30 @@ def test_plan_digest_of_the_census_and_the_benchmark_families():
     keys = [[(e.states, e.depth, e.eps_local, e.kind) for e in build_plan(g, 1e-6).entries]
             for g in games]
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == "b9967c08ff21845327a882680d8420ad7603105e15d2ef507250a10a7ecae35d"
+
+
+@pytest.mark.parametrize("inner, digest", [
+    ("svi", "011a43407a6cea1f4d524a567031feab10c8429253ce9f2a1b00e86a7597420e"),
+    ("bvi", "5bab7ce6b450267bbb140e6e94d2e8196e371e705da3eb8d83f62a903ad371ea"),
+])
+def test_topological_results_match_the_golden_digest(inner, digest):
+    # brackets, values, strategies and global bounds of 425 games, frozen by
+    # a sha256 over their repr: the fuzz stream's first 300 games, 120
+    # census games and the chains and random benchmark families; for the
+    # inner svi also the sweeps and the trace, component tags included
+    games = [*(normalize(g) for g in _oracle_sized_stream(300)), *census((8, 12), range(20)),
+             serial_loops(150),
+             *(generate_random(GenParams(80, 3, 3, 0.05, 0.5, eb, seed))
+               for eb in (0.0, 0.5) for seed in (2, 3))]
+    keys = []
+    for g in games:
+        r = solve_topological(g, inner=inner)
+        key = [r.converged, r.lower, r.upper, r.value, sorted(r.strategy.items()),
+               r.global_lower, r.global_upper]
+        if inner == "svi":
+            key += [r.iterations, [dataclasses.astuple(t) for t in r.trace]]
+        keys.append(key)
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
