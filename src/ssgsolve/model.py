@@ -7,17 +7,23 @@ distribution. The objective is reachability: the Maximizer tries to reach a
 target state, the Minimizer tries to avoid that. A game with a single owner
 is an MDP, a game with one action everywhere is a Markov chain.
 
-Probabilities are kept as exact `Fraction`s on the model. The solvers read
-a float copy of them, `StochasticGame.rows`, which each game builds on
-first use; the exact oracle keeps the rationals. The solvers add every
-float dot product left to right from 0.0, as `dot` and `dot2` do; the
-sweep kernels of vi, bvi and svi inline that loop. Builtin `sum` adds
-floats with compensated summation from Python 3.12 on, and iteration
-counts would then depend on the interpreter.
+Probabilities are kept as exact `Fraction`s (or ints) on the model. The
+solvers read a float copy of them, `StochasticGame.rows`, which each game
+builds on first use; the exact oracle keeps the rationals. Reading a model
+checks them in integers: `scale_to_integers` puts a distribution over the
+lcm of its denominators, so "sums to 1" is a sum of ints, and a `Fraction`
+total is only built for a sum that is not 1. `parse_model` and
+`generate_random` build each distinct probability once per call.
+
+The solvers add every float dot product left to right from 0.0, as `dot`
+and `dot2` do; the sweep kernels of vi, bvi and svi inline that loop.
+Builtin `sum` adds floats with compensated summation from Python 3.12 on,
+and iteration counts would then depend on the interpreter.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +46,19 @@ PROB_SUM_TOL = 1e-9
 FloatRows = Sequence[Sequence[Sequence[tuple[int, float]]]]
 #: One state's {(i, j): ((successor, float(delta_i - delta_j)), ...)}.
 DeltaTable = dict[tuple[int, int], tuple[tuple[int, float], ...]]
+
+
+def scale_to_integers(transitions: Sequence[tuple[int, Fraction]]
+                      ) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """`(d, ((successor, num), ...))`: the transitions over the lcm d of their denominators.
+
+    `transitions` are (successor, probability) pairs, as in `Action`; each
+    `num` is the int probability * d, in transition order. The
+    probabilities sum to 1 exactly when the nums sum to d. No transitions
+    give `(1, ())`.
+    """
+    d = math.lcm(*[p.denominator for _, p in transitions])
+    return d, tuple([(t, p.numerator * (d // p.denominator)) for t, p in transitions])
 
 
 def dot(row: Sequence[tuple[int, float]], vec: Sequence[float]) -> float:
@@ -122,7 +141,8 @@ class Action:
     """A labelled action: a distribution over successor states.
 
     Transitions are (successor, probability) pairs with positive rational
-    probabilities summing to 1 (within PROB_SUM_TOL for decimal input).
+    probabilities (`Fraction`s or ints) summing to 1 (within PROB_SUM_TOL
+    for decimal input).
     """
 
     label: str
@@ -166,6 +186,13 @@ class StochasticGame:
     targets: frozenset[int]
 
     def validate(self) -> None:
+        """Raise a `ValidationError` unless the game is well formed.
+
+        Every probability must be a `Fraction` or an int in (0, 1], and each
+        action's must sum to 1, or to within PROB_SUM_TOL of it (kept as is).
+        The checks run in integers (`scale_to_integers`); `ProbabilitySum`
+        carries the exact total.
+        """
         if self.n_states <= 0:
             raise ValidationError("a game needs at least one state")
         if len(self.owner) != self.n_states or len(self.actions) != self.n_states:
@@ -182,17 +209,20 @@ class StochasticGame:
                 if act.label in seen:
                     raise ValidationError(f"state {s} repeats action label {act.label!r}")
                 seen.add(act.label)
-                if not act.transitions:
-                    raise ProbabilitySum(s, act.label, Fraction(0))
-                total = Fraction(0)
                 for succ, p in act.transitions:
                     if not 0 <= succ < self.n_states:
                         raise ValidationError(f"state {s}, action {act.label!r}: successor {succ} out of range")
-                    if not 0 < p <= 1:
+                    if not isinstance(p, (Fraction, int)):
+                        raise ValidationError(f"state {s}, action {act.label!r}: probability {p!r} "
+                                              "is not a Fraction or an int")
+                    if not 0 < p.numerator <= p.denominator:
                         raise ValidationError(f"state {s}, action {act.label!r}: probability {p} not in (0, 1]")
-                    total += p
-                if total != 1 and abs(float(total) - 1.0) > PROB_SUM_TOL:
-                    raise ProbabilitySum(s, act.label, total)
+                d, row = scale_to_integers(act.transitions)
+                num = sum([k for _, k in row])
+                if num != d:
+                    total = Fraction(num, d)
+                    if abs(float(total) - 1.0) > PROB_SUM_TOL:
+                        raise ProbabilitySum(s, act.label, total)
 
     def action_labels(self, s: int) -> tuple[str, ...]:
         return tuple(a.label for a in self.actions[s])
@@ -403,6 +433,8 @@ def parse_model(text: str) -> StochasticGame:
     comment. Probabilities are decimals or `n/d` fractions. An action whose
     probabilities sum to within PROB_SUM_TOL of 1 but not to 1 exactly is
     divided by its sum, so every parsed distribution sums to exactly 1.
+    Each distinct probability token is parsed once per call, and sums are
+    tested in integers (`scale_to_integers`).
     """
     lines = text.splitlines()
     content: list[tuple[int, str]] = []
@@ -418,8 +450,10 @@ def parse_model(text: str) -> StochasticGame:
     n_states: int | None = None
     min_states: set[int] = set()
     targets: set[int] = set()
-    # per state: list of (label, transitions list, line_no)
+    # per state: list of (label, transitions list)
     acts: dict[int, list[tuple[str, list[tuple[int, Fraction]]]]] = {}
+    labels: set[tuple[int, str]] = set()
+    probs: dict[str, Fraction] = {}  # token -> its parsed probability
     current: list[tuple[int, Fraction]] | None = None
     current_key: tuple[int, str] | None = None
 
@@ -427,8 +461,10 @@ def parse_model(text: str) -> StochasticGame:
         nonlocal current, current_key
         if current_key is not None:
             state, label = current_key
-            total = sum((p for _, p in current), Fraction(0))
-            if total != 1:
+            d, row = scale_to_integers(current)
+            num = sum([k for _, k in row])
+            if num != d:
+                total = Fraction(num, d)
                 if abs(float(total) - 1.0) > PROB_SUM_TOL:
                     raise ProbabilitySum(state, label, total)
                 current[:] = [(succ, p / total) for succ, p in current]
@@ -469,12 +505,12 @@ def parse_model(text: str) -> StochasticGame:
             if not 0 <= state < n_states:
                 raise UnknownState(line_no, state)
             label = parts[2]
-            entry = acts.setdefault(state, [])
-            if any(lbl == label for lbl, _ in entry):
-                raise DuplicateActionLabel(line_no, state, label)
-            current = []
             current_key = (state, label)
-            entry.append((label, current))
+            if current_key in labels:
+                raise DuplicateActionLabel(line_no, state, label)
+            labels.add(current_key)
+            current = []
+            acts.setdefault(state, []).append((label, current))
         elif len(parts) == 2 and current is not None:
             try:
                 succ = int(parts[0])
@@ -482,7 +518,11 @@ def parse_model(text: str) -> StochasticGame:
                 raise MalformedLine(line_no, text_line, "bad successor id") from None
             if not 0 <= succ < n_states:
                 raise UnknownState(line_no, succ)
-            current.append((succ, _parse_prob(parts[1], line_no)))
+            token = parts[1]
+            p = probs.get(token)
+            if p is None:
+                p = probs[token] = _parse_prob(token, line_no)
+            current.append((succ, p))
         else:
             raise MalformedLine(line_no, text_line)
     close_action()
@@ -507,7 +547,13 @@ def _format_prob(p: Fraction) -> str:
 
 
 def serialize_model(game: StochasticGame) -> str:
-    """Render a game in the canonical text form; parse(serialize(g)) == g."""
+    """Render a game in the canonical text form; parse(serialize(g)) == g.
+
+    An action label must be one word without `#`, as the format reads it:
+    a label that is empty or holds whitespace or `#` raises a
+    `ValidationError` naming its state. Probabilities must be `Fraction`s
+    or ints (see `StochasticGame.validate`).
+    """
     out = [FORMAT_HEADER, f"states {game.n_states}"]
     mins = sorted(s for s in range(game.n_states) if game.owner[s] == MIN)
     if mins:
@@ -516,6 +562,9 @@ def serialize_model(game: StochasticGame) -> str:
         out.append("target " + " ".join(map(str, sorted(game.targets))))
     for s in range(game.n_states):
         for act in game.actions[s]:
+            if "#" in act.label or act.label.split() != [act.label]:
+                raise ValidationError(f"state {s}: action label {act.label!r} cannot be written "
+                                      "in the text format (one word, no '#')")
             out.append(f"action {s} {act.label}")
             for succ, p in act.transitions:
                 out.append(f"{succ} {_format_prob(p)}")
@@ -561,9 +610,9 @@ def generate_random(params: GenParams) -> StochasticGame:
     """Generate a random game, deterministically from params.seed.
 
     Probabilities are small rationals (integer weights over their sum), so
-    generated models are exact-oracle friendly. With target_fraction > 0 at
-    least one target is produced. The result passes validate() but is not
-    normalized.
+    generated models are exact-oracle friendly; each distinct one is built
+    once per call and shared. With target_fraction > 0 at least one target
+    is produced. The result passes validate() but is not normalized.
     """
     params.validate()
     rng = random.Random(params.seed)
@@ -574,10 +623,12 @@ def generate_random(params: GenParams) -> StochasticGame:
         target_list = [rng.randrange(n)]
     targets = frozenset(target_list)
 
+    one = Fraction(1)
+    probs: dict[tuple[int, int], Fraction] = {}  # (weight, total) -> weight / total
     actions: list[tuple[Action, ...]] = []
     for s in range(n):
         if s in targets:
-            actions.append((Action(LOOP_LABEL, ((s, Fraction(1)),)),))
+            actions.append((Action(LOOP_LABEL, ((s, one),)),))
             continue
         n_acts = rng.randint(1, params.max_actions_per_state)
         acts = []
@@ -591,10 +642,13 @@ def generate_random(params: GenParams) -> StochasticGame:
                     succs.add(rng.randrange(n))
             weights = [rng.randint(1, 6) for _ in succs]
             total = sum(weights)
-            trans = tuple(
-                (succ, Fraction(w, total)) for succ, w in zip(sorted(succs), weights)
-            )
-            acts.append(Action(f"a{i}", trans))
+            trans = []
+            for succ, w in zip(sorted(succs), weights):
+                p = probs.get((w, total))
+                if p is None:
+                    p = probs[w, total] = Fraction(w, total)
+                trans.append((succ, p))
+            acts.append(Action(f"a{i}", tuple(trans)))
         actions.append(tuple(acts))
 
     game = StochasticGame(n, owner, tuple(actions), targets)

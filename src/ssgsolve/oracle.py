@@ -15,13 +15,12 @@ compares `Fraction` vectors. Nothing is kept on the game between calls.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 # partition_states is not called here, but perfbench/layers.py wraps it under this name
-from .model import MAX, MIN, StochasticGame, partition_states  # noqa: F401
+from .model import MAX, MIN, StochasticGame, partition_states, scale_to_integers  # noqa: F401
 
 
 class TooLarge(ValueError):
@@ -65,15 +64,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 def _int_rows(game: StochasticGame) -> list[list[IntRow]]:
     """Every action's transitions scaled by the lcm of its denominators."""
-    rows = []
-    for acts in game.actions:
-        per_state = []
-        for act in acts:
-            d = math.lcm(*(p.denominator for _, p in act.transitions))
-            per_state.append((d, tuple((t, p.numerator * (d // p.denominator))
-                                       for t, p in act.transitions)))
-        rows.append(per_state)
-    return rows
+    return [[scale_to_integers(act.transitions) for act in acts] for acts in game.actions]
 
 
 def _chain_step(rows: list[list[IntRow]], choice: dict[int, int]) -> list[IntRow]:

@@ -1,7 +1,10 @@
 """Helpers shared by the test modules."""
 
-from ssgsolve.model import (MAX, Action, GenParams, StatePartition, StochasticGame, dot, dot2,
-                            generate_random, normalize, partition_states)
+import random
+from fractions import Fraction
+
+from ssgsolve.model import (MAX, PROB_SUM_TOL, Action, GenParams, StatePartition, StochasticGame,
+                            dot, dot2, generate_random, normalize, partition_states)
 from ssgsolve.oracle import exact_value
 from ssgsolve.svi import start_vector
 
@@ -33,14 +36,49 @@ def permute_states(game, perm):
                           frozenset(perm[t] for t in game.targets))
 
 
-def census(sizes, seeds):
-    """The census games of the given sizes and seeds, at the three (target fraction, ec_bias) pairs."""
+def census_params(sizes, seeds):
+    """The census GenParams of the given sizes and seeds, at the three (target fraction, ec_bias) pairs."""
     for n in sizes:
         for seed in seeds:
             for tf, eb in ((0.1, 0.0), (0.1, 0.5), (0.05, 1.0)):
-                yield normalize(generate_random(GenParams(
-                    n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
-                    target_fraction=tf, ec_bias=eb)))
+                yield GenParams(n_states=n, seed=seed, max_actions_per_state=3, max_branching=3,
+                                target_fraction=tf, ec_bias=eb)
+
+
+def census(sizes, seeds):
+    """The census games of the given sizes and seeds, normalized."""
+    for params in census_params(sizes, seeds):
+        yield normalize(generate_random(params))
+
+
+def fuzz_stream_params(count):
+    """The first `count` GenParams of the stream `run_fuzz(count, 0, max_states=12)` draws."""
+    rng = random.Random(0)
+    for _ in range(count):
+        yield GenParams(
+            n_states=rng.randint(2, 12),
+            max_actions_per_state=rng.randint(1, 3),
+            max_branching=rng.randint(1, 3),
+            target_fraction=rng.choice([0.1, 0.2, 0.4]),
+            min_player_fraction=rng.choice([0.3, 0.5, 0.7]),
+            ec_bias=rng.choice([0.0, 0.3, 0.7, 1.0]),
+            seed=rng.randrange(2**31),
+        )
+
+
+def distribution_fault(probs):
+    """Why `StochasticGame.validate` rejects these probabilities, worked out by adding Fractions.
+
+    "range" if one is outside (0, 1], else the exact total if it is neither
+    1 nor within PROB_SUM_TOL of 1, else None. The reference for the
+    integer checks of `validate`.
+    """
+    if any(not 0 < p <= 1 for p in probs):
+        return "range"
+    total = sum(probs, Fraction(0))
+    if total != 1 and abs(float(total) - 1.0) > PROB_SUM_TOL:
+        return total
+    return None
 
 
 def reach_by_predecessor_sets(game):

@@ -1,6 +1,8 @@
 """Model layer: text format, validation, normalization, partition, generator."""
 
 import dataclasses
+import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from ssgsolve.model import (
     StatePartition,
     StochasticGame,
     UnknownState,
+    ValidationError,
     generate_random,
     normalize,
     parse_model,
@@ -25,6 +28,8 @@ from ssgsolve.model import (
     serialize_model,
 )
 from ssgsolve.presets import ALL_PRESETS, cycle_with_sink_exit, exit_seesaw, slow_loop
+
+from _util import census_params, fuzz_stream_params
 
 MINIMAL = """\
 ssg 1
@@ -105,6 +110,20 @@ def test_parse_divides_a_near_one_sum_out():
     assert sum(p for _, p in act.transitions) == 1
 
 
+def test_parse_duplicate_label_after_another_action():
+    text = "ssg 1\nstates 2\ntarget 1\naction 0 a\n  1 1\naction 1 a\n  1 1\naction 0 a\n  0 1\n"
+    with pytest.raises(DuplicateActionLabel) as exc:
+        parse_model(text)
+    assert (exc.value.line_no, exc.value.state, exc.value.label) == (8, 0, "a")
+
+
+def test_parse_shares_one_fraction_per_token():
+    g = parse_model("ssg 1\nstates 2\ntarget 1\naction 0 a\n  0 1/2\n  1 1/2\naction 0 b\n  1 0.5\n  0 1/2\n")
+    (_, p), (_, q) = g.actions[0][0].transitions
+    (_, r), (_, t) = g.actions[0][1].transitions
+    assert p is q is t and r == p and r is not p  # "0.5" is another token
+
+
 def test_parse_probability_out_of_range():
     with pytest.raises(BadProbability):
         parse_model("ssg 1\nstates 2\ntarget 1\naction 0 a\n  0 -0.5\n  1 1.5\n")
@@ -130,6 +149,17 @@ def test_serialize_parse_round_trip_on_generated():
     for seed in range(12):
         g = generate_random(GenParams(n_states=6, max_actions_per_state=3, seed=seed))
         assert parse_model(serialize_model(g)) == g
+
+
+def test_ingestion_matches_the_golden_digest():
+    # 540 generated games and their text round trips, frozen while validate,
+    # parse_model and generate_random still added Fractions
+    h = hashlib.sha256()
+    for params in [*fuzz_stream_params(300), *census_params((8, 12), range(20))]:
+        g = generate_random(params)
+        h.update(repr(g).encode())
+        h.update(repr(parse_model(serialize_model(g))).encode())
+    assert h.hexdigest() == "cdf4d0dc87786afdcad505f2459e295641123208613e97d727709256ebae6372"
 
 
 def test_normalize_installs_self_loops():
@@ -318,6 +348,46 @@ def test_is_normalized_is_worked_out_once_per_game():
     # a replaced game answers for itself, not with the parent's cached answer
     h = dataclasses.replace(g, actions=normalize(g).actions)
     assert h.is_normalized() and not g.is_normalized()
+
+
+def _one_action_game(transitions, label="a"):
+    return StochasticGame(2, (MAX, MAX), ((Action(label, transitions),), ()), frozenset({1}))
+
+
+def test_validate_reports_the_exact_total():
+    with pytest.raises(ProbabilitySum) as exc:
+        _one_action_game(((0, Fraction(1, 3)), (1, Fraction(1, 2)))).validate()
+    assert (exc.value.state, exc.value.label, exc.value.total) == (0, "a", Fraction(5, 6))
+    assert type(exc.value.total) is Fraction
+    with pytest.raises(ProbabilitySum) as exc:
+        _one_action_game(()).validate()
+    assert exc.value.total == 0
+
+
+def test_validate_keeps_a_sum_within_the_tolerance():
+    near = _one_action_game(((0, Fraction(1)), (1, Fraction(1, 10**10))))
+    near.validate()  # a game built directly keeps its near-1 sum; only the parser divides it out
+    with pytest.raises(ProbabilitySum) as exc:
+        _one_action_game(((0, Fraction(1)), (1, Fraction(1, 10**8)))).validate()
+    assert exc.value.total == 1 + Fraction(1, 10**8)
+
+
+def test_validate_rejects_a_zero_probability():
+    with pytest.raises(ValidationError, match=r"state 0, action 'a': probability 0 not in \(0, 1\]"):
+        _one_action_game(((0, Fraction(0)), (1, Fraction(1)))).validate()
+
+
+def test_validate_rejects_float_probabilities():
+    with pytest.raises(ValidationError, match=r"state 0, action 'a': probability 0\.5 is not a Fraction"):
+        _one_action_game(((0, 0.5), (1, 0.5))).validate()
+    _one_action_game(((1, 1),)).validate()  # an int is exact
+
+
+@pytest.mark.parametrize("label", ["a#b", "a b", "a\tb", ""])
+def test_serialize_refuses_labels_the_format_cannot_carry(label):
+    # "a#b" would read back as "a", the others as a MalformedLine
+    with pytest.raises(ValidationError, match=re.escape(f"state 0: action label {label!r} cannot")):
+        serialize_model(_one_action_game(((1, Fraction(1)),), label))
 
 
 def test_game_validate_rejects_bad_owner():

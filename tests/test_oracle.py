@@ -39,7 +39,7 @@ from ssgsolve.presets import (
     two_route_choice,
 )
 
-from _util import census, certificate_faults
+from _util import census, certificate_faults, fuzz_stream_params
 
 F = Fraction
 
@@ -102,18 +102,8 @@ def test_strategy_sites_do_not_come_from_the_partition():
 
 
 def _fuzz_stream(count):
-    """The first `count` games of the stream `run_fuzz(count, 0, max_states=12)` draws."""
-    rng = random.Random(0)
-    for _ in range(count):
-        yield normalize(generate_random(GenParams(
-            n_states=rng.randint(2, 12),
-            max_actions_per_state=rng.randint(1, 3),
-            max_branching=rng.randint(1, 3),
-            target_fraction=rng.choice([0.1, 0.2, 0.4]),
-            min_player_fraction=rng.choice([0.3, 0.5, 0.7]),
-            ec_bias=rng.choice([0.0, 0.3, 0.7, 1.0]),
-            seed=rng.randrange(2**31),
-        )))
+    """The first `count` games of the stream `run_fuzz(count, 0, max_states=12)` draws, normalized."""
+    return (normalize(generate_random(p)) for p in fuzz_stream_params(count))
 
 
 def test_exact_results_match_the_golden_digest():

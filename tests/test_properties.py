@@ -1,17 +1,20 @@
 """Randomized invariant checks over generated games."""
 
+from fractions import Fraction
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssgsolve.baselines import deflate, solve_bvi
 from ssgsolve.graph import mec_decompose, trap_states
-from ssgsolve.model import GenParams, generate_random, normalize, parse_model, \
-    partition_states, serialize_model
+from ssgsolve.model import MAX, Action, GenParams, ProbabilitySum, StochasticGame, ValidationError, \
+    generate_random, normalize, parse_model, partition_states, scale_to_integers, serialize_model
 from ssgsolve.oracle import exact_value, k_step_oracle
 from ssgsolve.svi import solve_svi
 
-from _util import exact_floats
+from _util import distribution_fault, exact_floats
 
 EPS = 1e-6
 SLACK = 1e-9
@@ -35,6 +38,40 @@ def games(draw, max_states=7, max_actions=3):
 @given(games())
 def test_serialize_parse_round_trip(g):
     assert parse_model(serialize_model(g)) == g
+
+
+@st.composite
+def distributions(draw):
+    """Probabilities summing to 1 exactly, to within about 1e-8 .. 1e-12 of 1, or to anything."""
+    weights = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    kind = draw(st.sampled_from(["exact", "near", "wrong"]))
+    if kind == "wrong":
+        return [Fraction(w, draw(st.integers(1, 90))) for w in weights]
+    probs = [Fraction(w, sum(weights)) for w in weights]
+    if kind == "near":
+        delta = Fraction(draw(st.integers(-9, 9)), 10 ** draw(st.integers(8, 12)))
+        probs = [p * (1 + delta) for p in probs]
+    return probs
+
+
+@settings(deadline=None, max_examples=300)
+@given(distributions())
+def test_integer_checks_agree_with_fraction_sums(probs):
+    transitions = tuple(enumerate(probs))
+    d, row = scale_to_integers(transitions)
+    assert [(t, Fraction(k, d)) for t, k in row] == list(transitions)
+    game = StochasticGame(len(probs), (MAX,) * len(probs),
+                          ((Action("a", transitions),),) + ((),) * (len(probs) - 1), frozenset())
+    want = distribution_fault(probs)
+    if want is None:
+        game.validate()
+    elif want == "range":
+        with pytest.raises(ValidationError, match=r"not in \(0, 1\]"):
+            game.validate()
+    else:
+        with pytest.raises(ProbabilitySum) as exc:
+            game.validate()
+        assert exc.value.total == want and type(exc.value.total) is Fraction
 
 
 @settings(deadline=None, max_examples=60)

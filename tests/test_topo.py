@@ -20,7 +20,7 @@ from ssgsolve.presets import (
     slow_loop,
 )
 
-from _util import census, exact_floats, max_err
+from _util import census, exact_floats, fuzz_stream_params, max_err
 
 
 # `loop_with_bypass` with the relay 2 made a coin flip between the target
@@ -391,13 +391,7 @@ def test_component_mixing_a_trap_with_undecided_states():
 
 def _oracle_sized_stream(count):
     """The first `count` games that `run_fuzz(count, 0, max_states=12)` draws."""
-    rng = random.Random(0)
-    for _ in range(count):
-        yield generate_random(GenParams(
-            n_states=rng.randint(2, 12), max_actions_per_state=rng.randint(1, 3),
-            max_branching=rng.randint(1, 3), target_fraction=rng.choice([0.1, 0.2, 0.4]),
-            min_player_fraction=rng.choice([0.3, 0.5, 0.7]),
-            ec_bias=rng.choice([0.0, 0.3, 0.7, 1.0]), seed=rng.randrange(2**31)))
+    return map(generate_random, fuzz_stream_params(count))
 
 
 def test_plan_digest_of_the_census_and_the_benchmark_families():
