@@ -12,8 +12,12 @@ solvers read a float copy of them, `StochasticGame.rows`, which each game
 builds on first use; the exact oracle keeps the rationals. Reading a model
 checks them in integers: `scale_to_integers` puts a distribution over the
 lcm of its denominators, so "sums to 1" is a sum of ints, and a `Fraction`
-total is only built for a sum that is not 1. `parse_model` and
-`generate_random` build each distinct probability once per call.
+total is only built for a sum that is not 1. Each action's probabilities
+sum to exactly 1: `validate` refuses any other sum, and `parse_model` is
+the one place that rounds, dividing a decimal sum near 1 out.
+`parse_model` and `generate_random` check or build every fact `validate`
+tests, so neither calls it, and each builds every distinct probability
+once per call.
 
 The solvers add every float dot product left to right from 0.0, as `dot`
 and `dot2` do; the sweep kernels of vi, bvi and svi inline that loop.
@@ -40,6 +44,7 @@ FORMAT_HEADER = "ssg 1"
 #: Action label used for self-loops installed by `normalize`.
 LOOP_LABEL = "loop"
 
+#: How far from 1 `parse_model` lets a decimal sum be before it divides it out.
 PROB_SUM_TOL = 1e-9
 
 #: Float transitions indexed [state][action position], in transition order.
@@ -141,8 +146,7 @@ class Action:
     """A labelled action: a distribution over successor states.
 
     Transitions are (successor, probability) pairs with positive rational
-    probabilities (`Fraction`s or ints) summing to 1 (within PROB_SUM_TOL
-    for decimal input).
+    probabilities (`Fraction`s or ints) summing to exactly 1.
     """
 
     label: str
@@ -189,9 +193,9 @@ class StochasticGame:
         """Raise a `ValidationError` unless the game is well formed.
 
         Every probability must be a `Fraction` or an int in (0, 1], and each
-        action's must sum to 1, or to within PROB_SUM_TOL of it (kept as is).
-        The checks run in integers (`scale_to_integers`); `ProbabilitySum`
-        carries the exact total.
+        action's must sum to exactly 1: the exact oracle's chain solve relies
+        on it. The checks run in integers (`scale_to_integers`);
+        `ProbabilitySum` carries the exact total of any other sum.
         """
         if self.n_states <= 0:
             raise ValidationError("a game needs at least one state")
@@ -220,9 +224,7 @@ class StochasticGame:
                 d, row = scale_to_integers(act.transitions)
                 num = sum([k for _, k in row])
                 if num != d:
-                    total = Fraction(num, d)
-                    if abs(float(total) - 1.0) > PROB_SUM_TOL:
-                        raise ProbabilitySum(s, act.label, total)
+                    raise ProbabilitySum(s, act.label, Fraction(num, d))
 
     def action_labels(self, s: int) -> tuple[str, ...]:
         return tuple(a.label for a in self.actions[s])
@@ -434,7 +436,8 @@ def parse_model(text: str) -> StochasticGame:
     probabilities sum to within PROB_SUM_TOL of 1 but not to 1 exactly is
     divided by its sum, so every parsed distribution sums to exactly 1.
     Each distinct probability token is parsed once per call, and sums are
-    tested in integers (`scale_to_integers`).
+    tested in integers (`scale_to_integers`). Every check of `validate` is
+    made here, line by line, so the game is not validated again.
     """
     lines = text.splitlines()
     content: list[tuple[int, str]] = []
@@ -498,12 +501,7 @@ def parse_model(text: str) -> StochasticGame:
             close_action()
             if len(parts) != 3:
                 raise MalformedLine(line_no, text_line, "expected 'action <state> <label>'")
-            try:
-                state = int(parts[1])
-            except ValueError:
-                raise MalformedLine(line_no, text_line, "bad state id") from None
-            if not 0 <= state < n_states:
-                raise UnknownState(line_no, state)
+            state, = _parse_ids(parts[1:2], line_no, text_line, n_states)
             label = parts[2]
             current_key = (state, label)
             if current_key in labels:
@@ -512,12 +510,7 @@ def parse_model(text: str) -> StochasticGame:
             current = []
             acts.setdefault(state, []).append((label, current))
         elif len(parts) == 2 and current is not None:
-            try:
-                succ = int(parts[0])
-            except ValueError:
-                raise MalformedLine(line_no, text_line, "bad successor id") from None
-            if not 0 <= succ < n_states:
-                raise UnknownState(line_no, succ)
+            succ, = _parse_ids(parts[:1], line_no, text_line, n_states)
             token = parts[1]
             p = probs.get(token)
             if p is None:
@@ -528,16 +521,14 @@ def parse_model(text: str) -> StochasticGame:
     close_action()
 
     if n_states is None:
-        raise MissingHeader()
+        raise ParseError("missing the 'states N' line after the header")
 
     owner = tuple(MIN if s in min_states else MAX for s in range(n_states))
     actions = tuple(
         tuple(Action(lbl, tuple(trans)) for lbl, trans in acts.get(s, []))
         for s in range(n_states)
     )
-    game = StochasticGame(n_states, owner, actions, frozenset(targets))
-    game.validate()
-    return game
+    return StochasticGame(n_states, owner, actions, frozenset(targets))
 
 
 def _format_prob(p: Fraction) -> str:
@@ -612,7 +603,8 @@ def generate_random(params: GenParams) -> StochasticGame:
     Probabilities are small rationals (integer weights over their sum), so
     generated models are exact-oracle friendly; each distinct one is built
     once per call and shared. With target_fraction > 0 at least one target
-    is produced. The result passes validate() but is not normalized.
+    is produced. Each action's weights are divided by their own sum, so
+    the result passes validate() without being checked by it.
     """
     params.validate()
     rng = random.Random(params.seed)
@@ -651,6 +643,4 @@ def generate_random(params: GenParams) -> StochasticGame:
             acts.append(Action(f"a{i}", tuple(trans)))
         actions.append(tuple(acts))
 
-    game = StochasticGame(n, owner, tuple(actions), targets)
-    game.validate()
-    return game
+    return StochasticGame(n, owner, tuple(actions), targets)

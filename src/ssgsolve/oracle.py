@@ -79,18 +79,22 @@ def _chain_reach(rows: list[IntRow], targets: set[int]) -> tuple[list[int], int]
     nums[s] / det, over one common denominator det > 0. A target's
     numerator is det, and a state with no path to a target gets 0. The
     other non-target states ("free") give the system d_s x_s - sum(num x_t
-    over free t) = sum(num over target t), uniquely solvable when rows sum
-    to 1. Bareiss's fraction-free elimination solves it in integers: every
-    division is exact, and each numerator comes out of the
-    back-substitution by Cramer's rule, over the last pivot. That pivot is
-    the determinant of the system with its rows as pivoting swapped them,
-    so it can be negative; det is its absolute value, and the numerators
-    take the same sign flip. A row with a zero in the pivot column would
-    only be scaled by the ratio of two pivots, so it is left alone and the
-    scale is paid on its next use (the ratios telescope). The free states
-    are taken in reverse order of discovery by the backward search, which
-    puts most states before their successors and leaves little to
-    eliminate.
+    over free t) = sum(num over target t). The rows must come from a game
+    that passes `StochasticGame.validate`, so a row's nums sum to its d_s:
+    the matrix is then weakly chained diagonally dominant (no positive
+    entry off the diagonal, each row's diagonal at least the rest of it,
+    strictly in a row that leaves the free states, which every free state
+    has a path to), a nonsingular M-matrix. Its leading principal minors
+    are positive (Berman & Plemmons, "Nonnegative Matrices in the
+    Mathematical Sciences", 1994, ch. 6), and they are the pivots of
+    Bareiss's fraction-free elimination, so it needs no row swap, every
+    division is exact and the last pivot is det. Each numerator comes out
+    of the back-substitution by Cramer's rule, over det. A row with a zero
+    in the pivot column would only be scaled by the ratio of two pivots,
+    so it is left alone and the scale is paid on its next use (the ratios
+    telescope). The free states are taken in reverse order of discovery by
+    the backward search, which puts most states before their successors
+    and leaves little to eliminate.
     """
     n = len(rows)
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -124,10 +128,6 @@ def _chain_reach(rows: list[IntRow], targets: set[int]) -> tuple[list[int], int]
     pivots = [1]
     done = [0] * m
     for k in range(m):
-        if not mat[k][k]:
-            piv = next(r for r in range(k + 1, m) if mat[r][k])
-            mat[k], mat[piv] = mat[piv], mat[k]
-            done[k], done[piv] = done[piv], done[k]
         top = mat[k]
         if done[k] != k:
             up, down = pivots[k], pivots[done[k]]
@@ -153,9 +153,6 @@ def _chain_reach(rows: list[IntRow], targets: set[int]) -> tuple[list[int], int]
             if r[j]:
                 acc -= r[j] * x[j]
         x[i] = acc // r[i]
-    if det < 0:
-        det = -det
-        x = [-v for v in x]
     nums = [0] * n
     for t in targets:
         nums[t] = det
@@ -170,7 +167,11 @@ def _fractions(nums: list[int], det: int) -> list[Fraction]:
 
 
 def chain_reachability(game: StochasticGame) -> list[Fraction]:
-    """Exact target-reachability probabilities of a one-action-per-state game."""
+    """Exact target-reachability probabilities of a one-action-per-state game.
+
+    The game must pass `validate()`: the chain solve relies on every row
+    summing to exactly 1 (see `_chain_reach`).
+    """
     _single_actions(game)
     return _fractions(*_chain_reach(_chain_step(_int_rows(game), {}), set(game.targets)))
 
@@ -340,6 +341,8 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     The strategy sites are the non-target states in `game.can_reach` with
     a choice, not the partition's unknown states: this reference checks
     the partition's trap and value-1 analysis and must not rely on it.
+    The game must pass `validate()`, as every parsed and generated game
+    does: each chain solve relies on rows that sum to exactly 1.
 
     Raises TooLarge beyond max_states states, or under order="minmax"
     beyond max_pairs strategy pairs (strategy iteration takes a few chain

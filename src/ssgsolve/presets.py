@@ -52,6 +52,8 @@ def serial_loops(k: int = 3, p: str = "0.98", r: str = "0.01") -> StochasticGame
     """
     p_, r_ = Fraction(p), Fraction(r)
     q = 1 - p_ - r_
+    if q < 0:
+        raise ValueError("need p + r <= 1")
     target, sink = k, k + 1
     actions = {}
     for i in range(k):
@@ -275,7 +277,7 @@ def shifting_preference() -> StochasticGame:
     )
 
 
-#: Builders indexed by name, handy for demos and the CLI `gen --preset` flow.
+#: Builders indexed by name.
 ALL_PRESETS = {
     "slow_loop": slow_loop,
     "serial_loops": serial_loops,

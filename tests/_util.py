@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from ssgsolve.model import (MAX, PROB_SUM_TOL, Action, GenParams, StatePartition, StochasticGame,
+from ssgsolve.model import (MAX, Action, GenParams, StatePartition, StochasticGame,
                             dot, dot2, generate_random, normalize, partition_states)
 from ssgsolve.oracle import exact_value
 from ssgsolve.svi import start_vector
@@ -69,16 +69,14 @@ def fuzz_stream_params(count):
 def distribution_fault(probs):
     """Why `StochasticGame.validate` rejects these probabilities, worked out by adding Fractions.
 
-    "range" if one is outside (0, 1], else the exact total if it is neither
-    1 nor within PROB_SUM_TOL of 1, else None. The reference for the
-    integer checks of `validate`.
+    "range" if one is outside (0, 1], else the exact total if it is not
+    exactly 1, however close, else None. The reference for the integer
+    checks of `validate`.
     """
     if any(not 0 < p <= 1 for p in probs):
         return "range"
     total = sum(probs, Fraction(0))
-    if total != 1 and abs(float(total) - 1.0) > PROB_SUM_TOL:
-        return total
-    return None
+    return None if total == 1 else total
 
 
 def reach_by_predecessor_sets(game):

@@ -171,6 +171,13 @@ def test_solve_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_header_without_states_line_is_a_parse_error(tmp_path, capsys):
+    bare = tmp_path / "bare.ssg"
+    bare.write_text("ssg 1\n# nothing else\n")
+    assert main(["solve", str(bare)]) == EXIT_PARSE
+    assert "missing the 'states N' line" in capsys.readouterr().err
+
+
 def test_solve_missing_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "gone.ssg")]) == EXIT_PARSE
     assert "error:" in capsys.readouterr().err

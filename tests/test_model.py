@@ -16,6 +16,7 @@ from ssgsolve.model import (
     GenParams,
     MalformedLine,
     MissingHeader,
+    ParseError,
     ProbabilitySum,
     StatePartition,
     StochasticGame,
@@ -72,6 +73,13 @@ def test_parse_missing_header():
         parse_model("states 2\ntarget 1\n")
 
 
+def test_parse_header_without_states_line():
+    # the header is there, so the error names what is missing instead
+    with pytest.raises(ParseError, match=r"missing the 'states N' line") as exc:
+        parse_model("ssg 1\n# only a comment\n")
+    assert not isinstance(exc.value, MissingHeader)
+
+
 def test_parse_content_before_states_line():
     with pytest.raises(MalformedLine) as exc:
         parse_model("ssg 1\ntarget 1\n")
@@ -84,6 +92,20 @@ def test_parse_unknown_state_reference():
     assert exc.value.state == 5
     with pytest.raises(UnknownState):
         parse_model("ssg 1\nstates 2\naction 7 a\n  0 1\n")
+    with pytest.raises(UnknownState) as exc:
+        parse_model("ssg 1\nstates 2\naction 0 a\n  2 1\n")
+    assert (exc.value.line_no, exc.value.state) == (4, 2)
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("ssg 1\nstates 2\ntarget x\n", 3),
+    ("ssg 1\nstates 2\naction x a\n  0 1\n", 3),
+    ("ssg 1\nstates 2\naction 0 a\n  x 1\n", 4),
+])
+def test_parse_reads_every_state_id_alike(text, line_no):
+    with pytest.raises(MalformedLine, match="'x' is not a state id") as exc:
+        parse_model(text)
+    assert exc.value.line_no == line_no
 
 
 def test_parse_duplicate_action_label():
@@ -364,12 +386,14 @@ def test_validate_reports_the_exact_total():
     assert exc.value.total == 0
 
 
-def test_validate_keeps_a_sum_within_the_tolerance():
-    near = _one_action_game(((0, Fraction(1)), (1, Fraction(1, 10**10))))
-    near.validate()  # a game built directly keeps its near-1 sum; only the parser divides it out
-    with pytest.raises(ProbabilitySum) as exc:
-        _one_action_game(((0, Fraction(1)), (1, Fraction(1, 10**8)))).validate()
-    assert exc.value.total == 1 + Fraction(1, 10**8)
+def test_validate_refuses_a_sum_however_close_to_one():
+    # only the parser rounds: a game built directly must sum to exactly 1
+    tiny = Fraction(1, 10**10)
+    for transitions, total in ((((0, Fraction(1)), (1, tiny)), 1 + tiny),
+                               (((0, 1 - 2 * tiny), (1, tiny)), 1 - tiny)):
+        with pytest.raises(ProbabilitySum) as exc:
+            _one_action_game(transitions).validate()
+        assert exc.value.total == total
 
 
 def test_validate_rejects_a_zero_probability():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssgsolve.baselines import deflate, solve_bvi
@@ -37,12 +37,19 @@ def games(draw, max_states=7, max_actions=3):
 @settings(deadline=None, max_examples=60)
 @given(games())
 def test_serialize_parse_round_trip(g):
-    assert parse_model(serialize_model(g)) == g
+    # neither generate_random nor parse_model calls validate: their output must pass it
+    g.validate()
+    back = parse_model(serialize_model(g))
+    back.validate()
+    assert back == g
 
 
 @st.composite
 def distributions(draw):
-    """Probabilities summing to 1 exactly, to within about 1e-8 .. 1e-12 of 1, or to anything."""
+    """Probabilities summing to 1 exactly, to within about 1e-8 .. 1e-12 of 1, or to anything.
+
+    Only the exact ones pass `validate`; it refuses the near ones too.
+    """
     weights = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
     kind = draw(st.sampled_from(["exact", "near", "wrong"]))
     if kind == "wrong":
@@ -72,6 +79,27 @@ def test_integer_checks_agree_with_fraction_sums(probs):
         with pytest.raises(ProbabilitySum) as exc:
             game.validate()
         assert exc.value.total == want and type(exc.value.total) is Fraction
+
+
+@st.composite
+def parseable_distributions(draw):
+    """Probabilities summing to 1 exactly or to within PROB_SUM_TOL of it, each in (0, 1]."""
+    weights = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    scale = 1 + Fraction(draw(st.integers(-9, 9)), 10 ** draw(st.integers(10, 12)))
+    probs = [Fraction(w, sum(weights)) * scale for w in weights]
+    assume(max(probs) <= 1)
+    return probs
+
+
+@settings(deadline=None, max_examples=200)
+@given(parseable_distributions())
+def test_parsed_distributions_are_exact(probs):
+    text = f"ssg 1\nstates {len(probs)}\naction 0 a\n" + "".join(
+        f"  {t} {p.numerator}/{p.denominator}\n" for t, p in enumerate(probs))
+    game = parse_model(text)
+    game.validate()
+    total = sum(probs)
+    assert game.actions[0][0].transitions == tuple((t, p / total) for t, p in enumerate(probs))
 
 
 @settings(deadline=None, max_examples=60)
