@@ -28,10 +28,10 @@ from .model import (
     partition_states,
     serialize_model,
 )
-from .oracle import ExactResult, TooLarge, chain_reachability, exact_value, k_step_oracle
+from .oracle import ExactResult, TooLarge, exact_value
 from .results import SolveResult, TraceEntry
-from .svi import DELAY, GlobalBounds, ReachStayVector, solve_svi
-from .topo import SccPlan, build_plan, solve_topological
+from .svi import solve_svi
+from .topo import build_plan, solve_topological
 
 __version__ = "0.1.0"
 
@@ -40,15 +40,11 @@ __all__ = [
     "MIN",
     "Action",
     "Counterexample",
-    "DELAY",
     "ExactResult",
     "FuzzReport",
     "GenParams",
-    "GlobalBounds",
     "ModelError",
     "ParseError",
-    "ReachStayVector",
-    "SccPlan",
     "SolveResult",
     "StatePartition",
     "StochasticGame",
@@ -57,11 +53,9 @@ __all__ = [
     "ValidationError",
     "best_exits",
     "build_plan",
-    "chain_reachability",
     "deflate",
     "exact_value",
     "generate_random",
-    "k_step_oracle",
     "mec_decompose",
     "normalize",
     "parse_model",

@@ -7,10 +7,13 @@ model). Exit codes: 0 success, 1 fuzz found a counterexample, 2 unreadable
 or unparseable model (a missing file or one that is not UTF-8 text
 included) or bad arguments (argparse's usage errors, such as an --eps
 that is not positive, a negative --max-iters, a fuzz --max-states below
-2 or gen parameters out of range), 3 a model that parses but fails
-validation, 4 solver hit the iteration cap, 5 model too
+2, a negative fuzz --count or --sample-iters, a fuzz --algos entry other
+than svi, bvi or topo, or gen parameters out of range), 3 a model that
+parses but fails validation, 4 solver hit the iteration cap, 5 model too
 large for the exact oracle (more than 12 states, or under --order minmax
-more than 10^7 strategy pairs), 141 stdout closed early (a broken pipe, as in
+more than 10^7 strategy pairs), 6 an output file could not be written
+(solve or oracle --json, gen -o, fuzz --out; what went to stdout before
+stays printed), 141 stdout closed early (a broken pipe, as in
 `ssgsolve solve model.ssg | head`).
 """
 
@@ -24,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .baselines import UNSOUND_NOTE, solve_bvi, solve_vi
-from .fuzz import run_fuzz
+from .fuzz import ALGORITHMS, run_fuzz
 from .model import (
     GenParams,
     ModelError,
@@ -48,6 +51,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_TOO_LARGE = 5
+EXIT_WRITE = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 CSV_HEADER = "model,algorithm,iterations,converged,wall_ms,max_gap"
@@ -61,7 +65,13 @@ def _read_model(path: str) -> StochasticGame:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     return normalize(parse_model(text))
+
+
+def _algo_names(text: str) -> list[str]:
+    return [a.strip() for a in text.split(",") if a.strip()]
 
 
 def _run_algorithm(game: StochasticGame, args: argparse.Namespace) -> SolveResult:
@@ -148,12 +158,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    algos = _algo_names(args.algos)
     print(CSV_HEADER)
     for path in args.models:
         try:
             game = _read_model(path)
-        except (ModelError, OSError) as exc:
+        except ModelError as exc:
             print(f"note: {path}: {exc}", file=sys.stderr)
             for algo in algos:
                 print(f"{path},{algo},0,false,0.000,")
@@ -179,10 +189,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
     report = run_fuzz(
         args.count, args.seed, max_states=args.max_states, eps=args.eps,
-        algorithms=algos, sample_iters=args.sample_iters, out_dir=args.out,
+        algorithms=_algo_names(args.algos), sample_iters=args.sample_iters, out_dir=args.out,
     )
     print(f"checked={report.checked} skipped={report.skipped} failures={len(report.failures)}")
     for ce in report.failures:
@@ -293,8 +302,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--eps must be positive")
     if getattr(args, "max_iters", 0) < 0:
         parser.error("--max-iters must not be negative")
-    if args.command == "fuzz" and args.max_states < 2:
-        parser.error("--max-states must be at least 2")
+    if args.command == "fuzz":
+        if args.max_states < 2:
+            parser.error("--max-states must be at least 2")
+        for name in ("count", "sample_iters"):
+            if getattr(args, name) < 0:
+                parser.error(f"--{name.replace('_', '-')} must not be negative")
+        for algo in _algo_names(args.algos):
+            if algo not in ALGORITHMS:
+                parser.error(f"unknown --algos entry {algo!r}; known: {', '.join(ALGORITHMS)}")
     if args.command == "gen":
         try:
             _gen_params(args).validate()
@@ -313,9 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except OSError as exc:  # reading a model raises ParseError, so this is a write
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_WRITE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

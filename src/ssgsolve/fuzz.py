@@ -25,6 +25,9 @@ from .topo import solve_topological
 
 SLACK = 1e-9
 
+#: The solvers `run_fuzz` can check, by the names its `algorithms` take.
+ALGORITHMS = ("svi", "bvi", "topo")
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -170,8 +173,23 @@ def shrink(game: StochasticGame, still_fails: Callable[[StochasticGame], bool],
     return current
 
 
+def stream_params(count: int, seed: int, max_states: int) -> Iterator[GenParams]:
+    """The `GenParams` of the first `count` games `run_fuzz(count, seed, max_states=...)` draws."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield GenParams(
+            n_states=rng.randint(2, max_states),
+            max_actions_per_state=rng.randint(1, 3),
+            max_branching=rng.randint(1, 3),
+            target_fraction=rng.choice([0.1, 0.2, 0.4]),
+            min_player_fraction=rng.choice([0.3, 0.5, 0.7]),
+            ec_bias=rng.choice([0.0, 0.3, 0.7, 1.0]),
+            seed=rng.randrange(2**31),
+        )
+
+
 def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
-             algorithms: Sequence[str] = ("svi", "bvi", "topo"),
+             algorithms: Sequence[str] = ALGORITHMS,
              extra_models: Sequence[StochasticGame] = (),
              overrides: Mapping[str, dict] | None = None,
              sample_iters: int = 10,
@@ -183,9 +201,12 @@ def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
     checks); `overrides` passes extra keyword arguments to specific
     solvers, which is how the acceptance suite checks that a deliberately
     weakened solver is caught. Failing models and their shrunk versions
-    are written to `out_dir` when given.
+    are written to `out_dir` when given. Raises ValueError, before any
+    game is drawn, for an algorithm not in `ALGORITHMS`.
     """
-    rng = random.Random(seed)
+    unknown = [a for a in algorithms if a not in ALGORITHMS]
+    if unknown:
+        raise ValueError(f"unknown algorithm {unknown[0]!r}; known: {', '.join(ALGORITHMS)}")
     report = FuzzReport()
     overrides = overrides or {}
 
@@ -229,15 +250,6 @@ def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
 
     for i, game in enumerate(extra_models):
         handle(-1 - i, game)
-    for i in range(count):
-        params = GenParams(
-            n_states=rng.randint(2, max_states),
-            max_actions_per_state=rng.randint(1, 3),
-            max_branching=rng.randint(1, 3),
-            target_fraction=rng.choice([0.1, 0.2, 0.4]),
-            min_player_fraction=rng.choice([0.3, 0.5, 0.7]),
-            ec_bias=rng.choice([0.0, 0.3, 0.7, 1.0]),
-            seed=rng.randrange(2**31),
-        )
+    for i, params in enumerate(stream_params(count, seed, max_states)):
         handle(i, generate_random(params))
     return report

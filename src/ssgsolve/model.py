@@ -176,8 +176,9 @@ class StochasticGame:
     `graph.attractor` and `can_reach` walk back, `succs`, the distinct
     successors of each state, which every forward graph walk reads,
     `can_reach`, the states with a path to a target, `split`, the
-    targets / sinks / unknown partition, and `normalized`, the answer of
-    `is_normalized()`, are built on first use and kept on the instance.
+    targets / sinks / unknown partition, and `normalized`, whether the
+    game is in the form every solver needs (see `normalize`), are built on
+    first use and kept on the instance.
     `preds` and `succs` are the package's only per-state edge tables; the
     exact oracle keeps its own, to stay independent of the solvers. None
     of these are fields: eq, hash and repr ignore them, and
@@ -313,13 +314,6 @@ class StochasticGame:
         sinks = set(range(self.n_states)) - targets - unknown
         return StatePartition(targets, sinks, set(unknown), MappingProxyType(won))
 
-    def action(self, s: int, label: str) -> Action:
-        """State s's action with the given label, by a scan of `actions[s]`; KeyError if none."""
-        for act in self.actions[s]:
-            if act.label == label:
-                return act
-        raise KeyError(f"state {s} has no action {label!r}")
-
     @cached_property
     def normalized(self) -> bool:
         """Whether every target only loops onto itself and every other state has an action."""
@@ -332,9 +326,6 @@ class StochasticGame:
             elif not self.actions[s]:
                 return False
         return True
-
-    def is_normalized(self) -> bool:
-        return self.normalized
 
 
 @dataclass
@@ -570,7 +561,7 @@ def normalize(game: StochasticGame) -> StochasticGame:
     action become sinks by self-looping. Idempotent; a game that is already
     in this shape is returned unchanged (same object).
     """
-    if game.is_normalized():
+    if game.normalized:
         return game
     new_actions = []
     for s in range(game.n_states):

@@ -49,13 +49,6 @@ class ExactResult:
     pairs_evaluated: int
 
 
-def _single_actions(game: StochasticGame) -> None:
-    bad = [f"{s} has {len(game.actions[s])}" for s in range(game.n_states)
-           if len(game.actions[s]) != 1]
-    if bad:
-        raise ValueError(f"expected one action per state, but state {', state '.join(bad)}")
-
-
 #: One chain row in integers: (d, ((successor, num), ...)), probabilities num/d.
 IntRow = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -164,16 +157,6 @@ def _chain_reach(rows: list[IntRow], targets: set[int]) -> tuple[list[int], int]
 def _fractions(nums: list[int], det: int) -> list[Fraction]:
     """A chain solve's numerators as Fractions; every 0 and 1 is the shared `_ZERO` or `_ONE`."""
     return [_ZERO if not v else _ONE if v == det else Fraction(v, det) for v in nums]
-
-
-def chain_reachability(game: StochasticGame) -> list[Fraction]:
-    """Exact target-reachability probabilities of a one-action-per-state game.
-
-    The game must pass `validate()`: the chain solve relies on every row
-    summing to exactly 1 (see `_chain_reach`).
-    """
-    _single_actions(game)
-    return _fractions(*_chain_reach(_chain_step(_int_rows(game), {}), set(game.targets)))
 
 
 def _attractor(owner: tuple[str, ...], rows: list[list[IntRow]], targets: set[int],
@@ -366,7 +349,7 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     pairs = profile_count(max_sites) * profile_count(min_sites)
     if n > max_states or order == "minmax" and pairs > max_pairs:
         raise TooLarge(n, pairs)
-    if not game.is_normalized():
+    if not game.normalized:
         raise ValueError("game must be normalized first (see normalize())")
 
     rows, targets = _int_rows(game), set(game.targets)
@@ -385,29 +368,3 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
         min_strategy=to_labels(min_prof, min_sites),
         pairs_evaluated=evaluated,
     )
-
-
-def k_step_oracle(game: StochasticGame, part, k: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact k-step reach/stay probabilities of a one-action-per-state game.
-
-    reach[s] is the probability of hitting a target within k steps, stay[s]
-    the probability of remaining inside the undecided region for k steps.
-    Backward recurrence over the rationals, seeded from `part`, the
-    F/Z/S? split the probabilities are measured against.
-    """
-    _single_actions(game)
-    one, zero = Fraction(1), Fraction(0)
-    reach = [one if s in part.targets else zero for s in range(game.n_states)]
-    stay = [one if s in part.unknown else zero for s in range(game.n_states)]
-    rows = [acts[0].transitions for acts in game.actions]
-    for _ in range(k):
-        reach = [
-            reach[s] if s not in part.unknown else sum((p * reach[t] for t, p in rows[s]), zero)
-            for s in range(game.n_states)
-        ]
-        stay = [
-            stay[s] if s not in part.unknown else sum((p * stay[t] for t, p in rows[s]), zero)
-            for s in range(game.n_states)
-        ]
-    return reach, stay
-

@@ -128,7 +128,7 @@ def start_vector(game: StochasticGame, eps: float, part: StatePartition) -> list
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if not game.is_normalized():
+    if not game.normalized:
         raise ValueError("game must be normalized first (see normalize())")
     return [1.0 if s in part.targets else 0.0 for s in range(game.n_states)]
 
@@ -295,7 +295,7 @@ def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
 
 def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds: GlobalBounds,
                          max_decvals: Sequence[float], min_decvals: Sequence[float],
-                         any_delay: bool, use_decision_values: bool = True) -> GlobalBounds:
+                         any_delay: bool) -> GlobalBounds:
     """Fold this iteration's decision values, then tighten l and u if allowed.
 
     The tightening runs only when every undecided state has stay < 1,
@@ -305,9 +305,7 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
     l rises to the smallest candidate, capped by d_l; u falls to the
     largest, floored by d_u. Once both caps have pinned their bounds
     (d_l <= l and d_u >= u) no candidate can move either, and they are
-    not computed. The use_decision_values=False variant drops the caps -
-    it exists to demonstrate why they are needed and must never be used
-    for real runs.
+    not computed.
     """
     d_l, d_u = bounds.d_l, bounds.d_u
     for v in max_decvals:
@@ -316,16 +314,11 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
         d_l = min(d_l, v)
     l, u = bounds.l, bounds.u
     pool, reach, stay = partition.unknown, rs.reach, rs.stay
-    pinned = use_decision_values and d_l <= l and d_u >= u
-    if not any_delay and pool and not pinned:
+    if not any_delay and pool and not (d_l <= l and d_u >= u):
         cands = [reach[s] / (1.0 - stay[s]) for s in pool if stay[s] < 1.0]
         if len(cands) == len(pool):  # no undecided state has stay 1
-            if use_decision_values:
-                l = max(l, min(d_l, min(cands)))
-                u = min(u, max(d_u, max(cands)))
-            else:
-                l = max(l, min(cands))
-                u = min(u, max(cands))
+            l = max(l, min(d_l, min(cands)))
+            u = min(u, max(d_u, max(cands)))
     return GlobalBounds(l, u, d_l, d_u)
 
 
@@ -383,7 +376,10 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     termination test. A side's decision values are computed only while
     its cap can still move its bound (Minimizer: d_l > l, Maximizer:
     d_u < u; see `GlobalBounds`), and none at all when
-    use_decision_values is off. On the iteration cap the result comes
+    use_decision_values is off: the caps then keep their seeds, which cap
+    no candidate in [0, 1], so l and u move to the bare extrapolations.
+    That ablation exists to demonstrate why the caps are needed and must
+    never be used for real runs. On the iteration cap the result comes
     back with converged=False; its bounds are still valid, just wider
     than 2*eps.
     mode is "absolute" or "relative" (termination test only); wall_ms
@@ -429,8 +425,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
                         (max_dv if side == MAX else min_dv).append(dv)
         rs, snapshot = bellman_update(game, facts, rs, snapshot, bounds)
         n_delayed = len(snapshot.delayed)
-        new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, n_delayed > 0,
-                                          use_decision_values=use_decision_values)
+        new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, n_delayed > 0)
         it += 1
         gap = new_bounds.u - new_bounds.l
         # max(stay[s] * gap): rounding is monotone, so the extreme stay gives it exactly

@@ -1,12 +1,67 @@
 """Helpers shared by the test modules."""
 
-import random
 from fractions import Fraction
 
+import ssgsolve.oracle as oracle
+from ssgsolve.fuzz import stream_params
 from ssgsolve.model import (MAX, Action, GenParams, StatePartition, StochasticGame,
                             dot, dot2, generate_random, normalize, partition_states)
 from ssgsolve.oracle import exact_value
 from ssgsolve.svi import start_vector
+
+
+def action(game, s, label):
+    """State s's action with the given label, by a scan of `game.actions[s]`; KeyError if none."""
+    for act in game.actions[s]:
+        if act.label == label:
+            return act
+    raise KeyError(f"state {s} has no action {label!r}")
+
+
+def _single_actions(game):
+    bad = [f"{s} has {len(game.actions[s])}" for s in range(game.n_states)
+           if len(game.actions[s]) != 1]
+    if bad:
+        raise ValueError(f"expected one action per state, but state {', state '.join(bad)}")
+
+
+def chain_reachability(game):
+    """Exact target-reachability probabilities of a one-action-per-state game.
+
+    One call of the oracle's integer chain solve (`oracle._chain_reach`),
+    without the strategy iteration around it: the reference the chain
+    solve and the oracle's witnesses are checked against. The game must
+    pass `validate()`.
+    """
+    _single_actions(game)
+    rows = oracle._chain_step(oracle._int_rows(game), {})
+    return oracle._fractions(*oracle._chain_reach(rows, set(game.targets)))
+
+
+def k_step_oracle(game, part, k):
+    """Exact k-step reach/stay probabilities of a one-action-per-state game.
+
+    reach[s] is the probability of hitting a target within k steps, stay[s]
+    the probability of remaining inside the undecided region for k steps.
+    Backward recurrence over the rationals, seeded from `part`, the
+    F/Z/S? split the probabilities are measured against: the reference
+    for svi's float reach/stay vectors.
+    """
+    _single_actions(game)
+    one, zero = Fraction(1), Fraction(0)
+    reach = [one if s in part.targets else zero for s in range(game.n_states)]
+    stay = [one if s in part.unknown else zero for s in range(game.n_states)]
+    rows = [acts[0].transitions for acts in game.actions]
+    for _ in range(k):
+        reach = [
+            reach[s] if s not in part.unknown else sum((p * reach[t] for t, p in rows[s]), zero)
+            for s in range(game.n_states)
+        ]
+        stay = [
+            stay[s] if s not in part.unknown else sum((p * stay[t] for t, p in rows[s]), zero)
+            for s in range(game.n_states)
+        ]
+    return reach, stay
 
 
 def pinned(game, values):
@@ -53,17 +108,7 @@ def census(sizes, seeds):
 
 def fuzz_stream_params(count):
     """The first `count` GenParams of the stream `run_fuzz(count, 0, max_states=12)` draws."""
-    rng = random.Random(0)
-    for _ in range(count):
-        yield GenParams(
-            n_states=rng.randint(2, 12),
-            max_actions_per_state=rng.randint(1, 3),
-            max_branching=rng.randint(1, 3),
-            target_fraction=rng.choice([0.1, 0.2, 0.4]),
-            min_player_fraction=rng.choice([0.3, 0.5, 0.7]),
-            ec_bias=rng.choice([0.0, 0.3, 0.7, 1.0]),
-            seed=rng.randrange(2**31),
-        )
+    return stream_params(count, 0, 12)
 
 
 def distribution_fault(probs):
@@ -146,7 +191,7 @@ def certificate_faults(game, values, max_strategy):
         return sum(p * values[t] for t, p in act.transitions)
 
     def moves(s):
-        return (game.action(s, max_strategy[s]),) if s in max_strategy else game.actions[s]
+        return (action(game, s, max_strategy[s]),) if s in max_strategy else game.actions[s]
 
     faults = []
     for s in range(game.n_states):

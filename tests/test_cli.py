@@ -13,6 +13,7 @@ import pytest
 
 import ssgsolve
 import ssgsolve.cli as cli
+import ssgsolve.fuzz as fuzz
 from ssgsolve.cli import (
     CSV_HEADER,
     EXIT_BROKEN_PIPE,
@@ -22,6 +23,7 @@ from ssgsolve.cli import (
     EXIT_PARSE,
     EXIT_TOO_LARGE,
     EXIT_VALIDATION,
+    EXIT_WRITE,
     main,
 )
 from ssgsolve.fuzz import Counterexample, FuzzReport
@@ -179,8 +181,28 @@ def test_solve_header_without_states_line_is_a_parse_error(tmp_path, capsys):
 
 
 def test_solve_missing_file(tmp_path, capsys):
-    assert main(["solve", str(tmp_path / "gone.ssg")]) == EXIT_PARSE
-    assert "error:" in capsys.readouterr().err
+    gone = tmp_path / "gone.ssg"
+    assert main(["solve", str(gone)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gone}: cannot read (")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "MODEL", "--json", "OUT"],
+    ["oracle", "MODEL", "--json", "OUT"],
+    ["gen", "--states", "5", "-o", "OUT"],
+    ["fuzz", "--count", "1", "--max-states", "3", "--algos", "svi", "--out", "OUT"],
+], ids=["solve-json", "oracle-json", "gen", "fuzz-out"])
+def test_failed_output_write_is_not_a_parse_error(loop_file, tmp_path, monkeypatch, argv, capsys):
+    # a regular file where a directory is needed: no write below it succeeds, even for root
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" / "x"
+    # every fuzzed game fails, so fuzz writes it out
+    monkeypatch.setattr(fuzz, "check_model", lambda *args: "forced failure")
+    argv = [str(loop_file) if a == "MODEL" else str(out) if a == "OUT" else a for a in argv]
+    assert main(argv) == EXIT_WRITE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_non_utf8_model_is_a_parse_error(latin1_file, capsys):
@@ -264,6 +286,21 @@ def test_fuzz_max_states_below_two_is_a_usage_error(states, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "--max-states must be at least 2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["--algos", "vi"], "unknown --algos entry 'vi'; known: svi, bvi, topo"),
+    (["--algos", "svi,nope"], "unknown --algos entry 'nope'"),
+    (["--count", "-2"], "--count must not be negative"),
+    (["--sample-iters", "-1"], "--sample-iters must not be negative"),
+], ids=["vi", "nope", "count", "sample-iters"])
+def test_fuzz_bad_arguments_are_usage_errors(argv, why, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", "1", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert why in captured.err
     assert captured.out == ""
 
 

@@ -217,6 +217,16 @@ def test_failures_written_to_disk(tmp_path):
         parse_model(path.read_text())
 
 
+@pytest.mark.parametrize("algorithms", [("vi",), ("svi", "bogus")])
+def test_unknown_algorithm_is_refused_before_any_game(algorithms, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a game was drawn")
+
+    monkeypatch.setattr(fuzz, "stream_params", no_draw)
+    with pytest.raises(ValueError, match=r"unknown algorithm '(vi|bogus)'; known: svi, bvi, topo"):
+        run_fuzz(5, 0, algorithms=algorithms, extra_models=(two_route_choice(),))
+
+
 def test_shrink_respects_failure_predicate():
     g = parse_model(PADDED_ROUTE)
     # predicate: model still contains the two-action choice state

@@ -45,7 +45,7 @@ from ssgsolve.presets import (
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import solve_topological
 
-from _util import TRAP_FEED, census, exact_floats, greedy_trap, reach_by_predecessor_sets
+from _util import TRAP_FEED, action, census, exact_floats, greedy_trap, reach_by_predecessor_sets
 
 
 def k0_vectors(game):
@@ -312,7 +312,7 @@ def test_best_exits_seesaw_initial():
     f = [1.0, 1.0, 1.0, 0.0]
     assert best_exits(g, {0, 1}, f) == {(0, g.action_labels(0).index("b"))}
     # worths behind that pick: 2/3 for (0, b) against 0.6 for (1, b)
-    assert sum(float(p) * f[t] for t, p in g.action(0, "b").transitions) == 2 / 3
+    assert sum(float(p) * f[t] for t, p in action(g, 0, "b").transitions) == 2 / 3
 
 
 def test_best_exits_ring_prefers_better_coin():

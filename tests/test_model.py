@@ -30,7 +30,7 @@ from ssgsolve.model import (
 )
 from ssgsolve.presets import ALL_PRESETS, cycle_with_sink_exit, exit_seesaw, slow_loop
 
-from _util import census_params, fuzz_stream_params
+from _util import action, census_params, fuzz_stream_params
 
 MINIMAL = """\
 ssg 1
@@ -186,10 +186,10 @@ def test_ingestion_matches_the_golden_digest():
 
 def test_normalize_installs_self_loops():
     g = parse_model(MINIMAL)
-    assert not g.is_normalized()
+    assert not g.normalized
     gn = normalize(g)
     assert gn is not g
-    assert gn.is_normalized()
+    assert gn.normalized
     assert [(a.label, a.transitions) for a in gn.actions[1]] == [
         ("loop", ((1, Fraction(1)),))
     ]
@@ -265,7 +265,7 @@ def test_generate_random_output_is_normalized():
     for seed in range(8):
         g = generate_random(GenParams(n_states=7, max_actions_per_state=3,
                                       max_branching=3, seed=seed))
-        assert g.is_normalized()
+        assert g.normalized
         assert g.targets
         g.validate()
 
@@ -282,9 +282,6 @@ def test_genparams_validation():
 def test_game_action_lookup():
     g = slow_loop()
     assert g.action_labels(0) == ("go",)
-    assert g.action(0, "go").label == "go"
-    with pytest.raises(KeyError):
-        g.action(0, "nope")
 
 
 def _delta(a, b):
@@ -306,7 +303,7 @@ def _expected_tables(g):
 def _check_action_lookup(g):
     for s in range(g.n_states):
         for i, label in enumerate(g.action_labels(s)):
-            assert g.action(s, label) is g.actions[s][i]
+            assert action(g, s, label) is g.actions[s][i]
 
 
 def test_game_rows_and_index_match_actions():
@@ -315,7 +312,7 @@ def test_game_rows_and_index_match_actions():
     assert g.rows == rows
     assert g.deltas == deltas
     assert g.rows is g.rows and g.deltas is g.deltas  # built once, then kept
-    assert not hasattr(g, "index")  # `action` scans the labels; no label table is kept
+    assert not hasattr(g, "index")  # no label table is kept
     _check_action_lookup(g)
     single = [g.deltas[s] for s in range(g.n_states) if len(g.actions[s]) == 1]
     assert len(single) > 1 and all(t is single[0] for t in single)
@@ -362,14 +359,14 @@ def test_replaced_game_builds_its_own_tables():
     _check_action_lookup(h)
 
 
-def test_is_normalized_is_worked_out_once_per_game():
+def test_normalized_is_worked_out_once_per_game():
     g = parse_model(MINIMAL)
     assert "normalized" not in vars(g)
-    assert not g.is_normalized()
+    assert not g.normalized
     assert vars(g)["normalized"] is False  # kept on the instance, like rows and split
     # a replaced game answers for itself, not with the parent's cached answer
     h = dataclasses.replace(g, actions=normalize(g).actions)
-    assert h.is_normalized() and not g.is_normalized()
+    assert h.normalized and not g.normalized
 
 
 def _one_action_game(transitions, label="a"):

@@ -21,12 +21,7 @@ from ssgsolve.model import (
     parse_model,
     partition_states,
 )
-from ssgsolve.oracle import (
-    TooLarge,
-    chain_reachability,
-    exact_value,
-    k_step_oracle,
-)
+from ssgsolve.oracle import TooLarge, exact_value
 from ssgsolve.presets import (
     ALL_PRESETS,
     asymmetric_ring,
@@ -44,7 +39,8 @@ from ssgsolve.presets import (
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import solve_topological
 
-from _util import census, certificate_faults, fuzz_stream_params
+from _util import (action, census, certificate_faults, chain_reachability, fuzz_stream_params,
+                   k_step_oracle)
 
 F = Fraction
 
@@ -167,7 +163,7 @@ def test_exact_values_satisfy_bellman_equations():
 
 def _restricted(g, strategy):
     """The game with every state named in `strategy` left only its chosen action."""
-    acts = tuple((g.action(s, strategy[s]),) if s in strategy else g.actions[s]
+    acts = tuple((action(g, s, strategy[s]),) if s in strategy else g.actions[s]
                  for s in range(g.n_states))
     return dataclasses.replace(g, actions=acts)
 
@@ -209,7 +205,7 @@ def test_exact_value_orders_agree_on_random_games():
 def _witness_chain(g, res):
     chosen = {**res.max_strategy, **res.min_strategy}
     acts = tuple(
-        (g.action(s, chosen[s]),) if s in chosen else g.actions[s][:1]
+        (action(g, s, chosen[s]),) if s in chosen else g.actions[s][:1]
         for s in range(g.n_states)
     )
     return StochasticGame(g.n_states, g.owner, acts, g.targets)
@@ -443,6 +439,9 @@ def test_too_large_runs_no_chain_solve(monkeypatch):
 
 def test_chain_reachability_loop():
     assert chain_reachability(slow_loop()) == [F(1, 2), F(1), F(0)]
+    # on a normalized chain the oracle's strategy iteration is that one chain solve
+    res = exact_value(slow_loop())
+    assert (list(res.values), res.pairs_evaluated) == ([F(1, 2), F(1), F(0)], 1)
 
 
 def test_chain_reachability_rejects_choice():

@@ -11,10 +11,10 @@ from ssgsolve.baselines import deflate, solve_bvi
 from ssgsolve.graph import mec_decompose, trap_states
 from ssgsolve.model import MAX, Action, GenParams, ProbabilitySum, StochasticGame, ValidationError, \
     generate_random, normalize, parse_model, partition_states, scale_to_integers, serialize_model
-from ssgsolve.oracle import exact_value, k_step_oracle
+from ssgsolve.oracle import exact_value
 from ssgsolve.svi import solve_svi
 
-from _util import distribution_fault, exact_floats
+from _util import distribution_fault, exact_floats, k_step_oracle
 
 EPS = 1e-6
 SLACK = 1e-9

@@ -18,6 +18,7 @@ from ssgsolve.model import (
     partition_states,
 )
 from ssgsolve.presets import (
+    ALL_PRESETS,
     asymmetric_ring,
     exit_seesaw,
     loop_or_coin,
@@ -49,7 +50,7 @@ from ssgsolve.baselines import solve_bvi, solve_vi
 from ssgsolve.fuzz import SLACK, check_model
 from ssgsolve.oracle import exact_value
 
-from _util import REGRESSION_MODELS, exact_floats, max_err, permute_states, pinned
+from _util import REGRESSION_MODELS, census, exact_floats, max_err, permute_states, pinned
 
 # Two actions with the same coin flip between the target 1 and the sink 2.
 TWIN_ACTIONS = """\
@@ -270,8 +271,8 @@ def test_update_global_bounds_caps_at_decision_values():
 def test_update_global_bounds_without_caps_overshoots():
     part, rs = k0_state(two_route_choice())
     rs = ReachStayVector([0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
-    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [0.25], False,
-                                  use_decision_values=False)
+    # no decision value: the caps keep their seeds, which cap nothing
+    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [], False)
     assert bounds.l == pytest.approx(2 / 3)
 
 
@@ -538,6 +539,21 @@ def test_solves_match_golden_values(model, iterations, digest):
     r = solve_svi(g)
     assert r.converged
     assert (r.iterations, _digest(r)) == (iterations, digest)
+
+
+def test_fold_rule_matches_golden_digest():
+    # sha256 over repr(result), wall_ms zeroed, of the 12 presets and 120
+    # census games under the default and both ablations (vectors recorded),
+    # taken while the use_decision_values=False fold still had its own,
+    # uncapped rule: the caps' seeds 1 and 0 cap no candidate in [0, 1]
+    games = [build() for build in ALL_PRESETS.values()] + list(census((8, 10), range(20)))
+    h = hashlib.sha256()
+    for g in games:
+        for kw in ({}, {"use_decision_values": False}, {"ec_handling": False}):
+            r = solve_svi(g, 1e-6, max_iters=400, record_vectors=True, **kw)
+            h.update(repr(dataclasses.replace(r, wall_ms=0.0)).encode())
+    assert (len(games), h.hexdigest()) == (
+        132, "fb5712db92686c0e6a30f335109df549f849cae26aaf0358d2e28253a36c4b84")
 
 
 def _count_decision_values(monkeypatch):
@@ -898,7 +914,7 @@ SOUND_SOLVERS = {"svi": solve_svi, "topo": solve_topological, "bvi": solve_bvi}
 def test_sweeps_do_not_depend_on_state_numbering(algo):
     g = normalize(generate_random(ROUNDOFF_GAME))
     renumbered = permute_states(g, ROUNDOFF_RENUMBERING)
-    assert renumbered.is_normalized()
+    assert renumbered.normalized
     solve = SOUND_SOLVERS[algo]
     assert solve(renumbered, 1e-6, max_iters=3000).iterations == solve(g, 1e-6, max_iters=3000).iterations
 
