@@ -114,14 +114,8 @@ def _greedy_strategy(game: StochasticGame, unknown: AbstractSet[int],
     Inside end components it is no winning strategy: a Maximizer choice may
     stay where the Minimizer can hold play (bvi loses on 10 of 480 census games).
     """
-    out: dict[int, str] = {}
-    for s in sorted(unknown):
-        acts = game.actions[s]
-        if len(acts) == 1:
-            out[s] = acts[0].label
-            continue
-        out[s] = acts[best_step(game, s, high if game.owner[s] == MAX else low)[1]].label
-    return out
+    return {s: game.actions[s][best_step(game, s, high if game.owner[s] == MAX else low)[1]].label
+            for s in sorted(unknown)}
 
 
 def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_000) -> SolveResult:

@@ -13,7 +13,8 @@ parses but fails validation, 4 solver hit the iteration cap, 5 model too
 large for the exact oracle (more than 12 states, or under --order minmax
 more than 10^7 strategy pairs), 6 an output file could not be written
 (solve or oracle --json, gen -o, fuzz --out; what went to stdout before
-stays printed), 141 stdout closed early (a broken pipe, as in
+stays printed, and fuzz checks every game and prints its whole report
+before it writes any file), 141 stdout closed early (a broken pipe, as in
 `ssgsolve solve model.ssg | head`).
 """
 
@@ -191,13 +192,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     report = run_fuzz(
         args.count, args.seed, max_states=args.max_states, eps=args.eps,
-        algorithms=_algo_names(args.algos), sample_iters=args.sample_iters, out_dir=args.out,
+        algorithms=_algo_names(args.algos), sample_iters=args.sample_iters,
     )
     print(f"checked={report.checked} skipped={report.skipped} failures={len(report.failures)}")
     for ce in report.failures:
         print(f"counterexample #{ce.index} [{ce.algorithm}]: {ce.reason}", file=sys.stderr)
-    for path in report.written:
-        print(f"wrote {path}", file=sys.stderr)
+    # the whole report is out before the first write, so a failed one loses none of it
+    if args.out and report.failures:
+        root = Path(args.out)
+        root.mkdir(parents=True, exist_ok=True)
+        for ce in report.failures:
+            stem = f"fail_{ce.index:04d}_{ce.algorithm}"
+            for path, text in ((root / f"{stem}.ssg", ce.model_text),
+                               (root / f"{stem}_shrunk.ssg", ce.shrunk_text)):
+                path.write_text(text)
+                print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 

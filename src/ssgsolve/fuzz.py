@@ -4,8 +4,9 @@ Generates small games, solves each with the requested algorithms and
 verifies convergence, final value accuracy, and that the certified bounds
 actually sandwich the exact values, both at the end and at sampled
 intermediate iterations. Failures are shrunk greedily (dropping actions
-and unreferenced states while the failure persists) and can be written
-out as model files for replay.
+and unreferenced states while the failure persists) and come back as
+model texts for replay; nothing here touches a file, so a run always
+finishes its report (the CLI's `fuzz --out` writes the texts after it).
 """
 
 from __future__ import annotations
@@ -13,20 +14,25 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .baselines import solve_bvi
 from .model import Action, GenParams, StochasticGame, generate_random, partition_states, serialize_model
 from .oracle import TooLarge, exact_value
-from .results import SolveResult
 from .svi import solve_svi
 from .topo import solve_topological
 
 SLACK = 1e-9
 
-#: The solvers `run_fuzz` can check, by the names its `algorithms` take.
-ALGORITHMS = ("svi", "bvi", "topo")
+#: The solvers `run_fuzz` can check, by the names its `algorithms` take, each called
+#: (game, eps, **overrides); svi and bvi record their vectors for the iteration checks.
+SOLVERS = {
+    "svi": partial(solve_svi, record_vectors=True),
+    "bvi": partial(solve_bvi, record_vectors=True),
+    "topo": solve_topological,
+}
+ALGORITHMS = tuple(SOLVERS)
 
 
 @dataclass(frozen=True)
@@ -42,25 +48,15 @@ class Counterexample:
 
 @dataclass
 class FuzzReport:
+    """What a fuzz run found: games checked, games the oracle refused, and every counterexample."""
+
     checked: int = 0
     skipped: int = 0
     failures: list[Counterexample] = field(default_factory=list)
-    written: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _solve(game: StochasticGame, algo: str, eps: float, overrides: Mapping[str, dict]) -> SolveResult:
-    kwargs = dict(overrides.get(algo, {}))
-    if algo == "svi":
-        return solve_svi(game, eps, record_vectors=True, **kwargs)
-    if algo == "bvi":
-        return solve_bvi(game, eps, record_vectors=True, **kwargs)
-    if algo == "topo":
-        return solve_topological(game, eps, **kwargs)
-    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def _sample_indices(total: int, want: int) -> list[int]:
@@ -93,7 +89,7 @@ def check_model(game: StochasticGame, algo: str, eps: float,
             if values[s] != want:
                 return f"partition counts state {s} as a {kind}, exact value {values[s]!r}"
     try:
-        res = _solve(game, algo, eps, overrides or {})
+        res = SOLVERS[algo](game, eps, **(overrides or {}).get(algo, {}))
     except Exception as exc:  # a crash is a finding, not a test error
         return f"exception: {exc!r}"
     tol = 2 * eps if algo == "topo" else eps
@@ -192,17 +188,17 @@ def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
              algorithms: Sequence[str] = ALGORITHMS,
              extra_models: Sequence[StochasticGame] = (),
              overrides: Mapping[str, dict] | None = None,
-             sample_iters: int = 10,
-             out_dir: str | Path | None = None) -> FuzzReport:
+             sample_iters: int = 10) -> FuzzReport:
     """Generate `count` random games, check each with every algorithm.
 
     Games beyond the oracle's state cap are skipped and counted.
     `extra_models` are checked before the generated stream (same
     checks); `overrides` passes extra keyword arguments to specific
     solvers, which is how the acceptance suite checks that a deliberately
-    weakened solver is caught. Failing models and their shrunk versions
-    are written to `out_dir` when given. Raises ValueError, before any
-    game is drawn, for an algorithm not in `ALGORITHMS`.
+    weakened solver is caught. Every failing model comes back in the
+    report with its shrunk version, as model texts; writing them out is
+    the caller's business. Raises ValueError, before any game is drawn,
+    for an algorithm not in `ALGORITHMS`.
     """
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
@@ -231,22 +227,13 @@ def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
                 return check_model(candidate, algo, eps, cvals, sample_iters, overrides) is not None
 
             small = shrink(game, fails)
-            ce = Counterexample(
+            report.failures.append(Counterexample(
                 index=index,
                 algorithm=algo,
                 reason=reason,
                 model_text=serialize_model(game),
                 shrunk_text=serialize_model(small),
-            )
-            report.failures.append(ce)
-            if out_dir is not None:
-                root = Path(out_dir)
-                root.mkdir(parents=True, exist_ok=True)
-                full = root / f"fail_{index:04d}_{algo}.ssg"
-                tiny = root / f"fail_{index:04d}_{algo}_shrunk.ssg"
-                full.write_text(ce.model_text)
-                tiny.write_text(ce.shrunk_text)
-                report.written += [str(full), str(tiny)]
+            ))
 
     for i, game in enumerate(extra_models):
         handle(-1 - i, game)

@@ -169,9 +169,7 @@ def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
             continue
         cand -= attractor(game, cand, (), None,
                           usable=lambda s, act: all(t in cand for t, _ in act.transitions)).keys()
-        if not cand:
-            continue
-        # every state left keeps an action that stays
+        # every state left keeps an action that stays; an empty cand has no SCC
         sub = _sccs_via(game, cand)
         if len(sub) == 1 and len(sub[0]) == len(cand):
             result.append(frozenset(cand))
@@ -277,8 +275,6 @@ def best_exits(game: StochasticGame, component: frozenset[int] | set[int],
             scored.append((val, s, i))
             if best_val is None or val > best_val:
                 best_val = val
-    if best_val is None:
-        return set()
     return {(s, i) for val, s, i in scored if val >= best_val - TIE_TOL}
 
 
@@ -312,10 +308,9 @@ def exit_layers(game: StochasticGame, states: frozenset[int] | set[int], f: Sequ
 
 
 def best_exit_set(game: StochasticGame, f: Sequence[float], states: frozenset[int] | set[int],
-                  memo: dict[frozenset[int], list[frozenset[int]]], acc: set[tuple[int, int]]) -> None:
-    """Add the exits of every layer of `exit_layers` on the states to acc."""
-    for _, exits in exit_layers(game, states, f, memo):
-        acc |= exits
+                  memo: dict[frozenset[int], list[frozenset[int]]]) -> set[tuple[int, int]]:
+    """The exits of every layer of `exit_layers` on the states, as one set of (state, action position)."""
+    return {pair for _, exits in exit_layers(game, states, f, memo) for pair in exits}
 
 
 def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: float,
@@ -329,12 +324,11 @@ def handle_ecs(game: StochasticGame, reach: list[float], stay: list[float], u: f
     into the partition or the vectors.
 
     Only the ranking depends on f, which is built only when the unknown
-    states hold an end component. The MEC decompositions, of the unknown
-    set and of every peeled remainder, are kept in `partition.ec_memo`
-    across calls.
+    states hold an end component; the pairs are `best_exit_set` on them.
+    The MEC decompositions, of the unknown set and of every peeled
+    remainder, are kept in `partition.ec_memo` across calls.
     """
-    pairs: set[tuple[int, int]] = set()
-    if cached_mecs(game, partition.unknown, partition.ec_memo):
-        f = [r + st * u for r, st in zip(reach, stay)]
-        best_exit_set(game, f, partition.unknown, partition.ec_memo, pairs)
-    return pairs
+    if not cached_mecs(game, partition.unknown, partition.ec_memo):
+        return set()
+    f = [r + st * u for r, st in zip(reach, stay)]
+    return best_exit_set(game, f, partition.unknown, partition.ec_memo)

@@ -316,16 +316,8 @@ class StochasticGame:
 
     @cached_property
     def normalized(self) -> bool:
-        """Whether every target only loops onto itself and every other state has an action."""
-        one = Fraction(1)
-        for s in range(self.n_states):
-            if s in self.targets:
-                acts = self.actions[s]
-                if len(acts) != 1 or acts[0].transitions != ((s, one),):
-                    return False
-            elif not self.actions[s]:
-                return False
-        return True
+        """Whether every state is in normal form (`_in_normal_form`), as `normalize` leaves it."""
+        return all(_in_normal_form(self, s) for s in range(self.n_states))
 
 
 @dataclass
@@ -553,30 +545,29 @@ def serialize_model(game: StochasticGame) -> str:
     return "\n".join(out) + "\n"
 
 
+def _in_normal_form(game: StochasticGame, s: int) -> bool:
+    """Whether state s is a target with one action that only loops onto it, or another state with an action."""
+    acts = game.actions[s]
+    if s in game.targets:
+        return len(acts) == 1 and acts[0].transitions == ((s, 1),)
+    return bool(acts)
+
+
 def normalize(game: StochasticGame) -> StochasticGame:
     """Make targets absorbing and give actionless states a self-loop.
 
-    Target states get a single self-loop action (their original actions are
-    irrelevant once the goal is reached); non-target states without any
-    action become sinks by self-looping. Idempotent; a game that is already
-    in this shape is returned unchanged (same object).
+    Every state not in normal form (`_in_normal_form`) gets a single
+    self-loop action in place of its own: a target (its original actions
+    are irrelevant once the goal is reached), and a non-target state
+    without any action, which becomes a sink. Every other state keeps its
+    actions. Idempotent; a game where `StochasticGame.normalized` holds is
+    returned unchanged (same object).
     """
     if game.normalized:
         return game
-    new_actions = []
-    for s in range(game.n_states):
-        acts = game.actions[s]
-        loop = (Action(LOOP_LABEL, ((s, Fraction(1)),)),)
-        if s in game.targets:
-            if len(acts) == 1 and acts[0].transitions == ((s, Fraction(1)),):
-                new_actions.append(acts)
-            else:
-                new_actions.append(loop)
-        elif not acts:
-            new_actions.append(loop)
-        else:
-            new_actions.append(acts)
-    return StochasticGame(game.n_states, game.owner, tuple(new_actions), game.targets)
+    actions = tuple(acts if _in_normal_form(game, s) else (Action(LOOP_LABEL, ((s, Fraction(1)),)),)
+                    for s, acts in enumerate(game.actions))
+    return StochasticGame(game.n_states, game.owner, actions, game.targets)
 
 
 def partition_states(game: StochasticGame) -> StatePartition:

@@ -15,6 +15,7 @@ compares `Fraction` vectors. Nothing is kept on the game between calls.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -339,14 +340,7 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     free = sorted(game.can_reach - game.targets)
     max_sites = [s for s in free if game.owner[s] == MAX and len(game.actions[s]) > 1]
     min_sites = [s for s in free if game.owner[s] == MIN and len(game.actions[s]) > 1]
-
-    def profile_count(sites: list[int]) -> int:
-        c = 1
-        for s in sites:
-            c *= len(game.actions[s])
-        return c
-
-    pairs = profile_count(max_sites) * profile_count(min_sites)
+    pairs = math.prod(len(game.actions[s]) for s in max_sites + min_sites)
     if n > max_states or order == "minmax" and pairs > max_pairs:
         raise TooLarge(n, pairs)
     if not game.normalized:

@@ -30,27 +30,24 @@ def slow_loop(p: str | float = "0.98", r: str | float = "0.01") -> StochasticGam
     r/(1-p); with the defaults that is exactly 1/2. Classic interval
     iteration needs hundreds of sweeps here because the loop drains slowly,
     while the bound extrapolation closes the gap after a single sweep.
+    The one-loop case of `serial_loops`.
     """
-    p_, r_ = Fraction(str(p)), Fraction(str(r))
-    q = 1 - p_ - r_
-    if q < 0:
-        raise ValueError("need p + r <= 1")
-    trans = [(0, str(p_)), (1, str(r_))]
-    if q > 0:
-        trans.append((2, str(q)))
-    return _game(3, {}, {0: [("go", trans)]}, {1})
+    return serial_loops(1, p, r)
 
 
-def serial_loops(k: int = 3, p: str = "0.98", r: str = "0.01") -> StochasticGame:
+def serial_loops(k: int = 3, p: str | float = "0.98", r: str | float = "0.01") -> StochasticGame:
     """k copies of slow_loop chained in series.
 
     States: 0..k-1 are the loop states (state i feeds state i+1, the last
-    feeds the target), k = target, k+1 = sink. Value of loop state i is
-    (r/(1-p))**(k-i). A stress case for global bound pooling: the whole
-    chain is only as precise as its least-known member, whereas per-SCC
-    processing resolves each loop locally.
+    feeds the target), k = target, k+1 = sink. Each loop state stays with
+    probability p, moves on with r and drops to the sink with the rest,
+    q = 1 - p - r; with q = 0 it has no sink transition. p and r are read
+    through their str, so 0.98 means exactly 49/50. Value of loop state i
+    is (r/(1-p))**(k-i). A stress case for global bound pooling: the
+    whole chain is only as precise as its least-known member, whereas
+    per-SCC processing resolves each loop locally.
     """
-    p_, r_ = Fraction(p), Fraction(r)
+    p_, r_ = Fraction(str(p)), Fraction(str(r))
     q = 1 - p_ - r_
     if q < 0:
         raise ValueError("need p + r <= 1")

@@ -185,20 +185,19 @@ def choose_actions(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
 
     Minimizer states take the argmin of the one-step estimate under l,
     Maximizer states the argmax under u - except that states holding a
-    best exit in B (the (state, action position) pairs of `handle_ecs`;
-    None when EC handling is off) are forced into it. Ties keep the
-    previous choice when it is still in the argopt band, otherwise the
-    lowest position wins (`argopt`), so runs are reproducible. The choices
-    are action positions, in ascending state order; a delayed state's
-    DELAY counts as no previous choice.
+    best exit in B (the (state, action position) pairs of `handle_ecs`,
+    whose states are all in the pool; None when EC handling is off) are
+    forced into it. Ties keep the previous choice when it is still in the
+    argopt band, otherwise the lowest position wins (`argopt`), so runs
+    are reproducible. The choices are action positions, in ascending
+    state order; a delayed state's DELAY counts as no previous choice.
     """
     rows, owner = game.rows, game.owner
     reach, stay = rs.reach, rs.stay
     choices: dict[int, int | None] = dict.fromkeys(facts.order, 0)  # multi states overwritten below
     forced_at: dict[int, list[int]] = {}
     for s, i in B or ():
-        if s in choices:
-            forced_at.setdefault(s, []).append(i)
+        forced_at.setdefault(s, []).append(i)
     prev_choices = prev.choices if prev is not None else {}
     for s, forced in forced_at.items():
         keep = prev_choices.get(s)
@@ -232,13 +231,10 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: in
     chosen minus beta). Maximizer states report the largest crossing,
     Minimizer states the smallest; None when no alternative qualifies.
     """
-    n_acts = len(game.rows[s])
-    if n_acts < 2:
-        return None
     deltas = game.deltas[s]
     maximize = game.owner[s] == MAX
     best: float | None = None
-    for j in range(n_acts):
+    for j in range(len(game.rows[s])):
         if j == chosen:
             continue
         d_reach, d_stay = dot2(deltas[(chosen, j)], rs.reach, rs.stay)

@@ -1,12 +1,22 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules.
 
+Nothing here imports pytest, so `surface_digest()` runs under any Python
+that can import the package:
+
+    python3 -c "import sys; sys.path[:0] = ['src', 'tests']; import _util; print(_util.surface_digest())"
+"""
+
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import ssgsolve.oracle as oracle
+from ssgsolve import solve_bvi, solve_svi, solve_topological, solve_vi
 from ssgsolve.fuzz import stream_params
 from ssgsolve.model import (MAX, Action, GenParams, StatePartition, StochasticGame,
                             dot, dot2, generate_random, normalize, partition_states)
-from ssgsolve.oracle import exact_value
+from ssgsolve.oracle import TooLarge, exact_value
+from ssgsolve.presets import ALL_PRESETS
 from ssgsolve.svi import start_vector
 
 
@@ -109,6 +119,40 @@ def census(sizes, seeds):
 def fuzz_stream_params(count):
     """The first `count` GenParams of the stream `run_fuzz(count, 0, max_states=12)` draws."""
     return stream_params(count, 0, 12)
+
+
+def surface_games():
+    """The 676 games `surface_digest` solves: presets, a census slice, the fuzz stream, four 80-state games."""
+    yield from (build() for build in ALL_PRESETS.values())
+    yield from census((8, 10, 12), range(40))
+    yield from (generate_random(p) for p in fuzz_stream_params(300))
+    for eb in (0.0, 0.5):
+        for seed in (2, 3):
+            yield generate_random(GenParams(80, 3, 3, 0.05, 0.5, eb, seed))
+
+
+SURFACE_CALLS = (solve_vi, solve_bvi, solve_svi, solve_topological,
+                 lambda g: solve_topological(g, inner="bvi"), exact_value)
+
+
+def surface_digest():
+    """sha256 over every public entry point's result on `surface_games()`.
+
+    Each result's repr is hashed in turn, with wall_ms zeroed; a TooLarge
+    the oracle raises is hashed by its repr. A refactor that keeps this
+    digest keeps every value, iteration count, strategy and trace.
+    """
+    h = hashlib.sha256()
+    for game in surface_games():
+        for call in SURFACE_CALLS:
+            try:
+                res = call(game)
+            except TooLarge as exc:
+                res = exc
+            if hasattr(res, "wall_ms"):
+                res = dataclasses.replace(res, wall_ms=0.0)
+            h.update(repr(res).encode())
+    return h.hexdigest()
 
 
 def distribution_fault(probs):

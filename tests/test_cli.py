@@ -191,7 +191,7 @@ def test_solve_missing_file(tmp_path, capsys):
     ["solve", "MODEL", "--json", "OUT"],
     ["oracle", "MODEL", "--json", "OUT"],
     ["gen", "--states", "5", "-o", "OUT"],
-    ["fuzz", "--count", "1", "--max-states", "3", "--algos", "svi", "--out", "OUT"],
+    ["fuzz", "--count", "3", "--max-states", "3", "--algos", "svi", "--out", "OUT"],
 ], ids=["solve-json", "oracle-json", "gen", "fuzz-out"])
 def test_failed_output_write_is_not_a_parse_error(loop_file, tmp_path, monkeypatch, argv, capsys):
     # a regular file where a directory is needed: no write below it succeeds, even for root
@@ -202,7 +202,15 @@ def test_failed_output_write_is_not_a_parse_error(loop_file, tmp_path, monkeypat
     monkeypatch.setattr(fuzz, "check_model", lambda *args: "forced failure")
     argv = [str(loop_file) if a == "MODEL" else str(out) if a == "OUT" else a for a in argv]
     assert main(argv) == EXIT_WRITE
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    *before, last = captured.err.splitlines()
+    assert last.startswith("error: ")
+    if argv[0] == "fuzz":
+        # every game is checked and the whole report printed before the first write
+        assert captured.out == "checked=3 skipped=0 failures=3\n"
+        assert before == [f"counterexample #{i} [svi]: forced failure" for i in range(3)]
+    else:
+        assert before == []
 
 
 def test_solve_non_utf8_model_is_a_parse_error(latin1_file, capsys):
@@ -439,21 +447,39 @@ def test_compare_reports_a_failing_solver(loop_file, monkeypatch, capsys):
     assert f"note: {loop_file}: svi failed: boom" in captured.err
 
 
-def test_fuzz_command_reports_counterexamples(monkeypatch, capsys):
+def test_fuzz_command_reports_counterexamples(monkeypatch, tmp_path, capsys):
     report = FuzzReport(checked=3, failures=[
         Counterexample(0, "svi", "did not converge", "", ""),
         Counterexample(2, "topo", "value off by 1.000e-03 at state 1", "", ""),
-    ], written=["out/ce0-svi.ssg", "out/ce0-svi-shrunk.ssg"])
+    ])
     monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: report)
-    assert main(["fuzz", "--count", "3"]) == EXIT_COUNTEREXAMPLE
+    out = tmp_path / "out"
+    assert main(["fuzz", "--count", "3", "--out", str(out)]) == EXIT_COUNTEREXAMPLE
     captured = capsys.readouterr()
     assert captured.out == "checked=3 skipped=0 failures=2\n"
     assert captured.err.splitlines() == [
         "counterexample #0 [svi]: did not converge",
         "counterexample #2 [topo]: value off by 1.000e-03 at state 1",
-        "wrote out/ce0-svi.ssg",
-        "wrote out/ce0-svi-shrunk.ssg",
+        f"wrote {out / 'fail_0000_svi.ssg'}",
+        f"wrote {out / 'fail_0000_svi_shrunk.ssg'}",
+        f"wrote {out / 'fail_0002_topo.ssg'}",
+        f"wrote {out / 'fail_0002_topo_shrunk.ssg'}",
     ]
+
+
+def test_fuzz_failures_written_to_disk(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["fuzz", "--count", "2", "--max-states", "3", "--algos", "svi", "--out", str(out)]
+    # a clean run creates no directory
+    assert main(argv) == EXIT_OK
+    assert not out.exists()
+    monkeypatch.setattr(fuzz, "check_model", lambda *args: "forced failure")
+    assert main(argv) == EXIT_COUNTEREXAMPLE
+    names = [f"fail_{i:04d}_svi{kind}.ssg" for i in range(2) for kind in ("", "_shrunk")]
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        parse_model((out / name).read_text())
+    assert capsys.readouterr().err.splitlines()[-4:] == [f"wrote {out / name}" for name in names]
 
 
 def test_fuzz_command_clean(capsys):

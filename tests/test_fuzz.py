@@ -1,7 +1,6 @@
 """Randomized cross-checking loop: checks, shrinking, reporting."""
 
 import dataclasses
-from pathlib import Path
 
 import pytest
 
@@ -67,7 +66,6 @@ def test_clean_stream_has_no_failures():
     assert rep.checked == 30
     assert rep.skipped == 0
     assert rep.ok
-    assert rep.written == []
 
 
 def test_sample_indices_spread_over_the_run():
@@ -131,17 +129,17 @@ def test_capped_solve_gets_its_bracket_checked():
         == "did not converge"
 
 
-def doctor(monkeypatch, name, edit):
-    """Make fuzz's `name` return its honest result passed through edit."""
-    honest = getattr(fuzz, name)
-    monkeypatch.setattr(fuzz, name, lambda *args, **kwargs: edit(honest(*args, **kwargs)))
+def doctor(monkeypatch, algo, edit):
+    """Make fuzz's solver `algo` return its honest result passed through edit."""
+    honest = fuzz.SOLVERS[algo]
+    monkeypatch.setitem(fuzz.SOLVERS, algo, lambda *args, **kwargs: edit(honest(*args, **kwargs)))
 
 
 def test_check_model_reports_a_crash(monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(fuzz, "solve_bvi", crash)
+    monkeypatch.setitem(fuzz.SOLVERS, "bvi", crash)
     g = slow_loop()
     want = exact_floats(g)
     assert check_model(g, "bvi", 1e-6, want) == "exception: RuntimeError('boom')"
@@ -150,7 +148,7 @@ def test_check_model_reports_a_crash(monkeypatch):
 
 def test_check_model_flags_a_value_off_its_bracket_midpoint(monkeypatch):
     # the bracket still holds 1/2; only the reported value strays
-    doctor(monkeypatch, "solve_svi", lambda r: dataclasses.replace(r, value=[0.501, *r.value[1:]]))
+    doctor(monkeypatch, "svi", lambda r: dataclasses.replace(r, value=[0.501, *r.value[1:]]))
     g = slow_loop()
     assert check_model(g, "svi", 1e-6, exact_floats(g)) == "value off by 1.000e-03 at state 0"
 
@@ -166,13 +164,13 @@ def test_check_model_flags_a_wrong_intermediate_bracket(monkeypatch, side, bad, 
         wrong[side] = [bad, *good[side][1:]]
         return dataclasses.replace(r, vectors=[good, tuple(wrong), good])
 
-    doctor(monkeypatch, "solve_bvi", edit)
+    doctor(monkeypatch, "bvi", edit)
     g = slow_loop()
     assert check_model(g, "bvi", 1e-6, exact_floats(g)) == reason
 
 
 def test_check_model_flags_an_unknown_strategy_label(monkeypatch):
-    doctor(monkeypatch, "solve_svi", lambda r: dataclasses.replace(r, strategy={0: "nope"}))
+    doctor(monkeypatch, "svi", lambda r: dataclasses.replace(r, strategy={0: "nope"}))
     g = slow_loop()
     assert g.action_labels(0) == ("go",)
     assert check_model(g, "svi", 1e-6, exact_floats(g)) == \
@@ -204,17 +202,6 @@ def test_oversized_model_counts_as_skip():
     assert rep.checked == 0
     assert rep.skipped == 1
     assert rep.ok
-
-
-def test_failures_written_to_disk(tmp_path):
-    rep = run_fuzz(0, 0, extra_models=(two_route_choice(),), algorithms=("svi",),
-                   overrides=MUTANT, out_dir=tmp_path)
-    assert len(rep.written) == 2
-    for p in rep.written:
-        path = Path(p)
-        assert path.parent == tmp_path
-        assert "svi" in path.name
-        parse_model(path.read_text())
 
 
 @pytest.mark.parametrize("algorithms", [("vi",), ("svi", "bogus")])

@@ -327,18 +327,16 @@ def test_best_exits_empty_without_maximizer_exit():
 def test_best_exit_set_peels_ring_layer_by_layer():
     g = asymmetric_ring()
     part = partition_states(g)
-    acc = set()
-    best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2}), part.ec_memo, acc)
-    assert acc == {(2, g.action_labels(2).index("cash")), (1, g.action_labels(1).index("cash"))}
+    exits = best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2}), part.ec_memo)
+    assert exits == {(2, g.action_labels(2).index("cash")), (1, g.action_labels(1).index("cash"))}
 
 
 def test_best_exit_set_nested_rings_pessimistic_vector():
     # with nothing accumulated on the ring the cash-outs win layer by layer
     g = nested_rings()
     part = partition_states(g)
-    acc = set()
-    best_exit_set(g, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part.ec_memo, acc)
-    assert acc == {(s, g.action_labels(s).index("cash")) for s in (0, 1, 2)}
+    exits = best_exit_set(g, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part.ec_memo)
+    assert exits == {(s, g.action_labels(s).index("cash")) for s in (0, 1, 2)}
 
 
 def test_best_exit_set_nested_rings_optimistic_vector():
@@ -346,9 +344,8 @@ def test_best_exit_set_nested_rings_optimistic_vector():
     # outrank the remaining cash-outs
     g = nested_rings()
     part = partition_states(g)
-    acc = set()
-    best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part.ec_memo, acc)
-    assert acc == {(0, g.action_labels(0).index("cash")), (3, g.action_labels(3).index("ring"))}
+    exits = best_exit_set(g, [1.0, 1.0, 1.0, 1.0, 1.0, 0.0], frozenset({0, 1, 2, 3}), part.ec_memo)
+    assert exits == {(0, g.action_labels(0).index("cash")), (3, g.action_labels(3).index("ring"))}
 
 
 def test_partition_moves_trap_to_sinks():

@@ -28,7 +28,7 @@ from ssgsolve.model import (
     partition_states,
     serialize_model,
 )
-from ssgsolve.presets import ALL_PRESETS, cycle_with_sink_exit, exit_seesaw, slow_loop
+from ssgsolve.presets import ALL_PRESETS, cycle_with_sink_exit, exit_seesaw, serial_loops, slow_loop
 
 from _util import action, census_params, fuzz_stream_params
 
@@ -208,6 +208,40 @@ def test_normalize_replaces_target_actions_with_loop():
     gn = normalize(parse_model(text))
     # target keeps exactly one action: the absorbing loop
     assert [a.label for a in gn.actions[1]] == ["loop"]
+
+
+# state 1 is a target with two actions and state 2 a non-target without
+# one: both break the normal form. Target 3 only loops onto itself.
+TWO_OUT_OF_FORM = """\
+ssg 1
+states 4
+target 1 3
+action 0 a
+  1 1/2
+  2 1/2
+action 1 stay
+  1 1
+action 1 back
+  0 1
+action 3 stay
+  3 1
+"""
+
+
+def test_normalize_replaces_exactly_the_states_out_of_normal_form():
+    g = parse_model(TWO_OUT_OF_FORM)
+    gn = normalize(g)
+    assert [s for s in range(g.n_states) if gn.actions[s] is not g.actions[s]] == [1, 2]
+    assert [gn.actions[s] for s in (1, 2)] == [(Action("loop", ((s, Fraction(1)),)),) for s in (1, 2)]
+    assert gn.normalized and normalize(gn) is gn
+
+
+def test_sticky_loop_builders_agree():
+    assert slow_loop() == serial_loops(1)
+    assert slow_loop(0.9, 0.1) == serial_loops(1, "0.9", "0.1")
+    # q = 0: the loop state has no sink transition
+    assert slow_loop(0.9, 0.1).actions[0][0].transitions == ((0, Fraction(9, 10)), (1, Fraction(1, 10)))
+    assert serial_loops(2, 0.98, 0.01) == serial_loops(2)
 
 
 def test_partition_slow_loop():
