@@ -9,7 +9,11 @@ the oracle. Dropping the decision-value cap is a known way to go wrong;
 the loop finds it immediately.
 """
 
-from ssgsolve.fuzz import run_fuzz
+from unittest import mock
+
+import ssgsolve.svi as svi
+from ssgsolve.fuzz import run_fuzz, stream_params
+from ssgsolve.model import generate_random
 from ssgsolve.oracle import exact_value
 from ssgsolve.presets import asymmetric_ring, two_route_choice
 
@@ -26,14 +30,14 @@ def main():
           f"{every.pairs_evaluated} by enumerating every strategy pair)")
     print()
 
-    rep = run_fuzz(50, seed=11)
+    rep = run_fuzz(map(generate_random, stream_params(50, 11, 8)))
     print(f"fuzzed 50 random games: {rep.checked} checked, "
           f"{len(rep.failures)} failures")
     print()
 
-    # sabotage the solver: skip the cap that keeps bound updates honest
-    rep = run_fuzz(0, 0, extra_models=(two_route_choice(),), algorithms=("svi",),
-                   overrides={"svi": {"use_decision_values": False}})
+    # sabotage the solver: no decision value, so no cap keeps the bound updates honest
+    with mock.patch.object(svi, "decision_value", lambda *args: None):
+        rep = run_fuzz([two_route_choice()], algorithms=("svi",))
     for ce in rep.failures:
         print(f"uncapped solver caught: {ce.reason}")
 

@@ -7,11 +7,12 @@ model). Exit codes: 0 success, 1 fuzz found a counterexample, 2 unreadable
 or unparseable model (a missing file or one that is not UTF-8 text
 included) or bad arguments (argparse's usage errors, such as an --eps
 that is not positive, a negative --max-iters, a fuzz --max-states below
-2, a negative fuzz --count or --sample-iters, a fuzz --algos entry other
-than svi, bvi or topo, or gen parameters out of range), 3 a model that
-parses but fails validation, 4 solver hit the iteration cap, 5 model too
-large for the exact oracle (more than 12 states, or under --order minmax
-more than 10^7 strategy pairs), 6 an output file could not be written
+2, a negative fuzz --count or --sample-iters, an --algos that names no
+algorithm, a fuzz --algos entry other than svi, bvi or topo, or gen
+parameters out of range), 3 a model that parses but fails validation,
+4 solver hit the iteration cap, 5 model too large for the exact oracle
+(more than 12 states, or under --order minmax more than 10^7 strategy
+pairs), 6 an output file could not be written
 (solve or oracle --json, gen -o, fuzz --out; what went to stdout before
 stays printed, and fuzz checks every game and prints its whole report
 before it writes any file), 141 stdout closed early (a broken pipe, as in
@@ -28,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .baselines import UNSOUND_NOTE, solve_bvi, solve_vi
-from .fuzz import ALGORITHMS, run_fuzz
+from .fuzz import ALGORITHMS, run_fuzz, stream_params
 from .model import (
     GenParams,
     ModelError,
@@ -191,8 +192,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     report = run_fuzz(
-        args.count, args.seed, max_states=args.max_states, eps=args.eps,
-        algorithms=_algo_names(args.algos), sample_iters=args.sample_iters,
+        map(generate_random, stream_params(args.count, args.seed, args.max_states)),
+        eps=args.eps, algorithms=_algo_names(args.algos), sample_iters=args.sample_iters,
     )
     print(f"checked={report.checked} skipped={report.skipped} failures={len(report.failures)}")
     for ce in report.failures:
@@ -311,6 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--eps must be positive")
     if getattr(args, "max_iters", 0) < 0:
         parser.error("--max-iters must not be negative")
+    if hasattr(args, "algos") and not _algo_names(args.algos):
+        parser.error("--algos names no algorithm")
     if args.command == "fuzz":
         if args.max_states < 2:
             parser.error("--max-states must be at least 2")

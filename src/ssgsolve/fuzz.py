@@ -1,12 +1,13 @@
 """Randomized cross-checking of the solvers against the exact oracle.
 
-Generates small games, solves each with the requested algorithms and
-verifies convergence, final value accuracy, and that the certified bounds
-actually sandwich the exact values, both at the end and at sampled
-intermediate iterations. Failures are shrunk greedily (dropping actions
-and unreferenced states while the failure persists) and come back as
-model texts for replay; nothing here touches a file, so a run always
-finishes its report (the CLI's `fuzz --out` writes the texts after it).
+`run_fuzz` solves each game it is given with the requested algorithms
+and verifies convergence, final value accuracy, and that the certified
+bounds actually sandwich the exact values, both at the end and at sampled
+intermediate iterations; `stream_params` draws the random games the CLI
+feeds it. Failures are shrunk greedily (dropping actions and unreferenced
+states while the failure persists) and come back as model texts for
+replay; nothing here touches a file, so a run always finishes its report
+(the CLI's `fuzz --out` writes the texts after it).
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .baselines import solve_bvi
-from .model import Action, GenParams, StochasticGame, generate_random, partition_states, serialize_model
+from .model import Action, GenParams, StochasticGame, partition_states, serialize_model
 from .oracle import TooLarge, exact_value
 from .svi import solve_svi
 from .topo import solve_topological
@@ -26,7 +27,8 @@ from .topo import solve_topological
 SLACK = 1e-9
 
 #: The solvers `run_fuzz` can check, by the names its `algorithms` take, each called
-#: (game, eps, **overrides); svi and bvi record their vectors for the iteration checks.
+#: (game, eps); svi and bvi record their vectors for the iteration checks. A test
+#: weakens a solver by putting another callable in its place.
 SOLVERS = {
     "svi": partial(solve_svi, record_vectors=True),
     "bvi": partial(solve_bvi, record_vectors=True),
@@ -71,9 +73,8 @@ def _sample_indices(total: int, want: int) -> list[int]:
 
 
 def check_model(game: StochasticGame, algo: str, eps: float,
-                values: Sequence[float], sample_iters: int = 10,
-                overrides: Mapping[str, dict] | None = None) -> str | None:
-    """Run one algorithm on one game; return a failure reason or None.
+                values: Sequence[float], sample_iters: int = 10) -> str | None:
+    """Run `SOLVERS[algo]` on one game; return a failure reason or None.
 
     Checks: the game's partition has exact value 1 on every target (the
     almost-sure winners included) and 0 on every sink, the final bounds
@@ -89,7 +90,7 @@ def check_model(game: StochasticGame, algo: str, eps: float,
             if values[s] != want:
                 return f"partition counts state {s} as a {kind}, exact value {values[s]!r}"
     try:
-        res = SOLVERS[algo](game, eps, **(overrides or {}).get(algo, {}))
+        res = SOLVERS[algo](game, eps)
     except Exception as exc:  # a crash is a finding, not a test error
         return f"exception: {exc!r}"
     tol = 2 * eps if algo == "topo" else eps
@@ -170,7 +171,10 @@ def shrink(game: StochasticGame, still_fails: Callable[[StochasticGame], bool],
 
 
 def stream_params(count: int, seed: int, max_states: int) -> Iterator[GenParams]:
-    """The `GenParams` of the first `count` games `run_fuzz(count, seed, max_states=...)` draws."""
+    """The `GenParams` of `count` random games of 2 to `max_states` states, drawn from `seed`.
+
+    The CLI's `fuzz` checks `map(generate_random, stream_params(count, seed, max_states))`.
+    """
     rng = random.Random(seed)
     for _ in range(count):
         yield GenParams(
@@ -184,38 +188,32 @@ def stream_params(count: int, seed: int, max_states: int) -> Iterator[GenParams]
         )
 
 
-def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
-             algorithms: Sequence[str] = ALGORITHMS,
-             extra_models: Sequence[StochasticGame] = (),
-             overrides: Mapping[str, dict] | None = None,
-             sample_iters: int = 10) -> FuzzReport:
-    """Generate `count` random games, check each with every algorithm.
+def run_fuzz(games: Iterable[StochasticGame], *, eps: float = 1e-6,
+             algorithms: Sequence[str] = ALGORITHMS, sample_iters: int = 10) -> FuzzReport:
+    """Check every game of `games` with every algorithm in `algorithms`.
 
-    Games beyond the oracle's state cap are skipped and counted.
-    `extra_models` are checked before the generated stream (same
-    checks); `overrides` passes extra keyword arguments to specific
-    solvers, which is how the acceptance suite checks that a deliberately
-    weakened solver is caught. Every failing model comes back in the
-    report with its shrunk version, as model texts; writing them out is
-    the caller's business. Raises ValueError, before any game is drawn,
-    for an algorithm not in `ALGORITHMS`.
+    Games beyond the oracle's state cap are skipped and counted. Every
+    failing game comes back in the report with its shrunk version, as
+    model texts, under its position in `games`; writing them out is the
+    caller's business. Raises ValueError, before any game is drawn, when
+    `algorithms` is empty or names one not in `ALGORITHMS`.
     """
+    if not algorithms:
+        raise ValueError(f"no algorithm to check; known: {', '.join(ALGORITHMS)}")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}; known: {', '.join(ALGORITHMS)}")
     report = FuzzReport()
-    overrides = overrides or {}
-
-    def handle(index: int, game: StochasticGame) -> None:
+    for index, game in enumerate(games):
         try:
             exact = exact_value(game)
         except TooLarge:
             report.skipped += 1
-            return
+            continue
         values = [float(v) for v in exact.values]
         report.checked += 1
         for algo in algorithms:
-            reason = check_model(game, algo, eps, values, sample_iters, overrides)
+            reason = check_model(game, algo, eps, values, sample_iters)
             if reason is None:
                 continue
 
@@ -224,7 +222,7 @@ def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
                     cvals = [float(v) for v in exact_value(candidate).values]
                 except TooLarge:
                     return False
-                return check_model(candidate, algo, eps, cvals, sample_iters, overrides) is not None
+                return check_model(candidate, algo, eps, cvals, sample_iters) is not None
 
             small = shrink(game, fails)
             report.failures.append(Counterexample(
@@ -234,9 +232,4 @@ def run_fuzz(count: int, seed: int, *, max_states: int = 8, eps: float = 1e-6,
                 model_text=serialize_model(game),
                 shrunk_text=serialize_model(small),
             ))
-
-    for i, game in enumerate(extra_models):
-        handle(-1 - i, game)
-    for i, params in enumerate(stream_params(count, seed, max_states)):
-        handle(i, generate_random(params))
     return report

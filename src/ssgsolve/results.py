@@ -14,7 +14,7 @@ class TraceEntry:
     their per-state vectors and leave d_l/d_u as None. A decision value is
     a running extremum only until it pins its bound (d_l <= l, d_u >= u);
     from then on it is no longer computed and stays frozen at the value
-    that pinned it. Without decision values both keep their seeds 1 and 0.
+    that pinned it.
     max_gap is the algorithm's own stopping quantity after the iteration:
     max stay*(u-l) for the bound-extrapolating solver, max per-state U-L
     for the interval baseline, and the largest single-sweep change for

@@ -63,7 +63,8 @@ class GlobalBounds:
 
     d_l is the running minimum over Minimizer decision values (seeded 1),
     d_u the running maximum over Maximizer ones (seeded 0); they cap how
-    far l may rise and u may fall. Once d_l <= l, l can never rise again,
+    far l may rise and u may fall, and the seeds cap no candidate in
+    [0, 1]. Once d_l <= l, l can never rise again,
     and once d_u >= u, u can never fall: the cap has pinned its bound, so
     `solve_svi_pool` stops computing its side's decision values and the
     cap stays frozen at the value that pinned it.
@@ -339,13 +340,12 @@ def check_termination(partition: StatePartition, rs: ReachStayVector, bounds: Gl
 
 def solve_svi(game: StochasticGame, eps: float = 1e-6, *, ec_handling: bool = True,
               mode: str = "absolute", max_iters: int = 10_000_000,
-              use_decision_values: bool = True, record_vectors: bool = False) -> SolveResult:
+              record_vectors: bool = False) -> SolveResult:
     """Solve a normalized game to certified per-state precision eps: `solve_svi_pool` on its partition."""
     t0 = time.perf_counter()
     part = partition_states(game)
     return solve_svi_pool(game, part, start_vector(game, eps, part), eps, max_iters, t0=t0,
-                          ec_handling=ec_handling, mode=mode,
-                          use_decision_values=use_decision_values, record_vectors=record_vectors)
+                          ec_handling=ec_handling, mode=mode, record_vectors=record_vectors)
 
 
 def _bracket(rs: ReachStayVector, pool: frozenset[int], level: float) -> list[float]:
@@ -358,8 +358,7 @@ def _bracket(rs: ReachStayVector, pool: frozenset[int], level: float) -> list[fl
 
 def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float], eps: float,
                    max_iters: int, *, t0: float | None = None, ec_handling: bool = True,
-                   mode: str = "absolute", use_decision_values: bool = True,
-                   record_vectors: bool = False) -> SolveResult:
+                   mode: str = "absolute", record_vectors: bool = False) -> SolveResult:
     """Solve the pool `part.unknown`, around the values `vec` holds for every other state.
 
     The pool must hold no trap and no state of value 1, as the partition
@@ -371,11 +370,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     choice, decision values, batch sweep with delays, global bound update,
     termination test. A side's decision values are computed only while
     its cap can still move its bound (Minimizer: d_l > l, Maximizer:
-    d_u < u; see `GlobalBounds`), and none at all when
-    use_decision_values is off: the caps then keep their seeds, which cap
-    no candidate in [0, 1], so l and u move to the bare extrapolations.
-    That ablation exists to demonstrate why the caps are needed and must
-    never be used for real runs. On the iteration cap the result comes
+    d_u < u; see `GlobalBounds`). On the iteration cap the result comes
     back with converged=False; its bounds are still valid, just wider
     than 2*eps.
     mode is "absolute" or "relative" (termination test only); wall_ms
@@ -410,8 +405,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
         max_dv: list[float] = []
         min_dv: list[float] = []
         # a pinned cap can no longer move its bound: skip its side's decision values
-        want = {MIN: use_decision_values and bounds.d_l > bounds.l,
-                MAX: use_decision_values and bounds.d_u < bounds.u}
+        want = {MIN: bounds.d_l > bounds.l, MAX: bounds.d_u < bounds.u}
         if want[MIN] or want[MAX]:
             for s in facts.multi:
                 side = owner[s]

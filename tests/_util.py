@@ -28,6 +28,23 @@ def action(game, s, label):
     raise KeyError(f"state {s} has no action {label!r}")
 
 
+def restricted(game, strategy):
+    """The game with every state named in `strategy` (state -> label) left only its chosen action."""
+    acts = tuple((action(game, s, strategy[s]),) if s in strategy else game.actions[s]
+                 for s in range(game.n_states))
+    return dataclasses.replace(game, actions=acts)
+
+
+def no_decision_value(*args):
+    """A stand-in for `svi.decision_value` that finds no crossing.
+
+    Put in its place, the caps d_l and d_u keep their seeds 1 and 0 and cap
+    nothing, so l and u jump to the bare loop extrapolations: the weakened
+    svi that the fuzzer and the acceptance checks must catch.
+    """
+    return None
+
+
 def _single_actions(game):
     bad = [f"{s} has {len(game.actions[s])}" for s in range(game.n_states)
            if len(game.actions[s]) != 1]
@@ -117,7 +134,7 @@ def census(sizes, seeds):
 
 
 def fuzz_stream_params(count):
-    """The first `count` GenParams of the stream `run_fuzz(count, 0, max_states=12)` draws."""
+    """The first `count` GenParams of the fuzz stream `stream_params(count, 0, 12)`."""
     return stream_params(count, 0, 12)
 
 

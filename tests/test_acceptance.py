@@ -7,7 +7,7 @@ as the usual pytest FAILED line for that criterion.
 import random
 from fractions import Fraction
 
-from ssgsolve.fuzz import run_fuzz
+from ssgsolve.fuzz import run_fuzz, stream_params
 from ssgsolve.graph import handle_ecs, trap_states
 from ssgsolve.model import GenParams, generate_random, parse_model, partition_states
 from ssgsolve.oracle import exact_value
@@ -39,7 +39,7 @@ from ssgsolve.svi import (
 from ssgsolve.baselines import solve_bvi
 from ssgsolve.topo import solve_topological
 
-from _util import exact_floats, max_err
+from _util import exact_floats, max_err, no_decision_value
 from test_graph import check_exit_cover
 
 EPS = 1e-6
@@ -135,7 +135,9 @@ def test_a06_ring_values_match_oracle():
     print("A6 PASS: ring at (2/5, 2/5, 3/5), neighbour pair at 0.5, all within eps")
 
 
-def test_a07_decision_value_caps_the_lower_bound():
+def test_a07_decision_value_caps_the_lower_bound(monkeypatch):
+    import ssgsolve.svi as svi
+
     g = two_route_choice()
     part = partition_states(g)
     rs = ReachStayVector(
@@ -146,13 +148,14 @@ def test_a07_decision_value_caps_the_lower_bound():
     res = solve_svi(g, EPS)
     assert res.trace[0].d_l == 0.25
     assert abs(res.value[0] - 0.5) <= EPS
-    mutant = solve_svi(g, EPS, use_decision_values=False)
+    monkeypatch.setattr(svi, "decision_value", no_decision_value)
+    mutant = solve_svi(g, EPS)
     assert mutant.value[0] >= 2 / 3 - 1e-9
     print(f"A7 PASS: cap 0.25 exact, value {res.value[0]:.9f}, uncapped run lands at {mutant.value[0]:.6f}")
 
 
 def test_a08_fuzz_500_models_against_oracle():
-    rep = run_fuzz(500, 42, max_states=8, algorithms=("svi", "bvi"))
+    rep = run_fuzz(map(generate_random, stream_params(500, 42, 8)), algorithms=("svi", "bvi"))
     assert rep.checked == 500
     assert rep.skipped == 0
     assert rep.ok and not rep.failures

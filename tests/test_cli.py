@@ -302,7 +302,9 @@ def test_fuzz_max_states_below_two_is_a_usage_error(states, capsys):
     (["--algos", "svi,nope"], "unknown --algos entry 'nope'"),
     (["--count", "-2"], "--count must not be negative"),
     (["--sample-iters", "-1"], "--sample-iters must not be negative"),
-], ids=["vi", "nope", "count", "sample-iters"])
+    (["--algos", ""], "--algos names no algorithm"),
+    (["--algos", ","], "--algos names no algorithm"),
+], ids=["vi", "nope", "count", "sample-iters", "algos-empty", "algos-comma"])
 def test_fuzz_bad_arguments_are_usage_errors(argv, why, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fuzz", "--count", "1", *argv])
@@ -424,6 +426,16 @@ def test_compare_csv(loop_file, tmp_path, capsys):
     assert lines[6] == f"{missing},vi,0,false,0.000,"
     assert "unknown algorithm" in captured.err
     assert str(missing) in captured.err
+
+
+@pytest.mark.parametrize("algos", ["", " , "])
+def test_compare_without_algorithms_is_a_usage_error(loop_file, algos, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(loop_file), "--algos", algos])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--algos names no algorithm" in captured.err
+    assert captured.out == ""
 
 
 def test_compare_reports_a_capped_solve(loop_file, capsys):

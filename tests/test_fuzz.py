@@ -1,18 +1,17 @@
 """Randomized cross-checking loop: checks, shrinking, reporting."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 
 import ssgsolve.fuzz as fuzz
-from ssgsolve.fuzz import _sample_indices, check_model, run_fuzz, shrink
-from ssgsolve.model import GenParams, generate_random, parse_model
-from ssgsolve.presets import slow_loop, two_route_choice
-from ssgsolve.svi import solve_svi
+import ssgsolve.svi as svi
+from ssgsolve.fuzz import _sample_indices, check_model, run_fuzz, shrink, stream_params
+from ssgsolve.model import GenParams, generate_random, parse_model, serialize_model
+from ssgsolve.presets import serial_loops, slow_loop, two_route_choice
 
-from _util import exact_floats
-
-MUTANT = {"svi": {"use_decision_values": False}}
+from _util import exact_floats, no_decision_value
 
 # two_route_choice plus two padding states nothing points at
 PADDED_ROUTE = """\
@@ -61,8 +60,13 @@ action 3 go
 """
 
 
+def random_games(count, seed):
+    """The CLI's default fuzz stream: `count` games of 2 to 8 states drawn from `seed`."""
+    return map(generate_random, stream_params(count, seed, 8))
+
+
 def test_clean_stream_has_no_failures():
-    rep = run_fuzz(30, 7)
+    rep = run_fuzz(random_games(30, 7))
     assert rep.checked == 30
     assert rep.skipped == 0
     assert rep.ok
@@ -73,7 +77,7 @@ def test_sample_indices_spread_over_the_run():
     assert _sample_indices(5, 2) == [0, 4]
     assert _sample_indices(9, 3) == [0, 4, 8]
     assert _sample_indices(3, 10) == [0, 1, 2]
-    rep = run_fuzz(5, 7, sample_iters=1)
+    rep = run_fuzz(random_games(5, 7), sample_iters=1)
     assert rep.checked == 5
     assert rep.ok
 
@@ -110,23 +114,24 @@ def test_check_model_catches_a_wrong_partition(monkeypatch):
     assert check_model(g, "svi", 1e-6, want) == \
         "partition counts state 0 as a target, exact value 0.5"
     monkeypatch.setattr(fuzz, "partition_states", moving_0_to("sinks"))
-    rep = run_fuzz(0, 0, extra_models=(g,), algorithms=("bvi",))
+    rep = run_fuzz([g], algorithms=("bvi",))
     assert [f.reason for f in rep.failures] == ["partition counts state 0 as a sink, exact value 0.5"]
 
 
-def test_capped_solve_gets_its_bracket_checked():
+def test_capped_solve_gets_its_bracket_checked(monkeypatch):
     # one sweep of the weakened solver lifts state 0's lower bound to 0.6,
     # above its value 1/2, and stops far short of closing the slow loop 3
     g = parse_model(ROUTE_BESIDE_LOOP)
     want = exact_floats(g)
-    capped = {"svi": {**MUTANT["svi"], "max_iters": 1}}
-    assert not solve_svi(g, **capped["svi"]).converged
-    reason = check_model(g, "svi", 1e-6, want, overrides=capped)
+    monkeypatch.setattr(svi, "decision_value", no_decision_value)
+    monkeypatch.setitem(fuzz.SOLVERS, "svi", partial(fuzz.SOLVERS["svi"], max_iters=1))
+    assert not fuzz.SOLVERS["svi"](g, 1e-6).converged
+    reason = check_model(g, "svi", 1e-6, want)
     assert reason is not None and reason.startswith("final lower")
     assert reason.endswith("at state 0")
     # a sound capped solve is still only a stall
-    assert check_model(g, "bvi", 1e-6, want, overrides={"bvi": {"max_iters": 3}}) \
-        == "did not converge"
+    monkeypatch.setitem(fuzz.SOLVERS, "bvi", partial(fuzz.SOLVERS["bvi"], max_iters=3))
+    assert check_model(g, "bvi", 1e-6, want) == "did not converge"
 
 
 def doctor(monkeypatch, algo, edit):
@@ -177,41 +182,47 @@ def test_check_model_flags_an_unknown_strategy_label(monkeypatch):
         "strategy names unknown action 'nope' at state 0"
 
 
-def test_weakened_solver_is_caught_and_shrunk():
+def test_weakened_solver_is_caught_and_shrunk(monkeypatch):
+    # without decision values svi's bounds jump past the value of a state
+    # that chooses; the two sticky loops have no choice, so only the third
+    # game fails, and its counterexample carries its position in the list
+    monkeypatch.setattr(svi, "decision_value", no_decision_value)
     g = parse_model(PADDED_ROUTE)
-    rep = run_fuzz(0, 0, extra_models=(g,), algorithms=("svi",), overrides=MUTANT)
-    assert rep.checked == 1
+    rep = run_fuzz([slow_loop(), serial_loops(2), g], algorithms=("svi",))
+    assert rep.checked == 3
     (ce,) = rep.failures
-    assert ce.index == -1
+    assert ce.index == 2
     assert ce.algorithm == "svi"
     assert ce.reason.startswith("final lower")
+    assert ce.model_text == serialize_model(g)
     small = parse_model(ce.shrunk_text)
     # the padding states fall away, the three-state core cannot shrink
     assert small.n_states == 3
-    assert check_model(small, "svi", 1e-6, exact_floats(small), overrides=MUTANT)
+    assert check_model(small, "svi", 1e-6, exact_floats(small))
 
 
 def test_weakened_solver_clean_without_override():
-    rep = run_fuzz(0, 0, extra_models=(two_route_choice(),), algorithms=("svi",))
+    rep = run_fuzz([two_route_choice()], algorithms=("svi",))
     assert rep.ok
 
 
 def test_oversized_model_counts_as_skip():
     big = generate_random(GenParams(n_states=13, seed=1))
-    rep = run_fuzz(0, 0, extra_models=(big,))
+    rep = run_fuzz([big])
     assert rep.checked == 0
     assert rep.skipped == 1
     assert rep.ok
 
 
-@pytest.mark.parametrize("algorithms", [("vi",), ("svi", "bogus")])
-def test_unknown_algorithm_is_refused_before_any_game(algorithms, monkeypatch):
-    def no_draw(*args):
+@pytest.mark.parametrize("algorithms", [("vi",), ("svi", "bogus"), ()])
+def test_unknown_algorithm_is_refused_before_any_game(algorithms):
+    def untouched():
         raise AssertionError("a game was drawn")
+        yield
 
-    monkeypatch.setattr(fuzz, "stream_params", no_draw)
-    with pytest.raises(ValueError, match=r"unknown algorithm '(vi|bogus)'; known: svi, bvi, topo"):
-        run_fuzz(5, 0, algorithms=algorithms, extra_models=(two_route_choice(),))
+    with pytest.raises(ValueError, match=r"^(unknown algorithm '(vi|bogus)'|no algorithm to check);"
+                                         r" known: svi, bvi, topo$"):
+        run_fuzz(untouched(), algorithms=algorithms)
 
 
 def test_shrink_respects_failure_predicate():
@@ -223,6 +234,6 @@ def test_shrink_respects_failure_predicate():
 
 
 def test_repeat_runs_agree():
-    a = run_fuzz(20, 5)
-    b = run_fuzz(20, 5)
+    a = run_fuzz(random_games(20, 5))
+    b = run_fuzz(random_games(20, 5))
     assert (a.checked, a.skipped, len(a.failures)) == (b.checked, b.skipped, len(b.failures))

@@ -1,6 +1,5 @@
 """Exact oracle: strategy iteration against the enumeration, chain values, k-step vectors."""
 
-import dataclasses
 import hashlib
 import operator
 import random
@@ -40,7 +39,7 @@ from ssgsolve.svi import solve_svi
 from ssgsolve.topo import solve_topological
 
 from _util import (action, census, certificate_faults, chain_reachability, fuzz_stream_params,
-                   k_step_oracle)
+                   k_step_oracle, restricted)
 
 F = Fraction
 
@@ -129,7 +128,7 @@ def test_strategy_sites_do_not_come_from_the_partition():
 
 
 def _fuzz_stream(count):
-    """The first `count` games of the stream `run_fuzz(count, 0, max_states=12)` draws, normalized."""
+    """The first `count` games of the fuzz stream `stream_params(count, 0, 12)`, normalized."""
     return (normalize(generate_random(p)) for p in fuzz_stream_params(count))
 
 
@@ -161,13 +160,6 @@ def test_exact_values_satisfy_bellman_equations():
                 assert v[s] == 0
 
 
-def _restricted(g, strategy):
-    """The game with every state named in `strategy` left only its chosen action."""
-    acts = tuple((action(g, s, strategy[s]),) if s in strategy else g.actions[s]
-                 for s in range(g.n_states))
-    return dataclasses.replace(g, actions=acts)
-
-
 def _census_slice():
     for n in (6, 8, 10):
         for seed in range(10):
@@ -186,9 +178,9 @@ def test_exact_value_orders_agree():
     for case, g in cases:
         res = exact_value(g)
         assert res.values == exact_value(g, order="minmax").values, case
-        assert exact_value(_restricted(g, res.max_strategy), order="minmax").values \
+        assert exact_value(restricted(g, res.max_strategy), order="minmax").values \
             == res.values, case
-        assert exact_value(_restricted(g, res.min_strategy), order="minmax").values \
+        assert exact_value(restricted(g, res.min_strategy), order="minmax").values \
             == res.values, case
         fractional += any(0 < v < 1 for v in res.values)
     assert fractional >= 40

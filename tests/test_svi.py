@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+import ssgsolve.fuzz as fuzz
+import ssgsolve.svi as svi
 from ssgsolve.graph import TIE_TOL, handle_ecs
 from ssgsolve.model import (
     MAX,
@@ -50,7 +53,8 @@ from ssgsolve.baselines import solve_bvi, solve_vi
 from ssgsolve.fuzz import SLACK, check_model
 from ssgsolve.oracle import exact_value
 
-from _util import REGRESSION_MODELS, census, exact_floats, max_err, permute_states, pinned
+from _util import (REGRESSION_MODELS, census, exact_floats, max_err, no_decision_value,
+                   permute_states, pinned, restricted)
 
 # Two actions with the same coin flip between the target 1 and the sink 2.
 TWIN_ACTIONS = """\
@@ -504,9 +508,10 @@ def test_argument_validation():
         solve_svi(bare)
 
 
-def test_dropping_decision_values_is_unsound():
+def test_dropping_decision_values_is_unsound(monkeypatch):
     # without the crossing-point caps the lower bound jumps past the value
-    r = solve_svi(two_route_choice(), use_decision_values=False)
+    monkeypatch.setattr(svi, "decision_value", no_decision_value)
+    r = solve_svi(two_route_choice())
     assert r.iterations == 1
     assert r.global_lower == r.global_upper == pytest.approx(2 / 3)
     assert r.value[0] >= 2 / 3 - 1e-9
@@ -541,16 +546,21 @@ def test_solves_match_golden_values(model, iterations, digest):
     assert (r.iterations, _digest(r)) == (iterations, digest)
 
 
-def test_fold_rule_matches_golden_digest():
+def test_fold_rule_matches_golden_digest(monkeypatch):
     # sha256 over repr(result), wall_ms zeroed, of the 12 presets and 120
     # census games under the default and both ablations (vectors recorded),
-    # taken while the use_decision_values=False fold still had its own,
-    # uncapped rule: the caps' seeds 1 and 0 cap no candidate in [0, 1]
+    # taken while the uncapped ablation was a switch that skipped the
+    # decision values and the fold still had its own, uncapped rule: the
+    # caps' seeds 1 and 0 cap no candidate in [0, 1]
     games = [build() for build in ALL_PRESETS.values()] + list(census((8, 10), range(20)))
     h = hashlib.sha256()
     for g in games:
-        for kw in ({}, {"use_decision_values": False}, {"ec_handling": False}):
-            r = solve_svi(g, 1e-6, max_iters=400, record_vectors=True, **kw)
+        for ablation in ("none", "uncapped", "noec"):
+            with monkeypatch.context() as m:
+                if ablation == "uncapped":
+                    m.setattr(svi, "decision_value", no_decision_value)
+                r = solve_svi(g, 1e-6, max_iters=400, record_vectors=True,
+                              ec_handling=ablation != "noec")
             h.update(repr(dataclasses.replace(r, wall_ms=0.0)).encode())
     assert (len(games), h.hexdigest()) == (
         132, "fb5712db92686c0e6a30f335109df549f849cae26aaf0358d2e28253a36c4b84")
@@ -558,8 +568,6 @@ def test_fold_rule_matches_golden_digest():
 
 def _count_decision_values(monkeypatch):
     """Wrap svi.decision_value; the list gets the sweeps done before each call."""
-    import ssgsolve.svi as svi
-
     calls = []
     sweeps = []
     decide, sweep = svi.decision_value, svi.bellman_update
@@ -593,14 +601,15 @@ def test_pinned_caps_are_not_recomputed(monkeypatch):
 
 
 def test_no_decision_values_without_caps(monkeypatch):
+    # with no crossing found the caps keep their seeds and never pin, so
+    # every sweep asks for decision values again
+    monkeypatch.setattr(svi, "decision_value", no_decision_value)
     calls = _count_decision_values(monkeypatch)
     g = generate_random(GenParams(80, 3, 3, 0.05, 0.5, 0.0, 2))
-    r = solve_svi(g, use_decision_values=False)
+    r = solve_svi(g)
     assert r.iterations > 1
-    assert calls == []
+    assert sorted(set(calls)) == list(range(r.iterations))
     assert {(t.d_l, t.d_u) for t in r.trace} == {(1.0, 0.0)}
-    solve_svi(g, max_iters=1)
-    assert calls
 
 
 def test_fuzzed_regressions_stay_fixed():
@@ -684,8 +693,6 @@ def test_capped_solve_names_real_actions():
                                target_fraction=0.1, ec_bias=0.3, min_player_fraction=0.3)), 50),
 ])
 def test_trace_delay_counts_are_the_sweeps_delay_marks(monkeypatch, game, cap):
-    import ssgsolve.svi as svi
-
     marks = []
     sweep = svi.bellman_update
 
@@ -708,8 +715,6 @@ def test_trace_delay_counts_are_the_sweeps_delay_marks(monkeypatch, game, cap):
 ])
 def test_sweep_marks_exactly_the_delayed_states(monkeypatch, game, cap, delays):
     # the traced benchmark counts `v == svi.DELAY` over the sweep's choices
-    import ssgsolve.svi as svi
-
     marked = []
     sweep = svi.bellman_update
 
@@ -892,9 +897,10 @@ ITEM_1 = pytest.mark.xfail(raises=AssertionError, strict=True,
                          ids=lambda p: f"{p.n_states}-{p.seed}-{p.ec_bias}")
 @pytest.mark.parametrize("algo", [pytest.param("svi", marks=ITEM_1),
                                   pytest.param("topo", marks=ITEM_1), "bvi"])
-def test_forced_exit_games_are_bracketed(algo, params):
+def test_forced_exit_games_are_bracketed(algo, params, monkeypatch):
     g = normalize(generate_random(params))
-    assert check_model(g, algo, 1e-6, exact_floats(g), overrides={algo: {"max_iters": 300}}) is None
+    monkeypatch.setitem(fuzz.SOLVERS, algo, partial(fuzz.SOLVERS[algo], max_iters=300))
+    assert check_model(g, algo, 1e-6, exact_floats(g)) is None
 
 
 # ROADMAP item 4: a Minimizer decision value that round-off pins. On this
@@ -944,3 +950,23 @@ def test_bvi_converges_on_the_delay_livelock_games(params, bvi_sweeps):
     res = solve_bvi(g, 1e-6, max_iters=500)
     assert res.converged
     assert res.iterations == bvi_sweeps
+
+
+# ROADMAP item 3: bvi's reported strategy may stay put inside an end
+# component. Held to bvi's (or topo(bvi)'s) Maximizer choices, this census
+# game has exact values 0, 0, 0, 1, 0, 0 against its own 1/28, 0, 71/1232,
+# 1, 1/7, 5/224; svi's and topo(svi)'s choices attain the values.
+STAY_PUT_GAME = GenParams(6, 3, 3, 0.1, 0.5, 0.5, seed=38)
+ITEM_3 = pytest.mark.xfail(raises=AssertionError, strict=True,
+                           reason="ROADMAP item 3: bvi's strategy stays inside an end component")
+
+
+@pytest.mark.parametrize("algo", ["svi", "topo", pytest.param("bvi", marks=ITEM_3),
+                                  pytest.param("topo-bvi", marks=ITEM_3)])
+def test_maximizer_choices_attain_the_values(algo):
+    g = normalize(generate_random(STAY_PUT_GAME))
+    solve = {**SOUND_SOLVERS, "topo-bvi": partial(solve_topological, inner="bvi")}[algo]
+    res = solve(g, 1e-6)
+    assert res.converged
+    sigma = {s: label for s, label in res.strategy.items() if g.owner[s] == MAX}
+    assert exact_value(restricted(g, sigma)).values == exact_value(g).values

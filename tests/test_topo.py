@@ -390,7 +390,7 @@ def test_component_mixing_a_trap_with_undecided_states():
 
 
 def _oracle_sized_stream(count):
-    """The first `count` games that `run_fuzz(count, 0, max_states=12)` draws."""
+    """The first `count` games of the fuzz stream `stream_params(count, 0, 12)`."""
     return map(generate_random, fuzz_stream_params(count))
 
 
