@@ -1,17 +1,18 @@
 """Classic value iteration and the bounded variant with EC deflation.
 
-Both iterate the one-step optimality operator with whole-vector (Jacobi)
-sweeps. Classic VI runs a single under-approximating sequence and stops on
-a small change between sweeps, which certifies nothing about the distance
-to the true value; it is here as the baseline whose iteration counts and
-unsoundness the other algorithms are measured against. The bounded variant
-runs an upper sequence as well and stops on the actual interval width,
-which is sound only because the upper vector is deflated every sweep:
-inside an end component the operator alone admits spurious fixed points
-above the value, so each component is capped to its best Maximizer exit,
-recursively. Traps, the components without any Maximizer exit, have value
-0; the state partition counts them among the sinks, so deflation never
-meets one.
+Both iterate the one-step optimality operator. Classic VI sweeps the whole
+vector at once (Jacobi) and runs a single under-approximating sequence; it
+stops on a small change between sweeps, which certifies nothing about the
+distance to the true value, and is here as the baseline whose iteration
+counts and unsoundness the other algorithms are measured against. The
+bounded variant runs an upper sequence as well and stops on the actual
+interval width. It sweeps in place, layer by layer downstream first
+(Gauss-Seidel across the layers, see `solve_bvi_pool`). It is sound only
+because the upper vector is deflated every sweep: inside an end component
+the operator alone admits spurious fixed points above the value, so each
+component is capped to its best Maximizer exit, recursively. Traps, the
+components without any Maximizer exit, have value 0; the state partition
+counts them among the sinks, so deflation never meets one.
 """
 
 from __future__ import annotations
@@ -63,47 +64,94 @@ def _sweep(game: StochasticGame, unknown: AbstractSet[int], vec: list[float]) ->
     return new
 
 
-def _sweep2(game: StochasticGame, unknown: AbstractSet[int], low: list[float],
-            high: list[float]) -> tuple[list[float], list[float]]:
-    """`(_sweep(game, unknown, low), _sweep(game, unknown, high))` in one pass over the rows.
+def _layers(game: StochasticGame, pool: AbstractSet[int], L: list[float]) -> list[tuple[int, bool]]:
+    """The pool in bvi's sweep order: `(state, ends_its_layer)`, downstream layers first.
 
-    Each row's two sums come from one pass over it (`dot2` inlined); the
-    optimum of each side is kept on its own.
+    One backward breadth-first search over `game.preds`. Layer 0 is the
+    states outside the pool that a pool state steps to and whose value in L
+    is positive: the targets, or in a topological solve the decided
+    frontier. Layer k+1 is the pool states not yet placed with an action
+    that reaches layer k. The pool states the search misses form one last
+    layer. The layers are sets of states defined by the graph alone, so the
+    sweep they give does not depend on the state numbering.
+    """
+    succs, preds = game.succs, game.preds
+    layer = {t for s in pool for t in succs[s] if t not in pool and L[t] > 0.0}
+    unplaced = set(pool)
+    order: list[tuple[int, bool]] = []
+    while layer:
+        nxt = []
+        for t in layer:
+            for s, _ in preds[t]:
+                if s in unplaced:
+                    unplaced.remove(s)
+                    nxt.append(s)
+        if nxt:
+            order += _layer(nxt)
+        layer = nxt
+    if unplaced:
+        order += _layer(list(unplaced))
+    return order
+
+
+def _layer(states: list[int]) -> list[tuple[int, bool]]:
+    """One layer of `_layers`' order; in state order, so the sweep walks the rows as they lie in memory."""
+    states.sort()
+    return [(s, False) for s in states[:-1]] + [(states[-1], True)]
+
+
+def _sweep_layers(game: StochasticGame, order: list[tuple[int, bool]], low: list[float],
+                  high: list[float]) -> None:
+    """One layered Gauss-Seidel sweep of the optimality operator over low and high, in place.
+
+    `order` is `_layers`' list. Every state reads the vectors as the
+    earlier layers left them: its new values wait in a small buffer until
+    its layer ends (Jacobi inside a layer, Gauss-Seidel across layers). One
+    flat loop over the states, so a one-state layer costs no more than any
+    other state. Each row's two sums come from one pass over it (`dot2`
+    inlined), left to right from 0.0, and the first of equal row values
+    wins, as in builtin `max`/`min`; the optimum of each side is kept on its
+    own.
     """
     rows, owner = game.rows, game.owner
-    new_low, new_high = list(low), list(high)
-    for s in unknown:
+    pending: list[tuple[int, float, float]] = []
+    for s, last in order:
         acts = rows[s]
         if len(acts) == 1:
-            x = y = 0.0
+            lo = hi = 0.0
             for t, p in acts[0]:
-                x += p * low[t]
-                y += p * high[t]
-            new_low[s] = x
-            new_high[s] = y
+                lo += p * low[t]
+                hi += p * high[t]
+        else:
+            maximize = owner[s] == MAX
+            lo = hi = None
+            for row in acts:
+                x = y = 0.0
+                for t, p in row:
+                    x += p * low[t]
+                    y += p * high[t]
+                if lo is None:
+                    lo, hi = x, y
+                elif maximize:
+                    if x > lo:
+                        lo = x
+                    if y > hi:
+                        hi = y
+                else:
+                    if x < lo:
+                        lo = x
+                    if y < hi:
+                        hi = y
+        if not last:
+            pending.append((s, lo, hi))
             continue
-        maximize = owner[s] == MAX
-        lo = hi = None
-        for row in acts:
-            x = y = 0.0
-            for t, p in row:
-                x += p * low[t]
-                y += p * high[t]
-            if lo is None:
-                lo, hi = x, y
-            elif maximize:
-                if x > lo:
-                    lo = x
-                if y > hi:
-                    hi = y
-            else:
-                if x < lo:
-                    lo = x
-                if y < hi:
-                    hi = y
-        new_low[s] = lo
-        new_high[s] = hi
-    return new_low, new_high
+        if pending:
+            for t, x, y in pending:
+                low[t] = x
+                high[t] = y
+            pending.clear()
+        low[s] = lo
+        high[s] = hi
 
 
 def _greedy_strategy(game: StochasticGame, unknown: AbstractSet[int],
@@ -215,9 +263,20 @@ def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], e
     """Bounded value iteration on the pool `part.unknown`: L from below, deflated U from above.
 
     L holds every state's start value, the decided values around the pool
-    included. Stops when the largest per-state interval U-L drops below
-    eps; the value is the midpoint. wall_ms counts from t0 (default: the
-    call). Set-up is pool-sized but for list copies: topo calls this per component.
+    included; it is copied once and not modified. Stops when the largest
+    per-state interval U-L drops below eps; the value is the midpoint.
+
+    Each sweep updates L and U in place, layer by layer downstream first
+    (`_layers`: a backward search from the pool's positive-valued
+    successors), then deflates U once. Inside a layer every state reads the
+    vectors as the earlier layers left them. This is sound by monotonicity
+    (Puterman 1994, section 6.3.3): the operator is monotone, so an update
+    from vectors that bound the value from below and above still does, and
+    `deflate` needs only U >= V (Eisentraut et al., Inf. Comput. 2022).
+    The layers and the copy of L are made on the first sweep, so a solve
+    that needs none pays nothing for them. wall_ms counts from t0
+    (default: the call). Set-up is pool-sized but for list copies: topo
+    calls this per component.
     """
     t0 = time.perf_counter() if t0 is None else t0
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
@@ -227,10 +286,14 @@ def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], e
     float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
     vectors: list[tuple[list[float], list[float]]] = []
+    order: list[tuple[int, bool]] = []
     it = 0
     gap = max((U[s] - L[s] for s in pool), default=0.0)
     while gap >= eps and it < max_iters:
-        L, U = _sweep2(game, pool, L, U)
+        if not it:
+            L = list(L)  # the sweeps write into L
+            order = _layers(game, pool, L)
+        _sweep_layers(game, order, L, U)
         U = deflate(game, part, U)
         it += 1
         # max(U-L), min L and max U in one pass; strict comparisons keep the

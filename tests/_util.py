@@ -218,7 +218,7 @@ def sweep_by_dot(game, unknown, vec):
 
 
 def sweep2_by_dot(game, unknown, low, high):
-    """Two Jacobi sweeps through `dot2` and `dot`: the reference for `baselines._sweep2`."""
+    """Two Jacobi sweeps through `dot2` and `dot`: the reference for one layer of `baselines._sweep_layers`."""
     rows, owner = game.rows, game.owner
     new_low, new_high = list(low), list(high)
     for s in unknown:
@@ -230,6 +230,20 @@ def sweep2_by_dot(game, unknown, low, high):
         new_low[s] = pick([dot(row, low) for row in acts])
         new_high[s] = pick([dot(row, high) for row in acts])
     return new_low, new_high
+
+
+def gauss_seidel_by_dot(game, order, low, high):
+    """Two in-place sweeps in the given state order through `dot`, on copies of low and high.
+
+    The reference for `baselines._sweep_layers` with one state per layer.
+    """
+    rows, owner = game.rows, game.owner
+    low, high = list(low), list(high)
+    for s in order:
+        pick = max if owner[s] == MAX else min
+        low[s] = pick([dot(row, low) for row in rows[s]])
+        high[s] = pick([dot(row, high) for row in rows[s]])
+    return low, high
 
 
 def exact_floats(game):

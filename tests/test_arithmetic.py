@@ -15,7 +15,7 @@ from ssgsolve.model import MAX, MIN, GenParams, dot, dot2, generate_random, norm
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import solve_topological
 
-from _util import census, sweep2_by_dot, sweep_by_dot
+from _util import census, gauss_seidel_by_dot, sweep2_by_dot, sweep_by_dot
 
 # Exactly equal values whose float sums differ: 3/10 in one step against
 # 1/10 + 2/10 over two targets, which comes to 0.30000000000000004.
@@ -36,6 +36,19 @@ def split_tie(owner: str, first_row: str, second_row: str):
     return normalize(parse_model(text))
 
 
+def one_layer(states):
+    """`baselines._layers`' sweep order with the given states as one layer."""
+    *rest, last = states
+    return [(s, False) for s in rest] + [(last, True)]
+
+
+def layered(game, order, low, high):
+    """`baselines._sweep_layers` on copies of low and high; returns the copies."""
+    low, high = list(low), list(high)
+    baselines._sweep_layers(game, order, low, high)
+    return low, high
+
+
 def test_dot_adds_left_to_right_from_zero():
     # each 1e-16 is lost against 1.0 in turn; a compensated sum keeps both
     row = ((0, 1.0), (1, 1e-16), (2, 1e-16))
@@ -52,7 +65,8 @@ def test_sweep_kernels_add_left_to_right_from_zero():
     game = SimpleNamespace(rows=((row,), (row, ((0, 0.5),)), (((0, 2.0),), row)), owner=(MAX, MAX, MIN))
     vec = [1.0, 1.0, 1.0]
     assert baselines._sweep(game, {0, 1, 2}, vec) == [1.0, 1.0, 1.0]
-    assert baselines._sweep2(game, {0, 1, 2}, vec, [0.0, 0.5, 0.5]) == ([1.0, 1.0, 1.0], [1e-16, 1e-16, 0.0])
+    want = ([1.0, 1.0, 1.0], [1e-16, 1e-16, 0.0])
+    assert layered(game, one_layer([0, 1, 2]), vec, [0.0, 0.5, 0.5]) == want
 
 
 def test_sweep_kernels_match_the_dot_reference_bit_for_bit():
@@ -66,7 +80,19 @@ def test_sweep_kernels_match_the_dot_reference_bit_for_bit():
             low = [draw() for _ in states]
             high = [draw() for _ in states]
             assert repr(baselines._sweep(g, states, low)) == repr(sweep_by_dot(g, states, low))
-            assert repr(baselines._sweep2(g, states, low, high)) == repr(sweep2_by_dot(g, states, low, high))
+            # the whole pool as one layer is a Jacobi sweep
+            assert repr(layered(g, one_layer(states), low, high)) == repr(sweep2_by_dot(g, states, low, high))
+            # one-state layers are a plain in-place sweep in that order
+            order = rng.sample(states, len(states))
+            assert (repr(layered(g, [(s, True) for s in order], low, high))
+                    == repr(gauss_seidel_by_dot(g, order, low, high)))
+            # any layering: one Jacobi sweep per layer, each from what the one before left
+            cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, len(order) - 1)))
+            layers = [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(order)])]
+            want = (low, high)
+            for layer in layers:
+                want = sweep2_by_dot(g, layer, *want)
+            assert repr(layered(g, [pair for layer in layers for pair in one_layer(layer)], low, high)) == repr(want)
     assert multi == {MAX, MIN}
 
 

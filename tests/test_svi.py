@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -774,7 +775,8 @@ def test_census_slice_brackets_contain_the_value():
                 g = generate_random(GenParams(n_states=n, seed=seed, max_actions_per_state=3,
                                               max_branching=3, target_fraction=tf, ec_bias=eb))
                 want = [float(v) for v in exact_value(g).values]
-                for r in (solve_svi(g, max_iters=500), solve_bvi(g, max_iters=500)):
+                for r in (solve_svi(g, max_iters=500), solve_bvi(g, max_iters=500),
+                          solve_topological(g, inner="bvi", max_iters=500)):
                     for s, v in enumerate(want):
                         assert r.lower[s] <= v + SLACK and r.upper[s] >= v - SLACK, (
                             r.algorithm, n, seed, eb, s)
@@ -925,12 +927,33 @@ def test_sweeps_do_not_depend_on_state_numbering(algo):
     assert solve(renumbered, 1e-6, max_iters=3000).iterations == solve(g, 1e-6, max_iters=3000).iterations
 
 
+@pytest.mark.parametrize("algo", ["bvi", "topo-bvi"])
+def test_bvi_sweeps_do_not_depend_on_state_numbering_on_a_census_slice(algo):
+    # bvi's layers are sets of states the graph defines, so a renumbering
+    # changes neither its sweep count nor, beyond round-off, its lowers. The
+    # uppers agree within eps only, which both brackets' width bounds:
+    # `deflate` caps the end components in `mec_decompose` order, which
+    # follows the numbering, and a component whose exit leads into another
+    # one reads that one capped or not (2 of these 720 renumberings move an
+    # upper, by 1.7e-7 at most)
+    solve = {"bvi": solve_bvi, "topo-bvi": partial(solve_topological, inner="bvi")}[algo]
+    for g in census((8, 10, 12), range(40)):
+        r = solve(g, 1e-6, max_iters=3000)
+        for seed in (1, 2):
+            perm = random.Random(seed).sample(range(g.n_states), g.n_states)
+            q = solve(permute_states(g, perm), 1e-6, max_iters=3000)
+            assert q.converged and q.iterations == r.iterations, (g, seed)
+            for s in range(g.n_states):
+                assert q.lower[perm[s]] == pytest.approx(r.lower[s], abs=1e-12), (g, seed, s)
+                assert q.upper[perm[s]] == pytest.approx(r.upper[s], abs=1e-6), (g, seed, s)
+
+
 # ROADMAP item 2: the delay livelocks. svi and topo(svi) keep delaying a
 # state and hit the 500-sweep cap on all three games; bvi converges.
 DELAY_LIVELOCKS = [
-    pytest.param(GenParams(200, 3, 3, 0.05, 0.5, 0.0, seed=3), 117, id="200-3"),
-    pytest.param(GenParams(16, 3, 2, 0.1, 0.3, 0.7, seed=75), 86, id="16-75"),
-    pytest.param(GenParams(16, 3, 2, 0.1, 0.3, 0.3, seed=80), 10, id="16-80"),
+    pytest.param(GenParams(200, 3, 3, 0.05, 0.5, 0.0, seed=3), 75, id="200-3"),
+    pytest.param(GenParams(16, 3, 2, 0.1, 0.3, 0.7, seed=75), 31, id="16-75"),
+    pytest.param(GenParams(16, 3, 2, 0.1, 0.3, 0.3, seed=80), 5, id="16-80"),
 ]
 ITEM_2 = pytest.mark.xfail(raises=AssertionError, strict=True,
                            reason="ROADMAP item 2: the delay rule livelocks")
