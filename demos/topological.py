@@ -3,7 +3,9 @@
 A chain of loops is the worst case for whole-game sweeps: every sweep
 touches every state although only the most downstream loop is actually
 learning anything. The topological driver solves each strongly connected
-component on its own, feeding certified intervals upstream.
+component on its own, feeding certified intervals upstream. Each loop of
+this chain is one self-looping state, which the driver settles in closed
+form, with no sweep at all.
 """
 
 from ssgsolve.presets import serial_loops

@@ -141,9 +141,9 @@ def settle_tail(game: StochasticGame, part: StatePartition, vec: list[float]) ->
     here counts as decided for the states upstream of it. Each settled
     state gets its exact one-step value (`best_step`) in `vec` and leaves
     `part.unknown`; the returned map gives its action position: the lowest
-    within TIE_TOL of the optimum, as in `choose_actions`. `topo` settles
-    its one-state components by the same rule.
-    A self-loop keeps a state undecided.
+    within TIE_TOL of the optimum, as in `choose_actions`.
+    A self-loop keeps a state undecided. (`topo` settles the one-state
+    components of its plan itself, self-loops included: `topo.closed_form`.)
     """
     settled: dict[int, int] = {}
     for comp in scc_decompose(game, part.unknown):
@@ -260,7 +260,9 @@ def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
     delay candidate (`facts.ec_max`) outside the best-exit set whose
     candidate upper estimate exceeds its old one is delayed: it keeps its
     old entries, its snapshot entry becomes DELAY and it joins the
-    snapshot's delayed set. Rows of decided states never change.
+    snapshot's delayed set. Rows of decided states never change. Without
+    a delay the new snapshot shares `strategy.choices`; no caller mutates
+    a snapshot's map.
     """
     rows, choices = game.rows, strategy.choices
     reach, stay = rs.reach, rs.stay
@@ -281,13 +283,14 @@ def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
         for s in facts.ec_max:
             if s not in bexit and new_reach[s] + new_stay[s] * u > reach[s] + stay[s] * u + TIE_TOL:
                 delayed.add(s)
-    new_choices = dict(choices)
-    for s in delayed:
-        new_reach[s] = reach[s]
-        new_stay[s] = stay[s]
-        new_choices[s] = DELAY
+    if delayed:  # the choice map is copied only to mark its delayed states
+        choices = dict(choices)
+        for s in delayed:
+            new_reach[s] = reach[s]
+            new_stay[s] = stay[s]
+            choices[s] = DELAY
     return (ReachStayVector(new_reach, new_stay),
-            StrategySnapshot(new_choices, strategy.bexit, frozenset(delayed)))
+            StrategySnapshot(choices, strategy.bexit, frozenset(delayed)))
 
 
 def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds: GlobalBounds,

@@ -3,19 +3,22 @@
 Value dependencies follow the edge relation, so the strongly connected
 components can be solved in reverse topological order with everything
 downstream already decided. A game whose states the partition decides
-entirely needs no plan and no sweep. A component of one state without a
-self-loop depends on decided states only, and the driver settles it in
-one step: its one-step optimum over the lowers and over the uppers. Any
-other component's undecided states are solved as the pool of an inner
-pool solve (`svi.solve_svi_pool`, `baselines.solve_bvi_pool`) twice:
-once with every downstream state at its certified lower value and once
-with its frontier (the downstream states one step away, the only ones its
-values depend on) at its uppers; by monotonicity of the value in the
-frontier the first run's lowers and the second run's uppers bound the
-true values. When the frontier is already tight (lower == upper for every
-frontier state, the common case) a single run suffices. Local precision
-is eps / (1 + depth), depth counted from the source components, so
-upstream components absorb the error their frontiers carry.
+entirely needs no plan and no sweep. A component of one state depends on
+decided states and on itself only, and the driver settles it in closed
+form (`closed_form`): an action without a self-loop is worth its one-step
+value, one with a self-loop its exit mass weighted by the decided values
+over its exit mass, rounded outward; the state takes the optimum over the
+lowers and over the uppers. Any other component's undecided states are
+solved as the pool of an inner pool solve (`svi.solve_svi_pool`,
+`baselines.solve_bvi_pool`) twice: once with every downstream state at
+its certified lower value and once with its frontier (the downstream
+states one step away, the only ones its values depend on) at its uppers;
+by monotonicity of the value in the frontier the first run's lowers and
+the second run's uppers bound the true values. When the frontier is
+already tight (lower == upper for every frontier state, the common case)
+a single run suffices. Local precision is eps / (1 + depth), depth
+counted from the source components, so upstream components absorb the
+error their frontiers carry.
 """
 
 from __future__ import annotations
@@ -26,15 +29,21 @@ from typing import Callable
 
 from .baselines import solve_bvi_pool
 from .graph import scc_decompose
-from .model import StatePartition, StochasticGame, partition_states
+from .model import MAX, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
-from .svi import best_step, solve_svi_pool, start_vector
+from .svi import argopt, solve_svi_pool, start_vector
 
 #: pool solves, called as solver(game, part, vec, eps, max_iters)
 INNER_SOLVERS: dict[str, Callable[..., SolveResult]] = {
     "svi": solve_svi_pool,
     "bvi": solve_bvi_pool,
 }
+
+#: Unit roundoff of binary64: u in Higham's gamma_n = n*u / (1 - n*u).
+_U = 2.0 ** -53
+#: 2**53 times the least normal float: a sum at least this large turns the
+#: absolute errors of underflow into relative ones below u**2.
+_TINY = 2.0 ** -969
 
 
 @dataclass
@@ -99,6 +108,69 @@ def build_plan(game: StochasticGame, eps: float) -> SccPlan:
     return SccPlan(entries)
 
 
+def closed_form(game: StochasticGame, s: int, lo: list[float],
+                hi: list[float]) -> tuple[float, float, int]:
+    """State s's value bracket when every successor but s itself is decided.
+
+    Returns (lower, upper, action position), read from the lowers `lo`
+    and the uppers `hi` of the successors in one pass over each row. An
+    action without a self-loop is worth its one-step value, the row's sum
+    of p * v[t] added left to right from 0.0, as `svi.best_step` adds it.
+    An action with a self-loop is worth r / out, where r sums p * v[t] and
+    out sums p over the transitions with t != s: with q the self-loop mass
+    that is r / (1 - q), the value of playing the action until play leaves
+    s. `1.0 - q` is never formed: near q = 1 the subtraction would scale
+    the rounding error of the float q by q / (1 - q). An action whose
+    whole mass loops (no exit) is worth 0. The state takes the max over
+    its actions (Maximizer) or the min (Minimizer); the action is the
+    lowest position within TIE_TOL of the optimum on the lowers (`argopt`).
+
+    Only a quotient is rounded outward: the lower by the factor 1 - m,
+    the upper by 1 + m, clamped at 1, with m = (4k+4)u for k exits and
+    u = 2**-53. Why that suffices (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, Lemma 3.1): with exact probabilities p_t
+    the true quotient is x* = R / O, R = sum p_t v_t, O = sum p_t. Every
+    float p_t carries one rounding, every product one more, and each term
+    at most k - 1 additions, so for these nonnegative terms the computed
+    r lies in R * [(1-u)^(k+1), (1+u)^(k+1)] and out in O * [(1-u)^k,
+    (1+u)^k]; with the division the computed quotient is x*(1 + theta),
+    |theta| <= gamma_(2k+2). The last product rounds once more, so the
+    lower is at most x*(1 + gamma_(2k+2))(1 + u)(1 - m) <= x* and the
+    upper at least x*(1 - gamma_(2k+2))(1 - u)(1 + m) >= x*, which m =
+    (2k+4)u already gives for k below 2**20; the doubled m keeps a wide
+    margin. A subnormal product or probability errs by up to 2**-1075
+    absolutely, below u**2 relative to a sum of at least `_TINY`; a sum
+    below it gives a lower of 0 and an upper of the largest exit upper,
+    bounds on a weighted average that need no arithmetic. Zeros stay
+    exact, so an exit to sinks only is worth exactly 0. The value is
+    monotone in the successors' values, so the bracket holds the true
+    value whenever lo and hi bracket the successors'.
+    """
+    lows, highs = [], []
+    for row in game.rows[s]:
+        x = y = out = 0.0
+        k = 0
+        loops = False
+        for t, p in row:
+            if t == s:
+                loops = True
+                continue
+            x += p * lo[t]
+            y += p * hi[t]
+            out += p
+            k += 1
+        if loops:
+            m = (4 * k + 4) * _U
+            x = x / out * (1.0 - m) if x >= _TINY and out >= _TINY else 0.0
+            y = (min(1.0, y / out * (1.0 + m)) if y >= _TINY and out >= _TINY
+                 else max((hi[t] for t, _ in row if t != s), default=0.0))
+        lows.append(x)
+        highs.append(y)
+    maximize = game.owner[s] == MAX
+    lower, i = argopt(lows, maximize)
+    return lower, max(highs) if maximize else min(highs), i
+
+
 def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi",
                       max_iters: int = 10_000_000) -> SolveResult:
     """Solve SCC by SCC with the given inner pool solve around the decided frontiers.
@@ -110,10 +182,10 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     action, whichever component they lie in. The plan (`build_plan`) is
     only the schedule, built only when the partition leaves a state
     undecided: the frontiers, bounds and sweep counts of the components
-    live in this call. A component of one state without a self-loop gets
-    no inner run: `best_step` over the lowers gives its lower and its
-    action, over the uppers its upper. `max_iters` bounds the sweeps of
-    the whole solve: each inner run gets what the runs before it left.
+    live in this call. A component of one state, with or without a
+    self-loop, gets no inner run: `closed_form` gives its bracket and its
+    action. `max_iters` bounds the sweeps of the whole solve: each inner
+    run gets what the runs before it left.
     Once none is left, the later components get no sweep; their runs
     return valid brackets, unconverged unless already tight.
     """
@@ -131,10 +203,9 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
     entries = build_plan(game, eps).unknown_entries() if part.unknown else []
     for entry in entries:
         s, *others = entry.states
-        if not others and s not in game.succs[s]:
-            # every successor is downstream, so decided: one step settles s
-            lo[s], i = best_step(game, s, lo)
-            hi[s] = best_step(game, s, hi)[0]
+        if not others:
+            # every successor but s itself is downstream, so decided
+            lo[s], hi[s], i = closed_form(game, s, lo, hi)
             strategy[s] = game.actions[s][i].label
             continue
         inside = set(entry.states)

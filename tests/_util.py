@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import ssgsolve.oracle as oracle
 from ssgsolve import solve_bvi, solve_svi, solve_topological, solve_vi
-from ssgsolve.fuzz import stream_params
+from ssgsolve.fuzz import SLACK, stream_params
 from ssgsolve.model import (MAX, Action, GenParams, StatePartition, StochasticGame,
                             dot, dot2, generate_random, normalize, partition_states)
 from ssgsolve.oracle import TooLarge, exact_value
@@ -131,6 +131,39 @@ def census(sizes, seeds):
     """The census games of the given sizes and seeds, normalized."""
     for params in census_params(sizes, seeds):
         yield normalize(generate_random(params))
+
+
+def ec_set(sizes, seeds):
+    """The EC-set games of the given sizes and seeds, normalized.
+
+    `GenParams(n, 3, br, 0.1, mp, eb, seed)` for every size n and seed,
+    ec_bias eb in (0.3, 0.5, 0.7), branching br in (2, 3) and Minimizer
+    share mp in (0.3, 0.5): games with many end components.
+    """
+    for n in sizes:
+        for seed in seeds:
+            for eb in (0.3, 0.5, 0.7):
+                for br in (2, 3):
+                    for mp in (0.3, 0.5):
+                        yield normalize(generate_random(GenParams(n, 3, br, 0.1, mp, eb, seed=seed)))
+
+
+def check_set(solve, games, max_states=12):
+    """(wrong brackets, stalls, sweep sum) of `solve` over `games`, against `exact_value`.
+
+    solve(game) returns a SolveResult. A wrong bracket is a game on which
+    some state's [lower, upper] misses the exact value by more than
+    `fuzz.SLACK`; a stall is a solve that did not converge.
+    """
+    wrong = stalls = sweeps = 0
+    for game in games:
+        res = solve(game)
+        exact = exact_value(game, max_states=max_states).values
+        wrong += any(lo > v + SLACK or up < v - SLACK
+                     for lo, up, v in zip(res.lower, res.upper, exact))
+        stalls += not res.converged
+        sweeps += res.iterations
+    return wrong, stalls, sweeps
 
 
 def fuzz_stream_params(count):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from ssgsolve.baselines import deflate, solve_bvi
 from ssgsolve.graph import mec_decompose, trap_states
-from ssgsolve.model import MAX, Action, GenParams, ProbabilitySum, StochasticGame, ValidationError, \
+from ssgsolve.model import MAX, MIN, Action, GenParams, ProbabilitySum, StochasticGame, ValidationError, \
     generate_random, normalize, parse_model, partition_states, scale_to_integers, serialize_model
 from ssgsolve.oracle import exact_value
 from ssgsolve.svi import solve_svi
+from ssgsolve.topo import closed_form
 
 from _util import distribution_fault, exact_floats, k_step_oracle, surface_digest
 
@@ -26,8 +27,9 @@ def test_public_entry_points_match_the_golden_digest():
     # took over the special cases of fuzz, graph, svi, baselines, model,
     # presets and oracle, and the same on Python 3.10 to 3.13; re-recorded
     # when bvi's sweeps became layered Gauss-Seidel, which moved the bvi and
-    # topo(bvi) results only
-    assert surface_digest() == "b4a58edde1118b65d9493f96b22e34ee7fd811460c6631b3fe7e73d03d81d5d5"
+    # topo(bvi) results only, and when topo settled its one-state components
+    # in closed form, which moved the topo results only
+    assert surface_digest() == "c6bcf0aeff1ebbc3187cc15a952a33af2d28579e0ee734a1339bed7529aba78a"
 
 
 @st.composite
@@ -218,3 +220,59 @@ def test_ec_bias_produces_end_components():
     # state 4 is a Minimizer self-loop, a trap: the partition counts it among the sinks
     part = partition_states(g)
     assert part.unknown == {3} and 4 in part.sinks
+
+
+@st.composite
+def one_state_components(draw):
+    """(game, lo, hi): state 0 with 1-3 self-looping actions over decided states 1..4.
+
+    Each action loops back to 0 with an exact mass q, drawn up to 1 - 1e-12
+    or exactly 1, and splits 1 - q over one to three exits; lo <= hi are
+    float values of the decided states, subnormals and 0 included.
+    """
+    n_down = 4
+    acts = []
+    for i in range(draw(st.integers(1, 3))):
+        q = draw(st.one_of(
+            st.fractions(Fraction(1, 10**6), 1 - Fraction(1, 10**12), max_denominator=10**15),
+            st.integers(1, 12).map(lambda k: 1 - Fraction(1, 10**k)),
+            st.just(Fraction(1)),
+        ))
+        trans = [(0, q)]
+        if q < 1:
+            exits = draw(st.lists(st.tuples(st.integers(1, n_down), st.integers(1, 1000)),
+                                  min_size=1, max_size=3))
+            total = sum(w for _, w in exits)
+            trans += [(t, (1 - q) * w / total) for t, w in exits]
+        acts.append(Action(f"a{i}", tuple(trans)))
+    owner = (draw(st.sampled_from([MAX, MIN])),) + (MAX,) * n_down
+    actions = (tuple(acts),) + tuple((Action("loop", ((t, Fraction(1)),)),)
+                                     for t in range(1, n_down + 1))
+    lo, hi = [0.0], [0.0]
+    for _ in range(n_down):
+        a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        lo.append(a)
+        hi.append(b)
+    return StochasticGame(n_down + 1, owner, actions, frozenset()), lo, hi
+
+
+def _exact_closed_form(game, v):
+    """State 0's value over the decided values v, worked out in Fractions from `Action.transitions`."""
+    worths = []
+    for act in game.actions[0]:
+        exits = [(t, p) for t, p in act.transitions if t != 0]
+        out = sum((p for _, p in exits), Fraction(0))
+        worths.append(sum(p * Fraction(v[t]) for t, p in exits) / out if out else Fraction(0))
+    return max(worths) if game.owner[0] == MAX else min(worths)
+
+
+@settings(deadline=None, max_examples=400)
+@given(one_state_components())
+def test_closed_form_brackets_the_exact_closed_form(component):
+    # outward rounding must cover the float probabilities, the sums and the division
+    game, lo, hi = component
+    lower, upper, i = closed_form(game, 0, lo, hi)
+    assert 0.0 <= lower and upper <= 1.0
+    assert Fraction(lower) <= _exact_closed_form(game, lo)
+    assert _exact_closed_form(game, hi) <= Fraction(upper)
+    assert 0 <= i < len(game.actions[0])

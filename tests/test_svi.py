@@ -976,16 +976,16 @@ def test_bvi_converges_on_the_delay_livelock_games(params, bvi_sweeps):
 
 
 # ROADMAP item 3: bvi's reported strategy may stay put inside an end
-# component. Held to bvi's (or topo(bvi)'s) Maximizer choices, this census
-# game has exact values 0, 0, 0, 1, 0, 0 against its own 1/28, 0, 71/1232,
-# 1, 1/7, 5/224; svi's and topo(svi)'s choices attain the values.
+# component. Held to bvi's Maximizer choices, this census game has exact
+# values 0, 0, 0, 1, 0, 0 against its own 1/28, 0, 71/1232, 1, 1/7,
+# 5/224; svi's and topo(svi)'s choices attain the values, and so do
+# topo(bvi)'s since topo settles the one-state components in closed form.
 STAY_PUT_GAME = GenParams(6, 3, 3, 0.1, 0.5, 0.5, seed=38)
 ITEM_3 = pytest.mark.xfail(raises=AssertionError, strict=True,
                            reason="ROADMAP item 3: bvi's strategy stays inside an end component")
 
 
-@pytest.mark.parametrize("algo", ["svi", "topo", pytest.param("bvi", marks=ITEM_3),
-                                  pytest.param("topo-bvi", marks=ITEM_3)])
+@pytest.mark.parametrize("algo", ["svi", "topo", pytest.param("bvi", marks=ITEM_3), "topo-bvi"])
 def test_maximizer_choices_attain_the_values(algo):
     g = normalize(generate_random(STAY_PUT_GAME))
     solve = {**SOUND_SOLVERS, "topo-bvi": partial(solve_topological, inner="bvi")}[algo]

@@ -3,14 +3,16 @@
 import dataclasses
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from ssgsolve.baselines import solve_bvi
 from ssgsolve.model import GenParams, generate_random, normalize, parse_model, partition_states
-from ssgsolve.svi import solve_svi
+from ssgsolve.oracle import exact_value
+from ssgsolve.svi import best_step, solve_svi
 from ssgsolve import topo
-from ssgsolve.topo import INNER_SOLVERS, build_plan, solve_topological
+from ssgsolve.topo import INNER_SOLVERS, build_plan, closed_form, solve_topological
 from ssgsolve.presets import (
     ALL_PRESETS,
     exit_seesaw,
@@ -20,7 +22,7 @@ from ssgsolve.presets import (
     slow_loop,
 )
 
-from _util import census, exact_floats, fuzz_stream_params, max_err
+from _util import census, check_set, ec_set, exact_floats, fuzz_stream_params, max_err
 
 
 # `loop_with_bypass` with the relay 2 made a coin flip between the target
@@ -81,37 +83,66 @@ def test_plan_tightens_eps_with_depth():
     ]
 
 
+# `loop_with_bypass` with its sticky self-loop stretched over the two
+# Maximizer states 1 and 5, so that the loop is a component of several
+# states, which the inner solver and not the closed form settles. Both
+# states have value 1/2, and so has the Minimizer entry 0.
+LOOP_PAIR_WITH_BYPASS = """\
+ssg 1
+states 6
+minplayer 0 2
+target 3
+action 0 a
+  1 1
+action 0 b
+  2 1
+action 1 a
+  5 49/50
+  3 1/100
+  4 1/100
+action 1 b
+  4 1
+action 2 c
+  3 1
+action 5 a
+  1 49/50
+  3 1/100
+  4 1/100
+"""
+
+
 def test_slow_component_resolves_locally_in_one_iteration(monkeypatch):
-    g = loop_with_bypass()
+    g = normalize(parse_model(LOOP_PAIR_WITH_BYPASS))
     calls = record_inner(monkeypatch)
     res = solve_topological(g)
     assert res.converged
     assert res.algorithm == "topo-svi"
-    (slow,) = [e for e in build_plan(g, 1e-6).entries if e.states == (1,)]
+    (slow,) = [e for e in build_plan(g, 1e-6).entries if e.states == (1, 5)]
     assert slow.kind == "unknown"
     # its frontier, the target 3 and the sink 4, is tight: one run, one sweep
-    ((_, start, run),) = [c for c in calls if c[0] == (1,)]
+    ((_, start, run),) = [c for c in calls if c[0] == (1, 5)]
     assert (start[3], start[4]) == (1.0, 0.0)
     assert run.iterations == 1
     assert [t.scc for t in res.trace].count(slow.index) == 1
     assert res.upper[1] - res.lower[1] <= 1e-6
-    assert res.strategy == {0: "a", 1: "a", 2: "c"}
+    assert res.strategy == {0: "a", 1: "a", 2: "c", 5: "a"}
 
 
 # State 0 chooses between two components that do not see each other: the
 # loop {1, 2} (values 2/3 and 1/3, bracketed only to eps) and the loop
-# {3} (value 1/2), whose successors outside itself are the target 4 and
-# the sink 5. Its action b also returns to 0, so the source lies on a
-# cycle and is solved by inner runs, not settled in one step.
+# {3, 6} (value 1/2 each), whose successors outside itself are the target
+# 4 and the sink 5. Its action b also leads to 7, which returns to 0, so
+# the source lies on the cycle {0, 7} and is solved by inner runs. Every
+# component has several states: the driver settles none in closed form.
 TIGHT_NEXT_TO_LOOSE = """\
 ssg 1
-states 6
+states 8
 target 4
 action 0 a
   1 1
 action 0 b
   3 1/2
-  0 1/2
+  7 1/2
 action 1 a
   2 1/2
   4 1/2
@@ -119,9 +150,13 @@ action 2 a
   1 1/2
   5 1/2
 action 3 a
-  3 1/2
+  6 1/2
   4 1/4
   5 1/4
+action 6 a
+  3 1
+action 7 a
+  0 1
 """
 
 
@@ -131,8 +166,8 @@ def test_second_run_only_for_a_loose_frontier(monkeypatch):
     res = solve_topological(g)
     assert res.converged
     # the loose loop is decided before the tight one is solved
-    assert [e.states for e in build_plan(g, 1e-6).unknown_entries()] == [(1, 2), (3,), (0,)]
-    assert [pool for pool, _, _ in calls] == [(1, 2), (3,), (0,), (0,)]
+    assert [e.states for e in build_plan(g, 1e-6).unknown_entries()] == [(1, 2), (3, 6), (0, 7)]
+    assert [pool for pool, _, _ in calls] == [(1, 2), (3, 6), (0, 7), (0, 7)]
     _, tight, source_lo, source_hi = (start for _, start, _ in calls)
     assert res.lower[1] < res.upper[1]
     assert (tight[4], tight[5]) == (1.0, 0.0)
@@ -202,6 +237,115 @@ def test_one_state_source_is_settled_over_a_loose_frontier(inner, monkeypatch):
     assert res.strategy[0] == "b"
 
 
+# LOOSE_LOOP_OR_COIN with the source's action a looping back to 0 half the
+# time: a is still worth the loop's value 2/3, but the source lies on a
+# cycle of its own.
+LOOSE_LOOP_OR_SELF_LOOPING_COIN = LOOSE_LOOP_OR_COIN.replace(
+    "action 0 a\n  1 1\n", "action 0 a\n  1 1/2\n  0 1/2\n")
+
+
+@pytest.mark.parametrize("inner", sorted(INNER_SOLVERS))
+def test_self_looping_source_is_settled_in_closed_form_over_a_loose_frontier(inner, monkeypatch):
+    g = normalize(parse_model(LOOSE_LOOP_OR_SELF_LOOPING_COIN))
+    assert 0 in g.succs[0]
+    calls = record_inner(monkeypatch, inner)
+    res = solve_topological(g, inner=inner, max_iters=1)
+    assert [pool for pool, _, _ in calls] == [(1, 2)]  # no inner run for the source
+    assert res.lower[1] < 0.6 < res.upper[1]
+    # a's worth is (1/2 * v[1]) / (1/2) = v[1], rounded outward
+    assert res.lower[0] == 0.6
+    assert res.upper[1] <= res.upper[0] <= min(1.0, res.upper[1] * (1 + 1e-15))
+    assert res.strategy[0] == "b"
+    exact = exact_value(g).values[0]
+    assert Fraction(res.lower[0]) <= exact <= Fraction(res.upper[0])
+
+
+def test_closed_form_is_best_step_on_a_row_without_a_self_loop():
+    # bit for bit, on every state of census games that has no self-loop
+    rng = random.Random(5)
+    checked = 0
+    for g in census((8, 12), range(10)):
+        lo = [rng.random() for _ in range(g.n_states)]
+        hi = [v + rng.random() * (1 - v) for v in lo]
+        for s in range(g.n_states):
+            if s in g.succs[s]:
+                continue
+            lower, i = best_step(g, s, lo)
+            assert closed_form(g, s, lo, hi) == (lower, best_step(g, s, hi)[0], i)
+            checked += 1
+    assert checked > 250
+
+
+# Maximizer state 0: action a loops forever, b loops half the time and
+# else goes to state 1, c goes to state 2 at once. States 1 and 2 are
+# decided elsewhere; the test sets their values.
+SELF_LOOP_CHOICES = """\
+ssg 1
+states 3
+target 2
+action 0 a
+  0 1
+action 0 b
+  0 1/2
+  1 1/2
+action 0 c
+  2 1
+action 1 loop
+  1 1
+action 2 loop
+  2 1
+"""
+
+
+def test_closed_form_values_each_action():
+    g = normalize(parse_model(SELF_LOOP_CHOICES))
+    # a is worth 0, b the value of 1, c that of 2: b wins on the lowers, and its
+    # quotient is rounded outward, while zeros and the one-step c stay exact
+    lower, upper, i = closed_form(g, 0, [0.0, 0.75, 0.5], [0.0, 0.75, 0.5])
+    assert (i, g.actions[0][i].label) == (1, "b")
+    assert lower < 0.75 < upper and upper - lower < 1e-14
+    assert closed_form(g, 0, [0.0, 0.0, 0.5], [0.0, 0.0, 0.5]) == (0.5, 0.5, 2)
+    assert closed_form(g, 0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]) == (0.0, 0.0, 0)
+    # near 1 the upper is clamped
+    assert closed_form(g, 0, [0.0, 1.0, 0.0], [0.0, 1.0, 0.0])[1] == 1.0
+
+
+def test_closed_form_falls_back_where_a_sum_underflows():
+    # 1/2 * 5e-324 rounds to 0.0, so the quotient would put the upper at 0,
+    # below the true value 5e-324: the upper falls back to the largest
+    # exit upper, the lower to 0
+    g = normalize(parse_model(SELF_LOOP_CHOICES))
+    tiny = 5e-324
+    assert 0.5 * tiny == 0.0
+    assert closed_form(g, 0, [0.0, tiny, 0.0], [0.0, tiny, 0.0]) == (0.0, tiny, 0)
+    # through the driver: serial_loops(1080)'s values (1/2)^(1080-i) leave the normal range
+    k = 1080
+    res = solve_topological(serial_loops(k))
+    assert res.iterations == 0
+    for i in range(k):
+        assert Fraction(res.lower[i]) <= Fraction(1, 2 ** (k - i)) <= Fraction(res.upper[i]), i
+
+
+@pytest.mark.parametrize("inner", sorted(INNER_SOLVERS))
+def test_serial_loops_150_are_settled_in_closed_form(inner):
+    # the benchmark's chains: state i has value (1/2)^(150-i), and every
+    # component is one self-looping state
+    g = serial_loops(150)
+    res = solve_topological(g, inner=inner)
+    assert res.converged and res.iterations == 0 and res.trace == []
+    for i in range(150):
+        v = Fraction(1, 2 ** (150 - i))
+        assert Fraction(res.lower[i]) <= v <= Fraction(res.upper[i]), i
+        assert res.upper[i] - res.lower[i] <= 1e-12 * float(v), i
+
+
+def test_topo_bvi_brackets_the_ec_set_slice():
+    # 240 games with many end components, checked against exact values
+    wrong, stalls, _ = check_set(lambda g: solve_topological(g, 1e-6, inner="bvi", max_iters=3000),
+                                 ec_set((6, 8), range(10)))
+    assert (wrong, stalls) == (0, 0)
+
+
 def test_decided_game_builds_no_plan_and_runs_no_inner_solve(monkeypatch):
     # the Maximizer 0 wins almost surely by b; 1 is a sink
     g = normalize(parse_model("ssg 1\nstates 3\ntarget 2\naction 0 a\n1 1\naction 0 b\n2 1\n"
@@ -222,8 +366,8 @@ def test_decided_game_builds_no_plan_and_runs_no_inner_solve(monkeypatch):
 
 def test_work_counts_on_the_oracle_sized_stream(monkeypatch):
     # the partition decides 239 of the 300 games entirely, and a component
-    # of one acyclic state needs no inner run: with a plan and an inner run
-    # for every unknown component it would be 300 plans and 120 runs
+    # of one state needs no inner run: with a plan and an inner run for
+    # every unknown component it would be 300 plans and 120 runs
     plans = []
 
     def recorded(game, eps):
@@ -234,7 +378,7 @@ def test_work_counts_on_the_oracle_sized_stream(monkeypatch):
     calls = record_inner(monkeypatch)
     for g in _oracle_sized_stream(300):
         solve_topological(normalize(g))
-    assert (len(plans), len(calls)) == (61, 35)
+    assert (len(plans), len(calls)) == (61, 16)
 
 
 def test_max_iters_bounds_the_whole_solve():
@@ -265,14 +409,14 @@ def test_plan_is_looked_up_through_the_module(monkeypatch):
     assert [(e.states, e.eps_local) for e in plan.unknown_entries()] == [((1,), 1e-4 / 2), ((0,), 1e-4)]
 
 
-def test_serial_chain_needs_one_update_per_component():
+def test_serial_chain_needs_no_sweep():
     g = serial_loops()
     topo = solve_topological(g)
     plain = solve_svi(g)
     assert topo.converged and plain.converged
     topo_updates, plain_updates = (sum(t.updates for t in r.trace) for r in (topo, plain))
-    assert topo.iterations == 3
-    assert topo_updates == 3
+    assert topo.iterations == 0
+    assert topo_updates == 0
     assert plain.iterations == 785
     assert plain_updates == 2355
     assert topo_updates <= plain_updates
@@ -354,8 +498,10 @@ def test_unknown_inner_rejected():
 
 
 def test_iteration_cap_propagates():
-    res = solve_topological(slow_loop(), max_iters=0)
+    # the loop {1, 2} needs sweeps; the one-state components need none
+    res = solve_topological(normalize(parse_model(TIGHT_NEXT_TO_LOOSE)), max_iters=0)
     assert not res.converged
+    assert solve_topological(slow_loop(), max_iters=0).converged
 
 
 # Minimizer state 0 may loop forever (stay) or step to the Maximizer state 1,
@@ -406,9 +552,9 @@ def test_plan_digest_of_the_census_and_the_benchmark_families():
 
 
 @pytest.mark.parametrize("inner, digest", [
-    ("svi", "011a43407a6cea1f4d524a567031feab10c8429253ce9f2a1b00e86a7597420e"),
-    # re-recorded when bvi's sweeps became layered Gauss-Seidel
-    ("bvi", "0fc408426ae0db8f56123f2e85caefa95d5401a27059b3c46c7339b9e0517eef"),
+    # both re-recorded when the one-state components got their closed form
+    pytest.param("svi", "454ed35a134c60ada3f6f211d9cc86ffbbc3954382c7ab290a6fe9fe33b78a93", id="svi"),
+    pytest.param("bvi", "4ad02d7960bac2c4bf45d8929346aea1d35d0ef3f50494fda2b53d9c802c1385", id="bvi"),
 ])
 def test_topological_results_match_the_golden_digest(inner, digest):
     # brackets, values, strategies and global bounds of 425 games, frozen by
