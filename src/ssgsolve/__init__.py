@@ -3,10 +3,11 @@
 The solvers compute, for every state, the value of the reachability game:
 the probability of eventually hitting a target state when the Maximizer
 picks actions to make that likely and the Minimizer to make it unlikely.
-`solve_svi` keeps certified lower and upper bounds and is the recommended
-entry point; `solve_vi` and `solve_bvi` are the classic baselines;
-`solve_topological` runs any of them one strongly connected component at
-a time; `exact_value` is an exact rational oracle for small models.
+`solve_svi` is the paper's algorithm, with certified bounds but known
+wrong brackets and livelocks; `solve_vi` and `solve_bvi` are the classic
+baselines. `solve_topological` runs svi or bvi one strongly connected
+component at a time; with `inner="bvi"` it had no wrong bracket and no
+stall on the seeded check sets. `exact_value` is an exact rational oracle.
 """
 
 from .baselines import deflate, solve_bvi, solve_vi

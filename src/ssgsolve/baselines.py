@@ -69,11 +69,11 @@ def _layers(game: StochasticGame, pool: AbstractSet[int], L: list[float]) -> lis
 
     One backward breadth-first search over `game.preds`. Layer 0 is the
     states outside the pool that a pool state steps to and whose value in L
-    is positive: the targets, or in a topological solve the decided
-    frontier. Layer k+1 is the pool states not yet placed with an action
-    that reaches layer k. The pool states the search misses form one last
-    layer. The layers are sets of states defined by the graph alone, so the
-    sweep they give does not depend on the state numbering.
+    is positive: the targets, or in a topological solve the component's
+    decided successors. Layer k+1 is the pool states not yet placed with an
+    action that reaches layer k. The pool states the search misses form one
+    last layer. The layers are sets of states defined by the graph alone,
+    so the sweep they give does not depend on the state numbering.
     """
     succs, preds = game.succs, game.preds
     layer = {t for s in pool for t in succs[s] if t not in pool and L[t] > 0.0}
@@ -219,34 +219,31 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     )
 
 
-def deflate(game: StochasticGame, partition: StatePartition, U: list[float]) -> list[float]:
-    """Cap an upper vector inside every end component to its best exit.
+def deflate(game: StochasticGame, partition: StatePartition, U: list[float]) -> None:
+    """Cap the upper vector U in place inside every end component to its best exit.
 
-    Walks the layers of `exit_layers` on the unknown states once, on a
-    copy of U: caps every member of a layer to the value of its best
-    Maximizer exit. The partition's pool holds no trap, so every layer has
-    an exit. The layers are ranked lazily on that same copy, so each
+    Walks the layers of `exit_layers` on the unknown states once: caps
+    every member of a layer in U to the value of its best Maximizer exit.
+    The partition's pool holds no trap, so every layer has an exit. The
+    layers are ranked lazily on U as it is being capped, so each
     sub-component is ranked on the vector its parent has already capped;
-    ranking them all on the uncapped U would pick different exits. Returns
-    the capped copy, or U itself when the pool has no end component;
-    callers must not mutate the result, which may be their argument. The
-    partition's sets are not modified. Requires U >= V pointwise, which
-    the capping preserves.
+    ranking them all on the uncapped U would pick different exits. U is
+    read at the pool and its successors only, and written at the pool's
+    end components only. The partition's sets are not modified. Requires
+    U >= V pointwise, which the capping preserves.
 
     The MEC decompositions, of the unknown set and of the peeled
     remainders, come from `partition.ec_memo`: across the sweeps of one
     solve only the exits ranked on U change.
     """
     memo = partition.ec_memo
-    if not cached_mecs(game, partition.unknown, memo):
-        return U
+    if not cached_mecs(game, partition.unknown, memo):  # most pools have none: skip the walk
+        return
     rows = game.rows
-    new = list(U)
-    for component, exits in exit_layers(game, partition.unknown, new, memo):
-        val = max(dot(rows[s][i], new) for s, i in exits)
+    for component, exits in exit_layers(game, partition.unknown, U, memo):
+        val = max(dot(rows[s][i], U) for s, i in exits)
         for s in component:
-            new[s] = min(new[s], val)
-    return new
+            U[s] = min(U[s], val)
 
 
 def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_000, *,
@@ -263,8 +260,9 @@ def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], e
     """Bounded value iteration on the pool `part.unknown`: L from below, deflated U from above.
 
     L holds every state's start value, the decided values around the pool
-    included; it is copied once and not modified. Stops when the largest
-    per-state interval U-L drops below eps; the value is the midpoint.
+    included, and is read only at the pool and its successors. L and `part`
+    are the solve's own: L is swept in place and comes back as `lower`.
+    Stops when the largest per-state U-L drops below eps; the value is the midpoint.
 
     Each sweep updates L and U in place, layer by layer downstream first
     (`_layers`: a backward search from the pool's positive-valued
@@ -273,10 +271,10 @@ def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], e
     (Puterman 1994, section 6.3.3): the operator is monotone, so an update
     from vectors that bound the value from below and above still does, and
     `deflate` needs only U >= V (Eisentraut et al., Inf. Comput. 2022).
-    The layers and the copy of L are made on the first sweep, so a solve
-    that needs none pays nothing for them. wall_ms counts from t0
-    (default: the call). Set-up is pool-sized but for list copies: topo
-    calls this per component.
+    The layers are made on the first sweep, so a solve that needs none
+    pays nothing for them. wall_ms counts from t0 (default: the call).
+    Set-up is pool-sized but for the copy U: topo calls this per
+    component.
     """
     t0 = time.perf_counter() if t0 is None else t0
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
@@ -291,10 +289,10 @@ def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], e
     gap = max((U[s] - L[s] for s in pool), default=0.0)
     while gap >= eps and it < max_iters:
         if not it:
-            L = list(L)  # the sweeps write into L
+            # not before the loop: most small games leave bvi an empty pool, which needs no sweep
             order = _layers(game, pool, L)
         _sweep_layers(game, order, L, U)
-        U = deflate(game, part, U)
+        deflate(game, part, U)
         it += 1
         # max(U-L), min L and max U in one pass; strict comparisons keep the
         # first of equal values, as builtin max and min do
@@ -323,8 +321,8 @@ def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], e
         converged=gap < eps,
         global_lower=min((L[s] for s in pool), default=0.0),
         global_upper=max((U[s] for s in pool), default=1.0),
-        lower=list(L),
-        upper=list(U),
+        lower=L,
+        upper=U,
         value=value,
         strategy={**part.attractor, **_greedy_strategy(game, pool, L, U)},
         wall_ms=(time.perf_counter() - t0) * 1000.0,

@@ -162,7 +162,8 @@ def mec_decompose(game: StochasticGame, restrict: Iterable[int] | None = None) -
     while work:
         cand = work.pop()
         if len(cand) == 1:
-            # a single state is an end component exactly when an action stays on it
+            # a single state is an end component exactly when an action stays on it; the
+            # general path agrees, but this skips its attractor and SCC set-up on tiny pools
             (s,) = cand
             if any(all(t == s for t, _ in act.transitions) for act in game.actions[s]):
                 result.append(frozenset(cand))

@@ -300,8 +300,8 @@ class StochasticGame:
         the Maximizer wins almost surely (`graph.almost_sure`, run on what
         the trap pass leaves) join the targets, value 1, with the labels of
         their attractor actions in `StatePartition.attractor`. Shared by every
-        solve of the game, so never mutate it: `partition_states` hands
-        out copies.
+        solve of the game, so its sets are frozensets: `partition_states`
+        hands out copies with mutable sets.
         """
         from . import graph  # graph imports this module
 
@@ -312,7 +312,8 @@ class StochasticGame:
         unknown -= won.keys()
         targets |= won.keys()
         sinks = set(range(self.n_states)) - targets - unknown
-        return StatePartition(targets, sinks, set(unknown), MappingProxyType(won))
+        return StatePartition(frozenset(targets), frozenset(sinks), frozenset(unknown),
+                              MappingProxyType(won))
 
     @cached_property
     def normalized(self) -> bool:
@@ -330,20 +331,21 @@ class StatePartition:
     (value 0, see `StochasticGame.split`); unknown: the rest. attractor
     maps each of the almost-sure winners (targets, but not the game's) to
     the label of its attractor action, which the solvers report as its
-    strategy; it is read-only and shared by every copy. Solvers own their
-    copy; their set-up may decide unknown states (the settled tail), and
-    the sound solvers then freeze `unknown` into a frozenset: the pool
-    never changes again in that solve, and the memo lookups keyed by it
-    cost nothing. The topological driver makes one per component (its
-    unknown states, no attractor). ec_memo maps a state set to its
-    `graph.mec_decompose` result, its maximal end components as frozensets
-    of states. That result is a pure function of the game and the set,
-    kept across the sweeps of the copy's solve: eq and repr ignore the
-    memo, and `copy` starts an empty one.
+    strategy; it is read-only and shared by every copy. The game's own
+    partition (`StochasticGame.split`) holds frozensets; `copy` gives
+    mutable sets. Solvers own their copy; their set-up may decide unknown
+    states (the settled tail), and the sound solvers then freeze `unknown`
+    into a frozenset: the pool never changes again in that solve, and the
+    memo lookups keyed by it cost nothing. The topological driver makes
+    one per component (its unknown states, no attractor). ec_memo maps a
+    state set to its `graph.mec_decompose` result, its maximal end
+    components as frozensets of states. That result is a pure function of
+    the game and the set, kept across the sweeps of the copy's solve: eq
+    and repr ignore the memo, and `copy` starts an empty one.
     """
 
-    targets: set[int]
-    sinks: set[int]
+    targets: set[int] | frozenset[int]
+    sinks: set[int] | frozenset[int]
     unknown: set[int] | frozenset[int]
     attractor: Mapping[int, str] = field(default_factory=lambda: MappingProxyType({}))
     ec_memo: dict[frozenset[int], list[frozenset[int]]] = field(default_factory=dict, compare=False,
@@ -573,8 +575,8 @@ def normalize(game: StochasticGame) -> StochasticGame:
 def partition_states(game: StochasticGame) -> StatePartition:
     """Split states into targets / sinks / unknown by graph analysis.
 
-    Returns a fresh copy of `game.split`, computed once per game, for the
-    caller to own and mutate.
+    Returns a fresh copy of `game.split`, computed once per game, with
+    mutable sets of the caller's own.
     """
     return game.split.copy()
 

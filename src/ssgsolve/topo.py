@@ -10,15 +10,16 @@ value, one with a self-loop its exit mass weighted by the decided values
 over its exit mass, rounded outward; the state takes the optimum over the
 lowers and over the uppers. Any other component's undecided states are
 solved as the pool of an inner pool solve (`svi.solve_svi_pool`,
-`baselines.solve_bvi_pool`) twice: once with every downstream state at
-its certified lower value and once with its frontier (the downstream
-states one step away, the only ones its values depend on) at its uppers;
-by monotonicity of the value in the frontier the first run's lowers and
-the second run's uppers bound the true values. When the frontier is
-already tight (lower == upper for every frontier state, the common case)
+`baselines.solve_bvi_pool`) twice: once on a copy of the lower side of
+the bracket and once on a copy of the upper side. The run owns its copy
+and writes into it; it reads it only at the pool and the pool's
+successors, the only states the component's values depend on. By
+monotonicity of the value in the successors' values the first run's
+lowers and the second run's uppers bound the true values. When the
+successors are already tight (lower == upper for each, the common case)
 a single run suffices. Local precision is eps / (1 + depth), depth
 counted from the source components, so upstream components absorb the
-error their frontiers carry.
+error their successors carry.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .model import MAX, StatePartition, StochasticGame, partition_states
 from .results import SolveResult, TraceEntry
 from .svi import argopt, solve_svi_pool, start_vector
 
-#: pool solves, called as solver(game, part, vec, eps, max_iters)
+#: pool solves, called as solver(game, part, vec, eps, max_iters); each owns part and vec,
+#: writes into vec and reads it only at the pool and the pool's successors
 INNER_SOLVERS: dict[str, Callable[..., SolveResult]] = {
     "svi": solve_svi_pool,
     "bvi": solve_bvi_pool,
@@ -173,16 +175,16 @@ def closed_form(game: StochasticGame, s: int, lo: list[float],
 
 def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi",
                       max_iters: int = 10_000_000) -> SolveResult:
-    """Solve SCC by SCC with the given inner pool solve around the decided frontiers.
+    """Solve SCC by SCC with the given inner pool solve around the decided successors.
 
     Returns one merged result; trace entries carry the component index they
-    came from. The strategy is taken from each component's lower-frontier
-    run, the side whose Maximizer choices certify the reported lower
-    bounds; the partition's almost-sure winners carry their attractor
+    came from. The strategy is taken from each component's run on the
+    lower side, whose Maximizer choices certify the reported lower bounds; the partition's almost-sure winners carry their attractor
     action, whichever component they lie in. The plan (`build_plan`) is
     only the schedule, built only when the partition leaves a state
-    undecided: the frontiers, bounds and sweep counts of the components
-    live in this call. A component of one state, with or without a
+    undecided: the bounds and sweep counts of the components live in this
+    call. Each inner run owns a fresh copy of a whole side of the bracket
+    (`INNER_SOLVERS`). A component of one state, with or without a
     self-loop, gets no inner run: `closed_form` gives its bracket and its
     action. `max_iters` bounds the sweeps of the whole solve: each inner
     run gets what the runs before it left.
@@ -208,28 +210,23 @@ def solve_topological(game: StochasticGame, eps: float = 1e-6, inner: str = "svi
             lo[s], hi[s], i = closed_form(game, s, lo, hi)
             strategy[s] = game.actions[s][i].label
             continue
-        inside = set(entry.states)
-        frontier = {t for u in inside for t in game.succs[u]} - inside
-        vecs = [list(lo)]
-        if any(lo[s] != hi[s] for s in frontier):
-            vecs.append(list(lo))
-            for s in frontier:
-                vecs[1][s] = hi[s]
+        # the states inside are still at their start values, where lo == hi
+        loose = any(lo[t] != hi[t] for u in entry.states for t in game.succs[u])
         runs = []
-        for vec in vecs:
-            run = solver(game, StatePartition(part.targets, part.sinks, part.unknown & inside), vec,
-                         entry.eps_local, max_iters - iterations)
+        for vec in ([list(lo), list(hi)] if loose else [list(lo)]):
+            run = solver(game, StatePartition(part.targets, part.sinks,
+                                              part.unknown.intersection(entry.states)),
+                         vec, entry.eps_local, max_iters - iterations)
             for t in run.trace:
                 t.scc = entry.index
             trace.extend(run.trace)
             iterations += run.iterations
             converged = converged and run.converged
             runs.append(run)
-        run_lo, run_hi = runs[0], runs[-1]
-        for s in inside:
-            lo[s] = run_lo.lower[s]
-            hi[s] = run_hi.upper[s]
-        strategy.update(run_lo.strategy)
+        for s in entry.states:
+            lo[s] = runs[0].lower[s]
+            hi[s] = runs[-1].upper[s]
+        strategy.update(runs[0].strategy)
     return SolveResult(
         algorithm=f"topo-{inner}",
         iterations=iterations,

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules.
 
-Nothing here imports pytest, so `surface_digest()` runs under any Python
-that can import the package:
+Nothing here imports pytest, so `surface_digest()` and `surface_digests()`
+run under any Python that can import the package:
 
     python3 -c "import sys; sys.path[:0] = ['src', 'tests']; import _util; print(_util.surface_digest())"
 """
@@ -181,8 +181,20 @@ def surface_games():
             yield generate_random(GenParams(80, 3, 3, 0.05, 0.5, eb, seed))
 
 
-SURFACE_CALLS = (solve_vi, solve_bvi, solve_svi, solve_topological,
-                 lambda g: solve_topological(g, inner="bvi"), exact_value)
+#: the public entry points, in the order `surface_digest` hashes them, by `surface_digests` key
+SURFACE_CALLS = {"vi": solve_vi, "bvi": solve_bvi, "svi": solve_svi, "topo-svi": solve_topological,
+                 "topo-bvi": lambda g: solve_topological(g, inner="bvi"), "oracle": exact_value}
+
+
+def _surface_repr(call, game):
+    """The repr of call(game) with wall_ms zeroed, or of the TooLarge it raises."""
+    try:
+        res = call(game)
+    except TooLarge as exc:
+        res = exc
+    if hasattr(res, "wall_ms"):
+        res = dataclasses.replace(res, wall_ms=0.0)
+    return repr(res).encode()
 
 
 def surface_digest():
@@ -194,15 +206,23 @@ def surface_digest():
     """
     h = hashlib.sha256()
     for game in surface_games():
-        for call in SURFACE_CALLS:
-            try:
-                res = call(game)
-            except TooLarge as exc:
-                res = exc
-            if hasattr(res, "wall_ms"):
-                res = dataclasses.replace(res, wall_ms=0.0)
-            h.update(repr(res).encode())
+        for call in SURFACE_CALLS.values():
+            h.update(_surface_repr(call, game))
     return h.hexdigest()
+
+
+def surface_digests():
+    """`surface_digest` split by entry point: one sha256 per call, keyed as in `SURFACE_CALLS`.
+
+    Says which entry points a change moved:
+
+        python3 -c "import sys; sys.path[:0] = ['src', 'tests']; import _util; print(_util.surface_digests())"
+    """
+    hashes = {name: hashlib.sha256() for name in SURFACE_CALLS}
+    for game in surface_games():
+        for name, call in SURFACE_CALLS.items():
+            hashes[name].update(_surface_repr(call, game))
+    return {name: h.hexdigest() for name, h in hashes.items()}
 
 
 def distribution_fault(probs):

@@ -276,6 +276,19 @@ def test_partition_states_hands_out_fresh_copies():
     assert partition_states(g) == StatePartition({1}, {2}, {0})
 
 
+def test_shared_split_is_frozen_and_each_copy_has_its_own_sets():
+    g = slow_loop()
+    shared = g.split
+    assert all(type(x) is frozenset for x in (shared.targets, shared.sinks, shared.unknown))
+    first, second = partition_states(g), partition_states(g)
+    for name in ("targets", "sinks", "unknown"):
+        mine, theirs = getattr(first, name), getattr(second, name)
+        assert type(mine) is set and mine is not theirs
+        mine.add(99)
+        assert 99 not in theirs and 99 not in getattr(shared, name)
+    assert g.split is shared == StatePartition({1}, {2}, {0})
+
+
 def test_partition_memo_is_private_to_its_copy():
     part = partition_states(slow_loop())
     part.ec_memo[frozenset({0})] = []

@@ -1,4 +1,4 @@
-"""Per-component driver: plan construction and frontier propagation."""
+"""Per-component driver: plan construction and what each component reads from its successors."""
 
 import dataclasses
 import hashlib
@@ -171,10 +171,11 @@ def test_second_run_only_for_a_loose_frontier(monkeypatch):
     _, tight, source_lo, source_hi = (start for _, start, _ in calls)
     assert res.lower[1] < res.upper[1]
     assert (tight[4], tight[5]) == (1.0, 0.0)
-    # the source 0 reads its frontier 1 and 3 once at their lowers, once at their uppers
+    # the source 0 reads its successors 1 and 3 once at their lowers, once at their uppers
     assert (source_lo[1], source_lo[3]) == (res.lower[1], res.lower[3])
     assert (source_hi[1], source_hi[3]) == (res.upper[1], res.upper[3])
-    assert source_hi[2] == res.lower[2] < res.upper[2]  # off the frontier: left at its lower
+    # the second run gets the whole upper side, off the successors too
+    assert res.lower[2] < source_hi[2] == res.upper[2]
     assert max_err(res.value, exact_floats(g)) <= 2e-6
 
 
@@ -200,6 +201,45 @@ def test_sweeps_and_convergence_sum_over_the_inner_runs(monkeypatch):
     assert res.iterations == sum(r.iterations for r in runs) == full.iterations - 1
     assert not res.converged
     assert len(res.trace) == res.iterations
+
+
+def _scrambled(vec, keep, seed):
+    """A copy of vec with every entry outside `keep` replaced by a seeded random float."""
+    rng = random.Random(seed)
+    return [v if s in keep else rng.random() for s, v in enumerate(vec)]
+
+
+@pytest.mark.parametrize("inner", sorted(INNER_SOLVERS))
+def test_a_pool_solve_reads_only_its_pool_and_the_pools_successors(inner, monkeypatch):
+    # what lets the driver hand each inner run a whole side of the bracket
+    solver = INNER_SOLVERS[inner]
+    runs = []
+
+    def recorded(game, part, vec, eps, max_iters):
+        runs.append((game, part.copy(), list(vec), eps, max_iters))
+        return solver(game, part, vec, eps, max_iters)
+
+    monkeypatch.setitem(INNER_SOLVERS, inner, recorded)
+    for g in [*(build() for build in ALL_PRESETS.values()), *census((8, 10, 12), range(40))]:
+        solve_topological(g, inner=inner)
+    monkeypatch.undo()
+
+    def outcome(game, part, vec, eps, max_iters):
+        pool = sorted(part.unknown)
+        res = solver(game, part.copy(), vec, eps, max_iters)
+        return ([res.lower[s] for s in pool], [res.upper[s] for s in pool],
+                res.iterations, res.converged, res.strategy)
+
+    moved = 0
+    for i, (game, part, vec, eps, max_iters) in enumerate(runs):
+        pool = part.unknown
+        reads = pool | {t for s in pool for t in game.succs[s]}
+        want = outcome(game, part, list(vec), eps, max_iters)
+        got = outcome(game, part, _scrambled(vec, reads, i), eps, max_iters)
+        assert got == want, (inner, i)
+        # control: the successors outside the pool are read
+        moved += outcome(game, part, _scrambled(vec, pool, i), eps, max_iters) != want
+    assert len(runs) > 50 and moved > 0
 
 
 # The Maximizer source 0 chooses between the loop {1, 2} (value 2/3) and a
