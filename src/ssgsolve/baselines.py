@@ -19,25 +19,27 @@ from __future__ import annotations
 
 import math
 import time
-from typing import AbstractSet
+from typing import AbstractSet, Sequence
 
 # mec_decompose is not called here, but perfbench/layers.py wraps it under this name
 from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
-from .model import MAX, StatePartition, StochasticGame, dot, partition_states
+from .model import MAX, FloatRows, StatePartition, StochasticGame, dot, partition_states
 from .results import SolveResult, TraceEntry
 from .svi import best_step, float_rows, start_vector
 
 UNSOUND_NOTE = "unsound stopping"
 
 
-def _sweep(game: StochasticGame, unknown: AbstractSet[int], vec: list[float]) -> list[float]:
+def _sweep(rows: FloatRows, owner: Sequence[str], unknown: AbstractSet[int],
+           vec: list[float]) -> list[float]:
     """One Jacobi sweep of the optimality operator over the unknown states.
 
+    `rows` is the table the sweep reads, the game's `live_rows` in vi; read
+    that way, vec must hold +0.0 at every sink (`StochasticGame.live_rows`).
     `dot` is inlined, as in `svi.bellman_update`: each row is added left to
     right from 0.0, and the first of equal row values wins, as in builtin
     `max`/`min`.
     """
-    rows, owner = game.rows, game.owner
     new = list(vec)
     for s in unknown:
         acts = rows[s]
@@ -100,30 +102,43 @@ def _layer(states: list[int]) -> list[tuple[int, bool]]:
     return [(s, False) for s in states[:-1]] + [(states[-1], True)]
 
 
-def _sweep_layers(game: StochasticGame, order: list[tuple[int, bool]], low: list[float],
-                  high: list[float]) -> None:
+#: One state of bvi's compiled sweep (`_entries`): the state, its row
+#: table entry, its one row or None when it has several, whether the
+#: Maximizer owns it, and whether it ends its layer.
+Entry = tuple[int, Sequence[Sequence[tuple[int, float]]], Sequence[tuple[int, float]] | None, bool, bool]
+
+
+def _entries(rows: FloatRows, owner: Sequence[str], order: list[tuple[int, bool]]) -> list[Entry]:
+    """`_layers`' order compiled once per solve into the entries `_sweep_layers` walks."""
+    return [(s, rows[s], rows[s][0] if len(rows[s]) == 1 else None, owner[s] == MAX, last)
+            for s, last in order]
+
+
+def _sweep_layers(entries: list[Entry], low: list[float], high: list[float]) -> tuple[float, float, float]:
     """One layered Gauss-Seidel sweep of the optimality operator over low and high, in place.
 
-    `order` is `_layers`' list. Every state reads the vectors as the
+    `entries` is `_layers`' order compiled by `_entries`, from the game's
+    `live_rows` in bvi; read that way, low and high must hold +0.0 at every
+    sink (`StochasticGame.live_rows`). Every state reads the vectors as the
     earlier layers left them: its new values wait in a small buffer until
     its layer ends (Jacobi inside a layer, Gauss-Seidel across layers). One
     flat loop over the states, so a one-state layer costs no more than any
     other state. Each row's two sums come from one pass over it (`dot2`
     inlined), left to right from 0.0, and the first of equal row values
     wins, as in builtin `max`/`min`; the optimum of each side is kept on its
-    own.
+    own. Returns the largest high - low, the smallest low and the largest
+    high over the states swept, as the sweep leaves them.
     """
-    rows, owner = game.rows, game.owner
     pending: list[tuple[int, float, float]] = []
-    for s, last in order:
-        acts = rows[s]
-        if len(acts) == 1:
+    gap = top = -math.inf
+    bottom = math.inf
+    for s, acts, single, maximize, last in entries:
+        if single is not None:
             lo = hi = 0.0
-            for t, p in acts[0]:
+            for t, p in single:
                 lo += p * low[t]
                 hi += p * high[t]
         else:
-            maximize = owner[s] == MAX
             lo = hi = None
             for row in acts:
                 x = y = 0.0
@@ -142,6 +157,12 @@ def _sweep_layers(game: StochasticGame, order: list[tuple[int, bool]], low: list
                         lo = x
                     if y < hi:
                         hi = y
+        if hi - lo > gap:
+            gap = hi - lo
+        if lo < bottom:
+            bottom = lo
+        if hi > top:
+            top = hi
         if not last:
             pending.append((s, lo, hi))
             continue
@@ -152,6 +173,22 @@ def _sweep_layers(game: StochasticGame, order: list[tuple[int, bool]], low: list
             pending.clear()
         low[s] = lo
         high[s] = hi
+    return gap, bottom, top
+
+
+def _fold(pool: AbstractSet[int], L: list[float], U: list[float]) -> tuple[float, float, float]:
+    """max(U-L), min L and max U over the pool, as `_sweep_layers` returns them."""
+    gap = high = -math.inf
+    low = math.inf
+    for s in pool:
+        lo, hi = L[s], U[s]
+        if hi - lo > gap:
+            gap = hi - lo
+        if lo < low:
+            low = lo
+        if hi > high:
+            high = hi
+    return gap, low, high
 
 
 def _greedy_strategy(game: StochasticGame, unknown: AbstractSet[int],
@@ -179,12 +216,12 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     part = partition_states(game)
     n = game.n_states
     L = start_vector(game, eps, part)
-    float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
+    rows = float_rows(game)  # build the cached tables here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
     it = 0
     converged = not part.unknown
     while not converged and it < max_iters:
-        new = _sweep(game, part.unknown, L)
+        new = _sweep(rows, game.owner, part.unknown, L)
         # the largest change and the smallest new value in one pass; from
         # 0.0 and inf, since abs() >= 0.0 and the values are finite
         delta, low = 0.0, math.inf
@@ -219,7 +256,7 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     )
 
 
-def deflate(game: StochasticGame, partition: StatePartition, U: list[float]) -> None:
+def deflate(game: StochasticGame, partition: StatePartition, U: list[float]) -> bool:
     """Cap the upper vector U in place inside every end component to its best exit.
 
     Walks the layers of `exit_layers` on the unknown states once: caps
@@ -230,7 +267,9 @@ def deflate(game: StochasticGame, partition: StatePartition, U: list[float]) -> 
     ranking them all on the uncapped U would pick different exits. U is
     read at the pool and its successors only, and written at the pool's
     end components only. The partition's sets are not modified. Requires
-    U >= V pointwise, which the capping preserves.
+    U >= V pointwise, which the capping preserves. Returns whether the
+    unknown states hold an end component, that is, whether U may have
+    been capped.
 
     The MEC decompositions, of the unknown set and of the peeled
     remainders, come from `partition.ec_memo`: across the sweeps of one
@@ -238,12 +277,13 @@ def deflate(game: StochasticGame, partition: StatePartition, U: list[float]) -> 
     """
     memo = partition.ec_memo
     if not cached_mecs(game, partition.unknown, memo):  # most pools have none: skip the walk
-        return
+        return False
     rows = game.rows
     for component, exits in exit_layers(game, partition.unknown, U, memo):
         val = max(dot(rows[s][i], U) for s, i in exits)
         for s in component:
             U[s] = min(U[s], val)
+    return True
 
 
 def solve_bvi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_000, *,
@@ -261,51 +301,48 @@ def solve_bvi_pool(game: StochasticGame, part: StatePartition, L: list[float], e
 
     L holds every state's start value, the decided values around the pool
     included, and is read only at the pool and its successors. L and `part`
-    are the solve's own: L is swept in place and comes back as `lower`.
+    are the solve's own: set-up puts +0.0 at every sink of `game.split`,
+    whose value it is, so the sweeps may skip the transitions into them
+    (`StochasticGame.live_rows`); then L is swept in place and comes back
+    as `lower`.
     Stops when the largest per-state U-L drops below eps; the value is the midpoint.
 
     Each sweep updates L and U in place, layer by layer downstream first
     (`_layers`: a backward search from the pool's positive-valued
-    successors), then deflates U once. Inside a layer every state reads the
-    vectors as the earlier layers left them. This is sound by monotonicity
-    (Puterman 1994, section 6.3.3): the operator is monotone, so an update
-    from vectors that bound the value from below and above still does, and
-    `deflate` needs only U >= V (Eisentraut et al., Inf. Comput. 2022).
-    The layers are made on the first sweep, so a solve that needs none
-    pays nothing for them. wall_ms counts from t0 (default: the call).
-    Set-up is pool-sized but for the copy U: topo calls this per
+    successors), then deflates U once.
+    Inside a layer every state reads the vectors as the earlier layers left
+    them. This is sound by monotonicity (Puterman 1994, section 6.3.3): the
+    operator is monotone, so an update from vectors that bound the value
+    from below and above still does, and `deflate` needs only U >= V
+    (Eisentraut et al., Inf. Comput. 2022). On the first sweep the layers
+    are made and compiled into `_entries`, so a solve that needs no sweep
+    pays nothing for them. The sweep itself returns the gap and the
+    trace's bounds; only a U that `deflate` capped needs another pass over
+    the pool. wall_ms counts from t0 (default: the call). Set-up is
+    pool-sized but for the copy U and the sinks: topo calls this per
     component.
     """
     t0 = time.perf_counter() if t0 is None else t0
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
+    for s in game.split.sinks:
+        L[s] = 0.0
     U = list(L)
     for s in pool:
         U[s] = 1.0
-    float_rows(game)  # build the cached table here, so set-up is not charged to the first sweep
+    rows = float_rows(game)  # build the cached tables here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
     vectors: list[tuple[list[float], list[float]]] = []
-    order: list[tuple[int, bool]] = []
+    entries: list[Entry] = []
     it = 0
     gap = max((U[s] - L[s] for s in pool), default=0.0)
     while gap >= eps and it < max_iters:
         if not it:
             # not before the loop: most small games leave bvi an empty pool, which needs no sweep
-            order = _layers(game, pool, L)
-        _sweep_layers(game, order, L, U)
-        deflate(game, part, U)
+            entries = _entries(rows, game.owner, _layers(game, pool, L))
+        gap, low, high = _sweep_layers(entries, L, U)
+        if deflate(game, part, U):  # only a capped U needs folding again
+            gap, low, high = _fold(pool, L, U)
         it += 1
-        # max(U-L), min L and max U in one pass; strict comparisons keep the
-        # first of equal values, as builtin max and min do
-        gap = high = -math.inf
-        low = math.inf
-        for s in pool:
-            lo, hi = L[s], U[s]
-            if hi - lo > gap:
-                gap = hi - lo
-            if lo < low:
-                low = lo
-            if hi > high:
-                high = hi
         trace.append(TraceEntry(
             k=it, l=low, u=high,
             d_l=None, d_u=None, delayed=0, bounds_updated=False, max_gap=gap, updates=len(pool),

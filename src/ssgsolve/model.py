@@ -8,8 +8,13 @@ target state, the Minimizer tries to avoid that. A game with a single owner
 is an MDP, a game with one action everywhere is a Markov chain.
 
 Probabilities are kept as exact `Fraction`s (or ints) on the model. The
-solvers read a float copy of them, `StochasticGame.rows`, which each game
-builds on first use; the exact oracle keeps the rationals. Reading a model
+solvers read two float tables, which each game builds on first use:
+`StochasticGame.rows`, every transition, and `StochasticGame.live_rows`,
+the same rows at the undecided states without their transitions into the
+sinks. The sweeps of vi, bvi and svi read `live_rows`; they may, because
+every vector they read holds +0.0 at every sink (the pool solves put it
+there), so a dropped term would add an exact 0. The exact oracle keeps
+the rationals. Reading a model
 checks them in integers: `scale_to_integers` puts a distribution over the
 lcm of its denominators, so "sums to 1" is a sum of ints, and a `Fraction`
 total is only built for a sum that is not 1. Each action's probabilities
@@ -171,9 +176,11 @@ class StochasticGame:
     across threads; solvers never mutate them.
 
     `rows`, the solvers' float transitions by action position (the index
-    into `actions[s]`), `deltas`, the pairwise action differences behind
-    svi's decision values, `preds`, the transitions into each state, which
-    `graph.attractor` and `can_reach` walk back, `succs`, the distinct
+    into `actions[s]`), `live_rows`, the same without the transitions of
+    the undecided states into the sinks, which the sweeps read, `deltas`,
+    the pairwise action differences behind svi's decision values, `preds`,
+    the transitions into each state, which `graph.attractor` and
+    `can_reach` walk back, `succs`, the distinct
     successors of each state, which every forward graph walk reads,
     `can_reach`, the states with a path to a target, `split`, the
     targets / sinks / unknown partition, and `normalized`, whether the
@@ -235,6 +242,26 @@ class StochasticGame:
         """Transitions with float probabilities, indexed [state][action position]."""
         return tuple(tuple(tuple((t, float(p)) for t, p in a.transitions) for a in acts)
                      for acts in self.actions)
+
+    @cached_property
+    def live_rows(self) -> FloatRows:
+        """`rows` without the transitions into `split.sinks`, at the states of `split.unknown`.
+
+        Every action position is kept, an action that leads only into sinks
+        as an empty row. A row with no such transition is `rows`' own
+        tuple, and every other state's entry is `rows[s]`. The sweep kernels
+        read this table. Their precondition: every vector they read holds
+        +0.0 at every sink, so each dropped term `p * 0.0` is an exact +0.0
+        and adding it changes no sum. The solvers' vectors all do: they
+        start at 0.0 there, `solve_bvi_pool` and `solve_svi_pool` put +0.0
+        back there in set-up, and a sweep writes only pool states.
+        """
+        rows, sinks = self.rows, self.split.sinks
+        live = list(rows)
+        for s in self.split.unknown:
+            live[s] = tuple(row if all(t not in sinks for t, _ in row)
+                            else tuple(tr for tr in row if tr[0] not in sinks) for row in rows[s])
+        return tuple(live)
 
     @cached_property
     def deltas(self) -> tuple[DeltaTable, ...]:

@@ -160,38 +160,43 @@ def _fractions(nums: list[int], det: int) -> list[Fraction]:
     return [_ZERO if not v else _ONE if v == det else Fraction(v, det) for v in nums]
 
 
-def _attractor(owner: tuple[str, ...], rows: list[list[IntRow]], targets: set[int],
-               sigma: dict[int, int] | None = None) -> dict[int, int]:
-    """The Maximizer's positive attractor of the targets, by backward search.
+def _preds(rows: list[list[IntRow]], targets: set[int]) -> list[list[tuple[int, int]]]:
+    """Per state, the (state, action index) of every transition into it from a non-target state.
 
-    A Maximizer state joins when one of its actions (with `sigma`, only
-    its action sigma.get(s, 0)) has a successor inside, a Minimizer state
-    when every action has one. Outside it the Minimizer can keep the
-    probability of reaching a target at 0. Maps every non-target member to
-    the action whose successor completed its entry: for a Maximizer state,
-    an action towards a state that joined before it, of lower rank.
+    Listed in (state, action, transition) order; built once per
+    `exact_value` call and walked by every `_attractor` call.
     """
     preds: list[list[tuple[int, int]]] = [[] for _ in rows]
-    left = [0] * len(rows)
     for s, acts in enumerate(rows):
         if s in targets:
             continue
-        picks: range | tuple[int, ...] = range(len(acts))
-        if owner[s] == MAX:
-            left[s] = 1
-            if sigma is not None:
-                picks = (sigma.get(s, 0),)
-        else:
-            left[s] = len(acts)
-        for a in picks:
-            for t, _ in acts[a][1]:
+        for a, (_, row) in enumerate(acts):
+            for t, _ in row:
                 preds[t].append((s, a))
+    return preds
+
+
+def _attractor(owner: tuple[str, ...], rows: list[list[IntRow]], targets: set[int],
+               preds: list[list[tuple[int, int]]], sigma: dict[int, int] | None = None) -> dict[int, int]:
+    """The Maximizer's positive attractor of the targets, by backward search over `_preds`.
+
+    A Maximizer state joins when one of its actions (with `sigma`, only
+    its action sigma.get(s, 0); the walk skips the others) has a successor
+    inside, a Minimizer state when every action has one. Outside it the
+    Minimizer can keep the probability of reaching a target at 0. Maps
+    every non-target member to the action whose successor completed its
+    entry: for a Maximizer state, an action towards a state that joined
+    before it, of lower rank.
+    """
+    left = [1 if owner[s] == MAX else len(acts) for s, acts in enumerate(rows)]
     joined: dict[int, int] = {}
     hit: set[tuple[int, int]] = set()
     queue = list(targets)
     for t in queue:   # grows while it is walked
         for s, a in preds[t]:
             if s in joined or (s, a) in hit:
+                continue
+            if sigma is not None and owner[s] == MAX and a != sigma.get(s, 0):
                 continue
             hit.add((s, a))
             left[s] -= 1
@@ -245,11 +250,12 @@ def _strategy_iteration(owner: tuple[str, ...], rows: list[list[IntRow]], target
     and the end point is a fixed point of the Bellman operator at most the
     value, so it is the value (the least fixed point).
     """
-    sigma = {s: a for s, a in _attractor(owner, rows, targets).items() if owner[s] == MAX}
+    preds = _preds(rows, targets)
+    sigma = {s: a for s, a in _attractor(owner, rows, targets, preds).items() if owner[s] == MAX}
     tau: dict[int, int] = {}
     evaluated = 0
     while True:
-        inside = _attractor(owner, rows, targets, sigma).keys() | targets
+        inside = _attractor(owner, rows, targets, preds, sigma).keys() | targets
         for s in min_sites:
             if s not in inside:
                 tau[s] = next(a for a, (_, row) in enumerate(rows[s])

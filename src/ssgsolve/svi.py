@@ -107,7 +107,7 @@ class PoolFacts:
     def __init__(self, game: StochasticGame, part: StatePartition) -> None:
         self.game, self.part = game, part
         self.order = tuple(sorted(part.unknown))
-        self.multi = tuple(s for s in self.order if len(game.rows[s]) > 1)
+        self.multi = tuple(s for s in self.order if len(game.live_rows[s]) > 1)
 
     @cached_property
     def ec_max(self) -> tuple[int, ...]:
@@ -117,8 +117,12 @@ class PoolFacts:
 
 
 def float_rows(game: StochasticGame) -> FloatRows:
-    """The game's float transition table `game.rows`, indexed [state][action]."""
-    return game.rows
+    """The sweeps' float transition table `game.live_rows`, indexed [state][action].
+
+    Building it builds `game.rows` too, so a solver calls this in its
+    set-up and its first sweep is not charged for either table.
+    """
+    return game.live_rows
 
 
 def start_vector(game: StochasticGame, eps: float, part: StatePartition) -> list[float]:
@@ -192,8 +196,10 @@ def choose_actions(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
     argopt band, otherwise the lowest position wins (`argopt`), so runs
     are reproducible. The choices are action positions, in ascending
     state order; a delayed state's DELAY counts as no previous choice.
+    The estimates read `game.live_rows`, so reach and stay must hold +0.0
+    at every sink (`StochasticGame.live_rows`).
     """
-    rows, owner = game.rows, game.owner
+    rows, owner = game.live_rows, game.owner
     reach, stay = rs.reach, rs.stay
     choices: dict[int, int | None] = dict.fromkeys(facts.order, 0)  # multi states overwritten below
     forced_at: dict[int, list[int]] = {}
@@ -255,16 +261,17 @@ def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
     """One whole-vector sweep under the chosen actions, with delay detection.
 
     Each state of the pool `facts.order` reads its row
-    `game.rows[s][choices[s]]`, and all read the old vector (batch
-    update). When EC handling is active (strategy.bexit is not None), a
-    delay candidate (`facts.ec_max`) outside the best-exit set whose
-    candidate upper estimate exceeds its old one is delayed: it keeps its
+    `game.live_rows[s][choices[s]]`, and all read the old vector (batch
+    update); reach and stay must hold +0.0 at every sink. When EC
+    handling is active (strategy.bexit is not None), a delay candidate
+    (`facts.ec_max`) outside the best-exit set whose candidate upper
+    estimate exceeds its old one is delayed: it keeps its
     old entries, its snapshot entry becomes DELAY and it joins the
     snapshot's delayed set. Rows of decided states never change. Without
     a delay the new snapshot shares `strategy.choices`; no caller mutates
     a snapshot's map.
     """
-    rows, choices = game.rows, strategy.choices
+    rows, choices = game.live_rows, strategy.choices
     reach, stay = rs.reach, rs.stay
     new_reach = list(reach)
     new_stay = list(stay)
@@ -365,8 +372,11 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     """Solve the pool `part.unknown`, around the values `vec` holds for every other state.
 
     The pool must hold no trap and no state of value 1, as the partition
-    ensures; `part` and `vec` are the solve's own. Settles the acyclic
-    tail first (`settle_tail`); the pool is fixed from then on, so what
+    ensures; `part` and `vec` are the solve's own. Set-up puts +0.0 in
+    `vec` at every sink of `game.split`, whose value it is, so the sweeps
+    may skip the transitions into them (`StochasticGame.live_rows`).
+    It settles the acyclic tail first (`settle_tail`); the pool is fixed
+    from then on, so what
     the sweeps need to know about it is worked out once, into the
     `PoolFacts` that `choose_actions` and `bellman_update` read.
     Then runs the full loop: EC pass (unless ec_handling is off), action
@@ -380,11 +390,13 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     counts from t0 (default: the call). The strategy names
     `part.attractor` and the pool; its action positions become labels
     here and nowhere earlier. Set-up is pool-sized but for list
-    copies: topo calls this per component.
+    copies and the sinks: topo calls this per component.
     """
     if mode not in ("absolute", "relative"):
         raise ValueError("mode must be 'absolute' or 'relative'")
     t0 = time.perf_counter() if t0 is None else t0
+    for s in game.split.sinks:
+        vec[s] = 0.0
     settled = settle_tail(game, part, vec)
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
     facts = PoolFacts(game, part)

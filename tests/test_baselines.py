@@ -94,7 +94,7 @@ def test_deflate_caps_pure_cycle_to_zero():
     g = cycle_with_sink_exit()
     part = StatePartition(targets=set(), sinks={2}, unknown={0, 1})
     U = [1.0, 1.0, 0.0]
-    assert deflate(g, part, U) is None
+    assert deflate(g, part, U) is True  # the pool holds an end component
     # capped in place, partition untouched
     assert U == [0.0, 0.0, 0.0]
     assert part.unknown == {0, 1}
@@ -125,7 +125,7 @@ def test_deflate_no_components_no_change():
     g = slow_loop()
     part = partition_states(g)
     U = [0.7, 1.0, 0.0]
-    deflate(g, part, U)
+    assert deflate(g, part, U) is False  # so bvi folds only what its sweep returned
     assert U == [0.7, 1.0, 0.0]
 
 

@@ -30,7 +30,7 @@ from ssgsolve.model import (
 )
 from ssgsolve.presets import ALL_PRESETS, cycle_with_sink_exit, exit_seesaw, serial_loops, slow_loop
 
-from _util import action, census_params, fuzz_stream_params
+from _util import action, census, census_params, fuzz_stream_params
 
 MINIMAL = """\
 ssg 1
@@ -359,6 +359,7 @@ def test_game_rows_and_index_match_actions():
     assert g.rows == rows
     assert g.deltas == deltas
     assert g.rows is g.rows and g.deltas is g.deltas  # built once, then kept
+    assert g.live_rows is g.live_rows
     assert not hasattr(g, "index")  # no label table is kept
     _check_action_lookup(g)
     single = [g.deltas[s] for s in range(g.n_states) if len(g.actions[s]) == 1]
@@ -375,6 +376,26 @@ def test_game_deltas_subtract_exact_probabilities():
                            (1, 0): ((1, -tenth), (2, tenth))}
 
 
+def test_live_rows_drop_exactly_the_pool_rows_sink_transitions():
+    dropped = kept = 0
+    for g in [*(build() for build in ALL_PRESETS.values()), *census((6, 8, 10, 12), range(10))]:
+        pool, sinks = g.split.unknown, g.split.sinks
+        assert len(g.live_rows) == g.n_states
+        for s in range(g.n_states):
+            rows, live = g.rows[s], g.live_rows[s]
+            if s not in pool:
+                assert live is rows
+                continue
+            assert len(live) == len(rows)  # every action position is kept
+            for row, lrow in zip(rows, live):
+                assert lrow == tuple(tr for tr in row if tr[0] not in sinks)
+                if lrow == row:
+                    assert lrow is row  # a row without a sink transition is shared
+                dropped += len(row) - len(lrow)
+                kept += len(lrow)
+    assert dropped and kept
+
+
 def test_game_succs_lists_each_successor_once_in_order_of_first_appearance():
     g = parse_model("ssg 1\nstates 4\ntarget 3\n"
                     "action 0 x\n  2 1/2\n  0 1/4\n  2 1/4\n"
@@ -388,7 +409,7 @@ def test_game_succs_lists_each_successor_once_in_order_of_first_appearance():
 def test_game_tables_stay_out_of_equality_and_repr():
     g, h = exit_seesaw(), exit_seesaw()
     before = repr(g)
-    assert g.rows and g.deltas
+    assert g.rows and g.deltas and g.live_rows
     assert g == h and hash(g) == hash(h)
     assert repr(g) == before == repr(h)
 

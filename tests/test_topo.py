@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from ssgsolve.baselines import solve_bvi
 from ssgsolve.model import GenParams, generate_random, normalize, parse_model, partition_states
 from ssgsolve.oracle import exact_value
-from ssgsolve.svi import best_step, solve_svi
+from ssgsolve.svi import best_step, solve_svi, start_vector
 from ssgsolve import topo
 from ssgsolve.topo import INNER_SOLVERS, build_plan, closed_form, solve_topological
 from ssgsolve.presets import (
@@ -240,6 +241,27 @@ def test_a_pool_solve_reads_only_its_pool_and_the_pools_successors(inner, monkey
         # control: the successors outside the pool are read
         moved += outcome(game, part, _scrambled(vec, pool, i), eps, max_iters) != want
     assert len(runs) > 50 and moved > 0
+
+
+@pytest.mark.parametrize("inner", sorted(INNER_SOLVERS))
+def test_a_pool_solve_puts_zero_back_at_the_sinks(inner):
+    # the sweeps skip the transitions into the sinks, so a pool solve must
+    # not take their value from its vector: it ends as with +0.0 there
+    solver = INNER_SOLVERS[inner]
+    read = 0
+    for i, g in enumerate(census((8, 10, 12), range(10))):
+        part = partition_states(g)
+        vec = start_vector(g, 1e-6, part)
+        want = solver(g, part.copy(), list(vec), 1e-6, 20_000)
+        got = solver(g, part.copy(), _scrambled(vec, set(range(g.n_states)) - part.sinks, i),
+                     1e-6, 20_000)
+        assert want.converged
+        assert (got.lower, got.upper, got.iterations, got.converged, got.strategy) == (
+            want.lower, want.upper, want.iterations, want.converged, want.strategy), (inner, i)
+        assert all(math.copysign(1.0, got.lower[s]) == 1.0 and got.lower[s] == 0.0
+                   for s in part.sinks)
+        read += any(t in part.sinks for s in part.unknown for t in g.succs[s])
+    assert read > 20
 
 
 # The Maximizer source 0 chooses between the loop {1, 2} (value 2/3) and a
