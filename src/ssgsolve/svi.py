@@ -34,6 +34,7 @@ so l and u could never close past it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,10 +52,26 @@ DELAY = None
 
 @dataclass
 class ReachStayVector:
-    """Per-state k-step reach / stay probabilities under the current play."""
+    """Per-state k-step reach / stay probabilities under the current play.
+
+    The sweep that made the vector (`bellman_update`) also folded what the
+    bound update and the termination test read, so neither walks the pool
+    again: max_stay is the largest stay over the pool (0.0 for an empty
+    pool), and some pool state has stay 1 exactly when max_stay >= 1.0;
+    min_cand and max_cand are the smallest and largest loop extrapolation
+    reach/(1-stay) over the pool states with stay < 1. The candidates are
+    None when `update_global_bounds` would not read them: after a delay,
+    or when both caps have pinned their bounds. A vector built by hand
+    carries no fold (all three None): it can feed a sweep, but
+    `update_global_bounds` and the absolute `check_termination` refuse it
+    with a ValueError.
+    """
 
     reach: list[float]
     stay: list[float]
+    max_stay: float | None = None
+    min_cand: float | None = None
+    max_cand: float | None = None
 
 
 @dataclass(frozen=True)
@@ -95,9 +112,14 @@ class StrategySnapshot:
 class PoolFacts:
     """What every sweep of one solve needs to know about its fixed undecided pool.
 
-    `solve_svi_pool` builds one per solve, once the pool `part.unknown` is
-    fixed. `order` lists the pool states in ascending order, `multi` those
-    with several actions, also ascending. `ec_max` lists the delay
+    `solve_svi_pool` builds one per solve that sweeps, once the pool
+    `part.unknown` is fixed. `order` lists the pool states in ascending
+    order, `multi` those with several actions, also ascending. `single`
+    pairs each one-action pool state with its row of `game.live_rows`, in
+    ascending order, so a sweep reads those rows without a choice
+    lookup. `zero_choices` maps
+    every pool state to position 0: `choose_actions` hands it out as is
+    when nothing is chosen or forced. `ec_max` lists the delay
     candidates of `bellman_update`, the Maximizer states of the pool's
     maximal end components, in ascending order. It is worked out on first
     read, from the decomposition that the EC pass keeps in `part.ec_memo`,
@@ -107,7 +129,10 @@ class PoolFacts:
     def __init__(self, game: StochasticGame, part: StatePartition) -> None:
         self.game, self.part = game, part
         self.order = tuple(sorted(part.unknown))
-        self.multi = tuple(s for s in self.order if len(game.live_rows[s]) > 1)
+        rows = game.live_rows
+        self.multi = tuple(s for s in self.order if len(rows[s]) > 1)
+        self.single = [(s, rows[s][0]) for s in self.order if len(rows[s]) == 1]
+        self.zero_choices: dict[int, int | None] = dict.fromkeys(self.order, 0)
 
     @cached_property
     def ec_max(self) -> tuple[int, ...]:
@@ -119,8 +144,10 @@ class PoolFacts:
 def float_rows(game: StochasticGame) -> FloatRows:
     """The sweeps' float transition table `game.live_rows`, indexed [state][action].
 
-    Building it builds `game.rows` too, so a solver calls this in its
-    set-up and its first sweep is not charged for either table.
+    Building it builds `game.rows` too. vi's and bvi's set-up call it by
+    this name, which the benchmark's layer trace (`perfbench/layers.py`)
+    wraps to count the build as set-up; svi never calls it: its
+    `PoolFacts` builds `live_rows` when it compiles the pool's rows.
     """
     return game.live_rows
 
@@ -179,7 +206,12 @@ def best_step(game: StochasticGame, s: int, vec: list[float]) -> tuple[float, in
 
 
 def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
-    """State s's pairwise action differences, `game.deltas[s]`."""
+    """State s's pairwise action differences, `game.deltas[s]`.
+
+    Nothing in the package calls it; it remains only as a name the
+    benchmark's layer trace (`perfbench/layers.py`) wraps.
+    `decision_value` reads `game.deltas` directly.
+    """
     return game.deltas[s]
 
 
@@ -197,11 +229,14 @@ def choose_actions(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
     are reproducible. The choices are action positions, in ascending
     state order; a delayed state's DELAY counts as no previous choice.
     The estimates read `game.live_rows`, so reach and stay must hold +0.0
-    at every sink (`StochasticGame.live_rows`).
+    at every sink (`StochasticGame.live_rows`). With nothing to choose and
+    nothing forced, every solve's snapshot shares `facts.zero_choices`.
     """
+    if not facts.multi and not B:
+        return StrategySnapshot(facts.zero_choices, frozenset() if B is not None else None)
     rows, owner = game.live_rows, game.owner
     reach, stay = rs.reach, rs.stay
-    choices: dict[int, int | None] = dict.fromkeys(facts.order, 0)  # multi states overwritten below
+    choices = dict(facts.zero_choices)  # multi and forced states overwritten below
     forced_at: dict[int, list[int]] = {}
     for s, i in B or ():
         forced_at.setdefault(s, []).append(i)
@@ -260,29 +295,52 @@ def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
                    ) -> tuple[ReachStayVector, StrategySnapshot]:
     """One whole-vector sweep under the chosen actions, with delay detection.
 
-    Each state of the pool `facts.order` reads its row
-    `game.live_rows[s][choices[s]]`, and all read the old vector (batch
-    update); reach and stay must hold +0.0 at every sink. When EC
-    handling is active (strategy.bexit is not None), a delay candidate
-    (`facts.ec_max`) outside the best-exit set whose candidate upper
-    estimate exceeds its old one is delayed: it keeps its
+    Each state of the pool reads its row `game.live_rows[s][choices[s]]`
+    (a one-action state the row `facts.single` compiled), and all read the
+    old vector (batch update); reach and stay must hold +0.0 at every
+    sink. When EC handling is active (strategy.bexit is not None), a
+    delay candidate (`facts.ec_max`) outside the best-exit set whose
+    candidate upper estimate exceeds its old one is delayed: it keeps its
     old entries, its snapshot entry becomes DELAY and it joins the
     snapshot's delayed set. Rows of decided states never change. Without
     a delay the new snapshot shares `strategy.choices`; no caller mutates
     a snapshot's map.
+
+    The same loop folds the pool's largest stay and, while a cap can
+    still move its bound under `bounds` (d_l > l or d_u < u; a pinned cap
+    never unpins), the smallest and largest loop extrapolation, into the
+    returned vector (`ReachStayVector`). After a delay the candidates are
+    dropped, and the largest stay is worked out again from the pool with
+    the restored entries (delays are rare: none on the benchmark's
+    workloads).
     """
     rows, choices = game.live_rows, strategy.choices
     reach, stay = rs.reach, rs.stay
     new_reach = list(reach)
     new_stay = list(stay)
-    for s in facts.order:
+    pairs = facts.single
+    if facts.multi:
+        pairs = pairs + [(s, rows[s][choices[s]]) for s in facts.multi]
+    cands = bounds.d_l > bounds.l or bounds.d_u < bounds.u
+    max_stay = 0.0
+    lo, hi = math.inf, -math.inf
+    for s, row in pairs:
         # `dot2` inlined: this is the hottest loop of a solve
         r = st = 0.0
-        for t, p in rows[s][choices[s]]:
+        for t, p in row:
             r += p * reach[t]
             st += p * stay[t]
         new_reach[s] = r
         new_stay[s] = st
+        if st > max_stay:
+            max_stay = st
+        if cands and st < 1.0:
+            c = r / (1.0 - st)
+            if c < lo:
+                lo = c
+            if c > hi:
+                hi = c
+    min_cand, max_cand = (lo, hi) if cands else (None, None)
 
     delayed: set[int] = set()
     if strategy.bexit is not None:
@@ -296,8 +354,15 @@ def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
             new_reach[s] = reach[s]
             new_stay[s] = stay[s]
             choices[s] = DELAY
-    return (ReachStayVector(new_reach, new_stay),
+        max_stay = max(map(new_stay.__getitem__, facts.order))  # the restored stays count
+        min_cand = max_cand = None  # a delay holds l and u (`update_global_bounds`)
+    return (ReachStayVector(new_reach, new_stay, max_stay, min_cand, max_cand),
             StrategySnapshot(choices, strategy.bexit, frozenset(delayed)))
+
+
+def _require_fold(rs: ReachStayVector) -> None:
+    if rs.max_stay is None:
+        raise ValueError("the ReachStayVector carries no fold: pass one that bellman_update returned")
 
 
 def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds: GlobalBounds,
@@ -311,21 +376,22 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
     are the loop extrapolations reach/(1-stay) of the undecided states.
     l rises to the smallest candidate, capped by d_l; u falls to the
     largest, floored by d_u. Once both caps have pinned their bounds
-    (d_l <= l and d_u >= u) no candidate can move either, and they are
-    not computed.
+    (d_l <= l and d_u >= u) no candidate can move either. The sweep that
+    made rs folded the largest stay and the extreme candidates over the
+    pool (`bellman_update`), so nothing here walks the pool: rs must be a
+    vector that `bellman_update` returned, and one without a fold raises
+    ValueError.
     """
+    _require_fold(rs)
     d_l, d_u = bounds.d_l, bounds.d_u
     for v in max_decvals:
         d_u = max(d_u, v)
     for v in min_decvals:
         d_l = min(d_l, v)
     l, u = bounds.l, bounds.u
-    pool, reach, stay = partition.unknown, rs.reach, rs.stay
-    if not any_delay and pool and not (d_l <= l and d_u >= u):
-        cands = [reach[s] / (1.0 - stay[s]) for s in pool if stay[s] < 1.0]
-        if len(cands) == len(pool):  # no undecided state has stay 1
-            l = max(l, min(d_l, min(cands)))
-            u = min(u, max(d_u, max(cands)))
+    if not any_delay and partition.unknown and rs.max_stay < 1.0 and not (d_l <= l and d_u >= u):
+        l = max(l, min(d_l, rs.min_cand))
+        u = min(u, max(d_u, rs.max_cand))
     return GlobalBounds(l, u, d_l, d_u)
 
 
@@ -333,16 +399,23 @@ def check_termination(partition: StatePartition, rs: ReachStayVector, bounds: Gl
                       eps: float, mode: str = "absolute") -> bool:
     """True when every undecided state's interval width is below 2*eps.
 
-    The width of state s's interval is stay_s*(u-l). Relative mode divides
-    stay_s by the state's upper estimate reach_s + stay_s*u first (0/0
-    counts as 0: such a state is settled at value 0).
+    The width of state s's interval is stay_s*(u-l). Absolute mode reads
+    the largest stay the sweep folded (`ReachStayVector.max_stay`):
+    rounding is monotone and stays are never negative, so its width is the
+    largest exactly. Relative mode divides stay_s by the state's upper
+    estimate reach_s + stay_s*u first (0/0 counts as 0: such a state is
+    settled at value 0), one state at a time. In absolute mode rs must
+    carry a fold (a vector from `bellman_update`, or `solve_svi_pool`'s
+    start vector); one without raises ValueError.
     """
     gap = bounds.u - bounds.l
+    if mode != "relative":
+        _require_fold(rs)
+        return not rs.max_stay * gap >= 2.0 * eps
     for s in partition.unknown:
         st = rs.stay[s]
-        if mode == "relative":
-            denom = rs.reach[s] + st * bounds.u
-            st = 0.0 if denom == 0.0 else st / denom
+        denom = rs.reach[s] + st * bounds.u
+        st = 0.0 if denom == 0.0 else st / denom
         if st * gap >= 2.0 * eps:
             return False
     return True
@@ -376,12 +449,16 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     `vec` at every sink of `game.split`, whose value it is, so the sweeps
     may skip the transitions into them (`StochasticGame.live_rows`).
     It settles the acyclic tail first (`settle_tail`); the pool is fixed
-    from then on, so what
-    the sweeps need to know about it is worked out once, into the
+    from then on, so what the sweeps need to know about it is worked out
+    once, before the first sweep (a solve with no sweep needs none), into the
     `PoolFacts` that `choose_actions` and `bellman_update` read.
     Then runs the full loop: EC pass (unless ec_handling is off), action
     choice, decision values, batch sweep with delays, global bound update,
-    termination test. A side's decision values are computed only while
+    termination test. The sweep is the one pass over the pool: it folds
+    the largest stay and the bound candidates as it goes, and the bound
+    update, the absolute termination test and the trace's max_gap read
+    those (only a max_gap with u < l walks the pool for the smallest
+    stay). A side's decision values are computed only while
     its cap can still move its bound (Minimizer: d_l > l, Maximizer:
     d_u < u; see `GlobalBounds`). On the iteration cap the result comes
     back with converged=False; its bounds are still valid, just wider
@@ -399,12 +476,11 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
         vec[s] = 0.0
     settled = settle_tail(game, part, vec)
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
-    facts = PoolFacts(game, part)
     owner = game.owner
     stay = [0.0] * game.n_states
     for s in pool:
         stay[s] = 1.0
-    rs = ReachStayVector(vec, stay)
+    rs = ReachStayVector(vec, stay, max_stay=1.0 if pool else 0.0)
     bounds = GlobalBounds(0.0, 1.0)
     prev: StrategySnapshot | None = None
     last_choices: dict[int, int | None] = {}
@@ -413,6 +489,8 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
 
     it = 0
     converged = check_termination(part, rs, bounds, eps, mode)
+    # most small games leave svi an empty pool, which needs no sweep and no facts
+    facts = None if converged else PoolFacts(game, part)
     while not converged and it < max_iters:
         B = handle_ecs(game, rs.reach, rs.stay, bounds.u, part) if ec_handling else None
         snapshot = choose_actions(game, facts, rs, bounds, B, prev)
@@ -434,8 +512,7 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
         it += 1
         gap = new_bounds.u - new_bounds.l
         # max(stay[s] * gap): rounding is monotone, so the extreme stay gives it exactly
-        extreme = max if gap >= 0.0 else min
-        max_gap = gap * extreme(map(rs.stay.__getitem__, pool), default=0.0)
+        max_gap = gap * (rs.max_stay if gap >= 0.0 else min(map(rs.stay.__getitem__, pool)))
         trace.append(TraceEntry(
             k=it, l=new_bounds.l, u=new_bounds.u, d_l=new_bounds.d_l, d_u=new_bounds.d_u,
             delayed=n_delayed,

@@ -8,6 +8,7 @@ run under any Python that can import the package:
 
 import dataclasses
 import hashlib
+import math
 from fractions import Fraction
 
 import ssgsolve.oracle as oracle
@@ -17,7 +18,7 @@ from ssgsolve.model import (MAX, Action, GenParams, StatePartition, StochasticGa
                             dot, dot2, generate_random, normalize, partition_states)
 from ssgsolve.oracle import TooLarge, exact_value
 from ssgsolve.presets import ALL_PRESETS
-from ssgsolve.svi import start_vector
+from ssgsolve.svi import ReachStayVector, start_vector
 
 
 def action(game, s, label):
@@ -89,6 +90,41 @@ def k_step_oracle(game, part, k):
             for s in range(game.n_states)
         ]
     return reach, stay
+
+
+def pool_candidates(pool, reach, stay):
+    """The loop extrapolations reach/(1-stay) of the pool states with stay < 1.
+
+    The list `svi.update_global_bounds` built from the pool on every sweep
+    before `svi.bellman_update` folded its extremes: the reference for that
+    fold. Fewer candidates than pool states means some state has stay 1.
+    """
+    return [reach[s] / (1.0 - stay[s]) for s in pool if stay[s] < 1.0]
+
+
+def check_termination_by_walk(partition, rs, bounds, eps, mode="absolute"):
+    """`svi.check_termination` as it walked the pool in both modes before the sweep folded the largest stay."""
+    gap = bounds.u - bounds.l
+    for s in partition.unknown:
+        st = rs.stay[s]
+        if mode == "relative":
+            denom = rs.reach[s] + st * bounds.u
+            st = 0.0 if denom == 0.0 else st / denom
+        if st * gap >= 2.0 * eps:
+            return False
+    return True
+
+
+def folded(pool, reach, stay):
+    """A `svi.ReachStayVector` carrying the fold of `bellman_update`, worked out by walking the pool.
+
+    For vectors built by hand: the largest stay over the pool (0.0 if it
+    is empty) and the extremes of `pool_candidates` (inf and -inf if
+    there are none).
+    """
+    cands = pool_candidates(pool, reach, stay)
+    return ReachStayVector(reach, stay, max((stay[s] for s in pool), default=0.0),
+                           min(cands, default=math.inf), max(cands, default=-math.inf))
 
 
 def pinned(game, values):

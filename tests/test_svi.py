@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -54,8 +55,8 @@ from ssgsolve.baselines import solve_bvi, solve_vi
 from ssgsolve.fuzz import SLACK, check_model
 from ssgsolve.oracle import exact_value
 
-from _util import (REGRESSION_MODELS, census, exact_floats, max_err, no_decision_value,
-                   permute_states, pinned, restricted)
+from _util import (REGRESSION_MODELS, census, check_termination_by_walk, exact_floats, folded,
+                   max_err, no_decision_value, permute_states, pinned, pool_candidates, restricted)
 
 # Two actions with the same coin flip between the target 1 and the sink 2.
 TWIN_ACTIONS = """\
@@ -74,7 +75,8 @@ action 0 y
 def k0_state(game):
     part = partition_states(game)
     n = game.n_states
-    rs = ReachStayVector(
+    rs = folded(
+        part.unknown,
         [1.0 if s in part.targets else 0.0 for s in range(n)],
         [1.0 if s in part.unknown else 0.0 for s in range(n)],
     )
@@ -224,6 +226,45 @@ def test_bellman_delays_overshooting_maximizer():
     assert rs1.stay[0] == pytest.approx(0.1 / 3)
 
 
+# exit_seesaw's end component {0, 1} beside a slow loop 2 of value 1/2.
+SEESAW_AND_LOOP = """\
+ssg 1
+states 5
+target 3
+action 0 a
+  1 1
+action 0 b
+  0 1/3
+  3 1/3
+  4 1/3
+action 1 a
+  0 1
+action 1 b
+  1 1/5
+  3 2/5
+  4 2/5
+action 2 a
+  2 49/50
+  3 1/100
+  4 1/100
+"""
+
+
+def test_bellman_delay_folds_the_restored_stay():
+    # State 1 is delayed: its discarded stay 0.3 is below state 2's new
+    # 0.49, but its restored stay 0.9 is the pool's largest after the sweep
+    g = normalize(parse_model(SEESAW_AND_LOOP))
+    part = partition_states(g)
+    assert part.unknown == {0, 1, 2}
+    rs = ReachStayVector([0.65, 0.0, 0.0, 1.0, 0.0], [0.3, 0.9, 0.5, 0.0, 0.0])
+    snap = StrategySnapshot({0: 1, 1: 0, 2: 0}, frozenset({0}))  # 0 takes b, 1 takes a
+    rs1, snap1 = bellman_update(g, PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
+    assert snap1.delayed == frozenset({1})
+    assert rs1.stay[:3] == [pytest.approx(0.1), 0.9, pytest.approx(0.49)]
+    assert rs1.max_stay == 0.9
+    assert rs1.min_cand is None and rs1.max_cand is None
+
+
 # The cycle 0 -> 1 -> 2 -> 0 is an end component of Maximizer states 0 and 2
 # around the Minimizer state 1; both Maximizer states can leave it for a coin
 # flip between the target 4 and the sink 5. The Maximizer state 3 feeds it.
@@ -265,7 +306,7 @@ def test_pool_facts_find_the_delay_candidates_on_first_read():
 
 def test_update_global_bounds_caps_at_decision_values():
     part, rs = k0_state(two_route_choice())
-    rs = ReachStayVector([0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
+    rs = folded(part.unknown, [0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
     bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [0.25], False)
     # loop extrapolation says 2/3 but the pending switch pins l at 1/4
     assert bounds.l == 0.25
@@ -275,7 +316,7 @@ def test_update_global_bounds_caps_at_decision_values():
 
 def test_update_global_bounds_without_caps_overshoots():
     part, rs = k0_state(two_route_choice())
-    rs = ReachStayVector([0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
+    rs = folded(part.unknown, [0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
     # no decision value: the caps keep their seeds, which cap nothing
     bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [], False)
     assert bounds.l == pytest.approx(2 / 3)
@@ -289,7 +330,7 @@ def test_update_global_bounds_gate_on_full_stay():
 
 def test_update_global_bounds_gate_on_delay():
     part, rs = k0_state(slow_loop())
-    rs = ReachStayVector([0.01, 1.0, 0.0], [0.98, 0.0, 0.0])
+    rs = folded(part.unknown, [0.01, 1.0, 0.0], [0.98, 0.0, 0.0])
     held = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [], True)
     assert (held.l, held.u) == (0.0, 1.0)
 
@@ -297,6 +338,8 @@ def test_update_global_bounds_gate_on_delay():
 def test_check_termination_vacuous_and_strict():
     part, rs = k0_state(slow_loop())
     part.unknown.clear()
+    rs = folded(part.unknown, rs.reach, rs.stay)  # the empty pool's fold
+    assert rs.max_stay == 0.0
     assert check_termination(part, rs, GlobalBounds(0.0, 1.0), 1e-6)
 
     part2, rs2 = k0_state(slow_loop())
@@ -304,10 +347,42 @@ def test_check_termination_vacuous_and_strict():
     assert not check_termination(part2, rs2, GlobalBounds(0.0, 2e-6), 1e-6)
     assert check_termination(part2, rs2, GlobalBounds(0.0, 2e-6 - 1e-12), 1e-6)
 
+    cases = [
+        # a stay of 0 has width 0 whatever the gap
+        ([0.3, 1.0, 0.0], [0.0, 0.0, 0.0], GlobalBounds(0.0, 1.0), 1e-6, "absolute", True),
+        # u below l: every width is at most 0
+        ([0.01, 1.0, 0.0], [0.98, 0.0, 0.0], GlobalBounds(0.6, 0.4), 1e-6, "absolute", True),
+        # stay * gap is exactly 2 eps (both sides are powers of two apart): not below it
+        ([0.25, 1.0, 0.0], [0.5, 0.0, 0.0], GlobalBounds(0.0, 4e-6), 1e-6, "absolute", False),
+        ([0.25, 1.0, 0.0], [0.5, 0.0, 0.0], GlobalBounds(0.0, math.nextafter(4e-6, 0.0)), 1e-6,
+         "absolute", True),
+        # relative mode: reach and stay 0 is 0/0, a state settled at 0
+        ([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], GlobalBounds(0.0, 1.0), 1e-6, "relative", True),
+        # relative mode: 0.5 / (0.25 + 0.5 * 0.5) of the gap 0.1 is above 2 eps
+        ([0.25, 1.0, 0.0], [0.5, 0.0, 0.0], GlobalBounds(0.4, 0.5), 1e-6, "relative", False),
+    ]
+    assert 0.5 * 4e-6 == 2.0 * 1e-6
+    for reach, stay, bounds, eps, mode, want in cases:
+        rs3 = folded(part2.unknown, reach, stay)
+        assert check_termination(part2, rs3, bounds, eps, mode) is want, (reach, stay, bounds, mode)
+        assert check_termination_by_walk(part2, rs3, bounds, eps, mode) is want
+
+
+def test_a_vector_without_a_fold_is_refused():
+    part, rs = k0_state(slow_loop())
+    bare = ReachStayVector(rs.reach, rs.stay)
+    bounds = GlobalBounds(0.0, 1.0)
+    with pytest.raises(ValueError, match="no fold"):
+        check_termination(part, bare, bounds, 1e-6)
+    with pytest.raises(ValueError, match="no fold"):
+        update_global_bounds(part, bare, bounds, [], [], False)
+    # relative mode walks the pool and needs no fold
+    assert not check_termination(part, bare, bounds, 1e-6, mode="relative")
+
 
 def test_check_termination_relative_mode():
     part, rs = k0_state(slow_loop())
-    rs = ReachStayVector([0.01, 1.0, 0.0], [0.0098, 0.0, 0.0])
+    rs = folded(part.unknown, [0.01, 1.0, 0.0], [0.0098, 0.0, 0.0])
     bounds = GlobalBounds(0.4, 0.6)
     # absolute width 0.0098 * 0.2 is far above 2 eps
     assert not check_termination(part, rs, bounds, 1e-6)
@@ -536,6 +611,9 @@ GOLDEN_SOLVES = [
      "b72ec3a124f1d87dc19ed168ada93cbc06c4dbf9eea5e6d61c323e7e53036dd9"),
     (exit_seesaw, 6, "009da3ec1a0b0a6ef5ef333995079592297f04b9ec2027977bfb25b664cb7f4c"),
     (two_route_choice, 2, "f736990b1b8815133c4267fcd2db9e7771091c58352357350ed347c230b8f17d"),
+    # the chains benchmark's main model (recorded before the sweep folded the bound candidates)
+    (partial(serial_loops, 150), 1237,
+     "14ac90fc5cd8bd39d348452781ff437191ab81340886a8660c289597ac82b1d0"),
 ]
 
 
@@ -565,6 +643,57 @@ def test_fold_rule_matches_golden_digest(monkeypatch):
             h.update(repr(dataclasses.replace(r, wall_ms=0.0)).encode())
     assert (len(games), h.hexdigest()) == (
         132, "fb5712db92686c0e6a30f335109df549f849cae26aaf0358d2e28253a36c4b84")
+
+
+@pytest.mark.parametrize("ablation", ["none", "uncapped", "noec"])
+def test_the_sweep_folds_what_the_pool_walks_gave(monkeypatch, ablation):
+    # Every sweep's folded largest stay, stay == 1 gate and extreme bound
+    # candidates against the walks over the pool that `update_global_bounds`
+    # and `check_termination` made before the sweep folded them. The
+    # candidates are dropped exactly when nothing reads them: after a
+    # delay, or once both caps have pinned their bounds.
+    sweep, terminated = svi.bellman_update, svi.check_termination
+    seen = dict.fromkeys(("sweeps", "cands", "dropped", "delays", "stuck", "stops"), 0)
+
+    def checked_sweep(game, facts, rs, strategy, bounds):
+        out, snap = sweep(game, facts, rs, strategy, bounds)
+        pool = facts.order
+        cands = pool_candidates(pool, out.reach, out.stay)
+        top = max(out.stay[s] for s in pool)
+        assert repr(out.max_stay) == repr(top)
+        assert (out.max_stay >= 1.0) == (len(cands) < len(pool))
+        pinned_caps = bounds.d_l <= bounds.l and bounds.d_u >= bounds.u
+        if pinned_caps or snap.delayed:
+            assert out.min_cand is None and out.max_cand is None
+            seen["dropped"] += 1
+        else:
+            want = (min(cands, default=math.inf), max(cands, default=-math.inf))
+            assert repr((out.min_cand, out.max_cand)) == repr(want)
+            seen["cands"] += 1
+        seen["sweeps"] += 1
+        seen["delays"] += bool(snap.delayed)
+        seen["stuck"] += len(cands) < len(pool)
+        return out, snap
+
+    def checked_termination(partition, rs, bounds, eps, mode="absolute"):
+        got = terminated(partition, rs, bounds, eps, mode)
+        assert got == check_termination_by_walk(partition, rs, bounds, eps, mode)
+        seen["stops"] += got
+        return got
+
+    monkeypatch.setattr(svi, "bellman_update", checked_sweep)
+    monkeypatch.setattr(svi, "check_termination", checked_termination)
+    if ablation == "uncapped":
+        monkeypatch.setattr(svi, "decision_value", no_decision_value)
+    games = ([build() for build in ALL_PRESETS.values()] + list(census((8, 10), range(20)))
+             + [generate_random(GenParams(80, 3, 3, 0.05, 0.5, eb, seed))
+                for eb in (0.0, 0.5) for seed in (2, 3)])
+    assert "exit_seesaw" in ALL_PRESETS
+    for g in games:
+        solve_svi(g, 1e-6, max_iters=400, ec_handling=ablation != "noec")
+    assert seen["sweeps"] > 1000 and seen["cands"] > 100 and seen["stuck"] > 0 and seen["stops"] > 100
+    assert seen["dropped"] > 0 if ablation != "uncapped" else seen["dropped"] == seen["delays"]
+    assert seen["delays"] > 0 if ablation != "noec" else seen["delays"] == 0
 
 
 def _count_decision_values(monkeypatch):
