@@ -30,26 +30,58 @@ from .svi import best_step, float_rows, start_vector
 UNSOUND_NOTE = "unsound stopping"
 
 
-def _sweep(rows: FloatRows, owner: Sequence[str], unknown: AbstractSet[int],
-           vec: list[float]) -> list[float]:
-    """One Jacobi sweep of the optimality operator over the unknown states.
+#: One row of a float table: (successor, probability) pairs.
+Row = Sequence[tuple[int, float]]
+#: vi's pool as `_pool` compiles it: the one-action states with their one
+#: row, and the other states with their rows and whether the Maximizer
+#: owns them.
+Single = list[tuple[int, Row]]
+Multi = list[tuple[int, Sequence[Row], bool]]
 
-    `rows` is the table the sweep reads, the game's `live_rows` in vi; read
-    that way, vec must hold +0.0 at every sink (`StochasticGame.live_rows`).
-    `dot` is inlined, as in `svi.bellman_update`: each row is added left to
-    right from 0.0, and the first of equal row values wins, as in builtin
-    `max`/`min`.
+
+def _pool(rows: FloatRows, owner: Sequence[str], unknown: AbstractSet[int]) -> tuple[Single, Multi]:
+    """vi's pool compiled once per solve into the two lists `_sweep` walks, each in ascending state order.
+
+    The one-action states are paired with their row as in svi's `PoolFacts.single`.
     """
-    new = list(vec)
-    for s in unknown:
+    single, multi = [], []
+    for s in sorted(unknown):
         acts = rows[s]
         if len(acts) == 1:
-            x = 0.0
-            for t, p in acts[0]:
-                x += p * vec[t]
-            new[s] = x
-            continue
-        maximize = owner[s] == MAX
+            single.append((s, acts[0]))
+        else:
+            multi.append((s, acts, owner[s] == MAX))
+    return single, multi
+
+
+def _sweep(single: Single, multi: Multi, vec: list[float]) -> tuple[list[float], float, float]:
+    """One Jacobi sweep of the optimality operator over vi's pool, compiled by `_pool`.
+
+    The rows are the game's `live_rows` in vi; read that way, vec must hold
+    +0.0 at every sink (`StochasticGame.live_rows`). Every state reads only
+    vec, so walking the one-action states first changes no value. `dot`
+    is inlined, as in `svi.bellman_update`: each row is added left to
+    right from 0.0, and the first of equal row values wins, as in builtin
+    `max`/`min`. Returns the new vector, the largest |new - old| and the
+    smallest new value over the pool (0.0 and inf on an empty one). No
+    value is -0.0 (each sum starts at +0.0 and adds p * v with v >= +0.0),
+    so both folds come out the same in any order.
+    """
+    new = list(vec)
+    delta, low = 0.0, math.inf
+    for s, row in single:
+        x = 0.0
+        for t, p in row:
+            x += p * vec[t]
+        new[s] = x
+        d = x - vec[s]
+        if d < 0.0:
+            d = -d
+        if d > delta:
+            delta = d
+        if x < low:
+            low = x
+    for s, acts, maximize in multi:
         best = None
         for row in acts:
             x = 0.0
@@ -63,7 +95,14 @@ def _sweep(rows: FloatRows, owner: Sequence[str], unknown: AbstractSet[int],
             elif x < best:
                 best = x
         new[s] = best
-    return new
+        d = best - vec[s]
+        if d < 0.0:
+            d = -d
+        if d > delta:
+            delta = d
+        if best < low:
+            low = best
+    return new, delta, low
 
 
 def _layers(game: StochasticGame, pool: AbstractSet[int], L: list[float]) -> list[tuple[int, bool]]:
@@ -105,7 +144,7 @@ def _layer(states: list[int]) -> list[tuple[int, bool]]:
 #: One state of bvi's compiled sweep (`_entries`): the state, its row
 #: table entry, its one row or None when it has several, whether the
 #: Maximizer owns it, and whether it ends its layer.
-Entry = tuple[int, Sequence[Sequence[tuple[int, float]]], Sequence[tuple[int, float]] | None, bool, bool]
+Entry = tuple[int, Sequence[Row], Row | None, bool, bool]
 
 
 def _entries(rows: FloatRows, owner: Sequence[str], order: list[tuple[int, bool]]) -> list[Entry]:
@@ -211,6 +250,11 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     included), 1 everywhere else. The result is flagged sound=False: the
     stopping rule says nothing about how far the vector still is from the
     value.
+
+    Each sweep is one pass over the pool: `_sweep` returns the largest
+    change and the smallest new value with the vector, and the stopping
+    test and the trace read them. The pool is compiled by `_pool` on the
+    first sweep, so a solve that needs no sweep pays nothing for it.
     """
     t0 = time.perf_counter()
     part = partition_states(game)
@@ -218,25 +262,20 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     L = start_vector(game, eps, part)
     rows = float_rows(game)  # build the cached tables here, so set-up is not charged to the first sweep
     trace: list[TraceEntry] = []
+    single: Single = []
+    multi: Multi = []
+    updates = len(part.unknown)
     it = 0
     converged = not part.unknown
     while not converged and it < max_iters:
-        new = _sweep(rows, game.owner, part.unknown, L)
-        # the largest change and the smallest new value in one pass; from
-        # 0.0 and inf, since abs() >= 0.0 and the values are finite
-        delta, low = 0.0, math.inf
-        for s in part.unknown:
-            x = new[s]
-            d = abs(x - L[s])
-            if d > delta:
-                delta = d
-            if x < low:
-                low = x
-        L = new
+        if not it:
+            # not before the loop: most small games leave vi an empty pool, which needs no sweep
+            single, multi = _pool(rows, game.owner, part.unknown)
+        L, delta, low = _sweep(single, multi, L)
         it += 1
         trace.append(TraceEntry(
             k=it, l=low, u=1.0, d_l=None, d_u=None,
-            delayed=0, bounds_updated=False, max_gap=delta, updates=len(part.unknown),
+            delayed=0, bounds_updated=False, max_gap=delta, updates=updates,
         ))
         converged = delta < eps
     upper = [0.0 if s in part.sinks else 1.0 for s in range(n)]

@@ -2,8 +2,10 @@
 
 Everything here is exact, so the numbers are independent of the float
 iteration schemes they are used to check. Probabilities are `Fraction`s;
-each action's row is scaled to integers, and each Markov chain is solved
-in integers into one numerator per state over the chain's determinant.
+each action's row that a solve reads (`_int_rows`: those of the
+non-target states that can reach a target) is scaled to integers, and
+each Markov chain is solved in integers into one numerator per state
+over the chain's determinant.
 `exact_value` finds the game value by strategy iteration, a few chain
 solves per game, comparing actions on those integers; only the final
 values become `Fraction`s. Its order="minmax" enumerates every pair of
@@ -57,8 +59,19 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _int_rows(game: StochasticGame) -> list[list[IntRow]]:
-    """Every action's transitions scaled by the lcm of its denominators."""
-    return [[scale_to_integers(act.transitions) for act in acts] for acts in game.actions]
+    """Each action's transitions scaled by the lcm of its denominators, where a solve reads them.
+
+    Only the non-target states in `game.can_reach` are scaled; every other
+    state gets one shared empty row. No solve reads the rows left out: a
+    chain solve's backward search starts with the targets already found
+    and `_preds` skips the targets' rows, and a state outside `can_reach`
+    is never found by that search nor joins an attractor, so its
+    transitions would only add predecessors that no walk follows.
+    """
+    read = game.can_reach - game.targets
+    empty: list[IntRow] = [(1, ())]
+    return [[scale_to_integers(act.transitions) for act in acts] if s in read else empty
+            for s, acts in enumerate(game.actions)]
 
 
 def _chain_step(rows: list[list[IntRow]], choice: dict[int, int]) -> list[IntRow]:
@@ -320,13 +333,15 @@ def exact_value(game: StochasticGame, *, max_states: int = 12, max_pairs: int = 
     order="minmax" enumerates every pair of memoryless deterministic
     strategies with the Minimizer outside, exponential by design; it gives
     the same values and is kept as an independent reference (its
-    Maximizer witness is only a best response to the Minimizer's). Each
-    action's row is scaled once per call to integers over the lcm of its
-    denominators, and each induced chain is solved by fraction-free
-    integer elimination (`_chain_reach`) into numerators over a common
-    denominator. Strategy iteration compares actions on those integers
-    (`_improve`) and turns only its final values into `Fraction`s; the
-    enumeration converts each chain once. Nothing is kept on the game.
+    Maximizer witness is only a best response to the Minimizer's). The
+    row of each action of a non-target state in `game.can_reach` is scaled
+    once per call to integers over the lcm of its denominators; no solve
+    reads the other rows (`_int_rows`). Each induced chain is solved by
+    fraction-free integer elimination (`_chain_reach`) into numerators
+    over a common denominator. Strategy iteration compares actions on
+    those integers (`_improve`) and turns only its final values into
+    `Fraction`s; the enumeration converts each chain once. Nothing is kept
+    on the game.
 
     The strategy sites are the non-target states in `game.can_reach` with
     a choice, not the partition's unknown states: this reference checks

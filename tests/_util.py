@@ -306,6 +306,24 @@ def sweep_by_dot(game, unknown, vec):
     return new
 
 
+def vi_fold_by_walk(unknown, old, new):
+    """The largest |new - old| and the smallest new value over unknown, by a second pass.
+
+    The pass `solve_vi` made over the pool after each sweep before
+    `baselines._sweep` folded both: the reference for that fold (0.0 and
+    inf on an empty pool).
+    """
+    delta, low = 0.0, math.inf
+    for s in unknown:
+        x = new[s]
+        d = abs(x - old[s])
+        if d > delta:
+            delta = d
+        if x < low:
+            low = x
+    return delta, low
+
+
 def sweep2_by_dot(game, unknown, low, high):
     """Two Jacobi sweeps through `dot2` and `dot`: the reference for one layer of `baselines._sweep_layers`."""
     rows, owner = game.rows, game.owner

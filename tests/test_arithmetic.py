@@ -11,12 +11,13 @@ import ssgsolve.graph as graph
 import ssgsolve.model as model
 import ssgsolve.svi as svi
 from ssgsolve.baselines import solve_bvi, solve_vi
-from ssgsolve.model import MAX, MIN, GenParams, dot, dot2, generate_random, normalize, parse_model
-from ssgsolve.presets import serial_loops, slow_loop
+from ssgsolve.model import (MAX, MIN, GenParams, dot, dot2, generate_random, normalize, parse_model,
+                            partition_states)
+from ssgsolve.presets import ALL_PRESETS, serial_loops, slow_loop
 from ssgsolve.svi import solve_svi
 from ssgsolve.topo import INNER_SOLVERS, solve_topological
 
-from _util import census, gauss_seidel_by_dot, sweep2_by_dot, sweep_by_dot
+from _util import census, gauss_seidel_by_dot, sweep2_by_dot, sweep_by_dot, vi_fold_by_walk
 
 # Exactly equal values whose float sums differ: 3/10 in one step against
 # 1/10 + 2/10 over two targets, which comes to 0.30000000000000004.
@@ -41,6 +42,16 @@ def one_layer(states):
     """`baselines._layers`' sweep order with the given states as one layer."""
     *rest, last = states
     return [(s, False) for s in rest] + [(last, True)]
+
+
+def jacobi(rows, owner, states, vec):
+    """`baselines._sweep` on the pool that `baselines._pool` compiles from rows; returns the new vector.
+
+    Also checks the fold the kernel returns against a second pass over the vectors.
+    """
+    new, delta, low = baselines._sweep(*baselines._pool(rows, owner, states), vec)
+    assert repr((delta, low)) == repr(vi_fold_by_walk(states, vec, new))
+    return new
 
 
 def layered(rows, owner, order, low, high):
@@ -71,7 +82,7 @@ def test_sweep_kernels_add_left_to_right_from_zero():
     row = ((0, 1.0), (1, 1e-16), (2, 1e-16))
     game = SimpleNamespace(rows=((row,), (row, ((0, 0.5),)), (((0, 2.0),), row)), owner=(MAX, MAX, MIN))
     vec = [1.0, 1.0, 1.0]
-    assert baselines._sweep(game.rows, game.owner, {0, 1, 2}, vec) == [1.0, 1.0, 1.0]
+    assert jacobi(game.rows, game.owner, {0, 1, 2}, vec) == [1.0, 1.0, 1.0]
     want = ([1.0, 1.0, 1.0], [1e-16, 1e-16, 0.0])
     assert layered(game.rows, game.owner, one_layer([0, 1, 2]), vec, [0.0, 0.5, 0.5]) == want
 
@@ -98,7 +109,7 @@ def test_sweep_kernels_match_the_dot_reference_bit_for_bit():
         # uniform draws, and coarse ones whose row values often tie
         for draw in (rng.random, lambda: rng.choice((0.0, 0.25, 0.5, 1.0))):
             low, high, order, layers = _kernel_cases(rng, g, draw, sinks_zero=False)
-            assert repr(baselines._sweep(g.rows, g.owner, states, low)) == repr(sweep_by_dot(g, states, low))
+            assert repr(jacobi(g.rows, g.owner, states, low)) == repr(sweep_by_dot(g, states, low))
             # the whole pool as one layer is a Jacobi sweep
             assert (repr(layered(g.rows, g.owner, one_layer(states), low, high))
                     == repr(sweep2_by_dot(g, states, low, high)))
@@ -124,8 +135,8 @@ def test_sweep_kernels_read_live_rows_as_rows_on_vectors_zero_at_the_sinks():
                        for r, lr in zip(acts, live))
         for draw in (rng.random, lambda: rng.choice((0.0, 0.25, 0.5, 1.0))):
             low, high, order, layers = _kernel_cases(rng, g, draw, sinks_zero=True)
-            assert (repr(baselines._sweep(g.live_rows, g.owner, states, low))
-                    == repr(baselines._sweep(g.rows, g.owner, states, low)))
+            assert (repr(jacobi(g.live_rows, g.owner, states, low))
+                    == repr(jacobi(g.rows, g.owner, states, low)))
             for cut in (one_layer(states), [(s, True) for s in order],
                         [pair for layer in layers for pair in one_layer(layer)]):
                 assert (repr(layered(g.live_rows, g.owner, cut, low, high))
@@ -155,7 +166,7 @@ def test_every_vector_a_sweep_reads_holds_plus_zero_at_every_sink(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(module, name, spied)
 
-    spy(baselines, "_sweep", lambda rows, owner, unknown, vec: (vec,))
+    spy(baselines, "_sweep", lambda single, multi, vec: (vec,))
     spy(baselines, "_sweep_layers", lambda entries, low, high: (low, high))
     spy(svi, "choose_actions", lambda game, facts, rs, *rest: (rs.reach, rs.stay))
     spy(svi, "bellman_update", lambda game, facts, rs, *rest: (rs.reach, rs.stay))
@@ -178,6 +189,32 @@ def test_every_vector_a_sweep_reads_holds_plus_zero_at_every_sink(monkeypatch):
             solve_topological(g, inner=inner_name)
     assert not bad, bad[:5]
     assert checked[0] > 10_000 and all(g.split.sinks for g in games[:2])
+
+
+def test_vi_sweep_folds_what_the_pool_walk_gave(monkeypatch):
+    # every sweep's trace entry against the second pass solve_vi made before the sweep folded it
+    swept = []
+    sweep = baselines._sweep
+
+    def recorded(single, multi, vec):
+        got = sweep(single, multi, vec)
+        swept.append((vec, got[0]))
+        return got
+
+    monkeypatch.setattr(baselines, "_sweep", recorded)
+    games = [*(build() for build in ALL_PRESETS.values()), *census((8, 10), range(20)),
+             *(normalize(generate_random(GenParams(80, 3, 3, 0.05, 0.5, eb, seed=seed)))
+               for seed in (2, 3) for eb in (0.0, 0.5))]
+    checked = 0
+    for g in games:
+        swept.clear()
+        res = solve_vi(g)
+        unknown = partition_states(g).unknown
+        assert len(swept) == res.iterations == len(res.trace)
+        for entry, (old, new) in zip(res.trace, swept):
+            assert repr((entry.max_gap, entry.l)) == repr(vi_fold_by_walk(unknown, old, new)), entry.k
+        checked += len(swept)
+    assert checked > 2_000
 
 
 def test_a_bvi_sweep_of_serial_loops_reads_only_its_live_transitions(monkeypatch):

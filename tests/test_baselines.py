@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 
@@ -325,6 +326,10 @@ GOLDEN_BASELINES = [
     (two_route_choice,
      (3, "0a623e688708ca6c4fd40206dab2445bbb45083b6b4d1187b147b64736364e29"),
      (2, "517714698297f38faee1b814683534c320e25694027d60320aae92706cefed90")),
+    # the chains benchmark's main model (recorded before vi's sweep folded its stopping statistics)
+    (partial(serial_loops, 150),
+     (728, "88f03cd10be858ec7ad4cc6cba1b8f0bf78a9723a9f0c94897b1d22b0c718c62"),
+     (1361, "094a9fa5b545b0b48d0e504c4dab5be7b5a581ed30381a7a4b3f57d5e774a97e")),
 ]
 
 

@@ -429,6 +429,33 @@ def test_too_large_runs_no_chain_solve(monkeypatch):
     assert calls == {"rows": 1, "solve": 2}
 
 
+def test_only_the_rows_a_solve_reads_are_scaled(monkeypatch):
+    # a target's row and the rows of the states that cannot reach a target are never read
+    scaled = []
+    scale = oracle.scale_to_integers
+
+    def recorded(transitions):
+        scaled.append(transitions)
+        return scale(transitions)
+
+    monkeypatch.setattr(oracle, "scale_to_integers", recorded)
+    cases = [(name, build()) for name, build in ALL_PRESETS.items()] + list(_census_slice())
+    unread = 0
+    for case, g in cases:
+        read = g.can_reach - g.targets
+        owners = {}
+        for s, acts in enumerate(g.actions):
+            for act in acts:
+                owners.setdefault(id(act.transitions), set()).add(s)
+        for order in ("maxmin", "minmax"):
+            scaled.clear()
+            exact_value(g, order=order)
+            assert all(owners[id(tr)] <= read for tr in scaled), (case, order)
+            assert len(scaled) == sum(len(g.actions[s]) for s in read), (case, order)
+        unread += sum(len(g.actions[s]) for s in range(g.n_states) if s not in read)
+    assert unread > 300
+
+
 def test_chain_reachability_loop():
     assert chain_reachability(slow_loop()) == [F(1, 2), F(1), F(0)]
     # on a normalized chain the oracle's strategy iteration is that one chain solve
