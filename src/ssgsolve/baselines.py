@@ -25,37 +25,13 @@ from typing import AbstractSet, Sequence
 from .graph import cached_mecs, exit_layers, mec_decompose  # noqa: F401
 from .model import MAX, FloatRows, StatePartition, StochasticGame, dot, partition_states
 from .results import SolveResult, TraceEntry
-from .svi import best_step, float_rows, start_vector
+from .svi import Multi, Row, Single, best_step, compile_pool, float_rows, start_vector
 
 UNSOUND_NOTE = "unsound stopping"
 
 
-#: One row of a float table: (successor, probability) pairs.
-Row = Sequence[tuple[int, float]]
-#: vi's pool as `_pool` compiles it: the one-action states with their one
-#: row, and the other states with their rows and whether the Maximizer
-#: owns them.
-Single = list[tuple[int, Row]]
-Multi = list[tuple[int, Sequence[Row], bool]]
-
-
-def _pool(rows: FloatRows, owner: Sequence[str], unknown: AbstractSet[int]) -> tuple[Single, Multi]:
-    """vi's pool compiled once per solve into the two lists `_sweep` walks, each in ascending state order.
-
-    The one-action states are paired with their row as in svi's `PoolFacts.single`.
-    """
-    single, multi = [], []
-    for s in sorted(unknown):
-        acts = rows[s]
-        if len(acts) == 1:
-            single.append((s, acts[0]))
-        else:
-            multi.append((s, acts, owner[s] == MAX))
-    return single, multi
-
-
 def _sweep(single: Single, multi: Multi, vec: list[float]) -> tuple[list[float], float, float]:
-    """One Jacobi sweep of the optimality operator over vi's pool, compiled by `_pool`.
+    """One Jacobi sweep of the optimality operator over vi's pool, compiled by `svi.compile_pool`.
 
     The rows are the game's `live_rows` in vi; read that way, vec must hold
     +0.0 at every sink (`StochasticGame.live_rows`). Every state reads only
@@ -253,8 +229,9 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
 
     Each sweep is one pass over the pool: `_sweep` returns the largest
     change and the smallest new value with the vector, and the stopping
-    test and the trace read them. The pool is compiled by `_pool` on the
-    first sweep, so a solve that needs no sweep pays nothing for it.
+    test and the trace read them. The pool is compiled on the first sweep
+    by `svi.compile_pool`, the routine svi's `PoolFacts` compiles with, so
+    a solve that needs no sweep pays nothing for it.
     """
     t0 = time.perf_counter()
     part = partition_states(game)
@@ -270,7 +247,7 @@ def solve_vi(game: StochasticGame, eps: float = 1e-6, max_iters: int = 10_000_00
     while not converged and it < max_iters:
         if not it:
             # not before the loop: most small games leave vi an empty pool, which needs no sweep
-            single, multi = _pool(rows, game.owner, part.unknown)
+            single, multi = compile_pool(rows, game.owner, part.unknown)
         L, delta, low = _sweep(single, multi, L)
         it += 1
         trace.append(TraceEntry(

@@ -38,11 +38,10 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graph import TIE_TOL, cached_mecs, handle_ecs, scc_decompose
-from .model import (MAX, MIN, DeltaTable, FloatRows, StatePartition, StochasticGame, dot, dot2,
-                    partition_states)
+from .model import MAX, DeltaTable, FloatRows, StatePartition, StochasticGame, dot, dot2, partition_states
 from .results import SolveResult, TraceEntry
 
 #: Strategy marker for a Maximizer state that kept its old vector this round;
@@ -109,17 +108,42 @@ class StrategySnapshot:
     delayed: frozenset[int] = frozenset()
 
 
+#: One row of a float table: (successor, probability) pairs.
+Row = Sequence[tuple[int, float]]
+#: A fixed pool as `compile_pool` compiles it: the one-action states with
+#: their one row, and the other states with their rows and whether the
+#: Maximizer owns them.
+Single = list[tuple[int, Row]]
+Multi = list[tuple[int, Sequence[Row], bool]]
+
+
+def compile_pool(rows: FloatRows, owner: Sequence[str], states: Iterable[int]) -> tuple[Single, Multi]:
+    """A fixed pool compiled once per solve into its two lists, each in ascending state order.
+
+    vi's sweep (`baselines._sweep`) walks both; svi's `PoolFacts` holds them.
+    """
+    single, multi = [], []
+    for s in sorted(states):
+        acts = rows[s]
+        if len(acts) == 1:
+            single.append((s, acts[0]))
+        else:
+            multi.append((s, acts, owner[s] == MAX))
+    return single, multi
+
+
 class PoolFacts:
     """What every sweep of one solve needs to know about its fixed undecided pool.
 
     `solve_svi_pool` builds one per solve that sweeps, once the pool
     `part.unknown` is fixed. `order` lists the pool states in ascending
-    order, `multi` those with several actions, also ascending. `single`
-    pairs each one-action pool state with its row of `game.live_rows`, in
-    ascending order, so a sweep reads those rows without a choice
-    lookup. `zero_choices` maps
-    every pool state to position 0: `choose_actions` hands it out as is
-    when nothing is chosen or forced. `ec_max` lists the delay
+    order. `single` and `multi` are the pool compiled from
+    `game.live_rows` (`compile_pool`): each one-action state with its
+    row, then each state with a choice with its rows and whether the
+    Maximizer owns it, so the sweep steps read their rows and owners
+    here, not from the game. `zero_choices` maps every pool state to
+    position 0: `choose_actions` hands it out as is when nothing is
+    chosen or forced. `ec_max` lists the delay
     candidates of `bellman_update`, the Maximizer states of the pool's
     maximal end components, in ascending order. It is worked out on first
     read, from the decomposition that the EC pass keeps in `part.ec_memo`,
@@ -129,9 +153,7 @@ class PoolFacts:
     def __init__(self, game: StochasticGame, part: StatePartition) -> None:
         self.game, self.part = game, part
         self.order = tuple(sorted(part.unknown))
-        rows = game.live_rows
-        self.multi = tuple(s for s in self.order if len(rows[s]) > 1)
-        self.single = [(s, rows[s][0]) for s in self.order if len(rows[s]) == 1]
+        self.single, self.multi = compile_pool(game.live_rows, game.owner, self.order)
         self.zero_choices: dict[int, int | None] = dict.fromkeys(self.order, 0)
 
     @cached_property
@@ -215,9 +237,8 @@ def delta_tables(game: StochasticGame, s: int) -> DeltaTable:
     return game.deltas[s]
 
 
-def choose_actions(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
-                   bounds: GlobalBounds, B: set[tuple[int, int]] | None,
-                   prev: StrategySnapshot | None) -> StrategySnapshot:
+def choose_actions(facts: PoolFacts, rs: ReachStayVector, bounds: GlobalBounds,
+                   B: set[tuple[int, int]] | None, prev: StrategySnapshot | None) -> StrategySnapshot:
     """Pick the action of each state of the pool `facts.order` for the next sweep.
 
     Minimizer states take the argmin of the one-step estimate under l,
@@ -228,13 +249,13 @@ def choose_actions(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
     argopt band, otherwise the lowest position wins (`argopt`), so runs
     are reproducible. The choices are action positions, in ascending
     state order; a delayed state's DELAY counts as no previous choice.
-    The estimates read `game.live_rows`, so reach and stay must hold +0.0
-    at every sink (`StochasticGame.live_rows`). With nothing to choose and
-    nothing forced, every solve's snapshot shares `facts.zero_choices`.
+    The estimates read the rows and owners of `facts.multi`, compiled
+    from `game.live_rows`, so reach and stay must hold +0.0 at every sink
+    (`StochasticGame.live_rows`). With nothing to choose and nothing
+    forced, every solve's snapshot shares `facts.zero_choices`.
     """
     if not facts.multi and not B:
         return StrategySnapshot(facts.zero_choices, frozenset() if B is not None else None)
-    rows, owner = game.live_rows, game.owner
     reach, stay = rs.reach, rs.stay
     choices = dict(facts.zero_choices)  # multi and forced states overwritten below
     forced_at: dict[int, list[int]] = {}
@@ -244,18 +265,17 @@ def choose_actions(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
     for s, forced in forced_at.items():
         keep = prev_choices.get(s)
         choices[s] = keep if keep in forced else min(forced)
-    for s in facts.multi:
+    for s, acts, maximize in facts.multi:
         if s in forced_at:
             continue
-        minimize = owner[s] == MIN
-        bound = bounds.l if minimize else bounds.u
+        bound = bounds.u if maximize else bounds.l
         ests = []
-        for row in rows[s]:  # the one-step estimate, added left to right like `dot`
+        for row in acts:  # the one-step estimate, added left to right like `dot`
             acc = 0.0
             for t, p in row:
                 acc += p * (reach[t] + stay[t] * bound)
             ests.append(acc)
-        opt = min(ests) if minimize else max(ests)
+        opt = max(ests) if maximize else min(ests)
         keep = prev_choices.get(s)
         if keep is None or not abs(ests[keep] - opt) <= TIE_TOL:
             # the lowest position within TIE_TOL of opt, as `argopt` picks it
@@ -290,19 +310,19 @@ def decision_value(game: StochasticGame, rs: ReachStayVector, s: int, chosen: in
     return best
 
 
-def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
-                   strategy: StrategySnapshot, bounds: GlobalBounds,
-                   ) -> tuple[ReachStayVector, StrategySnapshot]:
+def bellman_update(facts: PoolFacts, rs: ReachStayVector, strategy: StrategySnapshot,
+                   bounds: GlobalBounds) -> tuple[ReachStayVector, StrategySnapshot]:
     """One whole-vector sweep under the chosen actions, with delay detection.
 
-    Each state of the pool reads its row `game.live_rows[s][choices[s]]`
-    (a one-action state the row `facts.single` compiled), and all read the
-    old vector (batch update); reach and stay must hold +0.0 at every
-    sink. When EC handling is active (strategy.bexit is not None), a
-    delay candidate (`facts.ec_max`) outside the best-exit set whose
-    candidate upper estimate exceeds its old one is delayed: it keeps its
-    old entries, its snapshot entry becomes DELAY and it joins the
-    snapshot's delayed set. Rows of decided states never change. Without
+    Each state of the pool reads its row from the facts (a one-action
+    state its row in `facts.single`, a state with a choice the chosen one
+    of its rows in `facts.multi`, both compiled from `game.live_rows`),
+    and all read the old vector (batch update); reach and stay must hold
+    +0.0 at every sink. When EC handling is active (strategy.bexit is not
+    None), a delay candidate (`facts.ec_max`) outside the best-exit set
+    whose candidate upper estimate exceeds its old one is delayed: it
+    keeps its old entries, its snapshot entry becomes DELAY and it joins
+    the snapshot's delayed set. Rows of decided states never change. Without
     a delay the new snapshot shares `strategy.choices`; no caller mutates
     a snapshot's map.
 
@@ -314,13 +334,13 @@ def bellman_update(game: StochasticGame, facts: PoolFacts, rs: ReachStayVector,
     the restored entries (delays are rare: none on the benchmark's
     workloads).
     """
-    rows, choices = game.live_rows, strategy.choices
+    choices = strategy.choices
     reach, stay = rs.reach, rs.stay
     new_reach = list(reach)
     new_stay = list(stay)
     pairs = facts.single
     if facts.multi:
-        pairs = pairs + [(s, rows[s][choices[s]]) for s in facts.multi]
+        pairs = pairs + [(s, acts[choices[s]]) for s, acts, _ in facts.multi]
     cands = bounds.d_l > bounds.l or bounds.d_u < bounds.u
     max_stay = 0.0
     lo, hi = math.inf, -math.inf
@@ -366,14 +386,14 @@ def _require_fold(rs: ReachStayVector) -> None:
 
 
 def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds: GlobalBounds,
-                         max_decvals: Sequence[float], min_decvals: Sequence[float],
-                         any_delay: bool) -> GlobalBounds:
+                         max_decvals: Sequence[float], min_decvals: Sequence[float]) -> GlobalBounds:
     """Fold this iteration's decision values, then tighten l and u if allowed.
 
     The tightening runs only when every undecided state has stay < 1,
-    nothing was delayed this iteration (delays happen only with EC
-    handling on), and there is at least one undecided state. Candidates
-    are the loop extrapolations reach/(1-stay) of the undecided states.
+    the sweep kept its candidates (`bellman_update` drops them after a
+    delay, which happens only with EC handling on, and once both caps
+    have pinned their bounds), and there is at least one undecided state. Candidates are the loop extrapolations
+    reach/(1-stay) of the undecided states.
     l rises to the smallest candidate, capped by d_l; u falls to the
     largest, floored by d_u. Once both caps have pinned their bounds
     (d_l <= l and d_u >= u) no candidate can move either. The sweep that
@@ -389,7 +409,7 @@ def update_global_bounds(partition: StatePartition, rs: ReachStayVector, bounds:
     for v in min_decvals:
         d_l = min(d_l, v)
     l, u = bounds.l, bounds.u
-    if not any_delay and partition.unknown and rs.max_stay < 1.0 and not (d_l <= l and d_u >= u):
+    if rs.min_cand is not None and partition.unknown and rs.max_stay < 1.0 and not (d_l <= l and d_u >= u):
         l = max(l, min(d_l, rs.min_cand))
         u = min(u, max(d_u, rs.max_cand))
     return GlobalBounds(l, u, d_l, d_u)
@@ -476,7 +496,6 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
         vec[s] = 0.0
     settled = settle_tail(game, part, vec)
     pool = part.unknown = frozenset(part.unknown)  # the pool is fixed from here on
-    owner = game.owner
     stay = [0.0] * game.n_states
     for s in pool:
         stay[s] = 1.0
@@ -493,22 +512,21 @@ def solve_svi_pool(game: StochasticGame, part: StatePartition, vec: list[float],
     facts = None if converged else PoolFacts(game, part)
     while not converged and it < max_iters:
         B = handle_ecs(game, rs.reach, rs.stay, bounds.u, part) if ec_handling else None
-        snapshot = choose_actions(game, facts, rs, bounds, B, prev)
+        snapshot = choose_actions(facts, rs, bounds, B, prev)
         last_choices = snapshot.choices
         max_dv: list[float] = []
         min_dv: list[float] = []
         # a pinned cap can no longer move its bound: skip its side's decision values
-        want = {MIN: bounds.d_l > bounds.l, MAX: bounds.d_u < bounds.u}
-        if want[MIN] or want[MAX]:
-            for s in facts.multi:
-                side = owner[s]
-                if want[side]:
+        want_min, want_max = bounds.d_l > bounds.l, bounds.d_u < bounds.u
+        if want_min or want_max:
+            for s, _, maximize in facts.multi:
+                if want_max if maximize else want_min:
                     dv = decision_value(game, rs, s, snapshot.choices[s])
                     if dv is not None:
-                        (max_dv if side == MAX else min_dv).append(dv)
-        rs, snapshot = bellman_update(game, facts, rs, snapshot, bounds)
+                        (max_dv if maximize else min_dv).append(dv)
+        rs, snapshot = bellman_update(facts, rs, snapshot, bounds)
         n_delayed = len(snapshot.delayed)
-        new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv, n_delayed > 0)
+        new_bounds = update_global_bounds(part, rs, bounds, max_dv, min_dv)
         it += 1
         gap = new_bounds.u - new_bounds.l
         # max(stay[s] * gap): rounding is monotone, so the extreme stay gives it exactly

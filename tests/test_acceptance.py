@@ -188,7 +188,7 @@ def _stepwise_invariants(g, iters=8):
     bounds = GlobalBounds(0.0, 1.0)
     snap = None
     for _ in range(iters):
-        snap = choose_actions(g, facts, rs, bounds, B, snap)
+        snap = choose_actions(facts, rs, bounds, B, snap)
         maxdec, mindec = [], []
         for s in part.unknown:
             chosen = snap.choices.get(s)
@@ -197,13 +197,13 @@ def _stepwise_invariants(g, iters=8):
             d = decision_value(g, rs, s, chosen)
             if d is not None:
                 (maxdec if g.owner[s] == "max" else mindec).append(d)
-        rs, snap = bellman_update(g, facts, rs, snap, bounds)
+        rs, snap = bellman_update(facts, rs, snap, bounds)
         for s in part.unknown:
             assert rs.reach[s] >= -1e-12 and rs.stay[s] >= -1e-12
             assert rs.reach[s] + rs.stay[s] <= 1.0 + 1e-12
-        new_bounds = update_global_bounds(part, rs, bounds, maxdec, mindec, bool(snap.delayed))
+        new_bounds = update_global_bounds(part, rs, bounds, maxdec, mindec)
         # capped tightening must not flip any free choice
-        re_chosen = choose_actions(g, facts, rs, new_bounds, B, snap)
+        re_chosen = choose_actions(facts, rs, new_bounds, B, snap)
         forced = snap.bexit or frozenset()
         for s in part.unknown:
             if snap.choices.get(s) != DELAY and s not in forced:

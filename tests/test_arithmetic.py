@@ -45,11 +45,11 @@ def one_layer(states):
 
 
 def jacobi(rows, owner, states, vec):
-    """`baselines._sweep` on the pool that `baselines._pool` compiles from rows; returns the new vector.
+    """`baselines._sweep` on the pool that `svi.compile_pool` compiles from rows; returns the new vector.
 
     Also checks the fold the kernel returns against a second pass over the vectors.
     """
-    new, delta, low = baselines._sweep(*baselines._pool(rows, owner, states), vec)
+    new, delta, low = baselines._sweep(*svi.compile_pool(rows, owner, states), vec)
     assert repr((delta, low)) == repr(vi_fold_by_walk(states, vec, new))
     return new
 
@@ -168,8 +168,8 @@ def test_every_vector_a_sweep_reads_holds_plus_zero_at_every_sink(monkeypatch):
 
     spy(baselines, "_sweep", lambda single, multi, vec: (vec,))
     spy(baselines, "_sweep_layers", lambda entries, low, high: (low, high))
-    spy(svi, "choose_actions", lambda game, facts, rs, *rest: (rs.reach, rs.stay))
-    spy(svi, "bellman_update", lambda game, facts, rs, *rest: (rs.reach, rs.stay))
+    spy(svi, "choose_actions", lambda facts, rs, *rest: (rs.reach, rs.stay))
+    spy(svi, "bellman_update", lambda facts, rs, *rest: (rs.reach, rs.stay))
     for key, fn in list(INNER_SOLVERS.items()):
         def inner(game, part, vec, *args, fn=fn, key=key):
             check(f"topo start ({key})", vec)

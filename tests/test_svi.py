@@ -144,7 +144,7 @@ def test_settle_tail_decides_the_acyclic_tail_successors_first():
 def test_choose_actions_minimizer_picks_cheaper_route():
     g = two_route_choice()
     part, rs = k0_state(g)
-    snap = choose_actions(g, PoolFacts(g, part), rs, GlobalBounds(0.0, 1.0), None, None)
+    snap = choose_actions(PoolFacts(g, part), rs, GlobalBounds(0.0, 1.0), None, None)
     # one-step worths under l=0: alpha (position 0) 0.4 against beta 0.5
     assert snap.choices[0] == 0
     assert snap.bexit is None
@@ -154,7 +154,7 @@ def test_choose_actions_forced_into_best_exit():
     g = loop_or_coin()
     part, rs = k0_state(g)
     B = handle_ecs(g, rs.reach, rs.stay, 1.0, part)
-    snap = choose_actions(g, PoolFacts(g, part), rs, GlobalBounds(0.0, 1.0), B, None)
+    snap = choose_actions(PoolFacts(g, part), rs, GlobalBounds(0.0, 1.0), B, None)
     assert snap.choices[0] == 1  # b
     assert snap.bexit == frozenset({0})
 
@@ -164,10 +164,10 @@ def test_choose_actions_tie_keeps_previous_choice():
     part, rs = k0_state(g)
     facts = PoolFacts(g, part)
     bounds = GlobalBounds(0.0, 1.0)
-    first = choose_actions(g, facts, rs, bounds, None, None)
+    first = choose_actions(facts, rs, bounds, None, None)
     assert first.choices[0] == 0  # x
     prev = StrategySnapshot({0: 1}, None)  # y
-    kept = choose_actions(g, facts, rs, bounds, None, prev)
+    kept = choose_actions(facts, rs, bounds, None, prev)
     assert kept.choices[0] == 1
 
 
@@ -193,7 +193,7 @@ def test_bellman_single_sweep_on_loop():
     g = slow_loop()
     part, rs = k0_state(g)
     snap = StrategySnapshot({0: 0}, None)
-    rs1, snap1 = bellman_update(g, PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, snap1 = bellman_update(PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
     assert rs1.reach[0] == 0.01
     assert rs1.stay[0] == 0.98
     assert not snap1.delayed
@@ -205,7 +205,7 @@ def test_bellman_sweep_is_batch():
     g = serial_loops(k=2)
     part, rs = k0_state(g)
     snap = StrategySnapshot({0: 0, 1: 0}, None)
-    rs1, _ = bellman_update(g, PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, _ = bellman_update(PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
     assert rs1.reach[1] == 0.01
     assert rs1.reach[0] == 0.0
 
@@ -217,7 +217,7 @@ def test_bellman_delays_overshooting_maximizer():
     # old upper estimate 0.1 with the candidate 0.2 + 0.1 * u, so it holds
     rs = ReachStayVector([0.2, 0.0, 1.0, 0.0], [0.1, 0.1, 0.0, 0.0])
     snap = StrategySnapshot({0: 1, 1: 0}, frozenset({0}))  # 0 takes b, 1 takes a
-    rs1, snap1 = bellman_update(g, PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, snap1 = bellman_update(PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
     assert snap1.choices[1] == DELAY
     assert snap1.delayed == frozenset({1})
     assert (rs1.reach[1], rs1.stay[1]) == (0.0, 0.1)
@@ -258,7 +258,7 @@ def test_bellman_delay_folds_the_restored_stay():
     assert part.unknown == {0, 1, 2}
     rs = ReachStayVector([0.65, 0.0, 0.0, 1.0, 0.0], [0.3, 0.9, 0.5, 0.0, 0.0])
     snap = StrategySnapshot({0: 1, 1: 0, 2: 0}, frozenset({0}))  # 0 takes b, 1 takes a
-    rs1, snap1 = bellman_update(g, PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
+    rs1, snap1 = bellman_update(PoolFacts(g, part), rs, snap, GlobalBounds(0.0, 1.0))
     assert snap1.delayed == frozenset({1})
     assert rs1.stay[:3] == [pytest.approx(0.1), 0.9, pytest.approx(0.49)]
     assert rs1.max_stay == 0.9
@@ -298,16 +298,59 @@ def test_pool_facts_find_the_delay_candidates_on_first_read():
     part = partition_states(g)
     facts = PoolFacts(g, part)
     assert facts.order == (0, 1, 2, 3)
-    assert facts.multi == (0, 2, 3)
+    assert [s for s, _, _ in facts.multi] == [0, 2, 3]
+    assert all(acts is g.live_rows[s] and maximize for s, acts, maximize in facts.multi)
     assert not part.ec_memo  # nothing decomposed until a delay check asks
     assert facts.ec_max == (0, 2)
     assert part.ec_memo == {frozenset(facts.order): [frozenset({0, 1, 2})]}
 
 
+def test_vi_and_svi_sweep_the_same_compiled_pool(monkeypatch):
+    # vi's first sweep and svi's facts compile through the one routine: on
+    # the states svi keeps after settling its acyclic tail, vi's lists are
+    # svi's, rows and owners included
+    import ssgsolve.baselines as baselines
+
+    vi_pools, svi_pools = [], []
+    vi_sweep, svi_sweep = baselines._sweep, svi.bellman_update
+
+    def vi_spy(single, multi, vec):
+        vi_pools.append((single, multi))
+        return vi_sweep(single, multi, vec)
+
+    def svi_spy(facts, *args):
+        svi_pools.append((facts.single, facts.multi))
+        return svi_sweep(facts, *args)
+
+    monkeypatch.setattr(baselines, "_sweep", vi_spy)
+    monkeypatch.setattr(svi, "bellman_update", svi_spy)
+    games = ([build() for build in ALL_PRESETS.values()] + list(census((8, 10), range(20)))
+             + [generate_random(GenParams(80, 3, 3, 0.05, 0.5, eb, seed))
+                for eb in (0.0, 0.5) for seed in (2, 3)])
+    compared = whole = 0
+    for g in games:
+        vi_pools.clear()
+        svi_pools.clear()
+        solve_vi(g, 1e-6, max_iters=400)
+        solve_svi(g, 1e-6, max_iters=400)
+        if not svi_pools:
+            continue
+        for pools in (vi_pools, svi_pools):  # each solve compiles its pool once
+            assert all(p[0] is pools[0][0] and p[1] is pools[0][1] for p in pools)
+        (vi_single, vi_multi), (single, multi) = vi_pools[0], svi_pools[0]
+        kept = {entry[0] for entry in single + multi}
+        assert kept <= {entry[0] for entry in vi_single + vi_multi}
+        assert repr(single) == repr([e for e in vi_single if e[0] in kept])
+        assert repr(multi) == repr([e for e in vi_multi if e[0] in kept])
+        compared += 1
+        whole += len(kept) == len(vi_single) + len(vi_multi)
+    assert compared > 40 and 0 < whole < compared  # tails settled in some games, none in others
+
+
 def test_update_global_bounds_caps_at_decision_values():
     part, rs = k0_state(two_route_choice())
     rs = folded(part.unknown, [0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
-    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [0.25], False)
+    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [0.25])
     # loop extrapolation says 2/3 but the pending switch pins l at 1/4
     assert bounds.l == 0.25
     assert bounds.u == pytest.approx(2 / 3)
@@ -318,21 +361,25 @@ def test_update_global_bounds_without_caps_overshoots():
     part, rs = k0_state(two_route_choice())
     rs = folded(part.unknown, [0.4, 1.0, 0.0], [0.4, 0.0, 0.0])
     # no decision value: the caps keep their seeds, which cap nothing
-    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [], False)
+    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [])
     assert bounds.l == pytest.approx(2 / 3)
 
 
 def test_update_global_bounds_gate_on_full_stay():
     part, rs = k0_state(slow_loop())
-    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [], False)
+    bounds = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [])
     assert (bounds.l, bounds.u) == (0.0, 1.0)
 
 
 def test_update_global_bounds_gate_on_delay():
     part, rs = k0_state(slow_loop())
     rs = folded(part.unknown, [0.01, 1.0, 0.0], [0.98, 0.0, 0.0])
-    held = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [], True)
+    # after a delay `bellman_update` drops the candidates and keeps the largest stay
+    delayed = dataclasses.replace(rs, min_cand=None, max_cand=None)
+    held = update_global_bounds(part, delayed, GlobalBounds(0.0, 1.0), [], [])
     assert (held.l, held.u) == (0.0, 1.0)
+    moved = update_global_bounds(part, rs, GlobalBounds(0.0, 1.0), [], [])
+    assert (moved.l, moved.u) == (pytest.approx(0.5), pytest.approx(0.5))
 
 
 def test_check_termination_vacuous_and_strict():
@@ -375,7 +422,7 @@ def test_a_vector_without_a_fold_is_refused():
     with pytest.raises(ValueError, match="no fold"):
         check_termination(part, bare, bounds, 1e-6)
     with pytest.raises(ValueError, match="no fold"):
-        update_global_bounds(part, bare, bounds, [], [], False)
+        update_global_bounds(part, bare, bounds, [], [])
     # relative mode walks the pool and needs no fold
     assert not check_termination(part, bare, bounds, 1e-6, mode="relative")
 
@@ -655,8 +702,8 @@ def test_the_sweep_folds_what_the_pool_walks_gave(monkeypatch, ablation):
     sweep, terminated = svi.bellman_update, svi.check_termination
     seen = dict.fromkeys(("sweeps", "cands", "dropped", "delays", "stuck", "stops"), 0)
 
-    def checked_sweep(game, facts, rs, strategy, bounds):
-        out, snap = sweep(game, facts, rs, strategy, bounds)
+    def checked_sweep(facts, rs, strategy, bounds):
+        out, snap = sweep(facts, rs, strategy, bounds)
         pool = facts.order
         cands = pool_candidates(pool, out.reach, out.stay)
         top = max(out.stay[s] for s in pool)
@@ -848,9 +895,9 @@ def test_sweep_marks_exactly_the_delayed_states(monkeypatch, game, cap, delays):
     marked = []
     sweep = svi.bellman_update
 
-    def checked(g, *args, **kwargs):
-        out = sweep(g, *args, **kwargs)
-        snap = out[1]
+    def checked(facts, *args, **kwargs):
+        out = sweep(facts, *args, **kwargs)
+        g, snap = facts.game, out[1]
         held = {s for s, v in snap.choices.items() if v == svi.DELAY}
         assert held == snap.delayed
         for s, v in snap.choices.items():
